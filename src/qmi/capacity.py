@@ -20,6 +20,7 @@ from .entropy import kl_divergence, shannon_entropy
 from .mutual import (
     DualRouteValue,
     _effects_from_factors,
+    _MutualEvaluator,
     ohya_mutual_entropy,
     pseudo_mutual_entropy,
 )
@@ -160,7 +161,12 @@ def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
 def quantum_capacity(
     ch: KrausChannel, family: StateFamily, search: SearchBudget | None = None
 ) -> CapacityReport:
-    """sup over the state family of the mutual entropy through the channel."""
+    """sup over the state family of the mutual entropy through the channel.
+
+    The inner Ohya searches run on the cached evaluator; the value reported
+    is `ohya_mutual_entropy` at the maximizing state, which repeats that
+    state's inner search and dual-route checks its decomposition.
+    """
     budget = search or SearchBudget()
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
@@ -170,14 +176,17 @@ def quantum_capacity(
         rho = family.state_from_params(params)
         if rho is None:
             return -math.inf
-        return ohya_mutual_entropy(rho, ch, inner).value
+        return _MutualEvaluator(rho.matrix, ch).supremum(inner).value
 
     result = maximize(
         objective, family.n_params, budget, starts=family.candidate_starts()
     )
     best_state = family.state_from_params(result.params)
+    value = result.value
+    if best_state is not None:
+        value = ohya_mutual_entropy(best_state, ch, inner).value
     return CapacityReport(
-        value=result.value,
+        value=value,
         converged=result.converged,
         evals=result.evals,
         maximizer={"state": best_state.matrix if best_state is not None else None},

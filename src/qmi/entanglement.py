@@ -26,11 +26,18 @@ import numpy as np
 
 from .capacity import CapacityReport, StateFamily
 from .channels import KrausChannel, apply_matrix
-from .entropy import product_relative_entropy, von_neumann_entropy
+from .entropy import (
+    SUPPORT_TOL,
+    _eigen_amplitudes,
+    _entropy_rows,
+    _log_trace_in_eigenbasis,
+    product_relative_entropy,
+    von_neumann_entropy,
+)
 from .mutual import (
     CompoundState,
-    _component_route,
     _compound_matrix,
+    _MutualEvaluator,
     _transmitted,
     mutual_entropy_fixed,
 )
@@ -41,12 +48,11 @@ from .operators import (
     SchattenDecomposition,
     as_complex_matrix,
     as_probability,
-    canonical_schatten,
     eigenbasis,
     hermitian_from_params,
+    hermitian_part,
     partial_trace,
     schatten_family,
-    schatten_param_count,
     unitary_from_params,
 )
 from .search import SearchBudget, complex_from_params, maximize, softmax
@@ -457,10 +463,10 @@ def conditional_and_degree(compound) -> tuple[float, float]:
 class _DecRecord:
     value: float
     commute_defect: float
-    dec: SchattenDecomposition
+    params: np.ndarray
 
 
-def _commutation_defect(outputs: list[np.ndarray]) -> float:
+def _commutation_defect(outputs: np.ndarray) -> float:
     norms = [float(np.linalg.norm(om)) for om in outputs]
     worst = 0.0
     for n in range(len(outputs)):
@@ -476,27 +482,16 @@ def _survey_decompositions(
     rho: DensityOperator, ch: KrausChannel, budget: SearchBudget
 ) -> tuple[list[_DecRecord], bool, int]:
     """Search Schatten decompositions, recording value and commutation defect."""
-    out_avg = apply_matrix(ch, rho.matrix)
+    evaluator = _MutualEvaluator(rho.matrix, ch)
     records: list[_DecRecord] = []
 
-    def evaluate(dec: SchattenDecomposition) -> float:
-        outputs = _transmitted(ch, dec)
-        value = _component_route(dec.weights, outputs, out_avg)
-        if not math.isfinite(value):
-            value = -math.inf
-        records.append(_DecRecord(value, _commutation_defect(outputs), dec))
+    def evaluate(params: np.ndarray) -> float:
+        outputs = evaluator.outputs(params)
+        value = evaluator.score(evaluator.weights, outputs)
+        records.append(_DecRecord(value, _commutation_defect(outputs), np.array(params, dtype=float)))
         return value
 
-    n_params = schatten_param_count(rho)
-    if n_params == 0:
-        evaluate(canonical_schatten(rho.matrix))
-        return records, True, 1
-    result = maximize(
-        lambda p: evaluate(schatten_family(rho, p)),
-        n_params,
-        budget,
-        starts=[np.zeros(n_params)],
-    )
+    result = evaluator.supremum(budget, evaluate)
     return records, result.converged, result.evals
 
 
@@ -516,6 +511,13 @@ def _direction_param_count(g: int, k: int, fix_output_blocks: bool) -> int:
     if not fix_output_blocks:
         n += g * k * k
     return n
+
+
+def _in_input_frame(dec: SchattenDecomposition, blocks: np.ndarray) -> np.ndarray:
+    """sum_nm |v_n><v_m| (x) blocks[n, m] as a (d_g k) x (d_g k) matrix."""
+    e = dec.vectors
+    n = e.shape[0] * blocks.shape[-1]
+    return np.einsum("xn,nmab,ym->xayb", e, blocks, e.conj()).reshape(n, n)
 
 
 def _assemble_direction(
@@ -548,16 +550,14 @@ def _assemble_direction(
         mean = sum(diags) / g
         for n in range(g):
             blocks[n, n] = diags[n] - mean
-    e = dec.vectors
-    four = np.einsum("xn,nmab,ym->xayb", e, blocks, e.conj())
-    x = four.reshape(g * k, g * k)
+    x = _in_input_frame(dec, blocks)
     norm = float(np.linalg.norm(x))
     if norm <= 1e-12:
         return None
     return x / norm
 
 
-def _candidate_direction(dec: SchattenDecomposition, outputs: list[np.ndarray], k: int) -> np.ndarray | None:
+def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int) -> np.ndarray | None:
     """Coherence between the leading output eigenvectors of each component.
 
     Under the identity channel this ray passes through the standard
@@ -577,118 +577,161 @@ def _candidate_direction(dec: SchattenDecomposition, outputs: list[np.ndarray], 
                 continue
             scale = math.sqrt(max(dec.weights[n] * dec.weights[m], 0.0))
             blocks[n, m] = scale * np.outer(leads[n], leads[m].conj())
-    e = dec.vectors
-    four = np.einsum("xn,nmab,ym->xayb", e, blocks, e.conj())
-    x = four.reshape(g * k, g * k)
+    x = _in_input_frame(dec, blocks)
     norm = float(np.linalg.norm(x))
     return None if norm <= 1e-12 else x
 
 
-def _max_feasible_step(theta_d: np.ndarray, x: np.ndarray, cap: float = 64.0) -> float:
-    """Largest t keeping theta_d + t x positive semidefinite."""
-
-    def feasible(t: float) -> bool:
-        return float(np.min(np.linalg.eigvalsh(theta_d + t * x))) >= -PSD_STEP_TOL
-
-    lo, hi = 0.0, 1.0
-    while feasible(hi) and hi < cap:
-        lo, hi = hi, hi * 2.0
-    if hi >= cap and feasible(cap):
-        return cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+_RAY_FRACTIONS = np.array([1.0, 0.75, 0.5, 0.25])
+_STEP_CAP = 64.0
 
 
-def _ray_value(
-    theta_d: np.ndarray, x: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray
-) -> float:
-    t_max = _max_feasible_step(theta_d, x)
-    if t_max <= 0.0:
-        return -math.inf
-    best = -math.inf
-    for frac in (1.0, 0.75, 0.5, 0.25):
-        value = product_relative_entropy(theta_d + frac * t_max * x, rho_mat, out_avg)
-        if math.isfinite(value) and value > best:
-            best = value
-    return best
+class _RayScorer:
+    """Scores rays theta_d + t x out of one diagonal compound.
+
+    The largest feasible step has a closed form. With A = theta_d + eps I
+    (eps = PSD_STEP_TOL) factored once, lambda_min(theta_d + t x) >= -eps
+    holds exactly while 1 + t lambda_min(A^{-1/2} x A^{-1/2}) >= 0; since
+    lambda_min is concave in t, the feasible steps are an interval from 0.
+    A^{-1/2} x A^{-1/2} is formed in the eigenbasis of A: A's kernel
+    eigenvalues are eps, and an explicit A^{-1/2} would mix entries of
+    size eps^{-1/2} and 1, losing about eight digits of the step.
+    Each ray scores its four points by the relative entropy against
+    rho (x) ch(rho), with one batched eigvalsh for the joint entropies and
+    the eigenbases of rho and ch(rho) computed once.
+    """
+
+    def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray, d_k: int):
+        self.theta_d = theta_d
+        self.dims = (theta_d.shape[0] // d_k, d_k)
+        w, self.frame = np.linalg.eigh(theta_d + PSD_STEP_TOL * np.eye(theta_d.shape[0]))
+        self.inv_sqrt = 1.0 / np.sqrt(w) if w[0] > 0.0 else None  # of A's eigenvalues
+        self.left = np.linalg.eigh(hermitian_part(rho_mat))
+        self.right = np.linalg.eigh(hermitian_part(out_avg))
+        self.base = self._amplitudes(theta_d)
+
+    def _amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both marginals of t in the eigenbases of rho and ch(rho)."""
+        return (
+            _eigen_amplitudes(partial_trace(t, self.dims, keep=0), self.left[1]),
+            _eigen_amplitudes(partial_trace(t, self.dims, keep=1), self.right[1]),
+        )
+
+    def max_step(self, x: np.ndarray) -> float:
+        """Largest t <= 64 with lambda_min(theta_d + t x) >= -PSD_STEP_TOL."""
+        if self.inv_sqrt is None:
+            return 0.0
+        scaled = self.frame.conj().T @ x @ self.frame * np.outer(self.inv_sqrt, self.inv_sqrt)
+        mu = float(np.linalg.eigvalsh(scaled)[0])
+        return _STEP_CAP if mu * _STEP_CAP >= -1.0 else -1.0 / mu
+
+    def value(self, x: np.ndarray) -> float:
+        t_max = self.max_step(x)
+        if t_max <= 0.0:
+            return -math.inf
+        steps = t_max * _RAY_FRACTIONS
+        joint = _entropy_rows(np.linalg.eigvalsh(self.theta_d + steps[:, None, None] * x))
+        value = -joint
+        leaks = np.zeros(steps.size)
+        for (w, _), a0, a1 in zip((self.left, self.right), self.base, self._amplitudes(x)):
+            log_term, leak = _log_trace_in_eigenbasis(a0 + steps[:, None] * a1, w, ZERO_TOL)
+            value = value - log_term
+            leaks = np.maximum(leaks, leak)
+        feasible = value[leaks <= SUPPORT_TOL]
+        return float(np.max(feasible)) if feasible.size else -math.inf
 
 
-def _class_mutual(
+def _q_value(
     rho: DensityOperator,
     ch: KrausChannel,
-    tag: str,
+    dec: SchattenDecomposition,
+    diagonal_value: float,
     budget: SearchBudget,
     fix_output_blocks: bool,
-) -> CapacityReport:
+) -> tuple[float, int]:
+    """Perturb the best diagonal compound along marginal-preserving rays."""
+    outputs = _transmitted(ch, dec)
+    k = ch.out_dim
+    scorer = _RayScorer(
+        _compound_matrix(dec, outputs), rho.matrix, apply_matrix(ch, rho.matrix), k
+    )
+    best = diagonal_value
+    candidate = _candidate_direction(dec, outputs, k)
+    if candidate is not None:
+        best = max(best, scorer.value(candidate))
+    n_params = _direction_param_count(dec.size, k, fix_output_blocks)
+    if n_params == 0 or dec.size < 2:
+        return best, 0
+
+    def objective(params: np.ndarray) -> float:
+        x = _assemble_direction(params, dec, k, fix_output_blocks)
+        return -math.inf if x is None else scorer.value(x)
+
+    result = maximize(objective, n_params, budget.child(7), starts=())
+    if math.isfinite(result.value):
+        best = max(best, result.value)
+    return best, result.evals
+
+
+def _class_reports(
+    rho: DensityOperator,
+    ch: KrausChannel,
+    tags: tuple[str, ...],
+    budget: SearchBudget,
+    fix_output_blocks: bool,
+) -> dict[str, CapacityReport]:
+    """The requested class values at fixed rho, all from one decomposition survey."""
     records, converged, evals = _survey_decompositions(rho, ch, budget)
     best_d = _best_record(records, commuting_only=False)
     if best_d is None:
         raise ConsistencyError("no finite decomposition value found")
+    checked = {}
 
-    if tag == "c":
+    def checked_value(record: _DecRecord) -> tuple[SchattenDecomposition, float]:
+        if id(record) not in checked:
+            dec = schatten_family(rho, record.params)
+            checked[id(record)] = dec, float(mutual_entropy_fixed(rho, ch, dec).value)
+        return checked[id(record)]
+
+    reports = {}
+    if "c" in tags:
         best_c = _best_record(records, commuting_only=True)
         if best_c is None:
-            return CapacityReport(
+            reports["c"] = CapacityReport(
                 value=0.0,
                 converged=converged,
                 evals=evals,
                 notes={"class": "c", "feasible": False},
             )
-        checked = mutual_entropy_fixed(rho, ch, best_c.dec)
-        return CapacityReport(
-            value=checked.value,
-            converged=converged,
-            evals=evals,
-            maximizer={"decomposition": best_c.dec},
-            notes={"class": "c", "feasible": True, "commute_defect": best_c.commute_defect},
-        )
-
-    checked = mutual_entropy_fixed(rho, ch, best_d.dec)
-    if tag == "d":
-        return CapacityReport(
-            value=checked.value,
-            converged=converged,
-            evals=evals,
-            maximizer={"decomposition": best_d.dec},
-            notes={"class": "d", "feasible": True},
-        )
-
-    # q: perturb the best diagonal compound along marginal-preserving rays.
-    dec = best_d.dec
-    outputs = _transmitted(ch, dec)
-    theta_d = _compound_matrix(dec, outputs)
-    rho_mat = rho.matrix
-    out_avg = apply_matrix(ch, rho_mat)
-    k = ch.out_dim
-    best = checked.value
-    candidate = _candidate_direction(dec, outputs, k)
-    if candidate is not None:
-        best = max(best, _ray_value(theta_d, candidate, rho_mat, out_avg))
-    n_params = _direction_param_count(dec.size, k, fix_output_blocks)
-    ray_evals = 0
-    if n_params > 0 and dec.size > 1:
-        def objective(params: np.ndarray) -> float:
-            x = _assemble_direction(params, dec, k, fix_output_blocks)
-            if x is None:
-                return -math.inf
-            return _ray_value(theta_d, x, rho_mat, out_avg)
-
-        result = maximize(objective, n_params, budget.child(7), starts=())
-        ray_evals = result.evals
-        if math.isfinite(result.value):
-            best = max(best, result.value)
-    return CapacityReport(
-        value=best,
-        converged=converged,
-        evals=evals + ray_evals,
-        maximizer={"decomposition": dec},
-        notes={"class": "q", "feasible": True, "diagonal_value": checked.value},
-    )
+        else:
+            dec, value = checked_value(best_c)
+            reports["c"] = CapacityReport(
+                value=value,
+                converged=converged,
+                evals=evals,
+                maximizer={"decomposition": dec},
+                notes={"class": "c", "feasible": True, "commute_defect": best_c.commute_defect},
+            )
+    if "d" in tags or "q" in tags:
+        dec, value = checked_value(best_d)
+        if "d" in tags:
+            reports["d"] = CapacityReport(
+                value=value,
+                converged=converged,
+                evals=evals,
+                maximizer={"decomposition": dec},
+                notes={"class": "d", "feasible": True},
+            )
+        if "q" in tags:
+            q, ray_evals = _q_value(rho, ch, dec, value, budget, fix_output_blocks)
+            reports["q"] = CapacityReport(
+                value=float(q),
+                converged=converged,
+                evals=evals + ray_evals,
+                maximizer={"decomposition": dec},
+                notes={"class": "q", "feasible": True, "diagonal_value": value},
+            )
+    return reports
 
 
 def class_mutual_and_capacity(
@@ -714,7 +757,7 @@ def class_mutual_and_capacity(
     if tag not in ("q", "d", "c"):
         raise ValueError(f"unknown class tag {tag!r}")
     if rho is not None:
-        return _class_mutual(rho, ch, tag, budget, fix_output_blocks)
+        return _class_reports(rho, ch, (tag,), budget, fix_output_blocks)[tag]
 
     family = StateFamily("full", ch.in_dim)
     inner = budget.child(5)
@@ -723,7 +766,7 @@ def class_mutual_and_capacity(
         r = family.state_from_params(params)
         if r is None:
             return -math.inf
-        rep = _class_mutual(r, ch, tag, inner, fix_output_blocks)
+        rep = _class_reports(r, ch, (tag,), inner, fix_output_blocks)[tag]
         if not rep.notes.get("feasible", True):
             return -math.inf
         return rep.value
@@ -754,15 +797,13 @@ def qdc_hierarchy(
     the chain monotone across independent searches.
     """
     budget = search or SearchBudget()
+    tags = ("c", "d", "q")
     if rho is not None:
-        return {
-            tag: _class_mutual(rho, ch, tag, budget, fix_output_blocks)
-            for tag in ("c", "d", "q")
-        }
+        return _class_reports(rho, ch, tags, budget, fix_output_blocks)
 
     reports = {
         tag: class_mutual_and_capacity(None, ch, tag, budget, fix_output_blocks)
-        for tag in ("c", "d", "q")
+        for tag in tags
     }
     states = [
         DensityOperator(rep.maximizer["state"])
@@ -770,12 +811,13 @@ def qdc_hierarchy(
         if rep.maximizer.get("state") is not None
     ]
     inner = budget.child(5)
+    floors = [_class_reports(state, ch, tags, inner, fix_output_blocks) for state in states]
     out = {}
-    for tag in ("c", "d", "q"):
+    for tag in tags:
         base = reports[tag]
         value, feasible = base.value, base.notes.get("feasible", True)
-        for state in states:
-            rep = _class_mutual(state, ch, tag, inner, fix_output_blocks)
+        for floor in floors:
+            rep = floor[tag]
             if rep.notes.get("feasible", True) and rep.value > value:
                 value = rep.value
                 feasible = True

@@ -29,6 +29,12 @@ def _entropy_from_eigenvalues(w: np.ndarray, zero_tol: float) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
+def _entropy_rows(w: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Entropies of a stack of eigenvalue rows, one per leading index."""
+    support = w > zero_tol
+    return -np.sum(np.where(support, w * np.log(np.where(support, w, 1.0)), 0.0), axis=-1)
+
+
 def von_neumann_entropy(rho, zero_tol: float = ZERO_TOL) -> float:
     """S(rho) = -tr rho ln rho over the support eigenvalues."""
     a = as_complex_matrix(rho, "rho")
@@ -69,16 +75,26 @@ def umegaki_relative_entropy(
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
+def _eigen_amplitudes(marginal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Diagonal of each marginal (one per leading index) in the eigenbasis v."""
+    return np.real(np.einsum("ji,...jk,ki->...i", v.conj(), marginal, v))
+
+
+def _log_trace_in_eigenbasis(amps: np.ndarray, w: np.ndarray, zero_tol: float):
+    """(amps against ln w on the support, amplitude off the support), per row."""
+    keep = w > zero_tol
+    value = np.sum(amps[..., keep] * np.log(w[keep]), axis=-1)
+    leak = np.sum(np.clip(amps[..., ~keep], 0.0, None), axis=-1)
+    return value, leak
+
+
 def _log_trace_against(
     marginal: np.ndarray, factor: np.ndarray, zero_tol: float
 ) -> tuple[float, float]:
     """(tr of marginal against ln factor on its support, mass off support)."""
     w, v = np.linalg.eigh(hermitian_part(factor))
-    amps = np.real(np.einsum("ji,jk,ki->i", v.conj(), marginal, v))
-    keep = w > zero_tol
-    value = float(np.sum(amps[keep] * np.log(w[keep])))
-    leak = float(np.sum(np.clip(amps[~keep], 0.0, None)))
-    return value, leak
+    value, leak = _log_trace_in_eigenbasis(_eigen_amplitudes(marginal, v), w, zero_tol)
+    return float(value), float(leak)
 
 
 def product_relative_entropy(

@@ -22,23 +22,26 @@ import numpy as np
 
 from .channels import KrausChannel, apply_matrix
 from .entropy import (
+    _entropy_rows,
     product_relative_entropy,
     shannon_entropy,
     umegaki_relative_entropy,
     von_neumann_entropy,
 )
 from .operators import (
+    DEGENERACY_TOL,
+    ZERO_TOL,
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _support_blocks,
     as_complex_matrix,
     as_probability,
-    canonical_schatten,
     partial_trace,
     schatten_family,
-    schatten_param_count,
+    unitary_from_params,
 )
-from .search import SearchBudget, complex_from_params, maximize
+from .search import SearchBudget, SearchResult, complex_from_params, maximize
 
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
@@ -83,6 +86,13 @@ class CompoundState:
             raise ValueError("output marginal inconsistent with the joint state")
 
 
+def _check_dims(rho_dim: int, ch: KrausChannel) -> None:
+    if rho_dim != ch.in_dim:
+        raise ValueError(
+            f"state dimension {rho_dim} does not match the channel input dimension {ch.in_dim}"
+        )
+
+
 def _check_decomposes(rho_mat: np.ndarray, dec: SchattenDecomposition) -> None:
     if dec.vectors.shape[0] != rho_mat.shape[0]:
         raise ValueError("decomposition dimension does not match the state")
@@ -90,26 +100,28 @@ def _check_decomposes(rho_mat: np.ndarray, dec: SchattenDecomposition) -> None:
         raise ValueError("decomposition does not reconstruct the state within 1e-8")
 
 
-def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> list[np.ndarray]:
-    """Channel images of the rank-one components."""
-    out = []
-    for k in range(dec.size):
-        v = dec.vectors[:, k]
-        ws = [op @ v for op in ch.ops]
-        out.append(sum(np.outer(w, w.conj()) for w in ws))
-    return out
+def _images(kraus: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """images[k, :, r] = K_r v_k for stacked Kraus operators and vector columns."""
+    return (kraus @ vectors).transpose(2, 1, 0)
 
 
-def _compound_matrix(dec: SchattenDecomposition, outputs: list[np.ndarray]) -> np.ndarray:
-    d_g = dec.vectors.shape[0]
-    d_k = outputs[0].shape[0]
-    theta = np.zeros((d_g * d_k, d_g * d_k), dtype=complex)
-    for k in range(dec.size):
-        lam = dec.weights[k]
-        if lam <= 0.0:
-            continue
-        theta += lam * np.kron(dec.projector(k), outputs[k])
-    return theta
+def _outputs(images: np.ndarray) -> np.ndarray:
+    """sum_r K_r |v_k><v_k| K_r^dag for every k, from the stacked images."""
+    return images @ images.conj().transpose(0, 2, 1)
+
+
+def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> np.ndarray:
+    """Channel images of the rank-one components, stacked along the first axis."""
+    return _outputs(_images(np.stack(ch.ops), dec.vectors))
+
+
+def _compound_matrix(dec: SchattenDecomposition, outputs: np.ndarray) -> np.ndarray:
+    """sum_k lambda_k |v_k><v_k| (x) outputs[k]."""
+    v = dec.vectors
+    d_g, d_k = v.shape[0], outputs.shape[-1]
+    projectors = np.einsum("k,xk,yk->kxy", dec.weights, v, v.conj())
+    theta = np.tensordot(projectors, outputs, axes=(0, 0))  # indices x, y, a, b
+    return theta.transpose(0, 2, 1, 3).reshape(d_g * d_k, d_g * d_k)
 
 
 def _component_route(
@@ -124,6 +136,61 @@ def _component_route(
             return math.inf
         total += lam * term
     return total
+
+
+class _MutualEvaluator:
+    """The fixed work of the mutual-entropy searches for one (rho, channel) pair.
+
+    Built once per search: the support eigen-blocks of rho, the stacked Kraus
+    operators, the images K_r v_k of the canonical eigenvectors and S(ch(rho)).
+    Any split rho = sum_k lambda_k rho_k is scored as
+    S(ch(rho)) - sum_k lambda_k S(ch(rho_k)), which equals the component sum
+    sum_k lambda_k S(ch(rho_k), ch(rho)) exactly, with one batched eigvalsh.
+    Nothing here is validated; the searches check their maximizer instead.
+    """
+
+    def __init__(self, rho_mat: np.ndarray, ch: KrausChannel, degeneracy_tol: float = DEGENERACY_TOL):
+        self.weights, vectors, blocks = _support_blocks(rho_mat, degeneracy_tol, ZERO_TOL)
+        self.blocks = [s for s in blocks if s.stop - s.start >= 2]
+        self.n_params = sum((s.stop - s.start) ** 2 for s in self.blocks)
+        self.kraus = np.stack(ch.ops)
+        self.images = _images(self.kraus, vectors)
+        self.out_entropy = von_neumann_entropy(apply_matrix(ch, rho_mat))
+
+    def transmit(self, mats: np.ndarray) -> np.ndarray:
+        """The channel applied to each matrix of a stack."""
+        return (self.kraus @ mats[:, None] @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=1)
+
+    def score(self, weights: np.ndarray, outputs: np.ndarray) -> float:
+        """S(ch(rho)) - sum_k weights[k] S(outputs[k]) for unit-trace outputs."""
+        return self.out_entropy - float(weights @ _entropy_rows(np.linalg.eigvalsh(outputs)))
+
+    def outputs(self, params: np.ndarray) -> np.ndarray:
+        """Channel images of the Schatten decomposition `schatten_family(rho, params)`."""
+        images = self.images
+        if self.blocks:
+            u = np.eye(images.shape[0], dtype=complex)
+            pos = 0
+            for s in self.blocks:
+                m = s.stop - s.start
+                u[s, s] = unitary_from_params(params[pos : pos + m * m], m)
+                pos += m * m
+            images = np.einsum("kor,kj->jor", images, u)
+        return _outputs(images)
+
+    def value(self, params: np.ndarray) -> float:
+        """Mutual entropy of the Schatten decomposition indexed by params."""
+        return self.score(self.weights, self.outputs(params))
+
+    def supremum(self, budget: SearchBudget, objective=None) -> SearchResult:
+        """Maximize `objective` (default `value`) over the Schatten parameters.
+
+        A nondegenerate rho has a single decomposition, evaluated once.
+        """
+        objective = objective or self.value
+        if self.n_params == 0:
+            return SearchResult(value=objective(np.zeros(0)), params=np.zeros(0), converged=True, evals=1)
+        return maximize(objective, self.n_params, budget, starts=[np.zeros(self.n_params)])
 
 
 def compound_state(rho: DensityOperator, ch: KrausChannel, dec: SchattenDecomposition) -> CompoundState:
@@ -153,6 +220,7 @@ def mutual_entropy_fixed(
     consistency_tol raises ConsistencyError.
     """
     rho_mat = as_complex_matrix(rho, "rho")
+    _check_dims(rho_mat.shape[0], ch)
     _check_decomposes(rho_mat, dec)
     outputs = _transmitted(ch, dec)
     out_avg = apply_matrix(ch, rho_mat)
@@ -185,25 +253,13 @@ def ohya_mutual_entropy(
 
     A nondegenerate state has a unique decomposition and needs a single
     evaluation; degenerate eigenvalue blocks are searched over their
-    unitary rotations. The best decomposition is re-evaluated with the
-    dual-route consistency check.
+    unitary rotations. The search scores decompositions with a cached
+    evaluator; the best one is rebuilt as a validated decomposition and
+    re-evaluated with the dual-route consistency check.
     """
+    _check_dims(rho.dim, ch)
     budget = search or SearchBudget()
-    rho_mat = rho.matrix
-    out_avg = apply_matrix(ch, rho_mat)
-    n_params = schatten_param_count(rho, degeneracy_tol=degeneracy_tol)
-
-    def fixed_value(params: np.ndarray) -> float:
-        dec = schatten_family(rho, params, degeneracy_tol=degeneracy_tol)
-        val = _component_route(dec.weights, _transmitted(ch, dec), out_avg)
-        return -math.inf if math.isinf(val) else val
-
-    if n_params == 0:
-        dec = canonical_schatten(rho)
-        checked = mutual_entropy_fixed(rho, ch, dec)
-        return MutualResult(value=checked.value, decomposition=dec, converged=True, evals=1)
-
-    result = maximize(fixed_value, n_params, budget, starts=[np.zeros(n_params)])
+    result = _MutualEvaluator(rho.matrix, ch, degeneracy_tol).supremum(budget)
     best = schatten_family(rho, result.params, degeneracy_tol=degeneracy_tol)
     checked = mutual_entropy_fixed(rho, ch, best)
     return MutualResult(
@@ -310,11 +366,11 @@ def pseudo_mutual_entropy(
     """
     if n_components < 1:
         raise ValueError("need at least one component")
+    _check_dims(rho.dim, ch)
     budget = search or SearchBudget()
-    rho_mat = rho.matrix
     dim = rho.dim
-    sqrt_rho = _sqrt_psd(rho_mat)
-    out_avg = apply_matrix(ch, rho_mat)
+    sqrt_rho = _sqrt_psd(rho.matrix)
+    evaluator = _MutualEvaluator(rho.matrix, ch)
 
     baseline = ohya_mutual_entropy(rho, ch, budget.child(0))
 
@@ -323,22 +379,16 @@ def pseudo_mutual_entropy(
             complex_from_params(params[i * 2 * dim * dim : (i + 1) * 2 * dim * dim], dim, dim)
             for i in range(n_components)
         ]
-        effects = _effects_from_factors(bs, dim)
-        sigmas = [sqrt_rho @ m @ sqrt_rho for m in effects]
-        lams = np.array([max(float(np.real(np.trace(s))), 0.0) for s in sigmas])
+        effects = np.stack(_effects_from_factors(bs, dim))
+        sigmas = sqrt_rho @ effects @ sqrt_rho
+        lams = np.clip(np.real(np.trace(sigmas, axis1=1, axis2=2)), 0.0, None)
         return lams, sigmas
 
     def objective(params: np.ndarray) -> float:
         lams, sigmas = split(params)
-        total = 0.0
-        for lam, sig in zip(lams, sigmas):
-            if lam <= 1e-12:
-                continue
-            term = umegaki_relative_entropy(apply_matrix(ch, sig / lam), out_avg)
-            if math.isinf(term):
-                return -math.inf
-            total += lam * term
-        return total
+        keep = lams > 1e-12
+        lams = lams[keep]
+        return evaluator.score(lams, evaluator.transmit(sigmas[keep]) / lams[:, None, None])
 
     n_params = n_components * 2 * dim * dim
     dec = baseline.decomposition

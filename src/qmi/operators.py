@@ -8,6 +8,7 @@ eigenvector phases fixed so the first significant component is real positive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,16 +275,26 @@ def schatten_param_count(
     return sum((s.stop - s.start) ** 2 for s in blocks if s.stop - s.start >= 2)
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (row, column) indices above the diagonal, read-only."""
+    rows, cols = np.triu_indices(m, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def hermitian_from_params(p: np.ndarray, m: int) -> np.ndarray:
     """Hermitian m x m matrix from m^2 reals: diagonal, then (re, im) pairs."""
     p = np.asarray(p, dtype=float)
     if p.size != m * m:
         raise ValueError(f"expected {m * m} parameters, got {p.size}")
-    h = np.zeros((m, m), dtype=complex)
-    h[np.diag_indices(m)] = p[:m]
-    rest = p[m:]
-    h[np.triu_indices(m, 1)] = rest[0::2] + 1j * rest[1::2]
-    return h + np.tril(h.conj().T, -1)
+    rows, cols = _upper_indices(m)
+    h = np.diag(p[:m].astype(complex))
+    upper = p[m::2] + 1j * p[m + 1 :: 2]
+    h[rows, cols] = upper
+    h[cols, rows] = upper.conj()
+    return h
 
 
 def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:

@@ -27,6 +27,12 @@ class SearchBudget:
     seed: int = 1234
     tol: float = 1e-7
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"budget restarts must be at least 1, got {self.restarts}")
+        if self.max_evals < 1:
+            raise ValueError(f"budget max_evals must be at least 1, got {self.max_evals}")
+
     def child(self, tag: int, restarts: int | None = None, max_evals: int | None = None):
         """Derived budget for a nested search, deterministic in (seed, tag)."""
         return replace(

@@ -177,6 +177,49 @@ def test_qdc_command_orders_classes(tmp_path):
     assert results["d"]["nats"] <= results["q"]["nats"] + 1e-9
 
 
+def test_qdc_command_handles_rank_deficient_states(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "state": [[0.7, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.0]],
+            "channel": {"kind": "identity", "dim": 3},
+            "budget": {"restarts": 2, "max_evals": 40},
+        },
+    )
+    code, text = _run(tmp_path, ["qdc", "--config", cfg])
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert results["c"]["nats"] <= results["d"]["nats"] + 1e-9
+    assert results["d"]["nats"] <= results["q"]["nats"] + 1e-9
+    assert abs(results["q"]["nats"] - 1.221728604109787) < 1e-6
+
+
+def test_mismatched_channel_exits_one(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {"state": [[0.5, 0.0], [0.0, 0.5]], "channel": {"kind": "identity", "dim": 3}},
+    )
+    assert main(["mutual", "--config", cfg]) == 1
+    assert "state dimension 2 does not match the channel input dimension 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_evals"])
+def test_empty_budget_exits_one(tmp_path, capsys, field):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "state": [[0.5, 0.0], [0.0, 0.5]],
+            "channel": {"kind": "identity", "dim": 2},
+            "budget": {field: 0},
+        },
+    )
+    assert main(["mutual", "--config", cfg]) == 1
+    assert f"budget {field} must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_verify_command_reports_suites(tmp_path):
     code, text = _run(tmp_path, ["verify", "--seed", "5"])
     assert code == 0

@@ -208,3 +208,33 @@ def test_relaxed_output_blocks_never_lose():
     pinned = class_mutual_and_capacity(rho, ch, "q", TINY, fix_output_blocks=True)
     relaxed = class_mutual_and_capacity(rho, ch, "q", TINY, fix_output_blocks=False)
     assert relaxed.value >= pinned.value - 2 * TINY.tol
+
+
+def test_rank_deficient_hierarchy_reaches_double_entropy():
+    rho = DensityOperator(np.diag([0.7, 0.3, 0.0]))
+    levels = qdc_hierarchy(rho, identity_channel(3), TINY)
+    assert levels["c"].value <= levels["d"].value + 1e-9
+    assert levels["d"].value <= levels["q"].value + 1e-9
+    assert abs(levels["q"].value - TWICE_S_7030) < 1e-6
+
+
+def test_fixed_state_hierarchy_surveys_once(monkeypatch):
+    import qmi.entanglement
+    import qmi.mutual
+    import qmi.search
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return qmi.search.maximize(*args, **kwargs)
+
+    for module in (qmi.entanglement, qmi.mutual):  # every module that binds maximize
+        monkeypatch.setattr(module, "maximize", counting)
+    rho = DensityOperator(np.diag([0.4, 0.4, 0.2]))
+    ch = random_kraus_channel(3, 3, 2, rng_from(71))
+    levels = qdc_hierarchy(rho, ch, TINY)
+    assert len(calls) == 2  # one decomposition survey, one ray search
+    for tag, rep in levels.items():
+        assert type(rep.value) is float
+        assert rep.value == class_mutual_and_capacity(rho, ch, tag, TINY).value

@@ -148,3 +148,22 @@ def test_cqc_chain_with_projective_readout_is_shannon():
     )
     got = cqc_mutual_entropy(inst)
     assert abs(got.value - shannon_entropy(np.array([0.25, 0.75]))) < 1e-10
+
+
+def test_mismatched_dimensions_name_both():
+    rho = maximally_mixed(3)
+    ch = depolarizing_channel(0.2, 2)
+    for call in (
+        lambda: ohya_mutual_entropy(rho, ch, SMALL),
+        lambda: mutual_entropy_fixed(rho, ch, canonical_schatten(rho)),
+        lambda: pseudo_mutual_entropy(rho, ch, 2, SMALL),
+    ):
+        with pytest.raises(ValueError, match="state dimension 3 .* channel input dimension 2"):
+            call()
+
+
+def test_budgets_need_a_search():
+    with pytest.raises(ValueError, match="restarts"):
+        SearchBudget(restarts=0)
+    with pytest.raises(ValueError, match="max_evals"):
+        SearchBudget(max_evals=0)
