@@ -333,28 +333,6 @@ def schatten_family(
     return SchattenDecomposition(weights=w, vectors=v)
 
 
-def matrix_log_on_support(p, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Matrix logarithm restricted to the support of a PSD matrix.
-
-    Eigenvalues below zero_tol are treated as exact zeros (the log acts as 0
-    on the kernel). Raises if the matrix has an eigenvalue below -1e-10.
-    """
-    a = as_complex_matrix(p, "p")
-    if not is_hermitian(a, HERMITICITY_TOL):
-        raise ValueError("matrix_log_on_support requires a Hermitian matrix")
-    w, v = np.linalg.eigh(hermitian_part(a))
-    if float(np.min(w)) < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: eigenvalue {np.min(w):.3e}")
-    keep = w > zero_tol
-    vs = v[:, keep]
-    return (vs * np.log(w[keep])) @ vs.conj().T
-
-
-def numerical_rank(theta, zero_tol: float = ZERO_TOL) -> int:
-    w = np.linalg.eigvalsh(hermitian_part(as_complex_matrix(theta, "theta")))
-    return int(np.sum(w > zero_tol))
-
-
 def purify(theta, zero_tol: float = ZERO_TOL) -> tuple[np.ndarray, int]:
     """Purify a density operator into state-space (x) ancilla.
 

@@ -3,19 +3,15 @@
 Every supremum in the package (Schatten searches, capacity searches,
 entanglement searches) runs through `maximize`: Nelder-Mead local descents
 from seeded random starts, reduced by max. Restart seeds derive from the
-budget's master seed by counter, so results are reproducible and independent
-of the worker count (QMI_THREADS).
+budget's master seed by counter, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 _REJECTED = 1e12  # finite stand-in handed to the minimizer for discarded points
 
@@ -51,12 +47,79 @@ class SearchResult:
     evals: int
 
 
-def _workers(n_tasks: int) -> int:
+class _Capped(Exception):
+    """Raised by the counted objective once the evaluation cap is reached."""
+
+
+def _nelder_mead(f, x0: np.ndarray, max_evals: int, xatol: float, fatol: float) -> bool:
+    """Minimize f from x0 by the Nelder-Mead simplex method; True if converged.
+
+    Nelder & Mead, Computer Journal 7:308 (1965), with the non-adaptive
+    coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
+    The initial simplex (x0 plus a 5% step per coordinate, 0.00025 from 0),
+    the step order, the float expressions and the stop test are those of the
+    common reference implementation; tests/test_search.py checks that both
+    evaluate the same points in the same order. f receives a copy of each
+    point. A call that would exceed max_evals ends the descent, also inside
+    the initial simplex or a shrink; the result is True only when the stop
+    test (simplex within xatol and its values within fatol) ended it.
+    """
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        if evals >= max_evals:
+            raise _Capped
+        evals += 1
+        return f(np.copy(x))
+
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
     try:
-        w = int(os.environ.get("QMI_THREADS", "1"))
-    except ValueError:
-        w = 1
-    return max(1, min(w, n_tasks))
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+        # Sorted twice before the first step, as the reference does: argsort
+        # does not promise stability, so a second pass may reorder ties.
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        while evals < max_evals:
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
+                return True
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    shrink = fxc > fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    shrink = fxc >= fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+    except _Capped:
+        pass
+    return False
 
 
 def maximize(
@@ -87,48 +150,28 @@ def maximize(
             raise ValueError(f"start has {s.size} parameters, expected {n_params}")
     n_restarts = max(budget.restarts, len(starts))
 
-    def run_restart(k: int):
-        best = {"value": -math.inf, "params": None, "evals": 0}
+    best = {"value": -math.inf, "params": np.zeros(n_params), "evals": 0}
 
-        def neg(x):
-            best["evals"] += 1
-            v = float(objective(x))
-            if math.isfinite(v) and v > best["value"]:
-                best["value"] = v
-                best["params"] = np.array(x, dtype=float)
-            return -v if math.isfinite(v) else _REJECTED
+    def neg(x):
+        best["evals"] += 1
+        v = float(objective(x))
+        if not math.isfinite(v):
+            return _REJECTED
+        if v > best["value"]:
+            best["value"], best["params"] = v, x
+        return -v
 
+    converged = False
+    for k in range(n_restarts):
         if k < len(starts):
             x0 = starts[k]
         else:
             rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,)))
             x0 = rng.normal(size=n_params) * scale
-        res = optimize.minimize(
-            neg,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget.max_evals,
-                "xatol": 1e-8,
-                "fatol": max(budget.tol * 0.1, 1e-12),
-            },
-        )
-        return best["value"], best["params"], bool(res.success), best["evals"]
-
-    workers = _workers(n_restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_restart, range(n_restarts)))
-    else:
-        outcomes = [run_restart(k) for k in range(n_restarts)]
-
-    value, params, converged, evals = -math.inf, np.zeros(n_params), False, 0
-    for v, x, ok, n in outcomes:
-        evals += n
-        converged = converged or ok
-        if x is not None and v > value:
-            value, params = v, x
-    return SearchResult(value=value, params=params, converged=converged, evals=evals)
+        converged |= _nelder_mead(neg, x0, budget.max_evals, 1e-8, max(budget.tol * 0.1, 1e-12))
+    return SearchResult(
+        value=best["value"], params=best["params"], converged=converged, evals=best["evals"]
+    )
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

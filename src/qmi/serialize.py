@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import CodingScheme, CqcInstance
 from .channels import KrausChannel, Povm, make_channel, projective_povm
 from .mutual import CompoundState
 from .operators import DensityOperator, partial_trace
@@ -151,14 +150,6 @@ def budget_to_json(b: SearchBudget) -> dict:
     return {"restarts": b.restarts, "max_evals": b.max_evals, "seed": b.seed, "tol": b.tol}
 
 
-def parse_cqc_instance(obj: dict, ctx: ConfigContext | None = None) -> CqcInstance:
-    weights = parse_probability(obj["weights"], ctx)
-    coding = CodingScheme(tuple(parse_state(s, ctx) for s in obj["coding"]))
-    channel = parse_channel(obj["channel"], ctx)
-    decoding = parse_povm(obj["decoding"], ctx)
-    return CqcInstance(weights=weights, coding=coding, channel=channel, decoding=decoding)
-
-
 def parse_compound(obj: dict, ctx: ConfigContext | None = None) -> CompoundState:
     theta = parse_matrix(obj["theta"], ctx)
     d_g, d_k = (int(x) for x in obj["dims"])
@@ -169,10 +160,6 @@ def parse_compound(obj: dict, ctx: ConfigContext | None = None) -> CompoundState
         input_marginal=DensityOperator(partial_trace(theta, (d_g, d_k), keep=0)),
         output_marginal=DensityOperator(partial_trace(theta, (d_g, d_k), keep=1)),
     )
-
-
-def compound_to_json(c: CompoundState) -> dict:
-    return {"theta": matrix_to_json(c.theta.matrix), "d_g": c.d_g, "d_k": c.d_k}
 
 
 def classification_to_json(cls) -> dict:

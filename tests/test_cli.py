@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +239,20 @@ def test_console_script_is_wired():
         text=True,
     )
     assert proc.returncode == 1  # empty file is a parse error, cleanly reported
+
+
+def test_start_up_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, qmi, qmi.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,154 @@
+"""`maximize` replays scipy's Nelder-Mead descents point for point.
+
+Each case records every point the objective sees under `maximize` and under
+`scipy.optimize.minimize(method="Nelder-Mead")` with the options `maximize`
+uses, and asserts that the sequences, the best value and the convergence
+flag are identical. The reference's best value is the best finite value its
+objective saw, as `maximize` tracked it around scipy: scipy's own `fun` leaves
+out a point whose step the evaluation cap cut short.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qmi.search import _REJECTED, SearchBudget, maximize
+
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def _quadratic(x):
+    return -float(np.sum(np.array([1.0, 2.0, 3.0]) * (x - np.array([0.3, -1.2, 2.0])) ** 2))
+
+
+def _rosenbrock(x):
+    return -float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _half_rejected(x):
+    # -inf on the half x[0] < 0, which holds the unconstrained optimum.
+    if x[0] < 0:
+        return -math.inf
+    return -float(np.sum(np.abs(x + np.array([0.5, -0.2, 0.1]))))
+
+
+def _staircase(x):
+    # Piecewise constant: contractions fail on the plateaus, so it shrinks.
+    return -float(np.sum(np.round(4.0 * x) ** 2))
+
+
+def _ours(objective, starts, budget):
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x))
+        return objective(x)
+
+    result = maximize(recorded, len(starts[0]), budget, starts=starts)
+    return seen, result
+
+
+def _reference(objective, starts, budget):
+    seen, values, success = [], [-math.inf], False
+
+    def neg(x):
+        seen.append(np.array(x))
+        v = objective(x)
+        if not math.isfinite(v):
+            return _REJECTED
+        values.append(v)
+        return -v
+
+    for x0 in starts:
+        res = optimize.minimize(
+            neg,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "maxfev": budget.max_evals,
+                "xatol": 1e-8,
+                "fatol": max(budget.tol * 0.1, 1e-12),
+            },
+        )
+        success = success or bool(res.success)
+    return seen, max(values), success
+
+
+def _assert_replay(objective, starts, max_evals):
+    budget = SearchBudget(restarts=1, max_evals=max_evals, seed=5, tol=1e-7)
+    starts = [np.asarray(s, dtype=float) for s in starts]
+    seen, result = _ours(objective, starts, budget)
+    ref_seen, ref_value, ref_success = _reference(objective, starts, budget)
+    assert len(seen) == len(ref_seen) == result.evals
+    for a, b in zip(seen, ref_seen):
+        assert np.array_equal(a, b)
+    assert result.value == ref_value
+    assert result.converged is ref_success
+    return seen, result
+
+
+def test_quadratic_converges_before_cap():
+    seen, result = _assert_replay(_quadratic, [[1.0, 0.0, -1.0]], 2000)
+    assert result.converged and len(seen) < 2000
+
+
+def test_rosenbrock_capped_mid_iteration():
+    # The first iteration from this start evaluates points 6 and 7 (a
+    # reflection, then an expansion or contraction); a cap of 6 ends it
+    # between the two. A cap of 101 ends a later iteration (points 101, 102)
+    # part-way.
+    for cap in (6, 101):
+        seen, result = _assert_replay(_rosenbrock, [[-1.2, 1.0, 0.5, 0.0]], cap)
+        assert not result.converged and len(seen) == cap
+
+
+def test_cap_inside_initial_simplex():
+    seen, result = _assert_replay(_rosenbrock, [[-1.2, 1.0, 0.5, 0.0]], 3)
+    assert len(seen) == 3 and not result.converged
+
+
+def test_rejected_half_domain():
+    seen, result = _assert_replay(_half_rejected, [[0.4, 0.2, 0.1]], 300)
+    assert sum(x[0] < 0 for x in seen) > 0
+    assert math.isfinite(result.value)
+
+
+def test_shrink_and_cap_inside_a_shrink():
+    # Iteration 1 from this start evaluates points 5 to 9: reflection,
+    # contraction and a 3-point shrink. A cap of 7 stops the shrink after its
+    # first point.
+    seen, result = _assert_replay(_staircase, [[0.4, 0.2, 0.1]], 400)
+    assert result.converged
+    _assert_replay(_staircase, [[0.4, 0.2, 0.1]], 7)
+    # Far from the plateau at 0, shrinks pull in vertices of opposite sign,
+    # where sim[0] + 0.5 * (sim[j] - sim[0]) and 0.5 * (sim[0] + sim[j])
+    # round differently, and contractions and expansions tie with the
+    # reflection they follow, so each tie rule decides a step.
+    for x0 in ([-15.0, 10.0, -8.0], [3.0, -2.0, 1.0]):
+        seen, result = _assert_replay(_staircase, [x0], 400)
+        assert result.converged
+
+
+@pytest.mark.parametrize("objective", [_rosenbrock, _half_rejected, _staircase])
+def test_every_cap(objective):
+    x0 = [0.4, 0.2, 0.1, -0.3] if objective is _rosenbrock else [0.4, 0.2, 0.1]
+    for cap in range(1, 61):
+        _assert_replay(objective, [x0], cap)
+
+
+def test_restarts_and_zero_coordinates():
+    # Two explicit starts (one with zero coordinates, which get the absolute
+    # 0.00025 step), then seeded random restarts drawn as `maximize` draws them.
+    budget = SearchBudget(restarts=4, max_evals=80, seed=11, tol=1e-7)
+    starts = [np.array([0.0, 0.5, 0.0]), np.array([1.0, -1.0, 2.0])]
+    seen, result = _ours(_quadratic, starts, budget)
+    drawn = [
+        np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,))).normal(size=3)
+        for k in range(2, 4)
+    ]
+    ref_seen, ref_value, ref_success = _reference(_quadratic, starts + drawn, budget)
+    assert len(seen) == len(ref_seen) == result.evals
+    assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
+    assert result.value == ref_value
+    assert result.converged is ref_success
