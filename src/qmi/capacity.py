@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, apply_matrix, born_probabilities
-from .entropy import kl_divergence, shannon_entropy
+from .channels import KrausChannel, Povm, _square_root_povm
+from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
-    _effects_from_factors,
     _MutualEvaluator,
+    _sqrt_psd,
     ohya_mutual_entropy,
     pseudo_mutual_entropy,
 )
-from .operators import ConsistencyError, DensityOperator, as_probability
-from .search import SearchBudget, complex_from_params, maximize, softmax
+from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability
+from .search import SearchBudget, _complex_stack, complex_from_params, maximize, softmax
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,13 @@ class CodingScheme:
         return self.states[0].dim
 
 
+def _check_chain_dims(coding: CodingScheme, channel: KrausChannel, decoding: Povm) -> None:
+    if coding.dim != channel.in_dim:
+        raise ValueError("coding dimension does not match the channel input")
+    if decoding.dim != channel.out_dim:
+        raise ValueError("decoding dimension does not match the channel output")
+
+
 @dataclass(frozen=True)
 class CqcInstance:
     """A classical-quantum-classical transmission instance."""
@@ -63,10 +70,7 @@ class CqcInstance:
         w = as_probability(self.weights)
         if w.size != self.coding.size:
             raise ValueError("weights and coding alphabet sizes differ")
-        if self.coding.dim != self.channel.in_dim:
-            raise ValueError("coding dimension does not match the channel input")
-        if self.decoding.dim != self.channel.out_dim:
-            raise ValueError("decoding dimension does not match the channel output")
+        _check_chain_dims(self.coding, self.channel, self.decoding)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -78,6 +82,16 @@ class CapacityReport:
     evals: int
     maximizer: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
+
+
+def _normalized_grams(factors: np.ndarray) -> np.ndarray | None:
+    """A A^dag / tr (Hermitian part) for each stacked factor A; None when a trace is below 1e-12."""
+    m = factors @ factors.conj().transpose(0, 2, 1)
+    tr = np.real(np.trace(m, axis1=1, axis2=2))
+    if np.min(tr) < 1e-12:
+        return None
+    m = m / tr[:, None, None]
+    return (m + m.conj().transpose(0, 2, 1)) / 2
 
 
 @dataclass(frozen=True)
@@ -106,14 +120,15 @@ class StateFamily:
         return 2 * self.dim * self.effective_rank
 
     def state_from_params(self, params: np.ndarray) -> DensityOperator | None:
+        m = self._matrix_from_params(params)
+        return None if m is None else DensityOperator(m)
+
+    def _matrix_from_params(self, params: np.ndarray) -> np.ndarray | None:
+        """The family member's matrix, unvalidated; None below trace 1e-12."""
         if self.kind == "diagonal":
-            return DensityOperator(np.diag(softmax(params).astype(complex)))
-        a = complex_from_params(params, self.dim, self.effective_rank)
-        m = a @ a.conj().T
-        tr = float(np.real(np.trace(m)))
-        if tr < 1e-12:
-            return None
-        return DensityOperator(m / tr)
+            return np.diag(softmax(params).astype(complex))
+        m = _normalized_grams(complex_from_params(params, self.dim, self.effective_rank)[None])
+        return None if m is None else m[0]
 
     def candidate_starts(self) -> list[np.ndarray]:
         """Deterministic starts: the flattest family member plus basis states."""
@@ -127,6 +142,71 @@ class StateFamily:
         return [flat, corner]
 
 
+def _outcome_rows(p: np.ndarray) -> np.ndarray:
+    """Born rows clipped at 0 and rescaled to sum 1 (rows summing to 0 stay 0)."""
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=1, keepdims=True)
+    return np.divide(p, total, out=p, where=total > 0)
+
+
+def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
+    """Shannon mutual information of input weights through transition rows, two ways.
+
+    `value` is sum_k lambda_k KL(W_k || lambda W), infinite when a row charges
+    an outcome the mixture does not; `cross_value` is
+    H(lambda W) - sum_k lambda_k H(W_k). Weights at or below 1e-15 drop out of
+    both. Disagreement beyond 1e-8 raises ConsistencyError.
+    """
+    avg = (weights[:, None] * dists).sum(axis=0)
+    keep = weights > 1e-15
+    lam, dists = weights[keep], dists[keep]
+    charged = dists > ZERO_TOL
+    if (charged & (avg <= ZERO_TOL)).any():
+        kl_route = math.inf
+    else:
+        ratio = np.divide(dists, avg, out=np.ones_like(dists), where=charged)
+        kl_route = float((lam * (dists * np.log(ratio)).sum(axis=1)).sum())
+    entropies = _entropy_rows(np.vstack([dists, avg]))
+    shannon_route = float(entropies[-1]) - float((lam * entropies[:-1]).sum())
+    result = DualRouteValue(value=kl_route, cross_value=shannon_route)
+    if result.defect > 1e-8:
+        raise ConsistencyError(
+            f"cqc mutual-entropy routes disagree: {kl_route!r} vs {shannon_route!r}"
+        )
+    return result
+
+
+class _CqcEvaluator:
+    """The fixed work of the cqc searches for one (channel, decoding) pair.
+
+    Built once per search: the stacked Kraus operators and the decoding's
+    Heisenberg-picture effects ch*(E_j) = sum_r K_r^dag E_j K_r, so the
+    transition matrix W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k) of
+    a stack of coded states is one einsum. Nothing here is validated: the
+    inputs come from validated objects or from the searches' own
+    parameterizations.
+    """
+
+    def __init__(self, ch: KrausChannel, decoding: Povm):
+        self.kraus = np.stack(ch.ops)
+        self.kraus_dag = self.kraus.conj().transpose(0, 2, 1)
+        effects = np.stack(decoding.effects)
+        self.dual = (self.kraus_dag[:, None] @ effects @ self.kraus[:, None]).sum(axis=0)
+
+    def transitions(self, states: np.ndarray) -> np.ndarray:
+        """W for stacked coded states and the cached decoding."""
+        return _outcome_rows(np.einsum("jab,kba->kj", self.dual, states).real)
+
+    def pure_transitions(self, vectors: np.ndarray) -> np.ndarray:
+        """W for coded states |v_k><v_k| given as the rows of `vectors`."""
+        return _outcome_rows(np.einsum("ka,jab,kb->kj", vectors.conj(), self.dual, vectors).real)
+
+    def decoded_transitions(self, states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+        """W for stacked coded states and stacked decoding effects."""
+        outputs = (self.kraus @ states[:, None] @ self.kraus_dag).sum(axis=1)
+        return _outcome_rows(np.einsum("jab,kba->kj", effects, outputs).real)
+
+
 def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
     """Shannon mutual information of the coded-transmitted-decoded chain.
 
@@ -134,28 +214,9 @@ def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
     mixture; the cross route is the Shannon-entropy difference. The two are
     algebraically identical and checked to 1e-8.
     """
-    outputs = [apply_matrix(inst.channel, s.matrix) for s in inst.coding.states]
-    dists = [born_probabilities(inst.decoding, out) for out in outputs]
-    dists = [d / s if (s := float(d.sum())) > 0 else d for d in dists]
-    avg = sum(lam * d for lam, d in zip(inst.weights, dists))
-    kl_route = 0.0
-    for lam, d in zip(inst.weights, dists):
-        if lam <= 1e-15:
-            continue
-        term = kl_divergence(d, avg)
-        if math.isinf(term):
-            kl_route = math.inf
-            break
-        kl_route += lam * term
-    shannon_route = shannon_entropy(avg) - sum(
-        lam * shannon_entropy(d) for lam, d in zip(inst.weights, dists) if lam > 1e-15
-    )
-    result = DualRouteValue(value=kl_route, cross_value=shannon_route)
-    if result.defect > 1e-8:
-        raise ConsistencyError(
-            f"cqc mutual-entropy routes disagree: {kl_route!r} vs {shannon_route!r}"
-        )
-    return result
+    evaluator = _CqcEvaluator(inst.channel, inst.decoding)
+    states = np.stack([s.matrix for s in inst.coding.states])
+    return _cqc_routes(inst.weights, evaluator.transitions(states))
 
 
 def quantum_capacity(
@@ -173,10 +234,10 @@ def quantum_capacity(
     inner = budget.child(1)
 
     def objective(params: np.ndarray) -> float:
-        rho = family.state_from_params(params)
+        rho = family._matrix_from_params(params)
         if rho is None:
             return -math.inf
-        return _MutualEvaluator(rho.matrix, ch).supremum(inner).value
+        return _MutualEvaluator(rho, ch).supremum(inner).value
 
     result = maximize(
         objective, family.n_params, budget, starts=family.candidate_starts()
@@ -231,64 +292,36 @@ def pseudo_capacity(
     )
 
 
-def _coding_from_params(params: np.ndarray, size: int, dim: int, pure: bool) -> CodingScheme | None:
-    states = []
-    if pure:
-        for k in range(size):
-            v = complex_from_params(params[k * 2 * dim : (k + 1) * 2 * dim], dim, 1).reshape(-1)
-            norm = np.linalg.norm(v)
-            if norm < 1e-8:
-                return None
-            v = v / norm
-            states.append(DensityOperator(np.outer(v, v.conj())))
-    else:
-        per = 2 * dim * dim
-        for k in range(size):
-            a = complex_from_params(params[k * per : (k + 1) * per], dim, dim)
-            m = a @ a.conj().T
-            tr = float(np.real(np.trace(m)))
-            if tr < 1e-12:
-                return None
-            states.append(DensityOperator(m / tr))
-    return CodingScheme(tuple(states))
+def _pure_codes(params: np.ndarray, size: int, dim: int) -> np.ndarray | None:
+    """Unit coding vectors as rows; None when one has norm below 1e-8."""
+    v = _complex_stack(params, size, 1, dim)[:, 0]
+    norms = np.linalg.norm(v, axis=1)
+    if np.min(norms) < 1e-8:
+        return None
+    return v / norms[:, None]
 
 
-def _decoding_from_params(params: np.ndarray, n_outcomes: int, dim: int) -> Povm:
-    per = 2 * dim * dim
-    bs = [complex_from_params(params[j * per : (j + 1) * per], dim, dim) for j in range(n_outcomes)]
-    return Povm(tuple(_effects_from_factors(bs, dim)))
+def _mixed_codes(params: np.ndarray, size: int, dim: int) -> np.ndarray | None:
+    """Coded states A A^dag / tr, stacked; None when a trace is below 1e-12."""
+    return _normalized_grams(_complex_stack(params, size, dim, dim))
 
 
-def _basis_coding_params(size: int, dim: int, coding: CodingScheme, pure: bool) -> np.ndarray:
+def _sqrt_psd_params(mats, slots: int) -> np.ndarray:
+    """Parameters whose complex blocks are sqrt(m) for the leading matrices, zero after."""
+    dim = mats[0].shape[0]
+    out = np.zeros((slots, 2, dim, dim))
+    for j, m in enumerate(mats[:slots]):
+        root = _sqrt_psd(m)
+        out[j] = root.real, root.imag
+    return out.reshape(-1)
+
+
+def _coding_params(states: np.ndarray, pure: bool) -> np.ndarray:
     """Parameters reproducing (approximately) the reference coding's states."""
-    if pure:
-        out = np.zeros(size * 2 * dim)
-        for k, s in enumerate(coding.states):
-            _, v = np.linalg.eigh(s.matrix)
-            vec = v[:, -1]
-            out[k * 2 * dim : k * 2 * dim + dim] = np.real(vec)
-            out[k * 2 * dim + dim : (k + 1) * 2 * dim] = np.imag(vec)
-        return out
-    per = 2 * dim * dim
-    out = np.zeros(size * per)
-    for k, s in enumerate(coding.states):
-        w, v = np.linalg.eigh(s.matrix)
-        a = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-        out[k * per : k * per + dim * dim] = np.real(a).reshape(-1)
-        out[k * per + dim * dim : (k + 1) * per] = np.imag(a).reshape(-1)
-    return out
-
-
-def _projective_decoding_params(n_outcomes: int, dim: int, decoding: Povm) -> np.ndarray:
-    per = 2 * dim * dim
-    out = np.zeros(n_outcomes * per)
-    for j in range(min(n_outcomes, decoding.n_outcomes)):
-        e = decoding.effects[j]
-        w, v = np.linalg.eigh(e)
-        b = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-        out[j * per : j * per + dim * dim] = np.real(b).reshape(-1)
-        out[j * per + dim * dim : (j + 1) * per] = np.imag(b).reshape(-1)
-    return out
+    if not pure:
+        return _sqrt_psd_params(states, len(states))
+    top = np.linalg.eigh(states)[1][:, :, -1]
+    return np.stack([top.real, top.imag], axis=1).reshape(-1)
 
 
 def cqc_capacity(
@@ -305,21 +338,40 @@ def cqc_capacity(
     mode "weights" maximizes over input distributions with the given coding
     and decoding fixed; "coding" additionally frees the coded states;
     "full" also frees the decoding POVM. Each richer mode includes the
-    poorer one's supremum as a candidate, so the chain is monotone.
+    poorer one's supremum as a candidate, so the chain is monotone. All
+    modes score the chain with one cached evaluator, dual-route checked at
+    every evaluation.
     """
-    budget = search or SearchBudget()
-    size = coding.size
-    dim = channel.in_dim
-    out_dim = channel.out_dim
-    n_out = n_decoding or decoding.n_outcomes
+    if mode not in ("weights", "coding", "full"):
+        raise ValueError(f"unknown cqc mode {mode!r}")
+    _check_chain_dims(coding, channel, decoding)
+    states = np.stack([s.matrix for s in coding.states])
+    return _cqc_search(
+        _CqcEvaluator(channel, decoding),
+        states,
+        decoding,
+        mode,
+        search or SearchBudget(),
+        pure_coding,
+        n_decoding or decoding.n_outcomes,
+    )
 
-    def value_at(weights, cod, dec) -> float:
-        inst = CqcInstance(weights=weights, coding=cod, channel=channel, decoding=dec)
-        return cqc_mutual_entropy(inst).value
 
+def _cqc_search(
+    evaluator: _CqcEvaluator,
+    states: np.ndarray,
+    decoding: Povm,
+    mode: str,
+    budget: SearchBudget,
+    pure: bool,
+    n_out: int,
+) -> CapacityReport:
+    size, dim = states.shape[:2]
     if mode == "weights":
+        dists = evaluator.transitions(states)
+
         def objective(params):
-            return value_at(softmax(params), coding, decoding)
+            return _cqc_routes(softmax(params), dists).value
 
         result = maximize(objective, size, budget, starts=[np.zeros(size)])
         return CapacityReport(
@@ -329,60 +381,35 @@ def cqc_capacity(
             maximizer={"weights": softmax(result.params)},
         )
 
-    if mode == "coding":
-        floor = cqc_capacity(channel, decoding, coding, "weights", budget.child(3))
-        per_code = 2 * dim if pure_coding else 2 * dim * dim
-        n_params = size + size * per_code
+    poorer, child = ("weights", 3) if mode == "coding" else ("coding", 4)
+    floor = _cqc_search(evaluator, states, decoding, poorer, budget.child(child), pure, n_out)
+    make_codes = _pure_codes if pure else _mixed_codes
+    n_codes = size * (2 * dim if pure else 2 * dim * dim)
+    out_dim = decoding.dim
 
-        def objective(params):
-            cod = _coding_from_params(params[size:], size, dim, pure_coding)
-            if cod is None:
-                return -math.inf
-            return value_at(softmax(params[:size]), cod, decoding)
+    def objective(params):
+        codes = make_codes(params[size : size + n_codes], size, dim)
+        if codes is None:
+            return -math.inf
+        if mode == "coding":
+            dists = evaluator.pure_transitions(codes) if pure else evaluator.transitions(codes)
+        else:
+            if pure:
+                codes = codes[:, :, None] * codes.conj()[:, None, :]
+            factors = _complex_stack(params[size + n_codes :], n_out, out_dim, out_dim)
+            dists = evaluator.decoded_transitions(codes, _square_root_povm(factors))
+        return _cqc_routes(softmax(params[:size]), dists).value
 
-        ref = np.concatenate(
-            [np.zeros(size), _basis_coding_params(size, dim, coding, pure_coding)]
-        )
-        result = maximize(objective, n_params, budget, starts=[ref])
-        value = max(result.value, floor.value)
-        return CapacityReport(
-            value=value,
-            converged=result.converged or floor.converged,
-            evals=result.evals + floor.evals,
-            maximizer={"mode": "coding"},
-            notes={"fixed_coding_value": floor.value},
-        )
-
+    starts = [np.zeros(size), _coding_params(states, pure)]
     if mode == "full":
-        floor = cqc_capacity(
-            channel, decoding, coding, "coding", budget.child(4), pure_coding=pure_coding
-        )
-        per_code = 2 * dim if pure_coding else 2 * dim * dim
-        per_povm = 2 * out_dim * out_dim
-        n_params = size + size * per_code + n_out * per_povm
-
-        def objective(params):
-            cod = _coding_from_params(params[size : size + size * per_code], size, dim, pure_coding)
-            if cod is None:
-                return -math.inf
-            dec = _decoding_from_params(params[size + size * per_code :], n_out, out_dim)
-            return value_at(softmax(params[:size]), cod, dec)
-
-        ref = np.concatenate(
-            [
-                np.zeros(size),
-                _basis_coding_params(size, dim, coding, pure_coding),
-                _projective_decoding_params(n_out, out_dim, decoding),
-            ]
-        )
-        result = maximize(objective, n_params, budget, starts=[ref])
-        value = max(result.value, floor.value)
-        return CapacityReport(
-            value=value,
-            converged=result.converged or floor.converged,
-            evals=result.evals + floor.evals,
-            maximizer={"mode": "full"},
-            notes={"fixed_decoding_value": floor.value},
-        )
-
-    raise ValueError(f"unknown cqc mode {mode!r}")
+        starts.append(_sqrt_psd_params(decoding.effects, n_out))
+    notes = {"fixed_coding_value" if mode == "coding" else "fixed_decoding_value": floor.value}
+    start = np.concatenate(starts)
+    result = maximize(objective, start.size, budget, starts=[start])
+    return CapacityReport(
+        value=max(result.value, floor.value),
+        converged=result.converged or floor.converged,
+        evals=result.evals + floor.evals,
+        maximizer={"mode": mode},
+        notes=notes,
+    )

@@ -202,6 +202,29 @@ def projective_povm(dim: int) -> Povm:
     return Povm(tuple(np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)))
 
 
+def _square_root_povm(factors: np.ndarray) -> np.ndarray:
+    """Stacked POVM effects W^dag B^dag B W, W = (sum B^dag B)^{-1/2}, from stacked factors B.
+
+    Eigenvalues of sum B^dag B are floored at 1e-10 of the largest, so a
+    rank-deficient sum still normalizes; the part of the identity the
+    effects then miss is appended as one more effect.
+    """
+    factors_dag = factors.conj().transpose(0, 2, 1)
+    s = (factors_dag @ factors).sum(axis=0)
+    w, v = np.linalg.eigh((s + s.conj().T) / 2)
+    floor = max(1e-10 * float(np.max(w)), 1e-300)
+    w = np.clip(w, floor, None)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    effects = inv_sqrt @ factors_dag @ factors @ inv_sqrt
+    effects = (effects + effects.conj().transpose(0, 2, 1)) / 2
+    residual = np.eye(s.shape[0]) - effects.sum(axis=0)
+    rw, rv = np.linalg.eigh((residual + residual.conj().T) / 2)
+    rw = np.clip(rw, 0.0, None)
+    if float(np.sum(rw)) > 1e-12:
+        effects = np.concatenate([effects, ((rv * rw) @ rv.conj().T)[None]])
+    return effects
+
+
 def born_probabilities(povm: Povm, rho) -> np.ndarray:
     """Outcome distribution tr(rho M_j); tiny negative round-off clipped."""
     m = as_complex_matrix(rho, "rho")

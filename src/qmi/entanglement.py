@@ -479,10 +479,10 @@ def _commutation_defect(outputs: np.ndarray) -> float:
 
 
 def _survey_decompositions(
-    rho: DensityOperator, ch: KrausChannel, budget: SearchBudget
+    rho_mat: np.ndarray, ch: KrausChannel, budget: SearchBudget
 ) -> tuple[list[_DecRecord], bool, int]:
     """Search Schatten decompositions, recording value and commutation defect."""
-    evaluator = _MutualEvaluator(rho.matrix, ch)
+    evaluator = _MutualEvaluator(rho_mat, ch)
     records: list[_DecRecord] = []
 
     def evaluate(params: np.ndarray) -> float:
@@ -642,7 +642,7 @@ class _RayScorer:
 
 
 def _q_value(
-    rho: DensityOperator,
+    rho_mat: np.ndarray,
     ch: KrausChannel,
     dec: SchattenDecomposition,
     diagonal_value: float,
@@ -653,7 +653,7 @@ def _q_value(
     outputs = _transmitted(ch, dec)
     k = ch.out_dim
     scorer = _RayScorer(
-        _compound_matrix(dec, outputs), rho.matrix, apply_matrix(ch, rho.matrix), k
+        _compound_matrix(dec, outputs), rho_mat, apply_matrix(ch, rho_mat), k
     )
     best = diagonal_value
     candidate = _candidate_direction(dec, outputs, k)
@@ -674,14 +674,15 @@ def _q_value(
 
 
 def _class_reports(
-    rho: DensityOperator,
+    rho_mat: np.ndarray,
     ch: KrausChannel,
     tags: tuple[str, ...],
     budget: SearchBudget,
     fix_output_blocks: bool,
 ) -> dict[str, CapacityReport]:
-    """The requested class values at fixed rho, all from one decomposition survey."""
-    records, converged, evals = _survey_decompositions(rho, ch, budget)
+    """The requested class values at a fixed (already valid) state matrix,
+    all from one decomposition survey."""
+    records, converged, evals = _survey_decompositions(rho_mat, ch, budget)
     best_d = _best_record(records, commuting_only=False)
     if best_d is None:
         raise ConsistencyError("no finite decomposition value found")
@@ -689,8 +690,8 @@ def _class_reports(
 
     def checked_value(record: _DecRecord) -> tuple[SchattenDecomposition, float]:
         if id(record) not in checked:
-            dec = schatten_family(rho, record.params)
-            checked[id(record)] = dec, float(mutual_entropy_fixed(rho, ch, dec).value)
+            dec = schatten_family(rho_mat, record.params)
+            checked[id(record)] = dec, float(mutual_entropy_fixed(rho_mat, ch, dec).value)
         return checked[id(record)]
 
     reports = {}
@@ -723,7 +724,7 @@ def _class_reports(
                 notes={"class": "d", "feasible": True},
             )
         if "q" in tags:
-            q, ray_evals = _q_value(rho, ch, dec, value, budget, fix_output_blocks)
+            q, ray_evals = _q_value(rho_mat, ch, dec, value, budget, fix_output_blocks)
             reports["q"] = CapacityReport(
                 value=float(q),
                 converged=converged,
@@ -757,13 +758,13 @@ def class_mutual_and_capacity(
     if tag not in ("q", "d", "c"):
         raise ValueError(f"unknown class tag {tag!r}")
     if rho is not None:
-        return _class_reports(rho, ch, (tag,), budget, fix_output_blocks)[tag]
+        return _class_reports(rho.matrix, ch, (tag,), budget, fix_output_blocks)[tag]
 
     family = StateFamily("full", ch.in_dim)
     inner = budget.child(5)
 
     def objective(params: np.ndarray) -> float:
-        r = family.state_from_params(params)
+        r = family._matrix_from_params(params)
         if r is None:
             return -math.inf
         rep = _class_reports(r, ch, (tag,), inner, fix_output_blocks)[tag]
@@ -799,14 +800,14 @@ def qdc_hierarchy(
     budget = search or SearchBudget()
     tags = ("c", "d", "q")
     if rho is not None:
-        return _class_reports(rho, ch, tags, budget, fix_output_blocks)
+        return _class_reports(rho.matrix, ch, tags, budget, fix_output_blocks)
 
     reports = {
         tag: class_mutual_and_capacity(None, ch, tag, budget, fix_output_blocks)
         for tag in tags
     }
     states = [
-        DensityOperator(rep.maximizer["state"])
+        rep.maximizer["state"]
         for rep in reports.values()
         if rep.maximizer.get("state") is not None
     ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_matrix
+from .channels import KrausChannel, _square_root_povm, apply_matrix
 from .entropy import (
     _entropy_rows,
     product_relative_entropy,
@@ -41,7 +41,7 @@ from .operators import (
     schatten_family,
     unitary_from_params,
 )
-from .search import SearchBudget, SearchResult, complex_from_params, maximize
+from .search import SearchBudget, SearchResult, _complex_stack, maximize
 
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
@@ -334,23 +334,6 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _effects_from_factors(bs: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """POVM effects W^dag B^dag B W, W = (sum B^dag B)^{-1/2}, completed to I."""
-    s = sum(b.conj().T @ b for b in bs)
-    w, v = np.linalg.eigh((s + s.conj().T) / 2)
-    floor = max(1e-10 * float(np.max(w)), 1e-300)
-    w = np.clip(w, floor, None)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    effects = [inv_sqrt @ b.conj().T @ b @ inv_sqrt for b in bs]
-    effects = [(e + e.conj().T) / 2 for e in effects]
-    residual = np.eye(dim) - sum(effects)
-    rw, rv = np.linalg.eigh((residual + residual.conj().T) / 2)
-    rw = np.clip(rw, 0.0, None)
-    if float(np.sum(rw)) > 1e-12:
-        effects.append((rv * rw) @ rv.conj().T)
-    return effects
-
-
 def pseudo_mutual_entropy(
     rho: DensityOperator,
     ch: KrausChannel,
@@ -375,11 +358,7 @@ def pseudo_mutual_entropy(
     baseline = ohya_mutual_entropy(rho, ch, budget.child(0))
 
     def split(params: np.ndarray):
-        bs = [
-            complex_from_params(params[i * 2 * dim * dim : (i + 1) * 2 * dim * dim], dim, dim)
-            for i in range(n_components)
-        ]
-        effects = np.stack(_effects_from_factors(bs, dim))
+        effects = _square_root_povm(_complex_stack(params, n_components, dim, dim))
         sigmas = sqrt_rho @ effects @ sqrt_rho
         lams = np.clip(np.real(np.trace(sigmas, axis1=1, axis2=2)), 0.0, None)
         return lams, sigmas

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, Povm
+from .channels import KrausChannel, Povm, _square_root_povm
 from .operators import DensityOperator, hermitian_part
 
 
@@ -59,12 +59,8 @@ def random_kraus_channel(
 
 def random_povm(dim: int, n_outcomes: int, rng) -> Povm:
     """Random informationally rich POVM via the square-root normalization."""
-    bs = [
+    factors = np.stack([
         rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for _ in range(n_outcomes)
-    ]
-    s = sum(b.conj().T @ b for b in bs)
-    w, v = np.linalg.eigh(hermitian_part(s))
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    effects = [hermitian_part(inv_sqrt @ b.conj().T @ b @ inv_sqrt) for b in bs]
-    return Povm(tuple(effects))
+    ])
+    return Povm(tuple(_square_root_povm(factors)))

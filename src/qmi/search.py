@@ -186,3 +186,9 @@ def complex_from_params(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"expected {2 * rows * cols} parameters, got {p.size}")
     half = rows * cols
     return (p[:half] + 1j * p[half:]).reshape(rows, cols)
+
+
+def _complex_stack(p: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
+    """`count` complex matrices from consecutive `complex_from_params` blocks."""
+    p = np.asarray(p, dtype=float).reshape(count, 2, rows, cols)
+    return p[:, 0] + 1j * p[:, 1]
