@@ -20,12 +20,12 @@ from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
     _MutualEvaluator,
+    _pseudo_search,
     _sqrt_psd,
     ohya_mutual_entropy,
-    pseudo_mutual_entropy,
 )
 from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability
-from .search import SearchBudget, _complex_stack, complex_from_params, maximize, softmax
+from .search import SearchBudget, SearchResult, _complex_stack, complex_from_params, maximize, softmax
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,21 @@ class StateFamily:
         m = _normalized_grams(complex_from_params(params, self.dim, self.effective_rank)[None])
         return None if m is None else m[0]
 
+    def supremum(self, value, budget: SearchBudget) -> tuple[SearchResult, DensityOperator | None]:
+        """Maximize value(matrix) over the family from its candidate starts.
+
+        `value` sees unvalidated member matrices; a member below trace 1e-12
+        scores -inf. Only the maximizer is validated: the second item is its
+        DensityOperator, or None when it has no trace.
+        """
+
+        def objective(params: np.ndarray) -> float:
+            m = self._matrix_from_params(params)
+            return -math.inf if m is None else value(m)
+
+        result = maximize(objective, self.n_params, budget, starts=self.candidate_starts())
+        return result, self.state_from_params(result.params)
+
     def candidate_starts(self) -> list[np.ndarray]:
         """Deterministic starts: the flattest family member plus basis states."""
         if self.kind == "diagonal":
@@ -232,17 +247,9 @@ def quantum_capacity(
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
-
-    def objective(params: np.ndarray) -> float:
-        rho = family._matrix_from_params(params)
-        if rho is None:
-            return -math.inf
-        return _MutualEvaluator(rho, ch).supremum(inner).value
-
-    result = maximize(
-        objective, family.n_params, budget, starts=family.candidate_starts()
+    result, best_state = family.supremum(
+        lambda rho: _MutualEvaluator(rho, ch).supremum(inner).value, budget
     )
-    best_state = family.state_from_params(result.params)
     value = result.value
     if best_state is not None:
         value = ohya_mutual_entropy(best_state, ch, inner).value
@@ -263,25 +270,24 @@ def pseudo_capacity(
     """sup over the state family of the pseudo-mutual entropy.
 
     Runs the quantum capacity first and floors the result with the pseudo
-    value at its maximizer, which keeps C <= C_p structural.
+    value at its maximizer, which keeps C <= C_p structural. Pseudo values
+    come from the unvalidated search behind `pseudo_mutual_entropy`.
     """
+    if n_components < 1:
+        raise ValueError("need at least one component")
     budget = search or SearchBudget()
     base = quantum_capacity(ch, family, budget)
     inner = budget.child(2)
 
-    def objective(params: np.ndarray) -> float:
-        rho = family.state_from_params(params)
-        if rho is None:
-            return -math.inf
-        return pseudo_mutual_entropy(rho, ch, n_components, inner).value
+    def value(rho: np.ndarray) -> float:
+        baseline, result, _ = _pseudo_search(rho, ch, n_components, inner)
+        return max(result.value, baseline.value)
 
-    result = maximize(objective, family.n_params, budget, starts=family.candidate_starts())
+    result, _ = family.supremum(value, budget)
     floor = -math.inf
     base_state = base.maximizer.get("state")
     if base_state is not None:
-        floor = pseudo_mutual_entropy(
-            DensityOperator(base_state), ch, n_components, inner
-        ).value
+        floor = value(base_state)
     value = max(result.value, floor, base.value)
     return CapacityReport(
         value=value,

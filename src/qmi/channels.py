@@ -345,8 +345,9 @@ def classical_channel(transition) -> KrausChannel:
 
 
 def make_channel(kind: str, **params) -> KrausChannel:
-    """Channel factory covering the standard zoo; see the named constructors."""
+    """Channel factory covering the standard zoo; see the named constructors ("kraus" takes `ops`)."""
     builders = {
+        "kraus": lambda: KrausChannel(tuple(params["ops"])),
         "identity": lambda: identity_channel(int(params["dim"])),
         "depolarizing": lambda: depolarizing_channel(float(params["p"]), int(params["dim"])),
         "amplitude_damping": lambda: amplitude_damping_channel(float(params["gamma"])),

@@ -42,6 +42,7 @@ from .serialize import (
     parse_povm,
     parse_probability,
     parse_state,
+    render_report,
     report_to_csv,
     to_jsonable,
 )
@@ -135,23 +136,21 @@ def _entangled_from_config(cfg, ctx):
         c = ctx.resolve(cfg["construct"])
         kind = c.get("kind")
         if kind == "standard":
-            return standard_entanglement(parse_state(c["sigma"], ctx))
-        if kind == "diagonal":
+            built = standard_entanglement(parse_state(c["sigma"], ctx))
+        elif kind == "diagonal":
             weights = parse_probability(c["weights"], ctx)
             outputs = [parse_matrix(m, ctx) for m in c["outputs"]]
-            return d_compound(weights, outputs)
-        raise ValueError(f"unknown construct kind {kind!r}")
+            built = d_compound(weights, outputs)
+        else:
+            raise ValueError(f"unknown construct kind {kind!r}")
+        return built.compound, built.entanglement_class
     compound = parse_compound(ctx.resolve(cfg["compound"]), ctx)
     cls = classify_compound(compound.theta.matrix, (compound.d_g, compound.d_k))
     return compound, cls
 
 
 def _cmd_entangle(cfg, ctx, budget):
-    built = _entangled_from_config(cfg, ctx)
-    if isinstance(built, tuple):
-        compound, cls = built
-    else:
-        compound, cls = built.compound, built.entanglement_class
+    compound, cls = _entangled_from_config(cfg, ctx)
     mutual = entangled_mutual_entropy(compound)
     cond, degree = conditional_and_degree(compound)
     results = dict(classification_to_json(cls))
@@ -262,7 +261,7 @@ def main(argv=None) -> int:
     tree = to_jsonable(report)
     if args.bits:
         tree = convert_nats_to_bits(tree)
-    text = report_to_csv(tree) if args.csv else json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    text = report_to_csv(tree) if args.csv else render_report(tree)
     if args.out:
         Path(args.out).write_text(text)
     else:

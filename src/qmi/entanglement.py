@@ -250,15 +250,7 @@ def classify_compound(theta, dims: tuple[int, int] | None = None) -> Entanglemen
             off = max(off, float(np.linalg.norm(blocks[n, m])))
     if off > OFF_DIAG_TOL:
         return EntanglementClass(tag="q", off_diag_norm=off, max_commutator=math.nan)
-    diag = [blocks[n, n] for n in range(d_g)]
-    norms = [float(np.linalg.norm(b)) for b in diag]
-    worst = 0.0
-    for n in range(d_g):
-        for m in range(n + 1, d_g):
-            if norms[n] <= ZERO_TOL or norms[m] <= ZERO_TOL:
-                continue
-            comm = diag[n] @ diag[m] - diag[m] @ diag[n]
-            worst = max(worst, float(np.linalg.norm(comm)) / (norms[n] * norms[m]))
+    worst = _commutation_defect([blocks[n, n] for n in range(d_g)])
     tag = "c" if worst <= COMMUTE_TOL else "d"
     return EntanglementClass(tag=tag, off_diag_norm=off, max_commutator=worst)
 
@@ -466,7 +458,8 @@ class _DecRecord:
     params: np.ndarray
 
 
-def _commutation_defect(outputs: np.ndarray) -> float:
+def _commutation_defect(outputs) -> float:
+    """Largest ||[A, B]|| / (||A|| ||B||) over pairs, skipping norms at most ZERO_TOL."""
     norms = [float(np.linalg.norm(om)) for om in outputs]
     worst = 0.0
     for n in range(len(outputs)):
@@ -760,26 +753,19 @@ def class_mutual_and_capacity(
     if rho is not None:
         return _class_reports(rho.matrix, ch, (tag,), budget, fix_output_blocks)[tag]
 
-    family = StateFamily("full", ch.in_dim)
     inner = budget.child(5)
 
-    def objective(params: np.ndarray) -> float:
-        r = family._matrix_from_params(params)
-        if r is None:
-            return -math.inf
+    def value(r: np.ndarray) -> float:
         rep = _class_reports(r, ch, (tag,), inner, fix_output_blocks)[tag]
-        if not rep.notes.get("feasible", True):
-            return -math.inf
-        return rep.value
+        return rep.value if rep.notes.get("feasible", True) else -math.inf
 
-    result = maximize(objective, family.n_params, budget, starts=family.candidate_starts())
+    result, state = StateFamily("full", ch.in_dim).supremum(value, budget)
     feasible = math.isfinite(result.value)
-    state = family.state_from_params(result.params) if feasible else None
     return CapacityReport(
         value=result.value if feasible else 0.0,
         converged=result.converged,
         evals=result.evals,
-        maximizer={"state": state.matrix if state is not None else None},
+        maximizer={"state": state.matrix if feasible and state is not None else None},
         notes={"class": tag, "feasible": feasible},
     )
 

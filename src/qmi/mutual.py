@@ -34,12 +34,12 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _block_rotations,
     _support_blocks,
     as_complex_matrix,
     as_probability,
     partial_trace,
     schatten_family,
-    unitary_from_params,
 )
 from .search import SearchBudget, SearchResult, _complex_stack, maximize
 
@@ -150,11 +150,11 @@ class _MutualEvaluator:
     """
 
     def __init__(self, rho_mat: np.ndarray, ch: KrausChannel, degeneracy_tol: float = DEGENERACY_TOL):
-        self.weights, vectors, blocks = _support_blocks(rho_mat, degeneracy_tol, ZERO_TOL)
+        self.weights, self.vectors, blocks = _support_blocks(rho_mat, degeneracy_tol, ZERO_TOL)
         self.blocks = [s for s in blocks if s.stop - s.start >= 2]
         self.n_params = sum((s.stop - s.start) ** 2 for s in self.blocks)
         self.kraus = np.stack(ch.ops)
-        self.images = _images(self.kraus, vectors)
+        self.images = _images(self.kraus, self.vectors)
         self.out_entropy = von_neumann_entropy(apply_matrix(ch, rho_mat))
 
     def transmit(self, mats: np.ndarray) -> np.ndarray:
@@ -170,11 +170,8 @@ class _MutualEvaluator:
         images = self.images
         if self.blocks:
             u = np.eye(images.shape[0], dtype=complex)
-            pos = 0
-            for s in self.blocks:
-                m = s.stop - s.start
-                u[s, s] = unitary_from_params(params[pos : pos + m * m], m)
-                pos += m * m
+            for s, block in _block_rotations(self.blocks, params):
+                u[s, s] = block
             images = np.einsum("kor,kj->jor", images, u)
         return _outputs(images)
 
@@ -187,10 +184,7 @@ class _MutualEvaluator:
 
         A nondegenerate rho has a single decomposition, evaluated once.
         """
-        objective = objective or self.value
-        if self.n_params == 0:
-            return SearchResult(value=objective(np.zeros(0)), params=np.zeros(0), converged=True, evals=1)
-        return maximize(objective, self.n_params, budget, starts=[np.zeros(self.n_params)])
+        return maximize(objective or self.value, self.n_params, budget, starts=[np.zeros(self.n_params)])
 
 
 def compound_state(rho: DensityOperator, ch: KrausChannel, dec: SchattenDecomposition) -> CompoundState:
@@ -334,28 +328,18 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def pseudo_mutual_entropy(
-    rho: DensityOperator,
-    ch: KrausChannel,
-    n_components: int,
-    search: SearchBudget | None = None,
-) -> PseudoResult:
-    """Supremum over finite convex decompositions rho = sum_k lambda_k rho_k.
+def _pseudo_search(rho_mat: np.ndarray, ch: KrausChannel, n_components: int, budget: SearchBudget):
+    """The pseudo search on one cached evaluator; nothing is validated.
 
-    Decompositions are parameterized exactly: free factor matrices define a
-    POVM {M_k}, and sigma_k = sqrt(rho) M_k sqrt(rho) splits rho identically
-    at every search point. The orthogonal supremum is included as a baseline,
-    so the pseudo value never falls below the Schatten one.
+    The Schatten supremum on budget.child(0) is the baseline, and its
+    projectors start the search over convex splits. Returns the baseline's
+    SearchResult, the split search's SearchResult and the map from split
+    parameters to (weights, unnormalized components).
     """
-    if n_components < 1:
-        raise ValueError("need at least one component")
-    _check_dims(rho.dim, ch)
-    budget = search or SearchBudget()
-    dim = rho.dim
-    sqrt_rho = _sqrt_psd(rho.matrix)
-    evaluator = _MutualEvaluator(rho.matrix, ch)
-
-    baseline = ohya_mutual_entropy(rho, ch, budget.child(0))
+    dim = rho_mat.shape[0]
+    sqrt_rho = _sqrt_psd(rho_mat)
+    evaluator = _MutualEvaluator(rho_mat, ch)
+    baseline = evaluator.supremum(budget.child(0))
 
     def split(params: np.ndarray):
         effects = _square_root_povm(_complex_stack(params, n_components, dim, dim))
@@ -369,32 +353,52 @@ def pseudo_mutual_entropy(
         lams = lams[keep]
         return evaluator.score(lams, evaluator.transmit(sigmas[keep]) / lams[:, None, None])
 
-    n_params = n_components * 2 * dim * dim
-    dec = baseline.decomposition
-    start = np.zeros(n_params)
-    for k in range(min(n_components, dec.size)):
-        proj = dec.projector(k)
-        start[k * 2 * dim * dim : k * 2 * dim * dim + dim * dim] = np.real(proj).reshape(-1)
-        start[k * 2 * dim * dim + dim * dim : (k + 1) * 2 * dim * dim] = np.imag(proj).reshape(-1)
+    v = evaluator.vectors.copy()
+    for s, u in _block_rotations(evaluator.blocks, baseline.params):
+        v[:, s] = v[:, s] @ u
+    v = v[:, :n_components].T
+    projectors = v[:, :, None] * v.conj()[:, None, :]
+    start = np.zeros((n_components, 2, dim, dim))
+    start[: len(v), 0], start[: len(v), 1] = projectors.real, projectors.imag
+    result = maximize(objective, start.size, budget, starts=[start.reshape(-1)])
+    return baseline, result, split
 
-    result = maximize(objective, n_params, budget, starts=[start])
 
-    if result.value > baseline.value:
+def pseudo_mutual_entropy(
+    rho: DensityOperator,
+    ch: KrausChannel,
+    n_components: int,
+    search: SearchBudget | None = None,
+) -> PseudoResult:
+    """Supremum over finite convex decompositions rho = sum_k lambda_k rho_k.
+
+    Decompositions are parameterized exactly: free factor matrices define a
+    POVM {M_k}, and sigma_k = sqrt(rho) M_k sqrt(rho) splits rho identically
+    at every search point. The orthogonal supremum is included as a baseline,
+    so the pseudo value never falls below the Schatten one; the baseline's
+    decomposition is rebuilt validated and dual-route checked.
+    """
+    if n_components < 1:
+        raise ValueError("need at least one component")
+    _check_dims(rho.dim, ch)
+    baseline, result, split = _pseudo_search(rho.matrix, ch, n_components, search or SearchBudget())
+    dec = schatten_family(rho, baseline.params)
+    floor = mutual_entropy_fixed(rho, ch, dec).value
+    evals = result.evals + baseline.evals
+    if result.value > floor:
         lams, sigmas = split(result.params)
-        kept = [(lam, sig / lam) for lam, sig in zip(lams, sigmas) if lam > 1e-12]
-        weights = np.array([lam for lam, _ in kept])
+        keep = lams > 1e-12
         return PseudoResult(
             value=result.value,
-            weights=weights / np.sum(weights),
-            components=tuple(sig for _, sig in kept),
+            weights=lams[keep] / np.sum(lams[keep]),
+            components=tuple(sigmas[keep] / lams[keep, None, None]),
             converged=result.converged,
-            evals=result.evals + baseline.evals,
+            evals=evals,
         )
-    dec = baseline.decomposition
     return PseudoResult(
-        value=baseline.value,
+        value=floor,
         weights=dec.weights,
         components=tuple(dec.projector(k) for k in range(dec.size)),
         converged=baseline.converged or result.converged,
-        evals=result.evals + baseline.evals,
+        evals=evals,
     )

@@ -303,6 +303,17 @@ def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def _block_rotations(blocks: list[slice], params: np.ndarray):
+    """Yield (block, exp(i H)) per block of multiplicity m >= 2, H from its m^2 parameters."""
+    pos = 0
+    for s in blocks:
+        m = s.stop - s.start
+        if m < 2:
+            continue
+        yield s, unitary_from_params(params[pos : pos + m * m], m)
+        pos += m * m
+
+
 def schatten_family(
     rho,
     params: np.ndarray,
@@ -322,14 +333,8 @@ def schatten_family(
     if params.size != expected:
         raise ValueError(f"expected {expected} parameters, got {params.size}")
     v = v.copy()
-    pos = 0
-    for s in blocks:
-        m = s.stop - s.start
-        if m < 2:
-            continue
-        u = unitary_from_params(params[pos : pos + m * m], m)
+    for s, u in _block_rotations(blocks, params):
         v[:, s] = v[:, s] @ u
-        pos += m * m
     return SchattenDecomposition(weights=w, vectors=v)
 
 

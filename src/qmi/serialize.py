@@ -91,32 +91,27 @@ def parse_probability(obj, ctx: ConfigContext | None = None) -> np.ndarray:
 
 
 def parse_channel(obj, ctx: ConfigContext | None = None) -> KrausChannel:
-    """Channel from {"kind": ...} JSON; "kraus" takes explicit operators."""
+    """Channel from {"kind": ..., fields} JSON, built by `make_channel`.
+
+    Matrix-valued fields are parsed first; "matrix" is the unitary's `u`.
+    """
     if ctx is not None:
         obj = ctx.resolve(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("channel must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "kraus":
-        ops = [parse_matrix(op, ctx) for op in obj["ops"]]
-        return KrausChannel(tuple(ops))
-    if kind == "identity":
-        return make_channel("identity", dim=int(obj["dim"]))
-    if kind == "depolarizing":
-        return make_channel("depolarizing", p=float(obj["p"]), dim=int(obj["dim"]))
-    if kind == "amplitude_damping":
-        return make_channel("amplitude_damping", gamma=float(obj["gamma"]))
-    if kind == "phase_damping":
-        return make_channel("phase_damping", lam=float(obj["lam"]))
-    if kind == "unitary":
-        return make_channel("unitary", u=parse_matrix(obj["matrix"], ctx))
-    if kind == "cq":
-        return make_channel("cq", states=[parse_matrix(s, ctx) for s in obj["states"]])
-    if kind == "measure":
-        return make_channel("measure", povm=parse_povm(obj["povm"], ctx))
-    if kind == "classical":
-        return make_channel("classical", transition=np.real(parse_matrix(obj["transition"], ctx)))
-    raise ValueError(f"unknown channel kind {kind!r}")
+    parsers = {
+        "ops": lambda ops: ("ops", [parse_matrix(op, ctx) for op in ops]),
+        "matrix": lambda m: ("u", parse_matrix(m, ctx)),
+        "states": lambda states: ("states", [parse_matrix(st, ctx) for st in states]),
+        "povm": lambda povm: ("povm", parse_povm(povm, ctx)),
+        "transition": lambda t: ("transition", np.real(parse_matrix(t, ctx))),
+    }
+    fields = {}
+    for key, value in obj.items():
+        if key in parsers:
+            key, value = parsers[key](value)
+        fields[key] = value
+    return make_channel(fields.pop("kind"), **fields)
 
 
 def parse_povm(obj, ctx: ConfigContext | None = None) -> Povm:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qmi import capacity, mutual
 from qmi.capacity import (
     CodingScheme,
     CqcInstance,
@@ -114,6 +115,15 @@ def test_pseudo_capacity_floors_at_quantum():
     pseudo = pseudo_capacity(ch, family, 2, small)
     assert pseudo.value >= quantum.value - 1e-9
     assert pseudo.notes["quantum_capacity"] <= pseudo.value + 1e-9
+
+
+def test_pseudo_capacity_rejects_zero_components_before_searching(monkeypatch):
+    calls = []
+    for module in (capacity, mutual):
+        monkeypatch.setattr(module, "maximize", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="need at least one component"):
+        pseudo_capacity(amplitude_damping_channel(0.3), StateFamily("full", 2), 0, TINY)
+    assert calls == []
 
 
 def test_capacity_reports_carry_evals():

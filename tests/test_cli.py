@@ -7,9 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qmi.channels import (
+    KrausChannel,
+    amplitude_damping_channel,
+    classical_channel,
+    cq_channel,
+    depolarizing_channel,
+    identity_channel,
+    measurement_channel,
+    phase_damping_channel,
+    unitary_channel,
+)
 from qmi.cli import main
+from qmi.sampling import random_kraus_channel, random_povm, random_unitary, rng_from
+from qmi.serialize import matrix_to_json, parse_channel
 
 
 def _write(tmp_path, name, payload):
@@ -131,6 +145,44 @@ def test_missing_field_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"state": [[0.5, 0.0], [0.0, 0.5]]})
     assert main(["mutual", "--config", cfg]) == 1
     assert "channel" in capsys.readouterr().err
+
+
+def _channel_cases():
+    rng = rng_from(11)
+    kraus = random_kraus_channel(2, 2, 3, rng).ops
+    u = random_unitary(3, rng)
+    states = [np.diag([1.0, 0.0]).astype(complex), np.full((2, 2), 0.5, dtype=complex)]
+    povm = random_povm(2, 3, rng)
+    transition = np.array([[0.9, 0.2], [0.1, 0.5], [0.0, 0.3]])
+    return {
+        "kraus": ({"ops": [matrix_to_json(k) for k in kraus]}, KrausChannel(tuple(kraus))),
+        "identity": ({"dim": 3}, identity_channel(3)),
+        "depolarizing": ({"p": 0.3, "dim": 2}, depolarizing_channel(0.3, 2)),
+        "amplitude_damping": ({"gamma": 0.4}, amplitude_damping_channel(0.4)),
+        "phase_damping": ({"lam": 0.25}, phase_damping_channel(0.25)),
+        "unitary": ({"matrix": matrix_to_json(u)}, unitary_channel(u)),
+        "cq": ({"states": [matrix_to_json(s) for s in states]}, cq_channel(states)),
+        "measure": ({"povm": [matrix_to_json(e) for e in povm.effects]}, measurement_channel(povm)),
+        "classical": ({"transition": transition.tolist()}, classical_channel(transition)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_channel_cases()))
+def test_parse_channel_matches_the_named_constructor(kind):
+    fields, expected = _channel_cases()[kind]
+    got = parse_channel({"kind": kind, **fields})
+    assert len(got.ops) == len(expected.ops)
+    for a, b in zip(got.ops, expected.ops):
+        assert np.array_equal(a, b)
+
+
+def test_parse_channel_errors():
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        parse_channel({"kind": "frobnicate"})
+    with pytest.raises(KeyError):
+        parse_channel({"kind": "depolarizing", "dim": 2})
+    with pytest.raises(ValueError, match="'kind' field"):
+        parse_channel({"dim": 2})
 
 
 def test_invalid_state_exits_one(tmp_path, capsys):

@@ -15,6 +15,7 @@ from qmi.capacity import (
     _cqc_routes,
     cqc_capacity,
     cqc_mutual_entropy,
+    pseudo_capacity,
     quantum_capacity,
 )
 from qmi.channels import (
@@ -334,6 +335,7 @@ def test_searches_validate_only_at_the_boundary(constructions):
             channel, decoding, coding, "full", SearchBudget(2, evals), pure_coding=False
         ),
         "quantum": lambda evals: quantum_capacity(channel, StateFamily("full", 2), SearchBudget(2, evals // 4)),
+        "pseudo capacity": lambda evals: pseudo_capacity(channel, StateFamily("full", 2), 2, SearchBudget(2, evals // 4)),
         "d capacity": lambda evals: class_mutual_and_capacity(
             None, channel, "d", SearchBudget(2, evals // 4)
         ),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmi.channels import apply_matrix, depolarizing_channel
+from qmi.channels import _square_root_povm, apply_matrix, depolarizing_channel
 from qmi.entanglement import (
     PSD_STEP_TOL,
     _assemble_direction,
@@ -14,13 +14,19 @@ from qmi.entanglement import (
 )
 from qmi.entropy import product_relative_entropy, umegaki_relative_entropy
 from qmi.mutual import (
+    PseudoResult,
     _compound_matrix,
     _MutualEvaluator,
+    _pseudo_search,
+    _sqrt_psd,
     _transmitted,
     mutual_entropy_fixed,
+    ohya_mutual_entropy,
+    pseudo_mutual_entropy,
 )
 from qmi.operators import DensityOperator, hermitian_from_params, schatten_family
 from qmi.sampling import random_kraus_channel, random_unitary, rng_from
+from qmi.search import SearchBudget, _complex_stack, maximize
 
 
 def _state(spectrum, rng) -> DensityOperator:
@@ -193,3 +199,72 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
     assert len(sizes) == 5 * len(cases)
     assert sum(t > 1e-3 for t in sizes) >= len(cases) + 1  # candidates and full-rank rays
     assert sum(t < 1e-8 for t in sizes) >= 8  # rays leaving a rank-deficient support
+
+
+def _pseudo_reference(rho, ch, n_components, budget):
+    """The pseudo search with a full `ohya_mutual_entropy` baseline, which
+    validates and dual-route checks the baseline before the split search."""
+    dim = rho.dim
+    sqrt_rho = _sqrt_psd(rho.matrix)
+    evaluator = _MutualEvaluator(rho.matrix, ch)
+    baseline = ohya_mutual_entropy(rho, ch, budget.child(0))
+
+    def split(params):
+        effects = _square_root_povm(_complex_stack(params, n_components, dim, dim))
+        sigmas = sqrt_rho @ effects @ sqrt_rho
+        lams = np.clip(np.real(np.trace(sigmas, axis1=1, axis2=2)), 0.0, None)
+        return lams, sigmas
+
+    def objective(params):
+        lams, sigmas = split(params)
+        keep = lams > 1e-12
+        lams = lams[keep]
+        return evaluator.score(lams, evaluator.transmit(sigmas[keep]) / lams[:, None, None])
+
+    n_params = n_components * 2 * dim * dim
+    dec = baseline.decomposition
+    start = np.zeros(n_params)
+    for k in range(min(n_components, dec.size)):
+        proj = dec.projector(k)
+        start[k * 2 * dim * dim : k * 2 * dim * dim + dim * dim] = np.real(proj).reshape(-1)
+        start[k * 2 * dim * dim + dim * dim : (k + 1) * 2 * dim * dim] = np.imag(proj).reshape(-1)
+    result = maximize(objective, n_params, budget, starts=[start])
+    if result.value > baseline.value:
+        lams, sigmas = split(result.params)
+        kept = [(lam, sig / lam) for lam, sig in zip(lams, sigmas) if lam > 1e-12]
+        weights = np.array([lam for lam, _ in kept])
+        return PseudoResult(
+            value=result.value,
+            weights=weights / np.sum(weights),
+            components=tuple(sig for _, sig in kept),
+            converged=result.converged,
+            evals=result.evals + baseline.evals,
+        )
+    return PseudoResult(
+        value=baseline.value,
+        weights=dec.weights,
+        components=tuple(dec.projector(k) for k in range(dec.size)),
+        converged=baseline.converged or result.converged,
+        evals=result.evals + baseline.evals,
+    )
+
+
+@pytest.mark.parametrize("spectrum", [(2, 2, 1), (3, 2, 1), (2, 2, 0), (1, 1, 1)])
+def test_pseudo_search_matches_the_ohya_baseline_path(spectrum):
+    rng = rng_from(401)
+    rho = _state(spectrum, rng)
+    ch = random_kraus_channel(3, 2, 2, rng)
+    budget = SearchBudget(restarts=2, max_evals=30, seed=9)
+    for n_components in (1, 2, 3):
+        got = pseudo_mutual_entropy(rho, ch, n_components, budget)
+        expected = _pseudo_reference(rho, ch, n_components, budget)
+        assert got.value == expected.value
+        assert np.array_equal(got.weights, expected.weights)
+        assert len(got.components) == len(expected.components)
+        for a, b in zip(got.components, expected.components):
+            assert np.array_equal(a, b)
+        assert (got.evals, got.converged) == (expected.evals, expected.converged)
+        # The capacity objective's value: the same search, floored by the
+        # evaluator's baseline value instead of the dual-route checked one.
+        baseline, result, _ = _pseudo_search(rho.matrix, ch, n_components, budget)
+        assert abs(max(result.value, baseline.value) - expected.value) < 1e-12
