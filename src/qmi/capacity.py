@@ -18,10 +18,16 @@ import numpy as np
 from .channels import KrausChannel, Povm, _square_root_povm
 from .entropy import _entropy_rows
 from .mutual import (
+    DUAL_ROUTE_TOL,
+    RECONSTRUCTION_TOL,
     DualRouteValue,
+    MutualResult,
     _MutualEvaluator,
-    _pseudo_search,
+    _povm_split,
+    _projector_factors,
     _sqrt_psd,
+    _transmit,
+    holevo_bound,
     ohya_mutual_entropy,
 )
 from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability
@@ -204,9 +210,9 @@ class _CqcEvaluator:
 
     def __init__(self, ch: KrausChannel, decoding: Povm):
         self.kraus = np.stack(ch.ops)
-        self.kraus_dag = self.kraus.conj().transpose(0, 2, 1)
+        kraus_dag = self.kraus.conj().transpose(0, 2, 1)
         effects = np.stack(decoding.effects)
-        self.dual = (self.kraus_dag[:, None] @ effects @ self.kraus[:, None]).sum(axis=0)
+        self.dual = (kraus_dag[:, None] @ effects @ self.kraus[:, None]).sum(axis=0)
 
     def transitions(self, states: np.ndarray) -> np.ndarray:
         """W for stacked coded states and the cached decoding."""
@@ -218,8 +224,7 @@ class _CqcEvaluator:
 
     def decoded_transitions(self, states: np.ndarray, effects: np.ndarray) -> np.ndarray:
         """W for stacked coded states and stacked decoding effects."""
-        outputs = (self.kraus @ states[:, None] @ self.kraus_dag).sum(axis=1)
-        return _outcome_rows(np.einsum("jab,kba->kj", effects, outputs).real)
+        return _outcome_rows(np.einsum("jab,kba->kj", effects, _transmit(self.kraus, states)).real)
 
 
 def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
@@ -243,22 +248,42 @@ def quantum_capacity(
     is `ohya_mutual_entropy` at the maximizing state, which repeats that
     state's inner search and dual-route checks its decomposition.
     """
-    budget = search or SearchBudget()
+    return _quantum_search(ch, family, search or SearchBudget())[0]
+
+
+def _quantum_search(
+    ch: KrausChannel, family: StateFamily, budget: SearchBudget
+) -> tuple[CapacityReport, np.ndarray, MutualResult | None]:
+    """`quantum_capacity`'s report, its family parameters and the Ohya result at its maximizer."""
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
     result, best_state = family.supremum(
         lambda rho: _MutualEvaluator(rho, ch).supremum(inner).value, budget
     )
-    value = result.value
-    if best_state is not None:
-        value = ohya_mutual_entropy(best_state, ch, inner).value
-    return CapacityReport(
-        value=value,
+    ohya = None if best_state is None else ohya_mutual_entropy(best_state, ch, inner)
+    report = CapacityReport(
+        value=result.value if ohya is None else ohya.value,
         converged=result.converged,
         evals=result.evals,
         maximizer={"state": best_state.matrix if best_state is not None else None},
     )
+    return report, result.params, ohya
+
+
+def _family_split(family: StateFamily, n_components: int, params: np.ndarray):
+    """The family member rho of the leading parameters and its split by the rest.
+
+    The remaining parameters are the factor blocks of `_povm_split`. Returns
+    (rho, lambda_k, sigma_k) with the components of trace above 1e-12, or
+    None when rho has no trace.
+    """
+    rho = family._matrix_from_params(params[: family.n_params])
+    if rho is None:
+        return None
+    lams, sigmas = _povm_split(_sqrt_psd(rho), params[family.n_params :], n_components)
+    keep = lams > 1e-12
+    return rho, lams[keep], sigmas[keep]
 
 
 def pseudo_capacity(
@@ -269,33 +294,74 @@ def pseudo_capacity(
 ) -> CapacityReport:
     """sup over the state family of the pseudo-mutual entropy.
 
-    Runs the quantum capacity first and floors the result with the pseudo
-    value at its maximizer, which keeps C <= C_p structural. Pseudo values
-    come from the unvalidated search behind `pseudo_mutual_entropy`.
+    The pseudo mutual entropy of rho is a supremum over the convex splits
+    rho = sum_k lambda_k sigma_k, so the capacity is one flat search over
+    (family parameters, split parameters) of the Holevo quantity
+    chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)), scored with one batched
+    eigvalsh. It starts from the quantum-capacity maximizer and its Ohya
+    decomposition, runs on budget.child(2), and is floored at the quantum
+    capacity, so C <= C_p holds by construction. Only the maximizer is
+    validated: its weights, its components, the reconstruction of its state
+    and chi recomputed by `holevo_bound`. `maximizer` holds that state and
+    ensemble; `evals` is the quantum search's plus the flat search's.
     """
     if n_components < 1:
         raise ValueError("need at least one component")
     budget = search or SearchBudget()
-    base = quantum_capacity(ch, family, budget)
-    inner = budget.child(2)
+    base, base_params, ohya = _quantum_search(ch, family, budget)
+    if ohya is None:
+        raise ConsistencyError("the quantum capacity search found no state")
+    kraus = np.stack(ch.ops)
 
-    def value(rho: np.ndarray) -> float:
-        baseline, result, _ = _pseudo_search(rho, ch, n_components, inner)
-        return max(result.value, baseline.value)
+    def objective(params: np.ndarray) -> float:
+        split = _family_split(family, n_components, params)
+        if split is None:
+            return -math.inf
+        rho, lams, sigmas = split
+        inputs = np.concatenate([rho[None], sigmas / lams[:, None, None]])
+        entropies = _entropy_rows(np.linalg.eigvalsh(_transmit(kraus, inputs)))
+        return float(entropies[0] - lams @ entropies[1:])
 
-    result, _ = family.supremum(value, budget)
-    floor = -math.inf
-    base_state = base.maximizer.get("state")
-    if base_state is not None:
-        floor = value(base_state)
-    value = max(result.value, floor, base.value)
+    start = np.concatenate([base_params, _projector_factors(ohya.decomposition.vectors, n_components)])
+    result = maximize(objective, start.size, budget.child(2), starts=[start])
+
+    if result.value > base.value:
+        value = result.value
+        rho, lams, sigmas = _family_split(family, n_components, result.params)
+        maximizer = _checked_ensemble(ch, rho, lams, sigmas, value)
+    else:
+        dec = ohya.decomposition
+        value = base.value
+        maximizer = {
+            "state": base.maximizer["state"],
+            "weights": dec.weights,
+            "components": tuple(dec.projector(k) for k in range(dec.size)),
+        }
     return CapacityReport(
         value=value,
         converged=result.converged or base.converged,
-        evals=result.evals + base.evals,
-        maximizer={"n_components": n_components},
+        evals=base.evals + result.evals,
+        maximizer={"n_components": n_components, **maximizer},
         notes={"quantum_capacity": base.value},
     )
+
+
+def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> dict:
+    """The validated state and ensemble of a split the search scored as `value`.
+
+    Checks the weights, each component, the reconstruction of rho within 1e-8
+    and `value` against chi from `holevo_bound` within DUAL_ROUTE_TOL.
+    """
+    state = DensityOperator(rho).matrix
+    weights = as_probability(lams / lams.sum())
+    components = tuple(DensityOperator(s / lam).matrix for s, lam in zip(sigmas, lams))
+    rebuilt = sum(w * c for w, c in zip(weights, components))
+    if np.max(np.abs(rebuilt - state)) > RECONSTRUCTION_TOL:
+        raise ConsistencyError("pseudo capacity ensemble does not rebuild its state within 1e-8")
+    chi = holevo_bound(weights, components, ch)
+    if abs(chi - value) > DUAL_ROUTE_TOL:
+        raise ConsistencyError(f"pseudo capacity routes disagree: {value!r} vs {chi!r}")
+    return {"state": state, "weights": weights, "components": components}
 
 
 def _pure_codes(params: np.ndarray, size: int, dim: int) -> np.ndarray | None:

@@ -582,16 +582,22 @@ _STEP_CAP = 64.0
 class _RayScorer:
     """Scores rays theta_d + t x out of one diagonal compound.
 
-    The largest feasible step has a closed form. With A = theta_d + eps I
-    (eps = PSD_STEP_TOL) factored once, lambda_min(theta_d + t x) >= -eps
-    holds exactly while 1 + t lambda_min(A^{-1/2} x A^{-1/2}) >= 0; since
-    lambda_min is concave in t, the feasible steps are an interval from 0.
-    A^{-1/2} x A^{-1/2} is formed in the eigenbasis of A: A's kernel
-    eigenvalues are eps, and an explicit A^{-1/2} would mix entries of
-    size eps^{-1/2} and 1, losing about eight digits of the step.
-    Each ray scores its four points by the relative entropy against
-    rho (x) ch(rho), with one batched eigvalsh for the joint entropies and
-    the eigenbases of rho and ch(rho) computed once.
+    The largest step that keeps the compound PSD has a closed form to second
+    order. With A = theta_d + eps I (eps = PSD_STEP_TOL) factored once,
+    lambda_min(theta_d + t x) >= -eps holds exactly while
+    1 + t mu >= 0, mu = lambda_min(A^{-1/2} x A^{-1/2}); since lambda_min is
+    concave in t, the feasible steps are an interval from 0. At t = -1/mu the
+    eigenvalue -eps belongs to u = A^{-1/2} z (z the eigenvector of mu) and
+    falls with slope mu / |u|^2, so one Newton step back to
+    lambda_min = 0 gives t = -(1 - eps |u|^2) / mu; it is 0 when the ray
+    leaves the support of theta_d, and a step with t ||x|| <= ZERO_TOL (the
+    rounding of that 0) is taken as 0. A^{-1/2} x A^{-1/2} is formed in
+    the eigenbasis of A: A's kernel eigenvalues are eps, and an explicit
+    A^{-1/2} would mix entries of size eps^{-1/2} and 1, losing about eight
+    digits of the step. Each ray scores its four points by the relative
+    entropy against rho (x) ch(rho), with one batched eigvalsh for the joint
+    entropies and the eigenbases of rho and ch(rho) computed once; a point
+    with an eigenvalue below -ZERO_TOL is not a state and is not scored.
     """
 
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray, d_k: int):
@@ -611,26 +617,32 @@ class _RayScorer:
         )
 
     def max_step(self, x: np.ndarray) -> float:
-        """Largest t <= 64 with lambda_min(theta_d + t x) >= -PSD_STEP_TOL."""
+        """Largest t <= 64 with lambda_min(theta_d + t x) >= 0, to second order in eps."""
         if self.inv_sqrt is None:
             return 0.0
         scaled = self.frame.conj().T @ x @ self.frame * np.outer(self.inv_sqrt, self.inv_sqrt)
-        mu = float(np.linalg.eigvalsh(scaled)[0])
-        return _STEP_CAP if mu * _STEP_CAP >= -1.0 else -1.0 / mu
+        mu, z = np.linalg.eigh(scaled)
+        if mu[0] * _STEP_CAP >= -1.0:
+            return _STEP_CAP
+        u_norm2 = float(np.sum(np.abs(self.inv_sqrt * z[:, 0]) ** 2))
+        step = -(1.0 - PSD_STEP_TOL * u_norm2) / float(mu[0])
+        # A ray leaving the support has the exact step 0; rounding leaves a
+        # step of either sign that moves theta_d by about 1e-16 or less.
+        return step if step * float(np.linalg.norm(x)) > ZERO_TOL else 0.0
 
     def value(self, x: np.ndarray) -> float:
         t_max = self.max_step(x)
         if t_max <= 0.0:
             return -math.inf
         steps = t_max * _RAY_FRACTIONS
-        joint = _entropy_rows(np.linalg.eigvalsh(self.theta_d + steps[:, None, None] * x))
-        value = -joint
+        eigs = np.linalg.eigvalsh(self.theta_d + steps[:, None, None] * x)
+        value = -_entropy_rows(eigs)
         leaks = np.zeros(steps.size)
         for (w, _), a0, a1 in zip((self.left, self.right), self.base, self._amplitudes(x)):
             log_term, leak = _log_trace_in_eigenbasis(a0 + steps[:, None] * a1, w, ZERO_TOL)
             value = value - log_term
             leaks = np.maximum(leaks, leak)
-        feasible = value[leaks <= SUPPORT_TOL]
+        feasible = value[(leaks <= SUPPORT_TOL) & (eigs[:, 0] >= -ZERO_TOL)]
         return float(np.max(feasible)) if feasible.size else -math.inf
 
 

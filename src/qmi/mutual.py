@@ -110,6 +110,11 @@ def _outputs(images: np.ndarray) -> np.ndarray:
     return images @ images.conj().transpose(0, 2, 1)
 
 
+def _transmit(kraus: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The channel with stacked Kraus operators applied to each matrix of a stack."""
+    return (kraus @ mats[:, None] @ kraus.conj().transpose(0, 2, 1)).sum(axis=1)
+
+
 def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> np.ndarray:
     """Channel images of the rank-one components, stacked along the first axis."""
     return _outputs(_images(np.stack(ch.ops), dec.vectors))
@@ -156,10 +161,6 @@ class _MutualEvaluator:
         self.kraus = np.stack(ch.ops)
         self.images = _images(self.kraus, self.vectors)
         self.out_entropy = von_neumann_entropy(apply_matrix(ch, rho_mat))
-
-    def transmit(self, mats: np.ndarray) -> np.ndarray:
-        """The channel applied to each matrix of a stack."""
-        return (self.kraus @ mats[:, None] @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=1)
 
     def score(self, weights: np.ndarray, outputs: np.ndarray) -> float:
         """S(ch(rho)) - sum_k weights[k] S(outputs[k]) for unit-trace outputs."""
@@ -328,6 +329,27 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def _povm_split(sqrt_rho: np.ndarray, params: np.ndarray, n_components: int):
+    """(lambda_k, sigma_k) with sigma_k = sqrt(rho) M_k sqrt(rho), unnormalized.
+
+    {M_k} is the square-root POVM of the n_components complex factor blocks
+    in params, so the sigma_k sum to rho at every parameter point.
+    """
+    dim = sqrt_rho.shape[0]
+    effects = _square_root_povm(_complex_stack(params, n_components, dim, dim))
+    sigmas = sqrt_rho @ effects @ sqrt_rho
+    return np.clip(np.real(np.trace(sigmas, axis1=1, axis2=2)), 0.0, None), sigmas
+
+
+def _projector_factors(vectors: np.ndarray, n_components: int) -> np.ndarray:
+    """Split parameters whose factor blocks are the projectors on the leading vector columns."""
+    v = vectors[:, :n_components].T
+    projectors = v[:, :, None] * v.conj()[:, None, :]
+    params = np.zeros((n_components, 2, vectors.shape[0], vectors.shape[0]))
+    params[: len(v), 0], params[: len(v), 1] = projectors.real, projectors.imag
+    return params.reshape(-1)
+
+
 def _pseudo_search(rho_mat: np.ndarray, ch: KrausChannel, n_components: int, budget: SearchBudget):
     """The pseudo search on one cached evaluator; nothing is validated.
 
@@ -336,31 +358,24 @@ def _pseudo_search(rho_mat: np.ndarray, ch: KrausChannel, n_components: int, bud
     SearchResult, the split search's SearchResult and the map from split
     parameters to (weights, unnormalized components).
     """
-    dim = rho_mat.shape[0]
     sqrt_rho = _sqrt_psd(rho_mat)
     evaluator = _MutualEvaluator(rho_mat, ch)
     baseline = evaluator.supremum(budget.child(0))
 
     def split(params: np.ndarray):
-        effects = _square_root_povm(_complex_stack(params, n_components, dim, dim))
-        sigmas = sqrt_rho @ effects @ sqrt_rho
-        lams = np.clip(np.real(np.trace(sigmas, axis1=1, axis2=2)), 0.0, None)
-        return lams, sigmas
+        return _povm_split(sqrt_rho, params, n_components)
 
     def objective(params: np.ndarray) -> float:
         lams, sigmas = split(params)
         keep = lams > 1e-12
         lams = lams[keep]
-        return evaluator.score(lams, evaluator.transmit(sigmas[keep]) / lams[:, None, None])
+        return evaluator.score(lams, _transmit(evaluator.kraus, sigmas[keep]) / lams[:, None, None])
 
     v = evaluator.vectors.copy()
     for s, u in _block_rotations(evaluator.blocks, baseline.params):
         v[:, s] = v[:, s] @ u
-    v = v[:, :n_components].T
-    projectors = v[:, :, None] * v.conj()[:, None, :]
-    start = np.zeros((n_components, 2, dim, dim))
-    start[: len(v), 0], start[: len(v), 1] = projectors.real, projectors.imag
-    result = maximize(objective, start.size, budget, starts=[start.reshape(-1)])
+    start = _projector_factors(v, n_components)
+    result = maximize(objective, start.size, budget, starts=[start])
     return baseline, result, split
 
 
@@ -374,9 +389,11 @@ def pseudo_mutual_entropy(
 
     Decompositions are parameterized exactly: free factor matrices define a
     POVM {M_k}, and sigma_k = sqrt(rho) M_k sqrt(rho) splits rho identically
-    at every search point. The orthogonal supremum is included as a baseline,
-    so the pseudo value never falls below the Schatten one; the baseline's
-    decomposition is rebuilt validated and dual-route checked.
+    at every search point. The floor is the Schatten search on
+    budget.child(0), not on the caller's budget, so the value never falls
+    below that search's but can fall below `ohya_mutual_entropy(rho, ch,
+    search)`. The floor's decomposition is rebuilt validated and dual-route
+    checked.
     """
     if n_components < 1:
         raise ValueError("need at least one component")

@@ -16,9 +16,10 @@ from qmi.capacity import (
     quantum_capacity,
 )
 from qmi.channels import amplitude_damping_channel, depolarizing_channel, identity_channel, projective_povm
+from qmi.mutual import holevo_bound
 from qmi.operators import DensityOperator
-from qmi.sampling import rng_from
-from qmi.search import SearchBudget
+from qmi.sampling import random_kraus_channel, rng_from
+from qmi.search import SearchBudget, maximize
 
 TINY = SearchBudget(restarts=2, max_evals=40, seed=5, tol=1e-6)
 
@@ -130,3 +131,97 @@ def test_capacity_reports_carry_evals():
     rep = quantum_capacity(identity_channel(2), StateFamily("diagonal", 2), TINY)
     assert rep.evals > 0
     assert abs(rep.value - math.log(2.0)) < 1e-6
+
+
+def _binary_entropy(p):
+    p = np.clip(np.asarray(p, dtype=float), 1e-300, 1.0)
+    q = np.clip(1.0 - p, 1e-300, 1.0)
+    return -(p * np.log(p) + q * np.log(q))
+
+
+def _amplitude_damping_holevo_capacity(gamma: float) -> float:
+    """max_p h((1-gamma) p) - h((1 + r(p)) / 2): two equiprobable pure states with
+    excited population p and opposite coherences (Giovannetti-Fazio, PRA 71, 032314)."""
+    eta = 1.0 - gamma
+    p = np.linspace(0.0, 1.0, 200001)
+    r = np.sqrt((1.0 - 2.0 * eta * p) ** 2 + 4.0 * eta * p * (1.0 - p))
+    return float(np.max(_binary_entropy(eta * p) - _binary_entropy(np.minimum(1.0, (1.0 + r) / 2.0))))
+
+
+def _check_ensemble(rep, ch):
+    state = rep.maximizer["state"]
+    weights, components = rep.maximizer["weights"], rep.maximizer["components"]
+    assert abs(float(np.sum(weights)) - 1.0) < 1e-12
+    rebuilt = sum(w * c for w, c in zip(weights, components))
+    assert np.max(np.abs(rebuilt - state)) < 1e-8
+    assert abs(holevo_bound(weights, components, ch) - rep.value) < 1e-9
+
+
+def test_pseudo_capacity_reaches_the_amplitude_damping_holevo_capacity():
+    holevo = _amplitude_damping_holevo_capacity(0.3)
+    assert abs(holevo - 0.442456) < 1e-6
+    ch = amplitude_damping_channel(0.3)
+    budget = SearchBudget(restarts=2, max_evals=480, seed=5)
+    rep = pseudo_capacity(ch, StateFamily("full", 2), 2, budget)
+    assert holevo - 1e-3 < rep.value <= holevo + 1e-9
+    assert rep.value > rep.notes["quantum_capacity"] + 5e-3  # the split search won
+    _check_ensemble(rep, ch)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.6])
+def test_pseudo_capacity_of_qubit_depolarizing_is_closed_form(p):
+    ch = depolarizing_channel(p, 2)
+    rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
+    assert abs(rep.value - (math.log(2.0) - float(_binary_entropy(p / 2)))) < 1e-6
+    _check_ensemble(rep, ch)
+
+
+@pytest.mark.parametrize(
+    "family, ch",
+    [
+        (StateFamily("rank", 3, 2), depolarizing_channel(0.2, 3)),
+        (StateFamily("rank", 2, 1), amplitude_damping_channel(0.3)),
+        (StateFamily("diagonal", 2), amplitude_damping_channel(0.3)),
+        (StateFamily("diagonal", 3), random_kraus_channel(3, 2, 2, rng_from(52))),
+    ],
+)
+def test_pseudo_capacity_lies_between_quantum_capacity_and_ln_d(family, ch):
+    rep = pseudo_capacity(ch, family, 2, TINY)
+    quantum = quantum_capacity(ch, family, TINY)
+    assert rep.notes["quantum_capacity"] == quantum.value
+    assert -1e-12 <= quantum.value <= rep.value <= math.log(family.dim) + 1e-12
+    _check_ensemble(rep, ch)
+
+
+def test_pseudo_capacity_reports_the_state_family_search_plus_the_flat_search(monkeypatch):
+    counted = []
+
+    def counting(objective, *args, **kwargs):
+        counted.append(0)
+
+        def wrapped(params):
+            counted[-1] += 1
+            return objective(params)
+
+        return maximize(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(capacity, "maximize", counting)
+    ch = amplitude_damping_channel(0.3)
+    rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
+    assert len(counted) == 2  # the quantum capacity's family search, then the flat search
+    assert counted[0] == quantum_capacity(ch, StateFamily("full", 2), TINY).evals
+    assert rep.evals == counted[0] + counted[1]
+
+
+@pytest.mark.parametrize("ch", [amplitude_damping_channel(0.3), depolarizing_channel(0.3, 2)])
+def test_flat_pseudo_search_starts_at_the_quantum_maximizer(monkeypatch, ch):
+    start_values = []
+
+    def recording(objective, n_params, budget, starts=(), **kwargs):
+        start_values.append([objective(s) for s in starts])
+        return maximize(objective, n_params, budget, starts=starts, **kwargs)
+
+    monkeypatch.setattr(capacity, "maximize", recording)
+    rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
+    # Two components carry the qubit maximizer's whole Ohya decomposition.
+    assert abs(start_values[-1][0] - rep.notes["quantum_capacity"]) < 1e-12

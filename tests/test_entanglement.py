@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmi.channels import identity_channel
+from qmi.channels import apply_matrix, identity_channel
 from qmi.entanglement import (
     EntanglingOperator,
     class_mutual_and_capacity,
@@ -216,6 +216,15 @@ def test_rank_deficient_hierarchy_reaches_double_entropy():
     assert levels["c"].value <= levels["d"].value + 1e-9
     assert levels["d"].value <= levels["q"].value + 1e-9
     assert abs(levels["q"].value - TWICE_S_7030) < 1e-6
+
+
+def test_q_never_exceeds_twice_the_smaller_entropy():
+    # The ray steps once stopped where the compound had an eigenvalue of -1e-10,
+    # and q came out as 2 S(rho) + 1e-10 here. Only PSD compounds are scored now.
+    m = np.diag([0.7, 0.3, 0.0]).astype(complex)
+    ch = identity_channel(3)
+    q = qdc_hierarchy(DensityOperator(m), ch, TINY)["q"].value
+    assert q <= 2 * min(von_neumann_entropy(m), von_neumann_entropy(apply_matrix(ch, m)))
 
 
 def test_fixed_state_hierarchy_surveys_once(monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 
 from qmi.channels import _square_root_povm, apply_matrix, depolarizing_channel
 from qmi.entanglement import (
-    PSD_STEP_TOL,
     _assemble_direction,
     _candidate_direction,
     _RayScorer,
@@ -19,6 +18,7 @@ from qmi.mutual import (
     _MutualEvaluator,
     _pseudo_search,
     _sqrt_psd,
+    _transmit,
     _transmitted,
     mutual_entropy_fixed,
     ohya_mutual_entropy,
@@ -84,11 +84,18 @@ def _hermitian_loop(p, m):
     return h
 
 
+# eigvalsh resolves the compounds' smallest eigenvalue to about 1e-16, so the
+# bisection's PSD test accepts down to -1e-14; on the test rays, whose
+# smallest eigenvalue falls with slope 0.1 or steeper, that moves the
+# crossing by at most about 1e-13.
+BISECTION_FLOOR = 1e-14
+
+
 def _bisection_step(theta_d, x, cap=64.0):
-    """Largest t keeping theta_d + t x PSD within PSD_STEP_TOL, by bisection."""
+    """Largest t keeping theta_d + t x PSD (within BISECTION_FLOOR), by bisection."""
 
     def feasible(t):
-        return float(np.min(np.linalg.eigvalsh(theta_d + t * x))) >= -PSD_STEP_TOL
+        return float(np.min(np.linalg.eigvalsh(theta_d + t * x))) >= -BISECTION_FLOOR
 
     lo, hi = 0.0, 1.0
     while feasible(hi) and hi < cap:
@@ -133,7 +140,7 @@ def test_evaluator_scores_nonorthogonal_splits():
             lam * umegaki_relative_entropy(apply_matrix(ch, s / lam), out_avg)
             for lam, s in zip(lams, sigmas)
         )
-        got = ev.score(lams, ev.transmit(sigmas) / lams[:, None, None])
+        got = ev.score(lams, _transmit(ev.kraus, sigmas) / lams[:, None, None])
         assert abs(got - reference) < 1e-10
 
 
@@ -188,13 +195,21 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
         for x in directions:
             exact = scorer.max_step(x)
             reference = _bisection_step(theta_d, x)
-            # A direction leaving the support of a rank-deficient theta_d has a
-            # step near PSD_STEP_TOL; there eigvalsh's 1e-17 resolution moves the
-            # bisection's crossing by up to about 1e-16, hence the absolute floor.
-            assert abs(exact - reference) <= 1e-9 * reference + 1e-15
+            # A direction leaving the support of a rank-deficient theta_d has no
+            # PSD step; the bisection's floor lets it reach about 1e-13, hence
+            # the absolute term.
+            assert abs(exact - reference) <= 1e-9 * reference + 1e-13
+            if reference <= 1e-12:
+                # No PSD step: exactly 0, never a rounding-sized step of either sign.
+                assert exact == 0.0
+            # The step never passes the PSD boundary beyond eigvalsh's resolution.
+            assert float(np.min(np.linalg.eigvalsh(theta_d + exact * x))) >= -1e-15
             got = scorer.value(x)
-            expected = _ray_value_reference(theta_d, x, rho.matrix, out_avg)
-            assert abs(got - expected) < 1e-9
+            if exact == 0.0:
+                assert got == -math.inf  # no PSD step: the ray scores nothing
+            else:
+                expected = _ray_value_reference(theta_d, x, rho.matrix, out_avg)
+                assert abs(got - expected) < 1e-9
             sizes.append(exact)
     assert len(sizes) == 5 * len(cases)
     assert sum(t > 1e-3 for t in sizes) >= len(cases) + 1  # candidates and full-rank rays
@@ -219,7 +234,7 @@ def _pseudo_reference(rho, ch, n_components, budget):
         lams, sigmas = split(params)
         keep = lams > 1e-12
         lams = lams[keep]
-        return evaluator.score(lams, evaluator.transmit(sigmas[keep]) / lams[:, None, None])
+        return evaluator.score(lams, _transmit(evaluator.kraus, sigmas[keep]) / lams[:, None, None])
 
     n_params = n_components * 2 * dim * dim
     dec = baseline.decomposition
@@ -264,7 +279,7 @@ def test_pseudo_search_matches_the_ohya_baseline_path(spectrum):
         for a, b in zip(got.components, expected.components):
             assert np.array_equal(a, b)
         assert (got.evals, got.converged) == (expected.evals, expected.converged)
-        # The capacity objective's value: the same search, floored by the
+        # The unvalidated core alone: the same search, floored by the
         # evaluator's baseline value instead of the dual-route checked one.
         baseline, result, _ = _pseudo_search(rho.matrix, ch, n_components, budget)
         assert abs(max(result.value, baseline.value) - expected.value) < 1e-12
