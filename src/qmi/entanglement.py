@@ -36,6 +36,7 @@ from .entropy import (
 )
 from .mutual import (
     CompoundState,
+    _check_dims,
     _compound_matrix,
     _MutualEvaluator,
     _transmitted,
@@ -55,7 +56,7 @@ from .operators import (
     schatten_family,
     unitary_from_params,
 )
-from .search import SearchBudget, complex_from_params, maximize, softmax
+from .search import SearchBudget, SearchResult, complex_from_params, maximize, softmax
 
 NORMALIZATION_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -402,6 +403,8 @@ def q_entropy_sup(
     entanglement (the supremum point for the full algebra) is the search
     start, so the result never falls below it.
     """
+    if n_terms < 1:
+        raise ValueError("need at least one term")
     budget = search or SearchBudget()
     s = sigma if isinstance(sigma, DensityOperator) else DensityOperator(np.asarray(sigma, complex))
     k = s.dim
@@ -453,9 +456,42 @@ def conditional_and_degree(compound) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _DecRecord:
+    """One scored Schatten decomposition: its state matrix and parameters."""
+
     value: float
     commute_defect: float
+    rho_mat: np.ndarray
     params: np.ndarray
+
+    @property
+    def key(self) -> tuple[float, float]:
+        return (self.value, -self.commute_defect)
+
+
+class _BestRecords:
+    """The running best decomposition (d) and best commuting one (c) of a search.
+
+    Non-finite values are skipped. Records rank by (value, -commute_defect),
+    and a record replaces the best only when its key is strictly greater, so
+    the first maximum is kept.
+    """
+
+    def __init__(self):
+        self.d: _DecRecord | None = None
+        self.c: _DecRecord | None = None
+
+    def offer(self, value: float, commute_defect: float, rho_mat: np.ndarray, params: np.ndarray):
+        if not math.isfinite(value):
+            return
+        key = (value, -commute_defect)
+        beats_d = self.d is None or key > self.d.key
+        beats_c = commute_defect <= COMMUTE_TOL and (self.c is None or key > self.c.key)
+        if beats_d or beats_c:
+            record = _DecRecord(value, commute_defect, rho_mat, np.array(params, dtype=float))
+            if beats_d:
+                self.d = record
+            if beats_c:
+                self.c = record
 
 
 def _commutation_defect(outputs) -> float:
@@ -472,31 +508,18 @@ def _commutation_defect(outputs) -> float:
 
 
 def _survey_decompositions(
-    rho_mat: np.ndarray, ch: KrausChannel, budget: SearchBudget
-) -> tuple[list[_DecRecord], bool, int]:
-    """Search Schatten decompositions, recording value and commutation defect."""
+    rho_mat: np.ndarray, ch: KrausChannel, budget: SearchBudget, best: _BestRecords
+) -> SearchResult:
+    """Search the Schatten decompositions of rho_mat, offering each one to `best`."""
     evaluator = _MutualEvaluator(rho_mat, ch)
-    records: list[_DecRecord] = []
 
     def evaluate(params: np.ndarray) -> float:
         outputs = evaluator.outputs(params)
         value = evaluator.score(evaluator.weights, outputs)
-        records.append(_DecRecord(value, _commutation_defect(outputs), np.array(params, dtype=float)))
+        best.offer(value, _commutation_defect(outputs), rho_mat, params)
         return value
 
-    result = evaluator.supremum(budget, evaluate)
-    return records, result.converged, result.evals
-
-
-def _best_record(records: list[_DecRecord], commuting_only: bool) -> _DecRecord | None:
-    pool = [
-        r
-        for r in records
-        if math.isfinite(r.value) and (not commuting_only or r.commute_defect <= COMMUTE_TOL)
-    ]
-    if not pool:
-        return None
-    return max(pool, key=lambda r: (r.value, -r.commute_defect))
+    return evaluator.supremum(budget, evaluate)
 
 
 def _direction_param_count(g: int, k: int, fix_output_blocks: bool) -> int:
@@ -553,8 +576,10 @@ def _assemble_direction(
 def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int) -> np.ndarray | None:
     """Coherence between the leading output eigenvectors of each component.
 
-    Under the identity channel this ray passes through the standard
-    entanglement of the input state at its feasibility boundary.
+    Each block is made traceless, as in `_assemble_direction`, so the ray
+    keeps the input marginal when the leading eigenvectors overlap. Under
+    the identity channel they are orthogonal, and the ray passes through
+    the standard entanglement of the input state at its feasibility boundary.
     """
     g = dec.size
     if g < 2:
@@ -569,7 +594,8 @@ def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int
             if n == m:
                 continue
             scale = math.sqrt(max(dec.weights[n] * dec.weights[m], 0.0))
-            blocks[n, m] = scale * np.outer(leads[n], leads[m].conj())
+            b = np.outer(leads[n], leads[m].conj())
+            blocks[n, m] = scale * (b - (np.trace(b) / k) * np.eye(k))
     x = _in_input_frame(dec, blocks)
     norm = float(np.linalg.norm(x))
     return None if norm <= 1e-12 else x
@@ -679,64 +705,62 @@ def _q_value(
 
 
 def _class_reports(
-    rho_mat: np.ndarray,
+    rho: DensityOperator | None,
     ch: KrausChannel,
     tags: tuple[str, ...],
     budget: SearchBudget,
     fix_output_blocks: bool,
 ) -> dict[str, CapacityReport]:
-    """The requested class values at a fixed (already valid) state matrix,
-    all from one decomposition survey."""
-    records, converged, evals = _survey_decompositions(rho_mat, ch, budget)
-    best_d = _best_record(records, commuting_only=False)
-    if best_d is None:
+    """The requested class values at rho, or their capacities when rho is None,
+    all read from the records of one search."""
+    best = _BestRecords()
+    if rho is None:
+        inner = budget.child(5)
+        result, _ = StateFamily("full", ch.in_dim).supremum(
+            lambda m: _survey_decompositions(m, ch, inner, best).value, budget
+        )
+    else:
+        _check_dims(rho.dim, ch)
+        inner = budget
+        result = _survey_decompositions(rho.matrix, ch, budget, best)
+    if best.d is None:
         raise ConsistencyError("no finite decomposition value found")
     checked = {}
 
-    def checked_value(record: _DecRecord) -> tuple[SchattenDecomposition, float]:
+    def checked_record(record: _DecRecord) -> tuple[DensityOperator, SchattenDecomposition, float]:
         if id(record) not in checked:
-            dec = schatten_family(rho_mat, record.params)
-            checked[id(record)] = dec, float(mutual_entropy_fixed(rho_mat, ch, dec).value)
+            state = rho if rho is not None else DensityOperator(record.rho_mat)
+            dec = schatten_family(state, record.params)
+            checked[id(record)] = state, dec, float(mutual_entropy_fixed(state, ch, dec).value)
         return checked[id(record)]
+
+    def report(tag: str, record: _DecRecord, evals: int, value: float | None = None, **notes) -> CapacityReport:
+        state, dec, checked_value = checked_record(record)
+        return CapacityReport(
+            value=checked_value if value is None else value,
+            converged=result.converged,
+            evals=evals,
+            maximizer={"state": state.matrix, "decomposition": dec},
+            notes={"class": tag, "feasible": True, **notes},
+        )
 
     reports = {}
     if "c" in tags:
-        best_c = _best_record(records, commuting_only=True)
-        if best_c is None:
+        if best.c is None:
             reports["c"] = CapacityReport(
                 value=0.0,
-                converged=converged,
-                evals=evals,
+                converged=result.converged,
+                evals=result.evals,
                 notes={"class": "c", "feasible": False},
             )
         else:
-            dec, value = checked_value(best_c)
-            reports["c"] = CapacityReport(
-                value=value,
-                converged=converged,
-                evals=evals,
-                maximizer={"decomposition": dec},
-                notes={"class": "c", "feasible": True, "commute_defect": best_c.commute_defect},
-            )
-    if "d" in tags or "q" in tags:
-        dec, value = checked_value(best_d)
-        if "d" in tags:
-            reports["d"] = CapacityReport(
-                value=value,
-                converged=converged,
-                evals=evals,
-                maximizer={"decomposition": dec},
-                notes={"class": "d", "feasible": True},
-            )
-        if "q" in tags:
-            q, ray_evals = _q_value(rho_mat, ch, dec, value, budget, fix_output_blocks)
-            reports["q"] = CapacityReport(
-                value=float(q),
-                converged=converged,
-                evals=evals + ray_evals,
-                maximizer={"decomposition": dec},
-                notes={"class": "q", "feasible": True, "diagonal_value": value},
-            )
+            reports["c"] = report("c", best.c, result.evals, commute_defect=best.c.commute_defect)
+    if "d" in tags:
+        reports["d"] = report("d", best.d, result.evals)
+    if "q" in tags:
+        state, dec, value = checked_record(best.d)
+        q, ray_evals = _q_value(state.matrix, ch, dec, value, inner, fix_output_blocks)
+        reports["q"] = report("q", best.d, result.evals + ray_evals, float(q), diagonal_value=value)
     return reports
 
 
@@ -754,32 +778,15 @@ def class_mutual_and_capacity(
     compounds); c restricts to decompositions whose channel outputs commute
     pairwise, reporting feasible=False when none were found; q additionally
     perturbs the best diagonal compound along marginal-preserving rays with
-    off-diagonal blocks. By construction c <= d <= q at any fixed rho.
-    `fix_output_blocks=False` also releases the diagonal blocks of the q
-    perturbation, keeping only the two marginals pinned.
+    off-diagonal blocks. `fix_output_blocks=False` also releases the diagonal
+    blocks of the q perturbation, keeping only the two marginals pinned.
+    The value is the one `qdc_hierarchy` reports for the class, from the same
+    search; only q runs the ray search.
     """
-    budget = search or SearchBudget()
     tag = cls.tag if isinstance(cls, EntanglementClass) else str(cls)
     if tag not in ("q", "d", "c"):
         raise ValueError(f"unknown class tag {tag!r}")
-    if rho is not None:
-        return _class_reports(rho.matrix, ch, (tag,), budget, fix_output_blocks)[tag]
-
-    inner = budget.child(5)
-
-    def value(r: np.ndarray) -> float:
-        rep = _class_reports(r, ch, (tag,), inner, fix_output_blocks)[tag]
-        return rep.value if rep.notes.get("feasible", True) else -math.inf
-
-    result, state = StateFamily("full", ch.in_dim).supremum(value, budget)
-    feasible = math.isfinite(result.value)
-    return CapacityReport(
-        value=result.value if feasible else 0.0,
-        converged=result.converged,
-        evals=result.evals,
-        maximizer={"state": state.matrix if feasible and state is not None else None},
-        notes={"class": tag, "feasible": feasible},
-    )
+    return _class_reports(rho, ch, (tag,), search or SearchBudget(), fix_output_blocks)[tag]
 
 
 def qdc_hierarchy(
@@ -788,43 +795,18 @@ def qdc_hierarchy(
     search: SearchBudget | None = None,
     fix_output_blocks: bool = True,
 ) -> dict[str, CapacityReport]:
-    """All three class-constrained values, ordered c <= d <= q structurally.
+    """All three class-constrained values, ordered c <= d <= q by construction.
 
-    At fixed rho the three reports share one decomposition survey. For the
-    capacities (rho None) each class runs its own input search and is then
-    floored by re-evaluating at every class's maximizing input, which keeps
-    the chain monotone across independent searches.
+    At fixed rho one decomposition survey feeds a running best record (d)
+    and a best record among decompositions with commuting outputs (c); q
+    steps along rays out of the d record's diagonal compound and never falls
+    below it. For the capacities (rho None) one search over the `full`
+    state family scores each state by its survey's best d value on
+    `search.child(5)`, every survey feeding the same two records: d and q
+    come from the best d record (the ray search on the child budget) and c
+    from the best commuting record over all states visited. Each reported
+    record is validated once, its value recomputed by `mutual_entropy_fixed`.
+    `evals` counts the objective calls of the outermost search (the survey
+    at fixed rho, the state search otherwise), plus the ray search's for q.
     """
-    budget = search or SearchBudget()
-    tags = ("c", "d", "q")
-    if rho is not None:
-        return _class_reports(rho.matrix, ch, tags, budget, fix_output_blocks)
-
-    reports = {
-        tag: class_mutual_and_capacity(None, ch, tag, budget, fix_output_blocks)
-        for tag in tags
-    }
-    states = [
-        rep.maximizer["state"]
-        for rep in reports.values()
-        if rep.maximizer.get("state") is not None
-    ]
-    inner = budget.child(5)
-    floors = [_class_reports(state, ch, tags, inner, fix_output_blocks) for state in states]
-    out = {}
-    for tag in tags:
-        base = reports[tag]
-        value, feasible = base.value, base.notes.get("feasible", True)
-        for floor in floors:
-            rep = floor[tag]
-            if rep.notes.get("feasible", True) and rep.value > value:
-                value = rep.value
-                feasible = True
-        out[tag] = CapacityReport(
-            value=value,
-            converged=base.converged,
-            evals=base.evals,
-            maximizer=base.maximizer,
-            notes={"class": tag, "feasible": feasible},
-        )
-    return out
+    return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)

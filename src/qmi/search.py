@@ -127,7 +127,6 @@ def maximize(
     n_params: int,
     budget: SearchBudget,
     starts=(),
-    scale: float = 1.0,
 ) -> SearchResult:
     """Maximize objective(params) over R^n_params under the given budget.
 
@@ -167,7 +166,7 @@ def maximize(
             x0 = starts[k]
         else:
             rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,)))
-            x0 = rng.normal(size=n_params) * scale
+            x0 = rng.normal(size=n_params)
         converged |= _nelder_mead(neg, x0, budget.max_evals, 1e-8, max(budget.tol * 0.1, 1e-12))
     return SearchResult(
         value=best["value"], params=best["params"], converged=converged, evals=best["evals"]

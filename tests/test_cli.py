@@ -249,6 +249,33 @@ def test_qdc_command_handles_rank_deficient_states(tmp_path):
     assert abs(results["q"]["nats"] - 1.221728604109787) < 1e-6
 
 
+def test_qdc_command_reports_capacities_without_a_state(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "channel": {"kind": "identity", "dim": 2},
+            "budget": {"restarts": 2, "max_evals": 12},
+        },
+    )
+    code, text = _run(tmp_path, ["qdc", "--config", cfg])
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert results["c"]["nats"] <= results["d"]["nats"] <= results["q"]["nats"]
+    assert abs(results["d"]["nats"] - math.log(2.0)) < 1e-6
+    assert abs(results["q"]["nats"] - 2 * math.log(2.0)) < 1e-6
+
+
+def test_qdc_command_rejects_mismatched_channel(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {"state": [[0.6, 0.0], [0.0, 0.4]], "channel": {"kind": "identity", "dim": 3}},
+    )
+    assert main(["qdc", "--config", cfg]) == 1
+    assert "state dimension 2 does not match the channel input dimension 3" in capsys.readouterr().err
+
+
 def test_mismatched_channel_exits_one(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmi.channels import apply_matrix, identity_channel
+from qmi.channels import amplitude_damping_channel, apply_matrix, identity_channel
 from qmi.entanglement import (
     EntanglingOperator,
     class_mutual_and_capacity,
@@ -247,3 +247,77 @@ def test_fixed_state_hierarchy_surveys_once(monkeypatch):
     for tag, rep in levels.items():
         assert type(rep.value) is float
         assert rep.value == class_mutual_and_capacity(rho, ch, tag, TINY).value
+
+
+def test_hierarchy_rejects_mismatched_dimensions():
+    rho = DensityOperator(np.diag([0.6, 0.4]))
+    ch = identity_channel(3)
+    message = "state dimension 2 does not match the channel input dimension 3"
+    with pytest.raises(ValueError, match=message):
+        qdc_hierarchy(rho, ch, TINY)
+    with pytest.raises(ValueError, match=message):
+        class_mutual_and_capacity(rho, ch, "d", TINY)
+
+
+def test_q_entropy_sup_needs_a_term():
+    with pytest.raises(ValueError, match="need at least one term"):
+        q_entropy_sup(maximally_mixed(2), TINY, n_terms=0)
+
+
+def test_capacities_at_identity_channel():
+    levels = qdc_hierarchy(None, identity_channel(2), TINY)
+    assert abs(levels["c"].value - math.log(2.0)) < 1e-6
+    assert abs(levels["d"].value - math.log(2.0)) < 1e-6
+    assert abs(levels["q"].value - 2 * math.log(2.0)) < 1e-6
+
+
+def _capacity_channels():
+    rng = rng_from(72)
+    return [amplitude_damping_channel(0.3)] + [random_kraus_channel(2, 2, 2, rng) for _ in range(2)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_capacity_classes_are_ordered(index):
+    ch = _capacity_channels()[index]
+    levels = qdc_hierarchy(None, ch, TINY)
+    assert levels["c"].value <= levels["d"].value <= levels["q"].value
+    for rep in levels.values():
+        if rep.notes["feasible"]:
+            state = DensityOperator(rep.maximizer["state"])
+            assert np.allclose(rep.maximizer["decomposition"].reconstruct(), state.matrix, atol=1e-8)
+
+
+def test_single_class_capacity_matches_hierarchy():
+    ch = amplitude_damping_channel(0.3)
+    levels = qdc_hierarchy(None, ch, TINY)
+    for tag, rep in levels.items():
+        assert class_mutual_and_capacity(None, ch, tag, TINY).value == rep.value
+
+
+def test_capacity_hierarchy_searches_states_once(monkeypatch):
+    import qmi.capacity
+    import qmi.search
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return qmi.search.maximize(*args, **kwargs)
+
+    monkeypatch.setattr(qmi.capacity, "maximize", counting)  # StateFamily.supremum's maximize
+    levels = qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY)
+    assert calls == [8]  # one search over full-rank qubit states
+    assert levels["c"].evals == levels["d"].evals <= levels["q"].evals
+
+
+def test_q_stays_within_the_entropy_bound_on_random_channels():
+    # The leading output eigenvectors of a general channel overlap; a candidate
+    # ray built from them without removing the block traces moved the input
+    # marginal, and q was scored at up to 2 min(S(rho), S(ch(rho))) + 0.05.
+    rng = rng_from(73)
+    rho = maximally_mixed(2)
+    for _ in range(4):
+        ch = random_kraus_channel(2, 2, 2, rng)
+        q = qdc_hierarchy(rho, ch, TINY)["q"].value
+        out = apply_matrix(ch, rho.matrix)
+        assert q <= 2 * min(von_neumann_entropy(rho.matrix), von_neumann_entropy(out)) + 1e-12

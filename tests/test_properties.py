@@ -1,4 +1,5 @@
-"""Property tests over random channels: the capacity ordering and seed determinism."""
+"""Property tests over random channels: the capacity ordering, seed determinism
+and the q/d/c bounds at fixed states."""
 
 import math
 
@@ -10,7 +11,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qmi.capacity import StateFamily, pseudo_capacity  # noqa: E402
-from qmi.sampling import random_kraus_channel, rng_from  # noqa: E402
+from qmi.channels import apply_matrix  # noqa: E402
+from qmi.entanglement import qdc_hierarchy  # noqa: E402
+from qmi.entropy import von_neumann_entropy  # noqa: E402
+from qmi.operators import DensityOperator  # noqa: E402
+from qmi.sampling import random_kraus_channel, random_unitary, rng_from  # noqa: E402
 from qmi.search import SearchBudget  # noqa: E402
 
 
@@ -37,3 +42,43 @@ def test_capacity_chain_and_seed_determinism(problem):
     again = pseudo_capacity(ch, family, 2, budget)
     assert (again.value, again.evals, again.notes) == (first.value, first.evals, first.notes)
     assert np.array_equal(again.maximizer["state"], first.maximizer["state"])
+
+
+@st.composite
+def hierarchy_problems(draw):
+    """A random qubit/qutrit channel, an input state and a small budget.
+
+    The state's spectrum is generic, degenerate (two equal eigenvalues) or
+    rank-deficient (one zero eigenvalue), in a random eigenbasis.
+    """
+    d_in = draw(st.sampled_from([2, 3]))
+    d_out = draw(st.sampled_from([2, 3]))
+    n_ops = draw(st.integers(min_value=-(-d_in // d_out), max_value=3))
+    rng = rng_from(draw(st.integers(0, 2**31 - 1)))
+    ch = random_kraus_channel(d_in, d_out, n_ops, rng)
+    w = rng.uniform(0.1, 1.0, size=d_in)
+    spectrum = draw(st.sampled_from(["generic", "degenerate", "rank-deficient"]))
+    if spectrum == "degenerate":
+        w[1] = w[0]
+    elif spectrum == "rank-deficient":
+        w[-1] = 0.0
+    u = random_unitary(d_in, rng)
+    m = (u * (w / w.sum())) @ u.conj().T
+    rho = DensityOperator((m + m.conj().T) / 2)
+    budget = SearchBudget(restarts=2, max_evals=12, seed=draw(st.integers(1, 2**31 - 1)))
+    return rho, ch, budget
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(hierarchy_problems())
+def test_class_values_within_entropy_bounds(problem):
+    rho, ch, budget = problem
+    levels = qdc_hierarchy(rho, ch, budget)
+    c, d, q = (levels[t].value for t in ("c", "d", "q"))
+    bound = min(von_neumann_entropy(rho.matrix), von_neumann_entropy(apply_matrix(ch, rho.matrix)))
+    assert -1e-12 <= d <= bound + 1e-12
+    assert d <= q <= 2 * bound + 1e-12
+    if levels["c"].notes["feasible"]:
+        assert c <= d
+    else:
+        assert c == 0.0
