@@ -751,6 +751,7 @@ def _class_reports(
                 value=0.0,
                 converged=result.converged,
                 evals=result.evals,
+                maximizer={"state": None, "decomposition": None},
                 notes={"class": "c", "feasible": False},
             )
         else:
@@ -776,7 +777,8 @@ def class_mutual_and_capacity(
 
     The d class searches the Schatten decompositions of rho (the diagonal
     compounds); c restricts to decompositions whose channel outputs commute
-    pairwise, reporting feasible=False when none were found; q additionally
+    pairwise, reporting feasible=False, value 0 and a maximizer whose state
+    and decomposition are None when none were found; q additionally
     perturbs the best diagonal compound along marginal-preserving rays with
     off-diagonal blocks. `fix_output_blocks=False` also releases the diagonal
     blocks of the q perturbation, keeping only the two marginals pinned.

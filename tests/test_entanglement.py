@@ -287,6 +287,16 @@ def test_capacity_classes_are_ordered(index):
             assert np.allclose(rep.maximizer["decomposition"].reconstruct(), state.matrix, atol=1e-8)
 
 
+def test_every_class_report_carries_state_and_decomposition():
+    rng = rng_from(81)
+    ch = random_kraus_channel(2, 2, 2, rng)
+    levels = qdc_hierarchy(random_density(2, rng), ch, SearchBudget(1, 8, seed=1))
+    assert not levels["c"].notes["feasible"]  # generic outputs of a nondegenerate qubit rho
+    assert levels["c"].maximizer == {"state": None, "decomposition": None}
+    for rep in levels.values():
+        assert set(rep.maximizer) == {"state", "decomposition"}
+
+
 def test_single_class_capacity_matches_hierarchy():
     ch = amplitude_damping_channel(0.3)
     levels = qdc_hierarchy(None, ch, TINY)

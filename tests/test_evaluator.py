@@ -85,10 +85,10 @@ def _hermitian_loop(p, m):
 
 
 # eigvalsh resolves the compounds' smallest eigenvalue to about 1e-16, so the
-# bisection's PSD test accepts down to -1e-14; on the test rays, whose
-# smallest eigenvalue falls with slope 0.1 or steeper, that moves the
-# crossing by at most about 1e-13.
-BISECTION_FLOOR = 1e-14
+# bisection's PSD test accepts down to -1e-15; on the test rays, whose
+# smallest eigenvalue falls with slope 0.025 or steeper, that moves the
+# crossing by at most about 4e-14.
+BISECTION_FLOOR = 1e-15
 
 
 def _bisection_step(theta_d, x, cap=64.0):
@@ -195,14 +195,13 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
         for x in directions:
             exact = scorer.max_step(x)
             reference = _bisection_step(theta_d, x)
+            # A direction leaving the support of a rank-deficient theta_d has no
+            # PSD step; the bisection's floor lets it reach about 4e-14, hence
+            # the absolute term.
+            assert abs(exact - reference) <= 1e-9 * reference + 1e-13
             if reference <= 1e-12:
-                # A direction leaving the support of a rank-deficient theta_d has
-                # no PSD step; the bisection's floor lets it reach 1e-14 over the
-                # slope of lambda_min, up to about 4e-13 here. The closed form
-                # gives exactly 0, never a rounding-sized step of either sign.
+                # No PSD step: exactly 0, never a rounding-sized step of either sign.
                 assert exact == 0.0
-            else:
-                assert abs(exact - reference) <= 1e-9 * reference + 1e-13
             # The step never passes the PSD boundary beyond eigvalsh's resolution.
             assert float(np.min(np.linalg.eigvalsh(theta_d + exact * x))) >= -1e-15
             got = scorer.value(x)
