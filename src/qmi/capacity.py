@@ -18,16 +18,14 @@ import numpy as np
 from .channels import KrausChannel, Povm, _square_root_povm
 from .entropy import _entropy_rows
 from .mutual import (
-    DUAL_ROUTE_TOL,
-    RECONSTRUCTION_TOL,
     DualRouteValue,
     MutualResult,
+    _checked_ensemble,
     _MutualEvaluator,
     _povm_split,
     _projector_factors,
     _sqrt_psd,
     _transmit,
-    holevo_bound,
     ohya_mutual_entropy,
 )
 from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability
@@ -170,31 +168,48 @@ def _outcome_rows(p: np.ndarray) -> np.ndarray:
     return np.divide(p, total, out=p, where=total > 0)
 
 
-def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
-    """Shannon mutual information of input weights through transition rows, two ways.
+def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> float:
+    """sum_k lambda_k KL(W_k || lambda W) of input weights through transition rows.
 
-    `value` is sum_k lambda_k KL(W_k || lambda W), infinite when a row charges
-    an outcome the mixture does not; `cross_value` is
-    H(lambda W) - sum_k lambda_k H(W_k). Weights at or below 1e-15 drop out of
-    both. Disagreement beyond 1e-8 raises ConsistencyError.
+    Infinite when a row charges an outcome the mixture does not; weights at
+    or below 1e-15 drop out.
     """
     avg = (weights[:, None] * dists).sum(axis=0)
     keep = weights > 1e-15
     lam, dists = weights[keep], dists[keep]
     charged = dists > ZERO_TOL
     if (charged & (avg <= ZERO_TOL)).any():
-        kl_route = math.inf
-    else:
-        ratio = np.divide(dists, avg, out=np.ones_like(dists), where=charged)
-        kl_route = float((lam * (dists * np.log(ratio)).sum(axis=1)).sum())
-    entropies = _entropy_rows(np.vstack([dists, avg]))
-    shannon_route = float(entropies[-1]) - float((lam * entropies[:-1]).sum())
+        return math.inf
+    ratio = np.divide(dists, avg, out=np.ones_like(dists), where=charged)
+    return float((lam * (dists * np.log(ratio)).sum(axis=1)).sum())
+
+
+def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
+    """Shannon mutual information of input weights through transition rows, two ways.
+
+    `value` is `_cqc_kl`; `cross_value` is H(lambda W) - sum_k lambda_k H(W_k),
+    where weights at or below 1e-15 drop out too. Disagreement beyond 1e-8
+    raises ConsistencyError.
+    """
+    kl_route = _cqc_kl(weights, dists)
+    keep = weights > 1e-15
+    avg = (weights[:, None] * dists).sum(axis=0)
+    entropies = _entropy_rows(np.vstack([dists[keep], avg]))
+    shannon_route = float(entropies[-1]) - float((weights[keep] * entropies[:-1]).sum())
     result = DualRouteValue(value=kl_route, cross_value=shannon_route)
     if result.defect > 1e-8:
         raise ConsistencyError(
             f"cqc mutual-entropy routes disagree: {kl_route!r} vs {shannon_route!r}"
         )
     return result
+
+
+def _checked_cqc(value: float, weights: np.ndarray, dists: np.ndarray) -> float:
+    """`value`, once `_cqc_routes` at (weights, dists) has reproduced it within 1e-8."""
+    routes = _cqc_routes(weights, dists)
+    if abs(routes.value - value) > 1e-8:
+        raise ConsistencyError(f"cqc search reported {value!r}, its point scores {routes.value!r}")
+    return value
 
 
 class _CqcEvaluator:
@@ -346,24 +361,6 @@ def pseudo_capacity(
     )
 
 
-def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> dict:
-    """The validated state and ensemble of a split the search scored as `value`.
-
-    Checks the weights, each component, the reconstruction of rho within 1e-8
-    and `value` against chi from `holevo_bound` within DUAL_ROUTE_TOL.
-    """
-    state = DensityOperator(rho).matrix
-    weights = as_probability(lams / lams.sum())
-    components = tuple(DensityOperator(s / lam).matrix for s, lam in zip(sigmas, lams))
-    rebuilt = sum(w * c for w, c in zip(weights, components))
-    if np.max(np.abs(rebuilt - state)) > RECONSTRUCTION_TOL:
-        raise ConsistencyError("pseudo capacity ensemble does not rebuild its state within 1e-8")
-    chi = holevo_bound(weights, components, ch)
-    if abs(chi - value) > DUAL_ROUTE_TOL:
-        raise ConsistencyError(f"pseudo capacity routes disagree: {value!r} vs {chi!r}")
-    return {"state": state, "weights": weights, "components": components}
-
-
 def _pure_codes(params: np.ndarray, size: int, dim: int) -> np.ndarray | None:
     """Unit coding vectors as rows; None when one has norm below 1e-8."""
     v = _complex_stack(params, size, 1, dim)[:, 0]
@@ -411,11 +408,14 @@ def cqc_capacity(
     and decoding fixed; "coding" additionally frees the coded states;
     "full" also frees the decoding POVM. Each richer mode includes the
     poorer one's supremum as a candidate, so the chain is monotone. All
-    modes score the chain with one cached evaluator, dual-route checked at
-    every evaluation.
+    modes score the chain with one cached evaluator by the KL route alone.
+    Each search's reported point is dual-route checked once, when it sets the
+    value. `n_decoding` (default: `decoding`'s) counts "full"'s free outcomes.
     """
     if mode not in ("weights", "coding", "full"):
         raise ValueError(f"unknown cqc mode {mode!r}")
+    if n_decoding is not None and n_decoding < 1:
+        raise ValueError("need at least one decoding outcome")
     _check_chain_dims(coding, channel, decoding)
     states = np.stack([s.matrix for s in coding.states])
     return _cqc_search(
@@ -425,7 +425,7 @@ def cqc_capacity(
         mode,
         search or SearchBudget(),
         pure_coding,
-        n_decoding or decoding.n_outcomes,
+        decoding.n_outcomes if n_decoding is None else n_decoding,
     )
 
 
@@ -443,11 +443,11 @@ def _cqc_search(
         dists = evaluator.transitions(states)
 
         def objective(params):
-            return _cqc_routes(softmax(params), dists).value
+            return _cqc_kl(softmax(params), dists)
 
         result = maximize(objective, size, budget, starts=[np.zeros(size)])
         return CapacityReport(
-            value=result.value,
+            value=_checked_cqc(result.value, softmax(result.params), dists),
             converged=result.converged,
             evals=result.evals,
             maximizer={"weights": softmax(result.params)},
@@ -459,18 +459,21 @@ def _cqc_search(
     n_codes = size * (2 * dim if pure else 2 * dim * dim)
     out_dim = decoding.dim
 
-    def objective(params):
+    def transitions(params):
+        """W at the coding (and decoding) of params; None when a code has no norm."""
         codes = make_codes(params[size : size + n_codes], size, dim)
         if codes is None:
-            return -math.inf
+            return None
         if mode == "coding":
-            dists = evaluator.pure_transitions(codes) if pure else evaluator.transitions(codes)
-        else:
-            if pure:
-                codes = codes[:, :, None] * codes.conj()[:, None, :]
-            factors = _complex_stack(params[size + n_codes :], n_out, out_dim, out_dim)
-            dists = evaluator.decoded_transitions(codes, _square_root_povm(factors))
-        return _cqc_routes(softmax(params[:size]), dists).value
+            return evaluator.pure_transitions(codes) if pure else evaluator.transitions(codes)
+        if pure:
+            codes = codes[:, :, None] * codes.conj()[:, None, :]
+        factors = _complex_stack(params[size + n_codes :], n_out, out_dim, out_dim)
+        return evaluator.decoded_transitions(codes, _square_root_povm(factors))
+
+    def objective(params):
+        dists = transitions(params)
+        return -math.inf if dists is None else _cqc_kl(softmax(params[:size]), dists)
 
     starts = [np.zeros(size), _coding_params(states, pure)]
     if mode == "full":
@@ -478,6 +481,8 @@ def _cqc_search(
     notes = {"fixed_coding_value" if mode == "coding" else "fixed_decoding_value": floor.value}
     start = np.concatenate(starts)
     result = maximize(objective, start.size, budget, starts=[start])
+    if result.value > floor.value:
+        _checked_cqc(result.value, softmax(result.params[:size]), transitions(result.params))
     return CapacityReport(
         value=max(result.value, floor.value),
         converged=result.converged or floor.converged,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    HERMITICITY_TOL,
     PSD_TOL,
     DensityOperator,
     as_complex_matrix,
@@ -39,6 +38,8 @@ class KrausChannel:
         shape = None
         for k in self.ops:
             a = as_complex_matrix(k, "Kraus operator")
+            if 0 in a.shape:
+                raise ValueError(f"Kraus operator has a zero dimension, shape {a.shape}")
             if shape is None:
                 shape = a.shape
             elif a.shape != shape:
@@ -175,7 +176,7 @@ class Povm:
                 dim = a.shape[0]
             elif a.shape[0] != dim:
                 raise ValueError("effects have inconsistent dimensions")
-            if not is_hermitian(a, HERMITICITY_TOL):
+            if not is_hermitian(a):
                 raise ValueError("effect is not Hermitian within 1e-10")
             if float(np.min(np.linalg.eigvalsh(hermitian_part(a)))) < -PSD_TOL:
                 raise ValueError("effect has an eigenvalue below -1e-10")
@@ -232,7 +233,13 @@ def born_probabilities(povm: Povm, rho) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"channel dimension must be at least 1, got {dim}")
+
+
 def identity_channel(dim: int) -> KrausChannel:
+    _check_dim(dim)
     return KrausChannel((np.eye(dim, dtype=complex),))
 
 
@@ -251,6 +258,7 @@ def _shift_clock(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def depolarizing_channel(p: float, dim: int) -> KrausChannel:
     """rho -> (1-p) rho + p I/dim, via the shift/clock unitary basis."""
+    _check_dim(dim)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     if p == 0.0:

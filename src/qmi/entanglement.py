@@ -26,15 +26,9 @@ import numpy as np
 
 from .capacity import CapacityReport, StateFamily
 from .channels import KrausChannel, apply_matrix
-from .entropy import (
-    SUPPORT_TOL,
-    _eigen_amplitudes,
-    _entropy_rows,
-    _log_trace_in_eigenbasis,
-    product_relative_entropy,
-    von_neumann_entropy,
-)
+from .entropy import _entropy_rows, product_relative_entropy, von_neumann_entropy
 from .mutual import (
+    DUAL_ROUTE_TOL,
     CompoundState,
     _check_dims,
     _compound_matrix,
@@ -51,7 +45,6 @@ from .operators import (
     as_probability,
     eigenbasis,
     hermitian_from_params,
-    hermitian_part,
     partial_trace,
     schatten_family,
     unitary_from_params,
@@ -366,6 +359,14 @@ def entangled_mutual_entropy(compound) -> float:
     return value
 
 
+def _check_compound(theta: np.ndarray, left: DensityOperator, right: DensityOperator, value: float) -> None:
+    """Check a search's compound: a state with marginals left and right within 1e-8,
+    whose entangled mutual entropy is the search's `value` within DUAL_ROUTE_TOL."""
+    exact = entangled_mutual_entropy(CompoundState(DensityOperator(theta), left.dim, right.dim, left, right))
+    if abs(exact - value) > DUAL_ROUTE_TOL:
+        raise ConsistencyError(f"compound search scored {value!r}, its compound has {exact!r}")
+
+
 def q_entropy_closed_form(blocks) -> float:
     """Block-decomposition entropy sum_i (mu_i ln mu_i - 2 tr sigma_i ln sigma_i).
 
@@ -401,7 +402,9 @@ def q_entropy_sup(
     The family mixes purifications of sigma whose G side is rotated term by
     term; every member has output marginal sigma exactly, and the standard
     entanglement (the supremum point for the full algebra) is the search
-    start, so the result never falls below it.
+    start, so the result never falls below it. A member is scored as
+    S(tr_K theta) + S(sigma) - S(theta). The maximizer's compound is checked
+    once: its marginals, and its score against `entangled_mutual_entropy`.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
@@ -410,7 +413,6 @@ def q_entropy_sup(
     k = s.dim
     w, u = eigenbasis(s.matrix)
     m0 = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
-    sigma_mat = s.matrix
 
     def assemble(params: np.ndarray) -> np.ndarray:
         weights = softmax(params[:n_terms])
@@ -421,14 +423,16 @@ def q_entropy_sup(
             theta += weights[t] * np.outer(vec, vec.conj())
         return theta
 
+    s_sigma = von_neumann_entropy(s.matrix)
+
     def objective(params: np.ndarray) -> float:
         theta = assemble(params)
-        left = partial_trace(theta, (k, k), keep=0)
-        value = product_relative_entropy(theta, left, sigma_mat)
-        return -math.inf if math.isinf(value) else value
+        return von_neumann_entropy(partial_trace(theta, (k, k), keep=0)) + s_sigma - von_neumann_entropy(theta)
 
     n_params = n_terms + n_terms * k * k
     result = maximize(objective, n_params, budget, starts=[np.zeros(n_params)])
+    theta = assemble(result.params)
+    _check_compound(theta, DensityOperator(partial_trace(theta, (k, k), keep=0)), s, result.value)
     standard = entangled_mutual_entropy(standard_entanglement(s))
     closed = q_entropy_closed_form([(1.0, s)])
     return CapacityReport(
@@ -620,27 +624,18 @@ class _RayScorer:
     rounding of that 0) is taken as 0. A^{-1/2} x A^{-1/2} is formed in
     the eigenbasis of A: A's kernel eigenvalues are eps, and an explicit
     A^{-1/2} would mix entries of size eps^{-1/2} and 1, losing about eight
-    digits of the step. Each ray scores its four points by the relative
-    entropy against rho (x) ch(rho), with one batched eigvalsh for the joint
-    entropies and the eigenbases of rho and ch(rho) computed once; a point
-    with an eigenvalue below -ZERO_TOL is not a state and is not scored.
+    digits of the step. Every ray keeps both marginals of theta_d, rho and
+    ch(rho), so each of its four points scores S(rho) + S(ch(rho)) - S(theta)
+    from one batched eigvalsh, and nothing else is checked; a point with an
+    eigenvalue below -ZERO_TOL is not a state and is not scored. d_k, the
+    output dimension, is unused: the score takes no partial trace.
     """
 
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray, d_k: int):
         self.theta_d = theta_d
-        self.dims = (theta_d.shape[0] // d_k, d_k)
         w, self.frame = np.linalg.eigh(theta_d + PSD_STEP_TOL * np.eye(theta_d.shape[0]))
         self.inv_sqrt = 1.0 / np.sqrt(w) if w[0] > 0.0 else None  # of A's eigenvalues
-        self.left = np.linalg.eigh(hermitian_part(rho_mat))
-        self.right = np.linalg.eigh(hermitian_part(out_avg))
-        self.base = self._amplitudes(theta_d)
-
-    def _amplitudes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both marginals of t in the eigenbases of rho and ch(rho)."""
-        return (
-            _eigen_amplitudes(partial_trace(t, self.dims, keep=0), self.left[1]),
-            _eigen_amplitudes(partial_trace(t, self.dims, keep=1), self.right[1]),
-        )
+        self.marginal_entropy = von_neumann_entropy(rho_mat) + von_neumann_entropy(out_avg)
 
     def max_step(self, x: np.ndarray) -> float:
         """Largest t <= 64 with lambda_min(theta_d + t x) >= 0, to second order in eps."""
@@ -656,52 +651,54 @@ class _RayScorer:
         # step of either sign that moves theta_d by about 1e-16 or less.
         return step if step * float(np.linalg.norm(x)) > ZERO_TOL else 0.0
 
-    def value(self, x: np.ndarray) -> float:
+    def best(self, x: np.ndarray) -> tuple[float, float]:
+        """(value, step) of the ray's best scored point; (-inf, 0) when none is a state."""
         t_max = self.max_step(x)
         if t_max <= 0.0:
-            return -math.inf
+            return -math.inf, 0.0
         steps = t_max * _RAY_FRACTIONS
         eigs = np.linalg.eigvalsh(self.theta_d + steps[:, None, None] * x)
-        value = -_entropy_rows(eigs)
-        leaks = np.zeros(steps.size)
-        for (w, _), a0, a1 in zip((self.left, self.right), self.base, self._amplitudes(x)):
-            log_term, leak = _log_trace_in_eigenbasis(a0 + steps[:, None] * a1, w, ZERO_TOL)
-            value = value - log_term
-            leaks = np.maximum(leaks, leak)
-        feasible = value[(leaks <= SUPPORT_TOL) & (eigs[:, 0] >= -ZERO_TOL)]
-        return float(np.max(feasible)) if feasible.size else -math.inf
+        values = np.where(eigs[:, 0] >= -ZERO_TOL, self.marginal_entropy - _entropy_rows(eigs), -math.inf)
+        i = int(np.argmax(values))
+        return float(values[i]), float(steps[i])
+
+    def value(self, x: np.ndarray) -> float:
+        return self.best(x)[0]
 
 
 def _q_value(
-    rho_mat: np.ndarray,
+    rho: DensityOperator,
     ch: KrausChannel,
     dec: SchattenDecomposition,
     diagonal_value: float,
     budget: SearchBudget,
     fix_output_blocks: bool,
 ) -> tuple[float, int]:
-    """Perturb the best diagonal compound along marginal-preserving rays."""
+    """Perturb the best diagonal compound along marginal-preserving rays; a
+    ray that beats `diagonal_value` is checked at its best point, once."""
     outputs = _transmitted(ch, dec)
     k = ch.out_dim
-    scorer = _RayScorer(
-        _compound_matrix(dec, outputs), rho_mat, apply_matrix(ch, rho_mat), k
-    )
-    best = diagonal_value
+    out_avg = apply_matrix(ch, rho.matrix)
+    scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg, k)
+    best, best_ray, evals = diagonal_value, None, 0
     candidate = _candidate_direction(dec, outputs, k)
-    if candidate is not None:
-        best = max(best, scorer.value(candidate))
+    if candidate is not None and (value := scorer.value(candidate)) > best:
+        best, best_ray = value, candidate
     n_params = _direction_param_count(dec.size, k, fix_output_blocks)
-    if n_params == 0 or dec.size < 2:
-        return best, 0
+    if n_params and dec.size >= 2:
 
-    def objective(params: np.ndarray) -> float:
-        x = _assemble_direction(params, dec, k, fix_output_blocks)
-        return -math.inf if x is None else scorer.value(x)
+        def objective(params: np.ndarray) -> float:
+            x = _assemble_direction(params, dec, k, fix_output_blocks)
+            return -math.inf if x is None else scorer.value(x)
 
-    result = maximize(objective, n_params, budget.child(7), starts=())
-    if math.isfinite(result.value):
-        best = max(best, result.value)
-    return best, result.evals
+        result = maximize(objective, n_params, budget.child(7), starts=())
+        evals = result.evals
+        if result.value > best:
+            best, best_ray = result.value, _assemble_direction(result.params, dec, k, fix_output_blocks)
+    if best_ray is not None:
+        step = scorer.best(best_ray)[1]
+        _check_compound(scorer.theta_d + step * best_ray, rho, DensityOperator(out_avg), best)
+    return best, evals
 
 
 def _class_reports(
@@ -760,7 +757,7 @@ def _class_reports(
         reports["d"] = report("d", best.d, result.evals)
     if "q" in tags:
         state, dec, value = checked_record(best.d)
-        q, ray_evals = _q_value(state.matrix, ch, dec, value, inner, fix_output_blocks)
+        q, ray_evals = _q_value(state, ch, dec, value, inner, fix_output_blocks)
         reports["q"] = report("q", best.d, result.evals + ray_evals, float(q), diagonal_value=value)
     return reports
 

@@ -24,34 +24,30 @@ from .operators import (
 SUPPORT_TOL = 1e-9
 
 
-def _entropy_from_eigenvalues(w: np.ndarray, zero_tol: float) -> float:
-    lam = w[w > zero_tol]
+def _entropy_from_eigenvalues(w: np.ndarray) -> float:
+    lam = w[w > ZERO_TOL]
     return float(-np.sum(lam * np.log(lam)))
 
 
-def _entropy_rows(w: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def _entropy_rows(w: np.ndarray) -> np.ndarray:
     """Entropies of a stack of eigenvalue rows, one per leading index."""
-    support = w > zero_tol
+    support = w > ZERO_TOL
     return -np.sum(np.where(support, w * np.log(np.where(support, w, 1.0)), 0.0), axis=-1)
 
 
-def von_neumann_entropy(rho, zero_tol: float = ZERO_TOL) -> float:
+def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr rho ln rho over the support eigenvalues."""
     a = as_complex_matrix(rho, "rho")
     w = np.linalg.eigvalsh(hermitian_part(a))
-    return _entropy_from_eigenvalues(w, zero_tol)
+    return _entropy_from_eigenvalues(w)
 
 
-def umegaki_relative_entropy(
-    rho,
-    sigma,
-    zero_tol: float = ZERO_TOL,
-    support_tol: float = SUPPORT_TOL,
-) -> float:
+def umegaki_relative_entropy(rho, sigma) -> float:
     """S(rho, sigma) = tr rho (ln rho - ln sigma), +inf off-support.
 
-    The support condition is numerical: if rho puts more than support_tol
-    of its mass on the numerical kernel of sigma, the value is +inf.
+    The support condition is numerical: if rho puts more than SUPPORT_TOL
+    of its mass on the eigenvectors of sigma at or below ZERO_TOL, the
+    value is +inf.
     """
     a = as_complex_matrix(rho, "rho")
     b = as_complex_matrix(sigma, "sigma")
@@ -60,50 +56,30 @@ def umegaki_relative_entropy(
     ws, vs = np.linalg.eigh(hermitian_part(b))
     if float(np.min(ws)) < -PSD_TOL:
         raise ValueError(f"sigma has eigenvalue {np.min(ws):.3e}")
-    kernel = ws <= zero_tol
+    kernel = ws <= ZERO_TOL
     if np.any(kernel):
         vk = vs[:, kernel]
         leak = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, a, vk)))
-        if leak > support_tol:
+        if leak > SUPPORT_TOL:
             return math.inf
-    wr = np.linalg.eigvalsh(hermitian_part(a))
-    lam = wr[wr > zero_tol]
-    tr_rho_log_rho = float(np.sum(lam * np.log(lam)))
+    tr_rho_log_rho = -von_neumann_entropy(a)
     vsup = vs[:, ~kernel]
     log_sigma = (vsup * np.log(ws[~kernel])) @ vsup.conj().T
     tr_rho_log_sigma = float(np.real(np.trace(a @ log_sigma)))
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
-def _eigen_amplitudes(marginal: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Diagonal of each marginal (one per leading index) in the eigenbasis v."""
-    return np.real(np.einsum("ji,...jk,ki->...i", v.conj(), marginal, v))
-
-
-def _log_trace_in_eigenbasis(amps: np.ndarray, w: np.ndarray, zero_tol: float):
-    """(amps against ln w on the support, amplitude off the support), per row."""
-    keep = w > zero_tol
-    value = np.sum(amps[..., keep] * np.log(w[keep]), axis=-1)
-    leak = np.sum(np.clip(amps[..., ~keep], 0.0, None), axis=-1)
-    return value, leak
-
-
-def _log_trace_against(
-    marginal: np.ndarray, factor: np.ndarray, zero_tol: float
-) -> tuple[float, float]:
+def _log_trace_against(marginal: np.ndarray, factor: np.ndarray) -> tuple[float, float]:
     """(tr of marginal against ln factor on its support, mass off support)."""
     w, v = np.linalg.eigh(hermitian_part(factor))
-    value, leak = _log_trace_in_eigenbasis(_eigen_amplitudes(marginal, v), w, zero_tol)
+    amps = np.real(np.einsum("ji,jk,ki->i", v.conj(), marginal, v))
+    keep = w > ZERO_TOL
+    value = np.sum(amps[keep] * np.log(w[keep]))
+    leak = np.sum(np.clip(amps[~keep], 0.0, None))
     return float(value), float(leak)
 
 
-def product_relative_entropy(
-    theta,
-    left,
-    right,
-    zero_tol: float = ZERO_TOL,
-    support_tol: float = SUPPORT_TOL,
-) -> float:
+def product_relative_entropy(theta, left, right) -> float:
     """S(theta, left (x) right) using the factorized reference directly.
 
     The reference's support is classified factor by factor at the trace-one
@@ -119,26 +95,26 @@ def product_relative_entropy(
         raise ValueError(f"joint dimension {t.shape[0]} is not {d_g}*{d_k}")
     m_in = partial_trace(t, (d_g, d_k), keep=0)
     m_out = partial_trace(t, (d_g, d_k), keep=1)
-    log_left, leak_left = _log_trace_against(m_in, a, zero_tol)
-    log_right, leak_right = _log_trace_against(m_out, b, zero_tol)
-    if leak_left > support_tol or leak_right > support_tol:
+    log_left, leak_left = _log_trace_against(m_in, a)
+    log_right, leak_right = _log_trace_against(m_out, b)
+    if leak_left > SUPPORT_TOL or leak_right > SUPPORT_TOL:
         return math.inf
-    return -von_neumann_entropy(t, zero_tol) - log_left - log_right
+    return -von_neumann_entropy(t) - log_left - log_right
 
 
-def shannon_entropy(p, zero_tol: float = ZERO_TOL) -> float:
+def shannon_entropy(p) -> float:
     """H(p) = -sum p ln p."""
     v = as_probability(p)
-    return _entropy_from_eigenvalues(v, zero_tol)
+    return _entropy_from_eigenvalues(v)
 
 
-def kl_divergence(p, q, zero_tol: float = ZERO_TOL) -> float:
+def kl_divergence(p, q) -> float:
     """KL(p || q) = sum p ln(p/q), +inf when p charges a zero of q."""
     vp = as_probability(p)
     vq = as_probability(q)
     if vp.size != vq.size:
         raise ValueError(f"length mismatch {vp.size} vs {vq.size}")
-    mask = vp > zero_tol
-    if np.any(vq[mask] <= zero_tol):
+    mask = vp > ZERO_TOL
+    if np.any(vq[mask] <= ZERO_TOL):
         return math.inf
     return float(np.sum(vp[mask] * np.log(vp[mask] / vq[mask])))

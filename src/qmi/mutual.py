@@ -29,11 +29,10 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .operators import (
-    DEGENERACY_TOL,
-    ZERO_TOL,
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _block_param_count,
     _block_rotations,
     _support_blocks,
     as_complex_matrix,
@@ -46,6 +45,7 @@ from .search import SearchBudget, SearchResult, _complex_stack, maximize
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
 MARGINAL_TOL = 1e-8
+DIAGONAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,10 @@ class _MutualEvaluator:
     Nothing here is validated; the searches check their maximizer instead.
     """
 
-    def __init__(self, rho_mat: np.ndarray, ch: KrausChannel, degeneracy_tol: float = DEGENERACY_TOL):
-        self.weights, self.vectors, blocks = _support_blocks(rho_mat, degeneracy_tol, ZERO_TOL)
+    def __init__(self, rho_mat: np.ndarray, ch: KrausChannel):
+        self.weights, self.vectors, blocks = _support_blocks(rho_mat)
         self.blocks = [s for s in blocks if s.stop - s.start >= 2]
-        self.n_params = sum((s.stop - s.start) ** 2 for s in self.blocks)
+        self.n_params = sum(_block_param_count(s.stop - s.start) for s in self.blocks)
         self.kraus = np.stack(ch.ops)
         self.images = _images(self.kraus, self.vectors)
         self.out_entropy = von_neumann_entropy(apply_matrix(ch, rho_mat))
@@ -203,16 +203,13 @@ def compound_state(rho: DensityOperator, ch: KrausChannel, dec: SchattenDecompos
 
 
 def mutual_entropy_fixed(
-    rho: DensityOperator,
-    ch: KrausChannel,
-    dec: SchattenDecomposition,
-    consistency_tol: float = DUAL_ROUTE_TOL,
+    rho: DensityOperator, ch: KrausChannel, dec: SchattenDecomposition
 ) -> DualRouteValue:
     """Mutual entropy of one fixed decomposition, computed by both routes.
 
     `value` is the component sum; `cross_value` the relative entropy of the
     compound state against the product of marginals. Disagreement beyond
-    consistency_tol raises ConsistencyError.
+    DUAL_ROUTE_TOL raises ConsistencyError.
     """
     rho_mat = as_complex_matrix(rho, "rho")
     _check_dims(rho_mat.shape[0], ch)
@@ -223,7 +220,7 @@ def mutual_entropy_fixed(
     theta = _compound_matrix(dec, outputs)
     compound = product_relative_entropy(theta, rho_mat, out_avg)
     result = DualRouteValue(value=component, cross_value=compound)
-    if result.defect > consistency_tol:
+    if result.defect > DUAL_ROUTE_TOL:
         raise ConsistencyError(
             f"mutual-entropy routes disagree: {component!r} vs {compound!r}"
         )
@@ -242,7 +239,6 @@ def ohya_mutual_entropy(
     rho: DensityOperator,
     ch: KrausChannel,
     search: SearchBudget | None = None,
-    degeneracy_tol: float = 1e-8,
 ) -> MutualResult:
     """Mutual entropy: supremum over the Schatten decompositions of rho.
 
@@ -254,8 +250,8 @@ def ohya_mutual_entropy(
     """
     _check_dims(rho.dim, ch)
     budget = search or SearchBudget()
-    result = _MutualEvaluator(rho.matrix, ch, degeneracy_tol).supremum(budget)
-    best = schatten_family(rho, result.params, degeneracy_tol=degeneracy_tol)
+    result = _MutualEvaluator(rho.matrix, ch).supremum(budget)
+    best = schatten_family(rho, result.params)
     checked = mutual_entropy_fixed(rho, ch, best)
     return MutualResult(
         value=checked.value,
@@ -265,11 +261,11 @@ def ohya_mutual_entropy(
     )
 
 
-def classical_mutual_entropy(p, ch: KrausChannel, diag_tol: float = 1e-9) -> DualRouteValue:
+def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
     """Shannon mutual information of a classical channel at input p.
 
-    The channel must map diagonal states to diagonal states. `value` is the
-    Shannon difference H(output) - sum_k p_k H(output | k); it is
+    The channel must map diagonal states to diagonal states within
+    DIAGONAL_TOL. `value` is the Shannon difference H(output) - sum_k p_k H(output | k); it is
     cross-checked against the weighted quantum relative entropies of the
     transmitted basis states (agreement within 1e-8).
     """
@@ -281,7 +277,7 @@ def classical_mutual_entropy(p, ch: KrausChannel, diag_tol: float = 1e-9) -> Dua
         basis = np.zeros((ch.in_dim, ch.in_dim), dtype=complex)
         basis[k, k] = 1.0
         out = apply_matrix(ch, basis)
-        if np.max(np.abs(out - np.diag(np.diagonal(out)))) > diag_tol:
+        if np.max(np.abs(out - np.diag(np.diagonal(out)))) > DIAGONAL_TOL:
             raise ValueError("channel does not map diagonal states to diagonal states")
         outputs.append(out)
     avg = sum(lam * out for lam, out in zip(weights, outputs))
@@ -321,6 +317,24 @@ class PseudoResult:
     components: tuple[np.ndarray, ...]
     converged: bool
     evals: int
+
+
+def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> dict:
+    """The validated state and ensemble of a split the search scored as `value`.
+
+    Checks the weights, each component, the reconstruction of rho within 1e-8
+    and `value` against chi from `holevo_bound` within DUAL_ROUTE_TOL.
+    """
+    state = DensityOperator(rho).matrix
+    weights = as_probability(lams / lams.sum())
+    components = tuple(DensityOperator(s / lam).matrix for s, lam in zip(sigmas, lams))
+    rebuilt = sum(w * c for w, c in zip(weights, components))
+    if np.max(np.abs(rebuilt - state)) > RECONSTRUCTION_TOL:
+        raise ConsistencyError("pseudo ensemble does not rebuild its state within 1e-8")
+    chi = holevo_bound(weights, components, ch)
+    if abs(chi - value) > DUAL_ROUTE_TOL:
+        raise ConsistencyError(f"pseudo mutual-entropy routes disagree: {value!r} vs {chi!r}")
+    return {"state": state, "weights": weights, "components": components}
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -393,7 +407,7 @@ def pseudo_mutual_entropy(
     budget.child(0), not on the caller's budget, so the value never falls
     below that search's but can fall below `ohya_mutual_entropy(rho, ch,
     search)`. The floor's decomposition is rebuilt validated and dual-route
-    checked.
+    checked; a winning split is checked once, as an ensemble of rho whose chi is its value.
     """
     if n_components < 1:
         raise ValueError("need at least one component")
@@ -405,10 +419,12 @@ def pseudo_mutual_entropy(
     if result.value > floor:
         lams, sigmas = split(result.params)
         keep = lams > 1e-12
+        lams, sigmas = lams[keep], sigmas[keep]
+        _checked_ensemble(ch, rho.matrix, lams, sigmas, result.value)
         return PseudoResult(
             value=result.value,
-            weights=lams[keep] / np.sum(lams[keep]),
-            components=tuple(sigmas[keep] / lams[keep, None, None]),
+            weights=lams / np.sum(lams),
+            components=tuple(sigmas / lams[:, None, None]),
             converged=result.converged,
             evals=evals,
         )

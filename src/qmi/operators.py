@@ -19,6 +19,7 @@ TRACE_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 ZERO_TOL = 1e-12
 PHASE_TOL = 1e-8
+PROBABILITY_TOL = 1e-9
 MAX_DIM = 64
 
 
@@ -37,18 +38,18 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL)
 
 
-def as_probability(p, tol: float = 1e-9) -> np.ndarray:
-    """Validate and return a probability vector (entries >= -1e-12, sum 1)."""
+def as_probability(p) -> np.ndarray:
+    """Validate and return a probability vector (entries >= -1e-12, sum 1 within 1e-9)."""
     v = np.asarray(p, dtype=float).reshape(-1)
     if v.size == 0:
         raise ValueError("empty probability vector")
     if np.min(v) < -1e-12:
         raise ValueError(f"negative probability {np.min(v):.3e}")
-    if abs(float(np.sum(v)) - 1.0) > tol:
+    if abs(float(np.sum(v)) - 1.0) > PROBABILITY_TOL:
         raise ValueError(f"probabilities sum to {np.sum(v)!r}, expected 1")
     return v
 
@@ -66,7 +67,7 @@ class DensityOperator:
             raise ValueError(f"density operator must be square, got {a.shape}")
         if n > MAX_DIM:
             raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-        if not is_hermitian(a, HERMITICITY_TOL):
+        if not is_hermitian(a):
             raise ValueError("density operator is not Hermitian within 1e-10")
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -153,32 +154,32 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_eigenvalues(w: np.ndarray, tol: float) -> list[slice]:
-    """Chain-group a descending eigenvalue array; gap <= tol*scale joins a group."""
+def _group_eigenvalues(w: np.ndarray) -> list[slice]:
+    """Chain-group a descending eigenvalue array; gap <= DEGENERACY_TOL*scale joins a group."""
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     slices = []
     start = 0
     for i in range(1, len(w)):
-        if w[i - 1] - w[i] > tol * scale:
+        if w[i - 1] - w[i] > DEGENERACY_TOL * scale:
             slices.append(slice(start, i))
             start = i
     slices.append(slice(start, len(w)))
     return slices
 
 
-def spectral(h, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def spectral(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix with degeneracy grouping.
 
-    Eigenvalues within degeneracy_tol (relative to the largest magnitude)
-    are merged into a single eigenspace projector.
+    Eigenvalues within DEGENERACY_TOL (relative to the largest magnitude, or
+    absolute below magnitude 1) are merged into a single eigenspace projector.
     """
     a = as_complex_matrix(h, "h")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
-    if not is_hermitian(a, HERMITICITY_TOL):
+    if not is_hermitian(a):
         raise ValueError("spectral requires a Hermitian matrix (within 1e-10)")
     w, v = _eigh_descending(a)
-    groups = _group_eigenvalues(w, degeneracy_tol)
+    groups = _group_eigenvalues(w)
     eigenvalues = np.array([float(np.mean(w[s])) for s in groups])
     projectors = []
     for s in groups:
@@ -239,40 +240,38 @@ class SchattenDecomposition:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def _support_blocks(
-    rho, degeneracy_tol: float, zero_tol: float
-) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+def _support_blocks(rho) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     """Eigen-data of the support: (weights desc, vectors, degenerate slices)."""
     w, v = eigenbasis(rho)
-    keep = w > zero_tol
+    keep = w > ZERO_TOL
     w, v = w[keep], v[:, keep]
-    return w, v, _group_eigenvalues(w, degeneracy_tol)
+    return w, v, _group_eigenvalues(w)
 
 
-def canonical_schatten(
-    rho, zero_tol: float = ZERO_TOL, degeneracy_tol: float = DEGENERACY_TOL
-) -> SchattenDecomposition:
+def _block_param_count(m: int) -> int:
+    """Real parameters rotating an eigenvalue block of multiplicity m: m^2 if m >= 2, else 0."""
+    return m * m if m >= 2 else 0
+
+
+def canonical_schatten(rho) -> SchattenDecomposition:
     """Canonical rank-one orthogonal decomposition of a density operator.
 
     Deterministic representative of the (possibly non-unique) Schatten
     decomposition: support eigenvectors in descending eigenvalue order with
     fixed phases. Zero-weight terms are dropped.
     """
-    w, v, _ = _support_blocks(rho, degeneracy_tol, zero_tol)
+    w, v, _ = _support_blocks(rho)
     return SchattenDecomposition(weights=w, vectors=v)
 
 
-def schatten_param_count(
-    rho, zero_tol: float = ZERO_TOL, degeneracy_tol: float = DEGENERACY_TOL
-) -> int:
+def schatten_param_count(rho) -> int:
     """Number of real parameters indexing the Schatten decompositions of rho.
 
     m^2 per degenerate eigenvalue block of the support (multiplicity m >= 2);
     a nondegenerate state has none. Kernel rotations do not change the
     decomposition, so the kernel carries no parameters.
     """
-    _, _, blocks = _support_blocks(rho, degeneracy_tol, zero_tol)
-    return sum((s.stop - s.start) ** 2 for s in blocks if s.stop - s.start >= 2)
+    return sum(_block_param_count(s.stop - s.start) for s in _support_blocks(rho)[2])
 
 
 @functools.lru_cache(maxsize=MAX_DIM)
@@ -308,18 +307,12 @@ def _block_rotations(blocks: list[slice], params: np.ndarray):
     pos = 0
     for s in blocks:
         m = s.stop - s.start
-        if m < 2:
-            continue
-        yield s, unitary_from_params(params[pos : pos + m * m], m)
-        pos += m * m
+        if n := _block_param_count(m):
+            yield s, unitary_from_params(params[pos : pos + n], m)
+            pos += n
 
 
-def schatten_family(
-    rho,
-    params: np.ndarray,
-    zero_tol: float = ZERO_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> SchattenDecomposition:
+def schatten_family(rho, params: np.ndarray) -> SchattenDecomposition:
     """The Schatten decomposition indexed by `params`.
 
     Rotates the canonical eigenbasis inside each degenerate block of the
@@ -327,9 +320,9 @@ def schatten_family(
     params of length schatten_param_count(rho); an empty vector returns the
     canonical decomposition.
     """
-    w, v, blocks = _support_blocks(rho, degeneracy_tol, zero_tol)
+    w, v, blocks = _support_blocks(rho)
     params = np.asarray(params, dtype=float).reshape(-1)
-    expected = sum((s.stop - s.start) ** 2 for s in blocks if s.stop - s.start >= 2)
+    expected = sum(_block_param_count(s.stop - s.start) for s in blocks)
     if params.size != expected:
         raise ValueError(f"expected {expected} parameters, got {params.size}")
     v = v.copy()
@@ -338,15 +331,15 @@ def schatten_family(
     return SchattenDecomposition(weights=w, vectors=v)
 
 
-def purify(theta, zero_tol: float = ZERO_TOL) -> tuple[np.ndarray, int]:
+def purify(theta) -> tuple[np.ndarray, int]:
     """Purify a density operator into state-space (x) ancilla.
 
     Returns (psi, ancilla_dim) with psi a unit vector on C^dim (x) C^anc,
     anc the numerical rank of theta; the partial trace over the ancilla
-    reproduces theta (up to eigenvalues below zero_tol).
+    reproduces theta (up to eigenvalues at or below ZERO_TOL).
     """
     w, v = eigenbasis(as_complex_matrix(theta, "theta"))
-    keep = w > zero_tol
+    keep = w > ZERO_TOL
     w, v = w[keep], v[:, keep]
     anc = int(w.size)
     if anc == 0:

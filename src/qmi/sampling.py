@@ -14,9 +14,9 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_hermitian(dim: int, rng, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitian_part(a) * scale
+    return hermitian_part(a)
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

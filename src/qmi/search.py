@@ -29,13 +29,14 @@ class SearchBudget:
         if self.max_evals < 1:
             raise ValueError(f"budget max_evals must be at least 1, got {self.max_evals}")
 
-    def child(self, tag: int, restarts: int | None = None, max_evals: int | None = None):
-        """Derived budget for a nested search, deterministic in (seed, tag)."""
+    def child(self, tag: int):
+        """Nested-search budget: seed from (seed, tag), max(2, restarts // 8)
+        restarts of max(60, max_evals // 4) evaluations, the same tol."""
         return replace(
             self,
             seed=int(np.random.SeedSequence(self.seed, spawn_key=(tag,)).generate_state(1)[0]),
-            restarts=restarts if restarts is not None else max(2, self.restarts // 8),
-            max_evals=max_evals if max_evals is not None else max(60, self.max_evals // 4),
+            restarts=max(2, self.restarts // 8),
+            max_evals=max(60, self.max_evals // 4),
         )
 
 
