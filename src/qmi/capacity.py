@@ -11,7 +11,7 @@ monotone chains hold by construction and not by luck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,10 +20,8 @@ from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
     MutualResult,
-    _checked_ensemble,
     _MutualEvaluator,
-    _povm_split,
-    _projector_factors,
+    _split_search,
     _sqrt_psd,
     _transmit,
     ohya_mutual_entropy,
@@ -286,21 +284,6 @@ def _quantum_search(
     return report, result.params, ohya
 
 
-def _family_split(family: StateFamily, n_components: int, params: np.ndarray):
-    """The family member rho of the leading parameters and its split by the rest.
-
-    The remaining parameters are the factor blocks of `_povm_split`. Returns
-    (rho, lambda_k, sigma_k) with the components of trace above 1e-12, or
-    None when rho has no trace.
-    """
-    rho = family._matrix_from_params(params[: family.n_params])
-    if rho is None:
-        return None
-    lams, sigmas = _povm_split(_sqrt_psd(rho), params[family.n_params :], n_components)
-    keep = lams > 1e-12
-    return rho, lams[keep], sigmas[keep]
-
-
 def pseudo_capacity(
     ch: KrausChannel,
     family: StateFamily,
@@ -310,15 +293,14 @@ def pseudo_capacity(
     """sup over the state family of the pseudo-mutual entropy.
 
     The pseudo mutual entropy of rho is a supremum over the convex splits
-    rho = sum_k lambda_k sigma_k, so the capacity is one flat search over
-    (family parameters, split parameters) of the Holevo quantity
-    chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)), scored with one batched
-    eigvalsh. It starts from the quantum-capacity maximizer and its Ohya
-    decomposition, runs on budget.child(2), and is floored at the quantum
-    capacity, so C <= C_p holds by construction. Only the maximizer is
-    validated: its weights, its components, the reconstruction of its state
-    and chi recomputed by `holevo_bound`. `maximizer` holds that state and
-    ensemble; `evals` is the quantum search's plus the flat search's.
+    rho = sum_k lambda_k sigma_k, so the capacity is `mutual._split_search`
+    over (family parameters, split parameters): one flat search of the
+    Holevo quantity chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)). It
+    starts from the quantum-capacity maximizer and its Ohya decomposition,
+    runs on budget.child(2), and is floored at the quantum capacity, so
+    C <= C_p holds by construction. Only the maximizer is validated.
+    `maximizer` holds its state and ensemble; `evals` is the quantum search's
+    plus the flat search's.
     """
     if n_components < 1:
         raise ValueError("need at least one component")
@@ -328,35 +310,21 @@ def pseudo_capacity(
         raise ConsistencyError("the quantum capacity search found no state")
     kraus = np.stack(ch.ops)
 
-    def objective(params: np.ndarray) -> float:
-        split = _family_split(family, n_components, params)
-        if split is None:
-            return -math.inf
-        rho, lams, sigmas = split
-        inputs = np.concatenate([rho[None], sigmas / lams[:, None, None]])
-        entropies = _entropy_rows(np.linalg.eigvalsh(_transmit(kraus, inputs)))
-        return float(entropies[0] - lams @ entropies[1:])
+    def member(params: np.ndarray):
+        rho = family._matrix_from_params(params)
+        if rho is None:
+            return None
+        return rho, _sqrt_psd(rho), float(_entropy_rows(np.linalg.eigvalsh(_transmit(kraus, rho[None])))[0])
 
-    start = np.concatenate([base_params, _projector_factors(ohya.decomposition.vectors, n_components)])
-    result = maximize(objective, start.size, budget.child(2), starts=[start])
-
-    if result.value > base.value:
-        value = result.value
-        rho, lams, sigmas = _family_split(family, n_components, result.params)
-        maximizer = _checked_ensemble(ch, rho, lams, sigmas, value)
-    else:
-        dec = ohya.decomposition
-        value = base.value
-        maximizer = {
-            "state": base.maximizer["state"],
-            "weights": dec.weights,
-            "components": tuple(dec.projector(k) for k in range(dec.size)),
-        }
+    # The floor is the quantum capacity: its value is ohya's, its flag the family search's.
+    floor = replace(ohya, converged=base.converged)
+    result, state = _split_search(ch, member, base_params, floor, n_components, budget.child(2))
     return CapacityReport(
-        value=value,
-        converged=result.converged or base.converged,
+        value=result.value,
+        converged=result.converged,
         evals=base.evals + result.evals,
-        maximizer={"n_components": n_components, **maximizer},
+        maximizer={"n_components": n_components, "state": state, "weights": result.weights,
+                   "components": result.components},
         notes={"quantum_capacity": base.value},
     )
 

@@ -172,6 +172,7 @@ class Povm:
             a = as_complex_matrix(m, "effect")
             if a.shape[0] != a.shape[1]:
                 raise ValueError(f"effects must be square, got {a.shape}")
+            _check_dim(a.shape[0], "POVM")
             if dim is None:
                 dim = a.shape[0]
             elif a.shape[0] != dim:
@@ -199,6 +200,7 @@ class Povm:
 
 def projective_povm(dim: int) -> Povm:
     """The standard-basis projective measurement."""
+    _check_dim(dim, "POVM")
     eye = np.eye(dim, dtype=complex)
     return Povm(tuple(np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)))
 
@@ -233,9 +235,9 @@ def born_probabilities(povm: Povm, rho) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _check_dim(dim: int) -> None:
+def _check_dim(dim: int, what: str = "channel") -> None:
     if dim < 1:
-        raise ValueError(f"channel dimension must be at least 1, got {dim}")
+        raise ValueError(f"{what} dimension must be at least 1, got {dim}")
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -337,11 +339,13 @@ def classical_channel(transition) -> KrausChannel:
     t = np.asarray(transition, dtype=float)
     if t.ndim != 2:
         raise ValueError("transition matrix must be 2-dimensional")
+    d_out, d_in = t.shape
+    _check_dim(d_in, "classical channel input")
+    _check_dim(d_out, "classical channel output")
     if np.min(t) < -1e-12:
         raise ValueError("transition probabilities must be nonnegative")
     for k in range(t.shape[1]):
         as_probability(t[:, k])
-    d_out, d_in = t.shape
     ops = []
     for j in range(d_out):
         for k in range(d_in):

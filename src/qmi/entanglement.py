@@ -627,11 +627,10 @@ class _RayScorer:
     digits of the step. Every ray keeps both marginals of theta_d, rho and
     ch(rho), so each of its four points scores S(rho) + S(ch(rho)) - S(theta)
     from one batched eigvalsh, and nothing else is checked; a point with an
-    eigenvalue below -ZERO_TOL is not a state and is not scored. d_k, the
-    output dimension, is unused: the score takes no partial trace.
+    eigenvalue below -ZERO_TOL is not a state and is not scored.
     """
 
-    def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray, d_k: int):
+    def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray):
         self.theta_d = theta_d
         w, self.frame = np.linalg.eigh(theta_d + PSD_STEP_TOL * np.eye(theta_d.shape[0]))
         self.inv_sqrt = 1.0 / np.sqrt(w) if w[0] > 0.0 else None  # of A's eigenvalues
@@ -679,7 +678,7 @@ def _q_value(
     outputs = _transmitted(ch, dec)
     k = ch.out_dim
     out_avg = apply_matrix(ch, rho.matrix)
-    scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg, k)
+    scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg)
     best, best_ray, evals = diagonal_value, None, 0
     candidate = _candidate_direction(dec, outputs, k)
     if candidate is not None and (value := scorer.value(candidate)) > best:

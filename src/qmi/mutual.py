@@ -16,7 +16,7 @@ information for diagonal states and classical channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .search import SearchBudget, SearchResult, _complex_stack, maximize
 
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
+MERGE_WEIGHT_TOL = 1e-6
 MARGINAL_TOL = 1e-8
 DIAGONAL_TOL = 1e-9
 
@@ -319,22 +320,34 @@ class PseudoResult:
     evals: int
 
 
-def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> dict:
-    """The validated state and ensemble of a split the search scored as `value`.
+def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> tuple:
+    """(state, weights, components sigma_k / lambda_k) of a split the search scored as `value`.
 
-    Checks the weights, each component, the reconstruction of rho within 1e-8
-    and `value` against chi from `holevo_bound` within DUAL_ROUTE_TOL.
+    Components of weight at or below MERGE_WEIGHT_TOL are first merged into
+    the heaviest: dividing such a sigma_k by its trace amplifies rounding past
+    the density-operator tolerances, and the merge keeps the sum. Checks the
+    weights, each component, the reconstruction of rho within 1e-8 and
+    `value` against chi from `holevo_bound` within DUAL_ROUTE_TOL, and
+    returns the split's own arrays, not the validated copies.
     """
     state = DensityOperator(rho).matrix
+    tiny = lams <= MERGE_WEIGHT_TOL * lams.sum()
+    if tiny.any():
+        heavy = int(np.argmax(lams))
+        lams, sigmas = lams.copy(), sigmas.copy()
+        lams[heavy] += lams[tiny].sum()
+        sigmas[heavy] += sigmas[tiny].sum(axis=0)
+        lams, sigmas = lams[~tiny], sigmas[~tiny]
     weights = as_probability(lams / lams.sum())
-    components = tuple(DensityOperator(s / lam).matrix for s, lam in zip(sigmas, lams))
-    rebuilt = sum(w * c for w, c in zip(weights, components))
+    components = tuple(sigmas / lams[:, None, None])
+    checked = [DensityOperator(c).matrix for c in components]
+    rebuilt = sum(w * c for w, c in zip(weights, checked))
     if np.max(np.abs(rebuilt - state)) > RECONSTRUCTION_TOL:
         raise ConsistencyError("pseudo ensemble does not rebuild its state within 1e-8")
-    chi = holevo_bound(weights, components, ch)
+    chi = holevo_bound(weights, checked, ch)
     if abs(chi - value) > DUAL_ROUTE_TOL:
         raise ConsistencyError(f"pseudo mutual-entropy routes disagree: {value!r} vs {chi!r}")
-    return {"state": state, "weights": weights, "components": components}
+    return state, weights, components
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -364,33 +377,55 @@ def _projector_factors(vectors: np.ndarray, n_components: int) -> np.ndarray:
     return params.reshape(-1)
 
 
-def _pseudo_search(rho_mat: np.ndarray, ch: KrausChannel, n_components: int, budget: SearchBudget):
-    """The pseudo search on one cached evaluator; nothing is validated.
+def _split_search(
+    ch: KrausChannel, member, head: np.ndarray, floor: MutualResult, n_components: int, budget: SearchBudget
+) -> tuple[PseudoResult, np.ndarray]:
+    """The supremum of chi over convex splits of family members, floored at `floor`.
 
-    The Schatten supremum on budget.child(0) is the baseline, and its
-    projectors start the search over convex splits. Returns the baseline's
-    SearchResult, the split search's SearchResult and the map from split
-    parameters to (weights, unnormalized components).
+    The search runs over (member parameters, split parameters).
+    `member(params)` returns (rho, sqrt(rho), S(ch(rho))) for a family member,
+    or None when it has no trace; the split parameters are the factor blocks
+    of `_povm_split`, and components of trace at or below 1e-12 drop out. A
+    split scores chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)) with one
+    batched eigvalsh, unvalidated. The search starts at `head` split by the
+    projectors of `floor`, the Ohya result at member(head). A split that beats
+    the floor is checked once by `_checked_ensemble`, and its converged flag is
+    the split search's; otherwise the floor's decomposition is reported,
+    converged when either search is. Returns that result, whose evals count
+    the split search alone, and the state it splits.
     """
-    sqrt_rho = _sqrt_psd(rho_mat)
-    evaluator = _MutualEvaluator(rho_mat, ch)
-    baseline = evaluator.supremum(budget.child(0))
+    kraus = np.stack(ch.ops)
+    n_head = head.size
 
     def split(params: np.ndarray):
-        return _povm_split(sqrt_rho, params, n_components)
+        found = member(params[:n_head])
+        if found is None:
+            return None
+        rho, sqrt_rho, out_entropy = found
+        lams, sigmas = _povm_split(sqrt_rho, params[n_head:], n_components)
+        keep = lams > 1e-12
+        return rho, out_entropy, lams[keep], sigmas[keep]
 
     def objective(params: np.ndarray) -> float:
-        lams, sigmas = split(params)
-        keep = lams > 1e-12
-        lams = lams[keep]
-        return evaluator.score(lams, _transmit(evaluator.kraus, sigmas[keep]) / lams[:, None, None])
+        found = split(params)
+        if found is None:
+            return -math.inf
+        _, out_entropy, lams, sigmas = found
+        outputs = _transmit(kraus, sigmas) / lams[:, None, None]
+        return out_entropy - float(lams @ _entropy_rows(np.linalg.eigvalsh(outputs)))
 
-    v = evaluator.vectors.copy()
-    for s, u in _block_rotations(evaluator.blocks, baseline.params):
-        v[:, s] = v[:, s] @ u
-    start = _projector_factors(v, n_components)
+    start = np.concatenate([head, _projector_factors(floor.decomposition.vectors, n_components)])
     result = maximize(objective, start.size, budget, starts=[start])
-    return baseline, result, split
+    if result.value > floor.value:
+        rho, _, lams, sigmas = split(result.params)
+        state, weights, components = _checked_ensemble(ch, rho, lams, sigmas, result.value)
+        value, converged = result.value, result.converged
+    else:
+        dec = floor.decomposition
+        state, weights = member(head)[0], dec.weights
+        components = tuple(dec.projector(k) for k in range(dec.size))
+        value, converged = floor.value, floor.converged or result.converged
+    return PseudoResult(value, weights, components, converged, result.evals), state
 
 
 def pseudo_mutual_entropy(
@@ -403,35 +438,15 @@ def pseudo_mutual_entropy(
 
     Decompositions are parameterized exactly: free factor matrices define a
     POVM {M_k}, and sigma_k = sqrt(rho) M_k sqrt(rho) splits rho identically
-    at every search point. The floor is the Schatten search on
-    budget.child(0), not on the caller's budget, so the value never falls
-    below that search's but can fall below `ohya_mutual_entropy(rho, ch,
-    search)`. The floor's decomposition is rebuilt validated and dual-route
-    checked; a winning split is checked once, as an ensemble of rho whose chi is its value.
+    at every search point. This is `_split_search` at the one state rho. Its
+    floor is `ohya_mutual_entropy` on budget.child(0), not on the caller's
+    budget, so the value never falls below that search's but can fall below
+    `ohya_mutual_entropy(rho, ch, search)`. `evals` counts both searches.
     """
     if n_components < 1:
         raise ValueError("need at least one component")
-    _check_dims(rho.dim, ch)
-    baseline, result, split = _pseudo_search(rho.matrix, ch, n_components, search or SearchBudget())
-    dec = schatten_family(rho, baseline.params)
-    floor = mutual_entropy_fixed(rho, ch, dec).value
-    evals = result.evals + baseline.evals
-    if result.value > floor:
-        lams, sigmas = split(result.params)
-        keep = lams > 1e-12
-        lams, sigmas = lams[keep], sigmas[keep]
-        _checked_ensemble(ch, rho.matrix, lams, sigmas, result.value)
-        return PseudoResult(
-            value=result.value,
-            weights=lams / np.sum(lams),
-            components=tuple(sigmas / lams[:, None, None]),
-            converged=result.converged,
-            evals=evals,
-        )
-    return PseudoResult(
-        value=floor,
-        weights=dec.weights,
-        components=tuple(dec.projector(k) for k in range(dec.size)),
-        converged=baseline.converged or result.converged,
-        evals=evals,
-    )
+    budget = search or SearchBudget()
+    floor = ohya_mutual_entropy(rho, ch, budget.child(0))
+    fixed = (rho.matrix, _sqrt_psd(rho.matrix), von_neumann_entropy(apply_matrix(ch, rho.matrix)))
+    result, _ = _split_search(ch, lambda params: fixed, np.zeros(0), floor, n_components, budget)
+    return replace(result, evals=result.evals + floor.evals)

@@ -193,6 +193,17 @@ def test_pseudo_capacity_lies_between_quantum_capacity_and_ln_d(family, ch):
     _check_ensemble(rep, ch)
 
 
+def _patch_flat_search(monkeypatch, wrapper):
+    """Run the flat search, the one search of `mutual._split_search`, through `wrapper`."""
+    original = capacity._split_search
+
+    def split_search(*args):
+        monkeypatch.setattr(mutual, "maximize", wrapper)
+        return original(*args)
+
+    monkeypatch.setattr(capacity, "_split_search", split_search)
+
+
 def test_pseudo_capacity_reports_the_state_family_search_plus_the_flat_search(monkeypatch):
     counted = []
 
@@ -206,6 +217,7 @@ def test_pseudo_capacity_reports_the_state_family_search_plus_the_flat_search(mo
         return maximize(wrapped, *args, **kwargs)
 
     monkeypatch.setattr(capacity, "maximize", counting)
+    _patch_flat_search(monkeypatch, counting)
     ch = amplitude_damping_channel(0.3)
     rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
     assert len(counted) == 2  # the quantum capacity's family search, then the flat search
@@ -221,7 +233,7 @@ def test_flat_pseudo_search_starts_at_the_quantum_maximizer(monkeypatch, ch):
         start_values.append([objective(s) for s in starts])
         return maximize(objective, n_params, budget, starts=starts, **kwargs)
 
-    monkeypatch.setattr(capacity, "maximize", recording)
+    _patch_flat_search(monkeypatch, recording)
     rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
     # Two components carry the qubit maximizer's whole Ohya decomposition.
     assert abs(start_values[-1][0] - rep.notes["quantum_capacity"]) < 1e-12

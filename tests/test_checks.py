@@ -13,7 +13,9 @@ from qmi import capacity, entanglement, entropy, mutual, operators
 from qmi.capacity import CodingScheme, cqc_capacity
 from qmi.channels import (
     KrausChannel,
+    Povm,
     amplitude_damping_channel,
+    classical_channel,
     depolarizing_channel,
     identity_channel,
     projective_povm,
@@ -168,6 +170,24 @@ def test_channel_dimension_below_one_is_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Povm((np.zeros((0, 0)),)), "POVM dimension must be at least 1, got 0"),
+        (lambda: projective_povm(-1), "POVM dimension must be at least 1, got -1"),
+        (lambda: projective_povm(0), "POVM dimension must be at least 1, got 0"),
+        (lambda: classical_channel(np.zeros((0, 0))), "classical channel input dimension must be at least 1, got 0"),
+        (lambda: classical_channel(np.zeros((2, 0))), "classical channel input dimension must be at least 1, got 0"),
+        (lambda: classical_channel(np.zeros((0, 2))), "classical channel output dimension must be at least 1, got 0"),
+    ],
+    ids=["povm-empty", "projective-negative", "projective-zero", "classical-empty", "classical-no-input",
+         "classical-no-output"],
+)
+def test_povm_and_classical_dimensions_below_one_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("shape", [(1, 0), (0, 2), (0, 0)])
 def test_kraus_operator_with_a_zero_dimension_is_rejected(shape):
     with pytest.raises(ValueError, match="zero dimension"):
@@ -190,6 +210,11 @@ def test_cqc_needs_a_decoding_outcome(n_decoding):
         ("cqc", {"channel": {"kind": "identity", "dim": 2}, "coding": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
                  "decoding": {"projective": 2}, "mode": "full", "n_decoding": 0},
          "need at least one decoding outcome"),
+        ("cqc", {"channel": {"kind": "identity", "dim": 2}, "coding": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                 "decoding": {"projective": -1}},
+         "POVM dimension must be at least 1, got -1"),
+        ("mutual", {"channel": {"kind": "classical", "transition": [[]]}},
+         "classical channel input dimension must be at least 1, got 0"),
     ],
 )
 def test_cli_dimension_errors_exit_one(tmp_path, capsys, command, config, message):

@@ -87,6 +87,26 @@ def test_reports_are_byte_identical(tmp_path):
     assert json.loads(first)["seed"] == 7
 
 
+def test_pseudo_mutual_merges_tiny_split_components(tmp_path):
+    u = random_unitary(3, rng_from(8))
+    rho = (u * [0.5, 0.5, 0.0]) @ u.conj().T
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "state": matrix_to_json(rho),
+            "channel": {"kind": "depolarizing", "p": 0.3, "dim": 3},
+            "n_components": 2,
+            "budget": {"restarts": 2, "max_evals": 30, "seed": 1},
+        },
+    )
+    code, text = _run(tmp_path, ["pseudo-mutual", "--config", cfg])
+    assert code == 0
+    weights = np.array(json.loads(text)["results"]["weights"])
+    assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+    assert np.min(weights) > 1e-6
+
+
 def test_seed_flag_overrides_config_budget(tmp_path):
     cfg = _write(
         tmp_path,

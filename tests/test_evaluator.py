@@ -16,7 +16,6 @@ from qmi.mutual import (
     PseudoResult,
     _compound_matrix,
     _MutualEvaluator,
-    _pseudo_search,
     _sqrt_psd,
     _transmit,
     _transmitted,
@@ -185,7 +184,7 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
         theta_d = _compound_matrix(dec, outputs)
         out_avg = apply_matrix(ch, rho.matrix)
         k = ch.out_dim
-        scorer = _RayScorer(theta_d, rho.matrix, out_avg, k)
+        scorer = _RayScorer(theta_d, rho.matrix, out_avg)
         n_params = (dec.size * (dec.size - 1)) * k * k + (0 if fix_output_blocks else dec.size * k * k)
         directions = [_candidate_direction(dec, outputs, k)]
         directions += [
@@ -279,7 +278,3 @@ def test_pseudo_search_matches_the_ohya_baseline_path(spectrum):
         for a, b in zip(got.components, expected.components):
             assert np.array_equal(a, b)
         assert (got.evals, got.converged) == (expected.evals, expected.converged)
-        # The unvalidated core alone: the same search, floored by the
-        # evaluator's baseline value instead of the dual-route checked one.
-        baseline, result, _ = _pseudo_search(rho.matrix, ch, n_components, budget)
-        assert abs(max(result.value, baseline.value) - expected.value) < 1e-12

@@ -9,6 +9,8 @@ from qmi.capacity import CodingScheme, CqcInstance, cqc_mutual_entropy
 from qmi.channels import classical_channel, depolarizing_channel, identity_channel, projective_povm
 from qmi.entropy import shannon_entropy, von_neumann_entropy
 from qmi.mutual import (
+    DUAL_ROUTE_TOL,
+    MERGE_WEIGHT_TOL,
     classical_mutual_entropy,
     compound_state,
     holevo_bound,
@@ -17,7 +19,15 @@ from qmi.mutual import (
     pseudo_mutual_entropy,
 )
 from qmi.operators import DensityOperator, canonical_schatten, maximally_mixed
-from qmi.sampling import random_density, random_kraus_channel, random_povm, random_probability, random_pure, rng_from
+from qmi.sampling import (
+    random_density,
+    random_kraus_channel,
+    random_povm,
+    random_probability,
+    random_pure,
+    random_unitary,
+    rng_from,
+)
 from qmi.search import SearchBudget
 
 # ln 2 - H(0.1): Shannon value of the 10%-flip binary channel at uniform input
@@ -114,6 +124,22 @@ def test_pseudo_mutual_never_below_orthogonal():
         pseudo = pseudo_mutual_entropy(rho, ch, 2, tiny)
         assert pseudo.value >= base.value - 1e-9
         assert abs(float(np.sum(pseudo.weights)) - 1.0) < 1e-8
+
+
+def test_tiny_split_components_merge_into_a_valid_ensemble():
+    # The best split has a third component, the square-root POVM's residual
+    # effect, of weight about 9e-12: divided by its trace, it is not
+    # Hermitian within 1e-10, so it must be merged before validation.
+    u = random_unitary(3, rng_from(8))
+    rho = DensityOperator((u * [0.5, 0.5, 0.0]) @ u.conj().T)
+    ch = depolarizing_channel(0.3, 3)
+    got = pseudo_mutual_entropy(rho, ch, 2, SearchBudget(2, 30, seed=1))
+    assert np.min(got.weights) > MERGE_WEIGHT_TOL
+    assert abs(float(np.sum(got.weights)) - 1.0) <= 1e-12
+    components = [DensityOperator(c).matrix for c in got.components]
+    rebuilt = sum(w * c for w, c in zip(got.weights, components))
+    assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-8
+    assert abs(holevo_bound(got.weights, components, ch) - got.value) <= DUAL_ROUTE_TOL
 
 
 def test_holevo_bound_dominates_decoded_information():

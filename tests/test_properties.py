@@ -1,6 +1,7 @@
-"""Property tests over random channels: the capacity ordering, seed determinism
-and the q/d/c bounds at fixed states."""
+"""Property tests over random channels: the capacity ordering, seed determinism,
+the q/d/c bounds and the pseudo mutual entropy's ensemble at fixed states."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from qmi.capacity import StateFamily, pseudo_capacity  # noqa: E402
 from qmi.channels import apply_matrix  # noqa: E402
 from qmi.entanglement import qdc_hierarchy  # noqa: E402
 from qmi.entropy import von_neumann_entropy  # noqa: E402
+from qmi.mutual import holevo_bound, ohya_mutual_entropy, pseudo_mutual_entropy  # noqa: E402
 from qmi.operators import DensityOperator  # noqa: E402
 from qmi.sampling import random_kraus_channel, random_unitary, rng_from  # noqa: E402
 from qmi.search import SearchBudget  # noqa: E402
@@ -82,3 +84,22 @@ def test_class_values_within_entropy_bounds(problem):
         assert c <= d
     else:
         assert c == 0.0
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(hierarchy_problems(), st.sampled_from([2, 3]))
+def test_pseudo_mutual_entropy_returns_a_checked_ensemble(problem, n_components):
+    rho, ch, budget = problem
+    budget = dataclasses.replace(budget, max_evals=30)
+    got = pseudo_mutual_entropy(rho, ch, n_components, budget)
+    floor = ohya_mutual_entropy(rho, ch, budget.child(0)).value
+    assert floor <= got.value <= von_neumann_entropy(apply_matrix(ch, rho.matrix)) + 1e-12
+    assert abs(float(np.sum(got.weights)) - 1.0) <= 1e-12
+    components = [DensityOperator(c).matrix for c in got.components]
+    rebuilt = sum(w * c for w, c in zip(got.weights, components))
+    assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-8
+    assert abs(holevo_bound(got.weights, components, ch) - got.value) <= 1e-6
+    again = pseudo_mutual_entropy(rho, ch, n_components, budget)
+    assert (again.value, again.evals, again.converged) == (got.value, got.evals, got.converged)
+    assert np.array_equal(again.weights, got.weights)
+    assert all(np.array_equal(a, b) for a, b in zip(again.components, got.components, strict=True))
