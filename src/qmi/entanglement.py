@@ -47,9 +47,8 @@ from .operators import (
     hermitian_from_params,
     partial_trace,
     schatten_family,
-    unitary_from_params,
 )
-from .search import SearchBudget, SearchResult, complex_from_params, maximize, softmax
+from .search import SearchBudget, SearchResult, complex_from_params, maximize
 
 NORMALIZATION_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -394,53 +393,29 @@ def q_entropy_closed_form(blocks) -> float:
     return total
 
 
-def q_entropy_sup(
-    sigma, search: SearchBudget | None = None, n_terms: int = 2
-) -> CapacityReport:
-    """Supremum of the entangled mutual entropy at fixed output marginal.
+def q_entropy_sup(sigma, search: SearchBudget | None = None) -> CapacityReport:
+    """Supremum of the entangled mutual entropy at fixed output marginal sigma.
 
-    The family mixes purifications of sigma whose G side is rotated term by
-    term; every member has output marginal sigma exactly, and the standard
-    entanglement (the supremum point for the full algebra) is the search
-    start, so the result never falls below it. A member is scored as
-    S(tr_K theta) + S(sigma) - S(theta). The maximizer's compound is checked
-    once: its marginals, and its score against `entangled_mutual_entropy`.
+    A compound theta with output marginal sigma scores
+    I(theta) = S(tr_K theta) + S(sigma) - S(theta). The Araki-Lieb inequality
+    S(theta) >= S(tr_K theta) - S(sigma) (Araki & Lieb, Commun. Math. Phys.
+    18:160, 1970) gives I(theta) <= 2 S(sigma), and the standard entanglement
+    attains it, so the supremum is its value and no search runs: `search` is
+    accepted and unused, and the report has evals 0 and converged True. The
+    value is cross-checked once against `q_entropy_closed_form` within
+    DUAL_ROUTE_TOL.
     """
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    budget = search or SearchBudget()
-    s = sigma if isinstance(sigma, DensityOperator) else DensityOperator(np.asarray(sigma, complex))
-    k = s.dim
-    w, u = eigenbasis(s.matrix)
-    m0 = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
-
-    def assemble(params: np.ndarray) -> np.ndarray:
-        weights = softmax(params[:n_terms])
-        theta = np.zeros((k * k, k * k), dtype=complex)
-        for t in range(n_terms):
-            chunk = params[n_terms + t * k * k : n_terms + (t + 1) * k * k]
-            vec = (unitary_from_params(chunk, k) @ m0).reshape(-1)
-            theta += weights[t] * np.outer(vec, vec.conj())
-        return theta
-
-    s_sigma = von_neumann_entropy(s.matrix)
-
-    def objective(params: np.ndarray) -> float:
-        theta = assemble(params)
-        return von_neumann_entropy(partial_trace(theta, (k, k), keep=0)) + s_sigma - von_neumann_entropy(theta)
-
-    n_params = n_terms + n_terms * k * k
-    result = maximize(objective, n_params, budget, starts=[np.zeros(n_params)])
-    theta = assemble(result.params)
-    _check_compound(theta, DensityOperator(partial_trace(theta, (k, k), keep=0)), s, result.value)
-    standard = entangled_mutual_entropy(standard_entanglement(s))
-    closed = q_entropy_closed_form([(1.0, s)])
+    standard = standard_entanglement(sigma)
+    value = entangled_mutual_entropy(standard)
+    closed = q_entropy_closed_form([(1.0, standard.compound.output_marginal)])
+    if abs(value - closed) > DUAL_ROUTE_TOL:
+        raise ConsistencyError(f"q-entropy routes disagree: {value!r} vs {closed!r}")
     return CapacityReport(
-        value=max(result.value, standard),
-        converged=result.converged,
-        evals=result.evals,
-        maximizer={"n_terms": n_terms},
-        notes={"standard_value": standard, "closed_form": closed},
+        value=value,
+        converged=True,
+        evals=0,
+        maximizer={"theta": standard.compound.theta.matrix},
+        notes={"standard_value": value, "closed_form": closed},
     )
 
 
@@ -605,12 +580,11 @@ def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int
     return None if norm <= 1e-12 else x
 
 
-_RAY_FRACTIONS = np.array([1.0, 0.75, 0.5, 0.25])
 _STEP_CAP = 64.0
 
 
 class _RayScorer:
-    """Scores rays theta_d + t x out of one diagonal compound.
+    """Scores rays theta_d + t x out of one diagonal compound, at their PSD endpoint.
 
     The largest step that keeps the compound PSD has a closed form to second
     order. With A = theta_d + eps I (eps = PSD_STEP_TOL) factored once,
@@ -624,10 +598,17 @@ class _RayScorer:
     rounding of that 0) is taken as 0. A^{-1/2} x A^{-1/2} is formed in
     the eigenbasis of A: A's kernel eigenvalues are eps, and an explicit
     A^{-1/2} would mix entries of size eps^{-1/2} and 1, losing about eight
-    digits of the step. Every ray keeps both marginals of theta_d, rho and
-    ch(rho), so each of its four points scores S(rho) + S(ch(rho)) - S(theta)
-    from one batched eigvalsh, and nothing else is checked; a point with an
-    eigenvalue below -ZERO_TOL is not a state and is not scored.
+    digits of the step.
+
+    Every ray keeps both marginals of theta_d, rho and ch(rho), so a point
+    scores I(t) = S(rho) + S(ch(rho)) - S(theta_d + t x). S is concave in t,
+    so I is convex, and its largest value on [0, t_max] is at an endpoint.
+    I(0) is the diagonal value d, which q already floors at, so only t_max
+    can raise q. With fixed output blocks x has zero diagonal blocks, and
+    at an invertible theta_d the slope of I at t = 0 is tr(x ln theta_d) = 0,
+    so I(t_max) >= I(0) as well; with released blocks the slope need not
+    vanish, and t = 0 may be the larger end. So a ray is scored once, at
+    t_max, from one eigvalsh, and nothing else is checked.
     """
 
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray):
@@ -650,19 +631,16 @@ class _RayScorer:
         # step of either sign that moves theta_d by about 1e-16 or less.
         return step if step * float(np.linalg.norm(x)) > ZERO_TOL else 0.0
 
-    def best(self, x: np.ndarray) -> tuple[float, float]:
-        """(value, step) of the ray's best scored point; (-inf, 0) when none is a state."""
+    def value(self, x: np.ndarray) -> float:
+        """I(t_max) of the ray; -inf when t_max is 0 or the endpoint has an
+        eigenvalue below -ZERO_TOL."""
         t_max = self.max_step(x)
         if t_max <= 0.0:
-            return -math.inf, 0.0
-        steps = t_max * _RAY_FRACTIONS
-        eigs = np.linalg.eigvalsh(self.theta_d + steps[:, None, None] * x)
-        values = np.where(eigs[:, 0] >= -ZERO_TOL, self.marginal_entropy - _entropy_rows(eigs), -math.inf)
-        i = int(np.argmax(values))
-        return float(values[i]), float(steps[i])
-
-    def value(self, x: np.ndarray) -> float:
-        return self.best(x)[0]
+            return -math.inf
+        eigs = np.linalg.eigvalsh(self.theta_d + t_max * x)
+        if eigs[0] < -ZERO_TOL:
+            return -math.inf
+        return self.marginal_entropy - float(_entropy_rows(eigs))
 
 
 def _q_value(
@@ -674,7 +652,14 @@ def _q_value(
     fix_output_blocks: bool,
 ) -> tuple[float, int]:
     """Perturb the best diagonal compound along marginal-preserving rays; a
-    ray that beats `diagonal_value` is checked at its best point, once."""
+    ray that beats `diagonal_value` is checked at its PSD endpoint, once.
+
+    With fixed output blocks and a singular output omega_n, no random ray
+    has a PSD step: x vanishes on the diagonal blocks, so its block on the
+    kernel of theta_d is indefinite or 0, and when it is 0 its block between
+    the support and the kernel is not, for generic parameters. The ray
+    search is then skipped and only the candidate ray is scored.
+    """
     outputs = _transmitted(ch, dec)
     k = ch.out_dim
     out_avg = apply_matrix(ch, rho.matrix)
@@ -684,7 +669,8 @@ def _q_value(
     if candidate is not None and (value := scorer.value(candidate)) > best:
         best, best_ray = value, candidate
     n_params = _direction_param_count(dec.size, k, fix_output_blocks)
-    if n_params and dec.size >= 2:
+    singular = fix_output_blocks and float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) <= ZERO_TOL
+    if n_params and dec.size >= 2 and not singular:
 
         def objective(params: np.ndarray) -> float:
             x = _assemble_direction(params, dec, k, fix_output_blocks)
@@ -695,7 +681,7 @@ def _q_value(
         if result.value > best:
             best, best_ray = result.value, _assemble_direction(result.params, dec, k, fix_output_blocks)
     if best_ray is not None:
-        step = scorer.best(best_ray)[1]
+        step = scorer.max_step(best_ray)
         _check_compound(scorer.theta_d + step * best_ray, rho, DensityOperator(out_avg), best)
     return best, evals
 

@@ -297,11 +297,18 @@ def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
 
 
 def holevo_bound(p, coded, ch: KrausChannel) -> float:
-    """chi = S(ch(mixture)) - sum_k p_k S(ch(sigma_k))."""
+    """chi = S(ch(mixture)) - sum_k p_k S(ch(sigma_k)).
+
+    Each coded state is validated as a density operator of the channel's
+    input dimension before any arithmetic, which then runs on the states as
+    given.
+    """
     weights = as_probability(p)
     states = [as_complex_matrix(s, "coded state") for s in coded]
     if len(states) != weights.size:
         raise ValueError(f"{weights.size} weights but {len(states)} coded states")
+    for s in states:
+        _check_dims(DensityOperator(s).dim, ch)
     outputs = [apply_matrix(ch, s) for s in states]
     avg = sum(lam * out for lam, out in zip(weights, outputs))
     return von_neumann_entropy(avg) - sum(
@@ -326,9 +333,9 @@ def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> tupl
     Components of weight at or below MERGE_WEIGHT_TOL are first merged into
     the heaviest: dividing such a sigma_k by its trace amplifies rounding past
     the density-operator tolerances, and the merge keeps the sum. Checks the
-    weights, each component, the reconstruction of rho within 1e-8 and
-    `value` against chi from `holevo_bound` within DUAL_ROUTE_TOL, and
-    returns the split's own arrays, not the validated copies.
+    weights, each component (as `holevo_bound` validates it), the
+    reconstruction of rho within 1e-8 and `value` against chi from
+    `holevo_bound` within DUAL_ROUTE_TOL, and returns the split's own arrays.
     """
     state = DensityOperator(rho).matrix
     tiny = lams <= MERGE_WEIGHT_TOL * lams.sum()
@@ -340,11 +347,10 @@ def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> tupl
         lams, sigmas = lams[~tiny], sigmas[~tiny]
     weights = as_probability(lams / lams.sum())
     components = tuple(sigmas / lams[:, None, None])
-    checked = [DensityOperator(c).matrix for c in components]
-    rebuilt = sum(w * c for w, c in zip(weights, checked))
+    chi = holevo_bound(weights, components, ch)
+    rebuilt = sum(w * c for w, c in zip(weights, components))
     if np.max(np.abs(rebuilt - state)) > RECONSTRUCTION_TOL:
         raise ConsistencyError("pseudo ensemble does not rebuild its state within 1e-8")
-    chi = holevo_bound(weights, checked, ch)
     if abs(chi - value) > DUAL_ROUTE_TOL:
         raise ConsistencyError(f"pseudo mutual-entropy routes disagree: {value!r} vs {chi!r}")
     return state, weights, components
@@ -389,10 +395,11 @@ def _split_search(
     split scores chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)) with one
     batched eigvalsh, unvalidated. The search starts at `head` split by the
     projectors of `floor`, the Ohya result at member(head). A split that beats
-    the floor is checked once by `_checked_ensemble`, and its converged flag is
-    the split search's; otherwise the floor's decomposition is reported,
-    converged when either search is. Returns that result, whose evals count
-    the split search alone, and the state it splits.
+    the floor by more than budget.tol is checked once by `_checked_ensemble`,
+    and its converged flag is the split search's; otherwise the floor's
+    decomposition is reported, converged when either search is, so a split
+    that wins by rounding alone never replaces the exact floor. Returns that
+    result, whose evals count the split search alone, and the state it splits.
     """
     kraus = np.stack(ch.ops)
     n_head = head.size
@@ -416,7 +423,7 @@ def _split_search(
 
     start = np.concatenate([head, _projector_factors(floor.decomposition.vectors, n_components)])
     result = maximize(objective, start.size, budget, starts=[start])
-    if result.value > floor.value:
+    if result.value > floor.value + budget.tol:
         rho, _, lams, sigmas = split(result.params)
         state, weights, components = _checked_ensemble(ch, rho, lams, sigmas, result.value)
         value, converged = result.value, result.converged

@@ -80,8 +80,9 @@ def test_q_is_checked_when_a_ray_wins(monkeypatch, dim, perturb):
 def test_q_entropy_sup_is_checked(monkeypatch):
     sigma = random_density(2, rng_from(50))
     q_entropy_sup(sigma, TINY)
-    _perturb_maximize(monkeypatch, entanglement)
-    with pytest.raises(ConsistencyError, match="compound search scored"):
+    original = entanglement.q_entropy_closed_form
+    monkeypatch.setattr(entanglement, "q_entropy_closed_form", lambda blocks: original(blocks) + 1e-3)
+    with pytest.raises(ConsistencyError, match="q-entropy routes disagree"):
         q_entropy_sup(sigma, TINY)
 
 

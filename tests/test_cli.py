@@ -234,6 +234,28 @@ def test_entangle_command_classifies(tmp_path):
     assert abs(results["degree"]["nats"] + 0.6108643020548935) < 1e-9
 
 
+def test_entangle_sup_output_entropy_is_the_closed_form(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "construct": {"kind": "standard", "sigma": [[0.5, 0.1], [0.1, 0.5]]},
+            "sup_output_entropy": True,
+            "budget": {"restarts": 2, "max_evals": 30},
+        },
+    )
+    code, first = _run(tmp_path, ["entangle", "--config", cfg])
+    _, second = _run(tmp_path, ["entangle", "--config", cfg])
+    assert code == 0
+    assert first == second
+    report = json.loads(first)
+    sup = report["results"]["sup_output_entropy"]
+    twice_s = -2 * (0.6 * math.log(0.6) + 0.4 * math.log(0.4))  # sigma has spectrum (0.6, 0.4)
+    assert abs(sup["nats"] - twice_s) < 1e-12
+    assert sup["evals"] == 0
+    assert report["converged"] is True
+
+
 def test_qdc_command_orders_classes(tmp_path):
     cfg = _write(
         tmp_path,
@@ -304,6 +326,26 @@ def test_mismatched_channel_exits_one(tmp_path, capsys):
     )
     assert main(["mutual", "--config", cfg]) == 1
     assert "state dimension 2 does not match the channel input dimension 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        # Unit trace but not PSD.
+        ([[[2.0, 0.0], [0.0, -1.0]], [[0.5, 0.0], [0.0, 0.5]]], "density operator has an eigenvalue below -1e-10"),
+        ([np.diag([1.0, 0.0, 0.0]).tolist(), np.diag([0.0, 1.0, 0.0]).tolist()],
+         "state dimension 3 does not match the channel input dimension 2"),
+    ],
+    ids=["not-psd", "qutrit"],
+)
+def test_holevo_rejects_invalid_coded_states(tmp_path, capsys, states, message):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {"weights": [0.5, 0.5], "states": states, "channel": {"kind": "identity", "dim": 2}},
+    )
+    assert main(["holevo", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["restarts", "max_evals"])

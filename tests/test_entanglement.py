@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmi.channels import amplitude_damping_channel, apply_matrix, identity_channel
+from qmi.channels import amplitude_damping_channel, apply_matrix, depolarizing_channel, identity_channel
 from qmi.entanglement import (
     EntanglingOperator,
     class_mutual_and_capacity,
@@ -227,7 +227,9 @@ def test_q_never_exceeds_twice_the_smaller_entropy():
     assert q <= 2 * min(von_neumann_entropy(m), von_neumann_entropy(apply_matrix(ch, m)))
 
 
-def test_fixed_state_hierarchy_surveys_once(monkeypatch):
+def _hierarchy_searches(monkeypatch, ch) -> int:
+    """`maximize` calls of one fixed-state hierarchy, whose values match the
+    single-class entry point."""
     import qmi.entanglement
     import qmi.mutual
     import qmi.search
@@ -241,12 +243,31 @@ def test_fixed_state_hierarchy_surveys_once(monkeypatch):
     for module in (qmi.entanglement, qmi.mutual):  # every module that binds maximize
         monkeypatch.setattr(module, "maximize", counting)
     rho = DensityOperator(np.diag([0.4, 0.4, 0.2]))
-    ch = random_kraus_channel(3, 3, 2, rng_from(71))
     levels = qdc_hierarchy(rho, ch, TINY)
-    assert len(calls) == 2  # one decomposition survey, one ray search
+    searches = len(calls)
     for tag, rep in levels.items():
         assert type(rep.value) is float
         assert rep.value == class_mutual_and_capacity(rho, ch, tag, TINY).value
+    return searches
+
+
+def test_fixed_state_hierarchy_surveys_once(monkeypatch):
+    # Two Kraus operators give rank-2 qutrit outputs: no random ray has a PSD
+    # step with fixed output blocks, so only the decomposition survey runs.
+    assert _hierarchy_searches(monkeypatch, random_kraus_channel(3, 3, 2, rng_from(71))) == 1
+
+
+def test_full_rank_outputs_run_one_ray_search(monkeypatch):
+    assert _hierarchy_searches(monkeypatch, depolarizing_channel(0.3, 3)) == 2  # survey, ray search
+
+
+def test_identity_channel_q_needs_no_ray_search():
+    # Pure outputs: the candidate ray reaches the standard entanglement, and
+    # the random-ray search is skipped.
+    rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
+    levels = qdc_hierarchy(rho, identity_channel(3), TINY)
+    assert abs(levels["q"].value - 2 * von_neumann_entropy(rho.matrix)) < 1e-12
+    assert levels["q"].evals == levels["d"].evals
 
 
 def test_hierarchy_rejects_mismatched_dimensions():
@@ -257,11 +278,6 @@ def test_hierarchy_rejects_mismatched_dimensions():
         qdc_hierarchy(rho, ch, TINY)
     with pytest.raises(ValueError, match=message):
         class_mutual_and_capacity(rho, ch, "d", TINY)
-
-
-def test_q_entropy_sup_needs_a_term():
-    with pytest.raises(ValueError, match="need at least one term"):
-        q_entropy_sup(maximally_mixed(2), TINY, n_terms=0)
 
 
 def test_capacities_at_identity_channel():

@@ -142,6 +142,35 @@ def test_tiny_split_components_merge_into_a_valid_ensemble():
     assert abs(holevo_bound(got.weights, components, ch) - got.value) <= DUAL_ROUTE_TOL
 
 
+def test_a_split_must_beat_the_floor_by_more_than_tol():
+    # The best split beats the Ohya floor by rounding alone (2.3e-13, above
+    # S(ch(rho)) = ln 2); the exact floor and its projectors are reported.
+    rng = rng_from(1004)
+    u = random_unitary(3, rng)
+    rho = DensityOperator((u * [0.5, 0.5, 0.0]) @ u.conj().T)
+    random_kraus_channel(3, 3, 2, rng)
+    ch = identity_channel(3)
+    budget = SearchBudget(2, 30, seed=5)
+    got = pseudo_mutual_entropy(rho, ch, 2, budget)
+    floor = ohya_mutual_entropy(rho, ch, budget.child(0))
+    dec = floor.decomposition
+    assert got.value == floor.value
+    assert np.array_equal(got.weights, dec.weights)
+    assert len(got.components) == dec.size
+    for component, k in zip(got.components, range(dec.size)):
+        assert np.array_equal(component, dec.projector(k))
+
+
+def test_holevo_bound_validates_its_coded_states():
+    ch = identity_channel(2)
+    not_psd = np.diag([2.0, -1.0])
+    with pytest.raises(ValueError, match="density operator has an eigenvalue below -1e-10"):
+        holevo_bound([0.5, 0.5], [not_psd, np.eye(2) / 2], ch)
+    qutrit = np.eye(3) / 3
+    with pytest.raises(ValueError, match="state dimension 3 does not match the channel input dimension 2"):
+        holevo_bound([0.5, 0.5], [qutrit, qutrit], ch)
+
+
 def test_holevo_bound_dominates_decoded_information():
     rng = rng_from(47)
     for _ in range(30):

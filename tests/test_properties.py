@@ -1,5 +1,6 @@
 """Property tests over random channels: the capacity ordering, seed determinism,
-the q/d/c bounds and the pseudo mutual entropy's ensemble at fixed states."""
+the q/d/c bounds, the pseudo mutual entropy's ensemble at fixed states, data
+processing, and the cqc capacity chain."""
 
 import dataclasses
 import math
@@ -11,13 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qmi.capacity import StateFamily, pseudo_capacity  # noqa: E402
-from qmi.channels import apply_matrix  # noqa: E402
+from qmi.capacity import CodingScheme, StateFamily, cqc_capacity, pseudo_capacity  # noqa: E402
+from qmi.channels import apply_matrix, compose  # noqa: E402
 from qmi.entanglement import qdc_hierarchy  # noqa: E402
 from qmi.entropy import von_neumann_entropy  # noqa: E402
 from qmi.mutual import holevo_bound, ohya_mutual_entropy, pseudo_mutual_entropy  # noqa: E402
-from qmi.operators import DensityOperator  # noqa: E402
-from qmi.sampling import random_kraus_channel, random_unitary, rng_from  # noqa: E402
+from qmi.operators import DensityOperator, pure_state  # noqa: E402
+from qmi.sampling import random_kraus_channel, random_povm, random_pure, random_unitary, rng_from  # noqa: E402
 from qmi.search import SearchBudget  # noqa: E402
 
 
@@ -103,3 +104,60 @@ def test_pseudo_mutual_entropy_returns_a_checked_ensemble(problem, n_components)
     assert (again.value, again.evals, again.converged) == (got.value, got.evals, got.converged)
     assert np.array_equal(again.weights, got.weights)
     assert all(np.array_equal(a, b) for a, b in zip(again.components, got.components, strict=True))
+
+
+@st.composite
+def processing_chains(draw):
+    """Two composable random channels and an input state of nondegenerate
+    support spectrum, full rank or with one zero eigenvalue."""
+    d_in, d_mid, d_out = (draw(st.sampled_from([2, 3])) for _ in range(3))
+    rng = rng_from(draw(st.integers(0, 2**31 - 1)))
+    first = random_kraus_channel(d_in, d_mid, draw(st.integers(-(-d_in // d_mid), 3)), rng)
+    second = random_kraus_channel(d_mid, d_out, draw(st.integers(-(-d_mid // d_out), 3)), rng)
+    w = rng.uniform(0.1, 1.0, size=d_in)
+    if draw(st.booleans()):
+        w[-1] = 0.0
+    u = random_unitary(d_in, rng)
+    m = (u * (w / w.sum())) @ u.conj().T
+    return DensityOperator((m + m.conj().T) / 2), first, second
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(processing_chains())
+def test_data_processing_at_nondegenerate_states(chain):
+    # A nondegenerate support spectrum has one Schatten decomposition, so both
+    # values are exact and relative-entropy monotonicity holds term by term.
+    rho, first, second = chain
+    budget = SearchBudget(restarts=2, max_evals=12, seed=1)
+    after = ohya_mutual_entropy(rho, compose(second, first), budget).value
+    assert after <= ohya_mutual_entropy(rho, first, budget).value + 1e-12
+
+
+@st.composite
+def cqc_problems(draw):
+    """A random qubit/qutrit channel, pure coded states, a random POVM and a small budget."""
+    d_in = draw(st.sampled_from([2, 3]))
+    d_out = draw(st.sampled_from([2, 3]))
+    rng = rng_from(draw(st.integers(0, 2**31 - 1)))
+    ch = random_kraus_channel(d_in, d_out, draw(st.integers(-(-d_in // d_out), 3)), rng)
+    coding = CodingScheme(tuple(pure_state(random_pure(d_in, rng)) for _ in range(draw(st.integers(2, 3)))))
+    decoding = random_povm(d_out, draw(st.integers(2, 3)), rng)
+    budget = SearchBudget(restarts=2, max_evals=12, seed=draw(st.integers(1, 2**31 - 1)))
+    return ch, coding, decoding, budget
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(cqc_problems())
+def test_cqc_chain_and_seed_determinism(problem):
+    # Budgets chained as the "full" search chains its floors, so each poorer
+    # mode's value is exactly the richer mode's floor.
+    ch, coding, decoding, full = problem
+    budgets = {"full": full, "coding": full.child(4), "weights": full.child(4).child(3)}
+    values = {}
+    for mode, budget in budgets.items():
+        first = cqc_capacity(ch, decoding, coding, mode, budget)
+        again = cqc_capacity(ch, decoding, coding, mode, budget)
+        assert (again.value, again.evals, again.converged) == (first.value, first.evals, first.converged)
+        values[mode] = first.value
+    assert values["weights"] <= values["coding"] <= values["full"]
+    assert values["full"] <= math.log(min(coding.size, decoding.n_outcomes)) + 1e-9
