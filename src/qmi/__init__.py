@@ -90,7 +90,7 @@ from .operators import (
     spectral,
     tensor_product,
 )
-from .search import SearchBudget, SearchResult, maximize
+from .search import SearchBudget, SearchResult, maximize, maximize_batch
 from .verify import verify_all, verify_report
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, _square_root_povm
+from .channels import KrausChannel, Povm, _square_root_povm_rows
 from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
@@ -27,7 +27,7 @@ from .mutual import (
     ohya_mutual_entropy,
 )
 from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability
-from .search import SearchBudget, SearchResult, _complex_stack, complex_from_params, maximize, softmax
+from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,15 @@ class CapacityReport:
     notes: dict = field(default_factory=dict)
 
 
-def _normalized_grams(factors: np.ndarray) -> np.ndarray | None:
-    """A A^dag / tr (Hermitian part) for each stacked factor A; None when a trace is below 1e-12."""
-    m = factors @ factors.conj().transpose(0, 2, 1)
-    tr = np.real(np.trace(m, axis1=1, axis2=2))
-    if np.min(tr) < 1e-12:
-        return None
-    m = m / tr[:, None, None]
-    return (m + m.conj().transpose(0, 2, 1)) / 2
+def _normalized_grams(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A A^dag / tr (Hermitian part) for each factor A of rows of stacked factors
+    (rows, K, d, r), and per row whether every trace is at least 1e-12 (the
+    grams of other rows are not meaningful)."""
+    m = factors @ factors.conj().swapaxes(-1, -2)
+    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    traced = np.min(tr, axis=-1) >= 1e-12
+    m = m / np.where(traced[:, None], tr, 1.0)[..., None, None]
+    return (m + m.conj().swapaxes(-1, -2)) / 2, traced
 
 
 @dataclass(frozen=True)
@@ -127,24 +128,34 @@ class StateFamily:
 
     def _matrix_from_params(self, params: np.ndarray) -> np.ndarray | None:
         """The family member's matrix, unvalidated; None below trace 1e-12."""
+        mats, traced = self._matrices_from_params(np.asarray(params, dtype=float)[None])
+        return mats[0] if traced[0] else None
+
+    def _matrices_from_params(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The members of the rows of points (rows, n_params), unvalidated, and
+        per row whether it has trace at least 1e-12 (other rows' matrices are
+        not meaningful)."""
         if self.kind == "diagonal":
-            return np.diag(softmax(params).astype(complex))
-        m = _normalized_grams(complex_from_params(params, self.dim, self.effective_rank)[None])
-        return None if m is None else m[0]
+            mats = np.zeros((len(points), self.dim, self.dim), dtype=complex)
+            diag = np.arange(self.dim)
+            mats[:, diag, diag] = softmax(points)
+            return mats, np.ones(len(points), dtype=bool)
+        grams, traced = _normalized_grams(_complex_stack(points, 1, self.dim, self.effective_rank))
+        return grams[:, 0], traced
 
     def supremum(self, value, budget: SearchBudget) -> tuple[SearchResult, DensityOperator | None]:
         """Maximize value(matrix) over the family from its candidate starts.
 
-        `value` sees unvalidated member matrices; a member below trace 1e-12
-        scores -inf. Only the maximizer is validated: the second item is its
-        DensityOperator, or None when it has no trace.
+        `value` sees unvalidated member matrices, one at a time; a member below
+        trace 1e-12 scores -inf. Only the maximizer is validated: the second
+        item is its DensityOperator, or None when it has no trace.
         """
 
-        def objective(params: np.ndarray) -> float:
-            m = self._matrix_from_params(params)
-            return -math.inf if m is None else value(m)
+        def objective(points: np.ndarray) -> np.ndarray:
+            mats, traced = self._matrices_from_params(points)
+            return np.array([value(m) if ok else -math.inf for m, ok in zip(mats, traced)])
 
-        result = maximize(objective, self.n_params, budget, starts=self.candidate_starts())
+        result = maximize_batch(objective, self.n_params, budget, starts=self.candidate_starts())
         return result, self.state_from_params(result.params)
 
     def candidate_starts(self) -> list[np.ndarray]:
@@ -160,26 +171,32 @@ class StateFamily:
 
 
 def _outcome_rows(p: np.ndarray) -> np.ndarray:
-    """Born rows clipped at 0 and rescaled to sum 1 (rows summing to 0 stay 0)."""
+    """Born rows (along the last axis) clipped at 0 and rescaled to sum 1
+    (rows summing to 0 stay 0)."""
     p = np.clip(p, 0.0, None)
-    total = p.sum(axis=1, keepdims=True)
+    total = p.sum(axis=-1, keepdims=True)
     return np.divide(p, total, out=p, where=total > 0)
 
 
-def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> float:
-    """sum_k lambda_k KL(W_k || lambda W) of input weights through transition rows.
+def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """sum_k lambda_k KL(W_k || lambda W) for each row of input weights (rows, K)
+    through transition rows W, one (K, J) for all rows or (rows, K, J).
 
     Infinite when a row charges an outcome the mixture does not; weights at
     or below 1e-15 drop out.
     """
-    avg = (weights[:, None] * dists).sum(axis=0)
+    avg = (weights[..., None] * dists).sum(axis=-2)[:, None, :]
     keep = weights > 1e-15
-    lam, dists = weights[keep], dists[keep]
-    charged = dists > ZERO_TOL
-    if (charged & (avg <= ZERO_TOL)).any():
-        return math.inf
-    ratio = np.divide(dists, avg, out=np.ones_like(dists), where=charged)
-    return float((lam * (dists * np.log(ratio)).sum(axis=1)).sum())
+    charged = (dists > ZERO_TOL) & keep[..., None]
+    supported = avg > ZERO_TOL
+    infinite = (charged & ~supported).any(axis=(-2, -1))
+    ratio = np.divide(dists, avg, out=np.ones(charged.shape), where=charged & supported)
+    terms = weights * (dists * np.log(ratio)).sum(axis=-1)
+    total = np.where(keep, terms, 0.0).sum(axis=-1)
+    # A row that drops a letter sums over the letters it keeps.
+    for i in np.flatnonzero(~keep.all(axis=-1)):
+        total[i] = terms[i][keep[i]].sum()
+    return np.where(infinite, math.inf, total)
 
 
 def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
@@ -189,7 +206,7 @@ def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     where weights at or below 1e-15 drop out too. Disagreement beyond 1e-8
     raises ConsistencyError.
     """
-    kl_route = _cqc_kl(weights, dists)
+    kl_route = float(_cqc_kl(weights[None], dists)[0])
     keep = weights > 1e-15
     avg = (weights[:, None] * dists).sum(axis=0)
     entropies = _entropy_rows(np.vstack([dists[keep], avg]))
@@ -228,16 +245,16 @@ class _CqcEvaluator:
         self.dual = (kraus_dag[:, None] @ effects @ self.kraus[:, None]).sum(axis=0)
 
     def transitions(self, states: np.ndarray) -> np.ndarray:
-        """W for stacked coded states and the cached decoding."""
-        return _outcome_rows(np.einsum("jab,kba->kj", self.dual, states).real)
+        """W for stacked coded states (..., K, d, d) and the cached decoding."""
+        return _outcome_rows(np.einsum("jab,...kba->...kj", self.dual, states).real)
 
     def pure_transitions(self, vectors: np.ndarray) -> np.ndarray:
-        """W for coded states |v_k><v_k| given as the rows of `vectors`."""
-        return _outcome_rows(np.einsum("ka,jab,kb->kj", vectors.conj(), self.dual, vectors).real)
+        """W for coded states |v_k><v_k| given as the rows of `vectors` (..., K, d)."""
+        return _outcome_rows(np.einsum("...ka,jab,...kb->...kj", vectors.conj(), self.dual, vectors).real)
 
     def decoded_transitions(self, states: np.ndarray, effects: np.ndarray) -> np.ndarray:
-        """W for stacked coded states and stacked decoding effects."""
-        return _outcome_rows(np.einsum("jab,kba->kj", effects, _transmit(self.kraus, states)).real)
+        """W for stacked coded states (..., K, d, d) and decoding effects (..., J, e, e)."""
+        return _outcome_rows(np.einsum("...jab,...kba->...kj", effects, _transmit(self.kraus, states)).real)
 
 
 def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
@@ -310,11 +327,10 @@ def pseudo_capacity(
         raise ConsistencyError("the quantum capacity search found no state")
     kraus = np.stack(ch.ops)
 
-    def member(params: np.ndarray):
-        rho = family._matrix_from_params(params)
-        if rho is None:
-            return None
-        return rho, _sqrt_psd(rho), float(_entropy_rows(np.linalg.eigvalsh(_transmit(kraus, rho[None])))[0])
+    def member(heads: np.ndarray):
+        rhos, traced = family._matrices_from_params(heads)
+        out_entropies = _entropy_rows(np.linalg.eigvalsh(_transmit(kraus, rhos)))
+        return rhos, _sqrt_psd(rhos), out_entropies, traced
 
     # The floor is the quantum capacity: its value is ohya's, its flag the family search's.
     floor = replace(ohya, converged=base.converged)
@@ -329,18 +345,19 @@ def pseudo_capacity(
     )
 
 
-def _pure_codes(params: np.ndarray, size: int, dim: int) -> np.ndarray | None:
-    """Unit coding vectors as rows; None when one has norm below 1e-8."""
-    v = _complex_stack(params, size, 1, dim)[:, 0]
-    norms = np.linalg.norm(v, axis=1)
-    if np.min(norms) < 1e-8:
-        return None
-    return v / norms[:, None]
+def _pure_codes(points: np.ndarray, size: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit coding vectors (rows, size, dim) for each row of points, and per
+    row whether every vector has norm at least 1e-8."""
+    v = _complex_stack(points, size, 1, dim)[..., 0, :]
+    norms = np.linalg.norm(v, axis=-1)
+    coded = np.min(norms, axis=-1) >= 1e-8
+    return v / np.where(coded[:, None], norms, 1.0)[..., None], coded
 
 
-def _mixed_codes(params: np.ndarray, size: int, dim: int) -> np.ndarray | None:
-    """Coded states A A^dag / tr, stacked; None when a trace is below 1e-12."""
-    return _normalized_grams(_complex_stack(params, size, dim, dim))
+def _mixed_codes(points: np.ndarray, size: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coded states A A^dag / tr (rows, size, dim, dim) for each row of points,
+    and per row whether every trace is at least 1e-12."""
+    return _normalized_grams(_complex_stack(points, size, dim, dim))
 
 
 def _sqrt_psd_params(mats, slots: int) -> np.ndarray:
@@ -410,10 +427,10 @@ def _cqc_search(
     if mode == "weights":
         dists = evaluator.transitions(states)
 
-        def objective(params):
-            return _cqc_kl(softmax(params), dists)
+        def objective(points):
+            return _cqc_kl(softmax(points), dists)
 
-        result = maximize(objective, size, budget, starts=[np.zeros(size)])
+        result = maximize_batch(objective, size, budget, starts=[np.zeros(size)])
         return CapacityReport(
             value=_checked_cqc(result.value, softmax(result.params), dists),
             converged=result.converged,
@@ -427,30 +444,42 @@ def _cqc_search(
     n_codes = size * (2 * dim if pure else 2 * dim * dim)
     out_dim = decoding.dim
 
-    def transitions(params):
-        """W at the coding (and decoding) of params; None when a code has no norm."""
-        codes = make_codes(params[size : size + n_codes], size, dim)
-        if codes is None:
-            return None
+    def transitions(points):
+        """W at the coding (and decoding) of each row of points; per row whether
+        every code has a norm; and per row whether its decoding needed the
+        square-root POVM's completion effect."""
+        codes, coded = make_codes(points[:, size : size + n_codes], size, dim)
         if mode == "coding":
-            return evaluator.pure_transitions(codes) if pure else evaluator.transitions(codes)
+            dists = evaluator.pure_transitions(codes) if pure else evaluator.transitions(codes)
+            return dists, coded, np.zeros(len(points), dtype=bool)
         if pure:
-            codes = codes[:, :, None] * codes.conj()[:, None, :]
-        factors = _complex_stack(params[size + n_codes :], n_out, out_dim, out_dim)
-        return evaluator.decoded_transitions(codes, _square_root_povm(factors))
+            codes = codes[..., :, None] * codes.conj()[..., None, :]
+        factors = _complex_stack(points[:, size + n_codes :], n_out, out_dim, out_dim)
+        effects, completed = _square_root_povm_rows(factors)
+        if not completed.any():
+            effects = effects[:, :-1]
+        return evaluator.decoded_transitions(codes, effects), coded, completed
 
-    def objective(params):
-        dists = transitions(params)
-        return -math.inf if dists is None else _cqc_kl(softmax(params[:size]), dists)
+    def objective(points):
+        dists, coded, completed = transitions(points)
+        if completed.any() and not completed.all():
+            # Each row's sums run over its own outcomes: score the rows with and
+            # without the completion effect apart.
+            values = np.empty(len(points))
+            for group in (completed, ~completed):
+                values[group] = objective(points[group])
+            return values
+        return np.where(coded, _cqc_kl(softmax(points[:, :size]), dists), -math.inf)
 
     starts = [np.zeros(size), _coding_params(states, pure)]
     if mode == "full":
         starts.append(_sqrt_psd_params(decoding.effects, n_out))
     notes = {"fixed_coding_value" if mode == "coding" else "fixed_decoding_value": floor.value}
     start = np.concatenate(starts)
-    result = maximize(objective, start.size, budget, starts=[start])
+    result = maximize_batch(objective, start.size, budget, starts=[start])
     if result.value > floor.value:
-        _checked_cqc(result.value, softmax(result.params[:size]), transitions(result.params))
+        dists, _, _ = transitions(result.params[None])
+        _checked_cqc(result.value, softmax(result.params[:size]), dists[0])
     return CapacityReport(
         value=max(result.value, floor.value),
         converged=result.converged or floor.converged,

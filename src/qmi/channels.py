@@ -210,22 +210,37 @@ def _square_root_povm(factors: np.ndarray) -> np.ndarray:
 
     Eigenvalues of sum B^dag B are floored at 1e-10 of the largest, so a
     rank-deficient sum still normalizes; the part of the identity the
-    effects then miss is appended as one more effect.
+    effects then miss is appended as one more effect. One row of
+    `_square_root_povm_rows`.
     """
-    factors_dag = factors.conj().transpose(0, 2, 1)
-    s = (factors_dag @ factors).sum(axis=0)
-    w, v = np.linalg.eigh((s + s.conj().T) / 2)
-    floor = max(1e-10 * float(np.max(w)), 1e-300)
-    w = np.clip(w, floor, None)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    effects, completed = _square_root_povm_rows(factors[None])
+    return effects[0] if completed[0] else effects[0, :-1]
+
+
+def _square_root_povm_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_square_root_povm` for each row of factors (rows, n, d, d).
+
+    Returns effects of shape (rows, n + 1, d, d) and a mask of the rows
+    whose effects needed the completion (residual trace above 1e-12). The
+    completion fills the last slot of those rows; the slot of every other
+    row is an exact zero block.
+    """
+    factors_dag = factors.conj().swapaxes(-1, -2)
+    s = (factors_dag @ factors).sum(axis=1)
+    w, v = np.linalg.eigh((s + s.conj().swapaxes(-1, -2)) / 2)
+    floor = np.maximum(1e-10 * np.max(w, axis=-1), 1e-300)
+    w = np.clip(w, floor[:, None], None)
+    inv_sqrt = ((v * (1.0 / np.sqrt(w))[:, None, :]) @ v.conj().swapaxes(-1, -2))[:, None]
     effects = inv_sqrt @ factors_dag @ factors @ inv_sqrt
-    effects = (effects + effects.conj().transpose(0, 2, 1)) / 2
-    residual = np.eye(s.shape[0]) - effects.sum(axis=0)
-    rw, rv = np.linalg.eigh((residual + residual.conj().T) / 2)
+    effects = (effects + effects.conj().swapaxes(-1, -2)) / 2
+    residual = np.eye(s.shape[-1]) - effects.sum(axis=1)
+    rw, rv = np.linalg.eigh((residual + residual.conj().swapaxes(-1, -2)) / 2)
     rw = np.clip(rw, 0.0, None)
-    if float(np.sum(rw)) > 1e-12:
-        effects = np.concatenate([effects, ((rv * rw) @ rv.conj().T)[None]])
-    return effects
+    completed = np.sum(rw, axis=-1) > 1e-12
+    completion = np.where(
+        completed[:, None, None], (rv * rw[:, None, :]) @ rv.conj().swapaxes(-1, -2), 0.0
+    )
+    return np.concatenate([effects, completion[:, None]], axis=1), completed
 
 
 def born_probabilities(povm: Povm, rho) -> np.ndarray:

@@ -41,6 +41,7 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _upper_indices,
     as_complex_matrix,
     as_probability,
     eigenbasis,
@@ -48,7 +49,7 @@ from .operators import (
     partial_trace,
     schatten_family,
 )
-from .search import SearchBudget, SearchResult, complex_from_params, maximize
+from .search import SearchBudget, SearchResult, complex_from_params, maximize_batch
 
 NORMALIZATION_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -452,7 +453,10 @@ class _BestRecords:
 
     Non-finite values are skipped. Records rank by (value, -commute_defect),
     and a record replaces the best only when its key is strictly greater, so
-    the first maximum is kept.
+    the first maximum in evaluation order is kept. The searches offer their
+    points round by round, in lockstep order, so when two restarts tie
+    exactly the record is the point of the earlier round, not necessarily
+    that of the earlier restart.
     """
 
     def __init__(self):
@@ -475,15 +479,28 @@ class _BestRecords:
 
 def _commutation_defect(outputs) -> float:
     """Largest ||[A, B]|| / (||A|| ||B||) over pairs, skipping norms at most ZERO_TOL."""
-    norms = [float(np.linalg.norm(om)) for om in outputs]
-    worst = 0.0
-    for n in range(len(outputs)):
-        for m in range(n + 1, len(outputs)):
-            if norms[n] <= ZERO_TOL or norms[m] <= ZERO_TOL:
-                continue
-            comm = outputs[n] @ outputs[m] - outputs[m] @ outputs[n]
-            worst = max(worst, float(np.linalg.norm(comm)) / (norms[n] * norms[m]))
-    return worst
+    return float(_commutation_defects(np.asarray(outputs)[None])[0])
+
+
+def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., d, d), as np.linalg.norm
+    computes it for one matrix: the square root of the dot products of the
+    real and the imaginary parts with themselves, summed."""
+    flat = mats.reshape(*mats.shape[:-2], 1, mats.shape[-2] * mats.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _commutation_defects(outputs: np.ndarray) -> np.ndarray:
+    """`_commutation_defect` of each row of stacked outputs (rows, K, d, d)."""
+    k = outputs.shape[1]
+    first, second = _upper_indices(k)
+    a, b = outputs[:, first], outputs[:, second]
+    norms = _frobenius_norms(np.concatenate([outputs, a @ b - b @ a], axis=1))
+    left, right, comm = norms[:, first], norms[:, second], norms[:, k:]
+    counted = (left > ZERO_TOL) & (right > ZERO_TOL)
+    ratios = np.divide(comm, left * right, out=np.zeros(comm.shape), where=counted)
+    return np.max(ratios, axis=1, initial=0.0)
 
 
 def _survey_decompositions(
@@ -492,11 +509,12 @@ def _survey_decompositions(
     """Search the Schatten decompositions of rho_mat, offering each one to `best`."""
     evaluator = _MutualEvaluator(rho_mat, ch)
 
-    def evaluate(params: np.ndarray) -> float:
-        outputs = evaluator.outputs(params)
-        value = evaluator.score(evaluator.weights, outputs)
-        best.offer(value, _commutation_defect(outputs), rho_mat, params)
-        return value
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        outputs = evaluator.outputs(points)
+        values = evaluator.score(evaluator.weights, outputs)
+        for params, value, defect in zip(points, values.tolist(), _commutation_defects(outputs).tolist()):
+            best.offer(value, defect, rho_mat, params)
+        return values
 
     return evaluator.supremum(budget, evaluate)
 
@@ -672,11 +690,11 @@ def _q_value(
     singular = fix_output_blocks and float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) <= ZERO_TOL
     if n_params and dec.size >= 2 and not singular:
 
-        def objective(params: np.ndarray) -> float:
-            x = _assemble_direction(params, dec, k, fix_output_blocks)
-            return -math.inf if x is None else scorer.value(x)
+        def objective(points: np.ndarray) -> np.ndarray:
+            rays = (_assemble_direction(params, dec, k, fix_output_blocks) for params in points)
+            return np.array([-math.inf if x is None else scorer.value(x) for x in rays])
 
-        result = maximize(objective, n_params, budget.child(7), starts=())
+        result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
         if result.value > best:
             best, best_ray = result.value, _assemble_direction(result.params, dec, k, fix_output_blocks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import KrausChannel, _square_root_povm, apply_matrix
+from .channels import KrausChannel, _square_root_povm_rows, apply_matrix
 from .entropy import (
     _entropy_rows,
     product_relative_entropy,
@@ -40,7 +40,7 @@ from .operators import (
     partial_trace,
     schatten_family,
 )
-from .search import SearchBudget, SearchResult, _complex_stack, maximize
+from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch
 
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
@@ -107,13 +107,24 @@ def _images(kraus: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _outputs(images: np.ndarray) -> np.ndarray:
-    """sum_r K_r |v_k><v_k| K_r^dag for every k, from the stacked images."""
-    return images @ images.conj().transpose(0, 2, 1)
+    """sum_r K_r |v_k><v_k| K_r^dag for every k, from the stacked images
+    (..., k, out, r)."""
+    return images @ images.conj().swapaxes(-1, -2)
 
 
 def _transmit(kraus: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The channel with stacked Kraus operators applied to each matrix of a stack."""
-    return (kraus @ mats[:, None] @ kraus.conj().transpose(0, 2, 1)).sum(axis=1)
+    """The channel with stacked Kraus operators applied to each matrix of a stack (..., d, d)."""
+    return (kraus @ mats[..., None, :, :] @ kraus.conj().transpose(0, 2, 1)).sum(axis=-3)
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k weights[..., k] values[i, k] for each row i of values (rows, K).
+
+    A stacked 1 x K by K x 1 product: each row's sum is the dot product
+    `float(weights_i @ values_i)` of that row alone, bit for bit, which a
+    matrix-vector product or a reduction along the rows need not be.
+    """
+    return np.matmul(values[:, None, :], weights[..., None])[:, 0, 0]
 
 
 def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> np.ndarray:
@@ -152,7 +163,9 @@ class _MutualEvaluator:
     Any split rho = sum_k lambda_k rho_k is scored as
     S(ch(rho)) - sum_k lambda_k S(ch(rho_k)), which equals the component sum
     sum_k lambda_k S(ch(rho_k), ch(rho)) exactly, with one batched eigvalsh.
-    Nothing here is validated; the searches check their maximizer instead.
+    Every method takes a batch of rows, one per parameter point, and treats
+    each row alone. Nothing here is validated; the searches check their
+    maximizer instead.
     """
 
     def __init__(self, rho_mat: np.ndarray, ch: KrausChannel):
@@ -163,30 +176,33 @@ class _MutualEvaluator:
         self.images = _images(self.kraus, self.vectors)
         self.out_entropy = von_neumann_entropy(apply_matrix(ch, rho_mat))
 
-    def score(self, weights: np.ndarray, outputs: np.ndarray) -> float:
-        """S(ch(rho)) - sum_k weights[k] S(outputs[k]) for unit-trace outputs."""
-        return self.out_entropy - float(weights @ _entropy_rows(np.linalg.eigvalsh(outputs)))
+    def score(self, weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+        """S(ch(rho)) - sum_k weights[..., k] S(outputs[i, k]) per row i, for
+        unit-trace outputs (rows, K, out, out)."""
+        return self.out_entropy - _weighted_sum(weights, _entropy_rows(np.linalg.eigvalsh(outputs)))
 
-    def outputs(self, params: np.ndarray) -> np.ndarray:
-        """Channel images of the Schatten decomposition `schatten_family(rho, params)`."""
-        images = self.images
-        if self.blocks:
-            u = np.eye(images.shape[0], dtype=complex)
-            for s, block in _block_rotations(self.blocks, params):
-                u[s, s] = block
-            images = np.einsum("kor,kj->jor", images, u)
-        return _outputs(images)
+    def outputs(self, points: np.ndarray) -> np.ndarray:
+        """Channel images of the Schatten decompositions `schatten_family(rho, p)`
+        for the rows p of points (rows, n_params)."""
+        if not self.blocks:
+            return _outputs(self.images)[None].repeat(len(points), axis=0)
+        u = np.tile(np.eye(self.images.shape[0], dtype=complex), (len(points), 1, 1))
+        for s, block in _block_rotations(self.blocks, points):
+            u[:, s, s] = block
+        return _outputs(np.einsum("kor,bkj->bjor", self.images, u))
 
-    def value(self, params: np.ndarray) -> float:
-        """Mutual entropy of the Schatten decomposition indexed by params."""
-        return self.score(self.weights, self.outputs(params))
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Mutual entropy of the Schatten decomposition indexed by each row of points."""
+        return self.score(self.weights, self.outputs(points))
 
-    def supremum(self, budget: SearchBudget, objective=None) -> SearchResult:
-        """Maximize `objective` (default `value`) over the Schatten parameters.
+    def supremum(self, budget: SearchBudget, objective_rows=None) -> SearchResult:
+        """Maximize `objective_rows` (default `values`) over the Schatten parameters.
 
         A nondegenerate rho has a single decomposition, evaluated once.
         """
-        return maximize(objective or self.value, self.n_params, budget, starts=[np.zeros(self.n_params)])
+        return maximize_batch(
+            objective_rows or self.values, self.n_params, budget, starts=[np.zeros(self.n_params)]
+        )
 
 
 def compound_state(rho: DensityOperator, ch: KrausChannel, dec: SchattenDecomposition) -> CompoundState:
@@ -357,21 +373,27 @@ def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> tupl
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """The PSD square root of a Hermitian matrix, or of each in a stack (..., d, d)."""
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _povm_split(sqrt_rho: np.ndarray, params: np.ndarray, n_components: int):
-    """(lambda_k, sigma_k) with sigma_k = sqrt(rho) M_k sqrt(rho), unnormalized.
+    """(lambda_k, sigma_k) per row, with sigma_k = sqrt(rho) M_k sqrt(rho) unnormalized.
 
-    {M_k} is the square-root POVM of the n_components complex factor blocks
-    in params, so the sigma_k sum to rho at every parameter point.
+    sqrt_rho is (rows, d, d) and params (rows, n_params). {M_k} is the
+    square-root POVM of the n_components complex factor blocks in a row of
+    params, so the sigma_k sum to rho at every parameter point. When some row
+    needs the POVM's completion effect, every row carries its slot, with
+    lambda = 0 where it is not needed.
     """
-    dim = sqrt_rho.shape[0]
-    effects = _square_root_povm(_complex_stack(params, n_components, dim, dim))
-    sigmas = sqrt_rho @ effects @ sqrt_rho
-    return np.clip(np.real(np.trace(sigmas, axis1=1, axis2=2)), 0.0, None), sigmas
+    dim = sqrt_rho.shape[-1]
+    effects, completed = _square_root_povm_rows(_complex_stack(params, n_components, dim, dim))
+    if not completed.any():
+        effects = effects[:, :-1]
+    sigmas = sqrt_rho[:, None] @ effects @ sqrt_rho[:, None]
+    return np.clip(np.real(np.trace(sigmas, axis1=-2, axis2=-1)), 0.0, None), sigmas
 
 
 def _projector_factors(vectors: np.ndarray, n_components: int) -> np.ndarray:
@@ -389,11 +411,12 @@ def _split_search(
     """The supremum of chi over convex splits of family members, floored at `floor`.
 
     The search runs over (member parameters, split parameters).
-    `member(params)` returns (rho, sqrt(rho), S(ch(rho))) for a family member,
-    or None when it has no trace; the split parameters are the factor blocks
-    of `_povm_split`, and components of trace at or below 1e-12 drop out. A
-    split scores chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)) with one
-    batched eigvalsh, unvalidated. The search starts at `head` split by the
+    `member(heads)` takes the member parameters as rows and returns, per
+    row, (rho, sqrt(rho), S(ch(rho)), whether the member has a trace); the
+    split parameters are the factor blocks of `_povm_split`, and components
+    of trace at or below 1e-12 drop out. A split scores
+    chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)) with one batched
+    eigvalsh, unvalidated. The search starts at `head` split by the
     projectors of `floor`, the Ohya result at member(head). A split that beats
     the floor by more than budget.tol is checked once by `_checked_ensemble`,
     and its converged flag is the split search's; otherwise the floor's
@@ -404,32 +427,35 @@ def _split_search(
     kraus = np.stack(ch.ops)
     n_head = head.size
 
-    def split(params: np.ndarray):
-        found = member(params[:n_head])
-        if found is None:
-            return None
-        rho, sqrt_rho, out_entropy = found
-        lams, sigmas = _povm_split(sqrt_rho, params[n_head:], n_components)
-        keep = lams > 1e-12
-        return rho, out_entropy, lams[keep], sigmas[keep]
+    def split(points: np.ndarray):
+        rhos, sqrt_rhos, out_entropies, traced = member(points[:, :n_head])
+        lams, sigmas = _povm_split(sqrt_rhos, points[:, n_head:], n_components)
+        return rhos, out_entropies, traced, lams, sigmas
 
-    def objective(params: np.ndarray) -> float:
-        found = split(params)
-        if found is None:
-            return -math.inf
-        _, out_entropy, lams, sigmas = found
-        outputs = _transmit(kraus, sigmas) / lams[:, None, None]
-        return out_entropy - float(lams @ _entropy_rows(np.linalg.eigvalsh(outputs)))
+    def objective(points: np.ndarray) -> np.ndarray:
+        _, out_entropies, traced, lams, sigmas = split(points)
+        keep = lams > 1e-12
+        outputs = _transmit(kraus, sigmas) / np.where(keep, lams, 1.0)[..., None, None]
+        entropies = _entropy_rows(np.linalg.eigvalsh(outputs))
+        mixed = _weighted_sum(lams, entropies)
+        # A row that drops a component sums over the components it keeps.
+        for i in np.flatnonzero(traced & ~keep.all(axis=1)):
+            mixed[i] = lams[i][keep[i]] @ entropies[i][keep[i]]
+        return np.where(traced, out_entropies - mixed, -math.inf)
 
     start = np.concatenate([head, _projector_factors(floor.decomposition.vectors, n_components)])
-    result = maximize(objective, start.size, budget, starts=[start])
+    result = maximize_batch(objective, start.size, budget, starts=[start])
     if result.value > floor.value + budget.tol:
-        rho, _, lams, sigmas = split(result.params)
-        state, weights, components = _checked_ensemble(ch, rho, lams, sigmas, result.value)
+        rhos, _, _, lams, sigmas = split(result.params[None])
+        keep = lams[0] > 1e-12
+        state, weights, components = _checked_ensemble(
+            ch, rhos[0], lams[0][keep], sigmas[0][keep], result.value
+        )
         value, converged = result.value, result.converged
     else:
         dec = floor.decomposition
-        state, weights = member(head)[0], dec.weights
+        rhos = member(head[None])[0]
+        state, weights = rhos[0], dec.weights
         components = tuple(dec.projector(k) for k in range(dec.size))
         value, converged = floor.value, floor.converged or result.converged
     return PseudoResult(value, weights, components, converged, result.evals), state
@@ -454,6 +480,13 @@ def pseudo_mutual_entropy(
         raise ValueError("need at least one component")
     budget = search or SearchBudget()
     floor = ohya_mutual_entropy(rho, ch, budget.child(0))
-    fixed = (rho.matrix, _sqrt_psd(rho.matrix), von_neumann_entropy(apply_matrix(ch, rho.matrix)))
-    result, _ = _split_search(ch, lambda params: fixed, np.zeros(0), floor, n_components, budget)
+    fixed = (rho.matrix, _sqrt_psd(rho.matrix))
+    out_entropy = von_neumann_entropy(apply_matrix(ch, rho.matrix))
+
+    def member(heads: np.ndarray):
+        rows = len(heads)
+        rhos, roots = (np.broadcast_to(m, (rows, *m.shape)) for m in fixed)
+        return rhos, roots, np.full(rows, out_entropy), np.ones(rows, dtype=bool)
+
+    result, _ = _split_search(ch, member, np.zeros(0), floor, n_components, budget)
     return replace(result, evals=result.evals + floor.evals)

@@ -284,31 +284,37 @@ def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_from_params(p: np.ndarray, m: int) -> np.ndarray:
-    """Hermitian m x m matrix from m^2 reals: diagonal, then (re, im) pairs."""
+    """Hermitian m x m matrix from m^2 reals: diagonal, then (re, im) pairs.
+
+    Leading axes of p are batch axes: p of shape (..., m^2) gives (..., m, m).
+    """
     p = np.asarray(p, dtype=float)
-    if p.size != m * m:
-        raise ValueError(f"expected {m * m} parameters, got {p.size}")
+    if p.shape[-1:] != (m * m,):
+        raise ValueError(f"expected {m * m} parameters, got {p.shape[-1] if p.ndim else p.size}")
     rows, cols = _upper_indices(m)
-    h = np.diag(p[:m].astype(complex))
-    upper = p[m::2] + 1j * p[m + 1 :: 2]
-    h[rows, cols] = upper
-    h[cols, rows] = upper.conj()
+    diag = np.arange(m)
+    h = np.zeros(p.shape[:-1] + (m, m), dtype=complex)
+    h[..., diag, diag] = p[..., :m]
+    upper = p[..., m::2] + 1j * p[..., m + 1 :: 2]
+    h[..., rows, cols] = upper
+    h[..., cols, rows] = upper.conj()
     return h
 
 
 def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:
-    """exp(i H(p)) for the Hermitian H built from m^2 reals."""
+    """exp(i H(p)) for the Hermitian H built from m^2 reals (batched like H)."""
     w, v = np.linalg.eigh(hermitian_from_params(p, m))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _block_rotations(blocks: list[slice], params: np.ndarray):
-    """Yield (block, exp(i H)) per block of multiplicity m >= 2, H from its m^2 parameters."""
+    """Yield (block, exp(i H)) per block of multiplicity m >= 2, H from its m^2
+    parameters; params of shape (..., n) give rotations of shape (..., m, m)."""
     pos = 0
     for s in blocks:
         m = s.stop - s.start
         if n := _block_param_count(m):
-            yield s, unitary_from_params(params[pos : pos + n], m)
+            yield s, unitary_from_params(params[..., pos : pos + n], m)
             pos += n
 
 

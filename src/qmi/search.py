@@ -1,9 +1,11 @@
 """Shared multi-restart derivative-free maximization.
 
 Every supremum in the package (Schatten searches, capacity searches,
-entanglement searches) runs through `maximize`: Nelder-Mead local descents
-from seeded random starts, reduced by max. Restart seeds derive from the
-budget's master seed by counter, so results are reproducible.
+entanglement searches) runs through `maximize_batch`: Nelder-Mead local
+descents from seeded random starts, stepped in lockstep so that each round
+of points is one call of a batch objective, and reduced by max. Restart
+seeds derive from the budget's master seed by counter, so results are
+reproducible. `maximize` is the same search for a pointwise objective.
 """
 
 from __future__ import annotations
@@ -48,97 +50,112 @@ class SearchResult:
     evals: int
 
 
-class _Capped(Exception):
-    """Raised by the counted objective once the evaluation cap is reached."""
-
-
-def _nelder_mead(f, x0: np.ndarray, max_evals: int, xatol: float, fatol: float) -> bool:
-    """Minimize f from x0 by the Nelder-Mead simplex method; True if converged.
+def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
+    """Minimize from x0 by the Nelder-Mead simplex method, as a generator.
 
     Nelder & Mead, Computer Journal 7:308 (1965), with the non-adaptive
     coefficients (reflection 1, expansion 2, contraction 0.5, shrink 0.5).
     The initial simplex (x0 plus a 5% step per coordinate, 0.00025 from 0),
     the step order, the float expressions and the stop test are those of the
     common reference implementation; tests/test_search.py checks that both
-    evaluate the same points in the same order. f receives a copy of each
-    point. A call that would exceed max_evals ends the descent, also inside
-    the initial simplex or a shrink; the result is True only when the stop
-    test (simplex within xatol and its values within fatol) ended it.
+    evaluate the same points in the same order.
+
+    Each step yields the points it needs as the rows of one array: the n + 1
+    vertices of the initial simplex, then a reflection, expansion or
+    contraction point, or the n points of a shrink. The caller sends back
+    their values as a sequence of the same length. A batch that would pass
+    max_evals evaluations is cut at the cap and ends the descent, also
+    inside the initial simplex or a shrink. The generator returns True only
+    when the stop test (simplex within xatol and its values within fatol)
+    ended the descent. The yielded arrays are the descent's own; the caller
+    copies what it keeps.
     """
-    evals = 0
-
-    def call(x):
-        nonlocal evals
-        if evals >= max_evals:
-            raise _Capped
-        evals += 1
-        return f(np.copy(x))
-
     n = x0.size
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-        # Sorted twice before the first step, as the reference does: argsort
-        # does not promise stability, so a second pass may reorder ties.
-        order = np.argsort(fsim)
+    evals = min(n + 1, max_evals)
+    fsim[:evals] = yield sim[:evals]
+    if evals < n + 1:
+        return False
+    # Sorted twice before the first step, as the reference does: argsort
+    # does not promise stability, so a second pass may reorder ties.
+    order = fsim.argsort()
+    sim, fsim = sim[order], fsim[order]
+    while evals < max_evals:
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
-        while evals < max_evals:
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
-            if (
-                np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-            ):
-                return True
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = call(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+            return True
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        (fxr,) = yield xr[None]
+        evals += 1
+        if fxr < fsim[0]:
+            if evals >= max_evals:
+                return False
+            xe = 3 * xbar - 2 * sim[-1]
+            (fxe,) = yield xe[None]
+            evals += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if evals >= max_evals:
+                return False
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = fxc > fxr
             else:
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = call(xc)
-                    shrink = fxc > fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = call(xc)
-                    shrink = fxc >= fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-    except _Capped:
-        pass
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = fxc >= fsim[-1]
+            evals += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                if evals >= max_evals:
+                    return False
+                m = min(n, max_evals - evals)
+                sim[1 : m + 1] = sim[0] + 0.5 * (sim[1 : m + 1] - sim[0])
+                fsim[1 : m + 1] = yield sim[1 : m + 1]
+                evals += m
+                if m < n:
+                    return False
     return False
 
 
-def maximize(
-    objective,
+def maximize_batch(
+    objective_rows,
     n_params: int,
     budget: SearchBudget,
     starts=(),
 ) -> SearchResult:
-    """Maximize objective(params) over R^n_params under the given budget.
+    """Maximize an objective over R^n_params, evaluating points in batches.
 
-    `starts` are deterministic initial points tried before random restarts;
-    the total number of local searches is max(budget.restarts, len(starts)).
-    The objective may return -inf to discard a point. With n_params == 0 the
-    objective is evaluated once.
+    `objective_rows(P)` takes an (m, n_params) array, m >= 1, and returns the
+    m values of its rows; a value that is not finite (-inf, say) discards
+    its point. `starts` are deterministic initial points tried before
+    random restarts; the total number of Nelder-Mead descents is
+    max(budget.restarts, len(starts)), each capped at budget.max_evals
+    evaluations.
+
+    The descents run in lockstep: each round takes every unfinished
+    descent's next batch (its initial simplex, one step's point or its
+    shrink points), in restart order, and evaluates them with one
+    `objective_rows` call. Descents do not interact, so each evaluates the
+    same points, with the same values, as when run alone. Each descent keeps
+    its first maximum, and those are reduced in restart order, the earlier
+    restart winning a tie; so the returned value and params, `evals` (the
+    number of rows evaluated) and `converged` (some descent met the stop
+    test) equal those of a run that takes one restart at a time. With
+    n_params == 0 the objective is evaluated once, on a 1 x 0 array.
     """
     if n_params == 0:
         return SearchResult(
-            value=float(objective(np.zeros(0))),
+            value=float(objective_rows(np.zeros((1, 0)))[0]),
             params=np.zeros(0),
             converged=True,
             evals=1,
@@ -149,34 +166,74 @@ def maximize(
         if s.size != n_params:
             raise ValueError(f"start has {s.size} parameters, expected {n_params}")
     n_restarts = max(budget.restarts, len(starts))
+    fatol = max(budget.tol * 0.1, 1e-12)
 
-    best = {"value": -math.inf, "params": np.zeros(n_params), "evals": 0}
-
-    def neg(x):
-        best["evals"] += 1
-        v = float(objective(x))
-        if not math.isfinite(v):
-            return _REJECTED
-        if v > best["value"]:
-            best["value"], best["params"] = v, x
-        return -v
-
+    best_values = [-math.inf] * n_restarts
+    best_params = [np.zeros(n_params)] * n_restarts
     converged = False
+    evals = 0
+    active = []  # (restart, descent, its pending points)
     for k in range(n_restarts):
         if k < len(starts):
             x0 = starts[k]
         else:
             rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,)))
             x0 = rng.normal(size=n_params)
-        converged |= _nelder_mead(neg, x0, budget.max_evals, 1e-8, max(budget.tol * 0.1, 1e-12))
-    return SearchResult(
-        value=best["value"], params=best["params"], converged=converged, evals=best["evals"]
+        descent = _nelder_mead(x0, budget.max_evals, 1e-8, fatol)
+        active.append((k, descent, next(descent)))
+    while active:
+        points = np.concatenate([pending for _, _, pending in active])
+        values = np.asarray(objective_rows(points), dtype=float)
+        evals += len(points)
+        finite = np.isfinite(values)
+        scored = np.where(finite, values, -math.inf).tolist()
+        # The minimizer sees -value, and a finite stand-in for discarded points.
+        minimized = np.where(finite, -values, _REJECTED).tolist()
+        stepped = []
+        pos = 0
+        for k, descent, pending in active:
+            end = pos + len(pending)
+            chunk = scored[pos:end]
+            top = max(chunk)
+            if top > best_values[k]:
+                best_values[k], best_params[k] = top, points[pos + chunk.index(top)].copy()
+            try:
+                stepped.append((k, descent, descent.send(minimized[pos:end])))
+            except StopIteration as stop:
+                converged |= stop.value
+            pos = end
+        active = stepped
+
+    value, params = -math.inf, np.zeros(n_params)
+    for v, p in zip(best_values, best_params):
+        if v > value:
+            value, params = v, p
+    return SearchResult(value=value, params=params, converged=converged, evals=evals)
+
+
+def maximize(
+    objective,
+    n_params: int,
+    budget: SearchBudget,
+    starts=(),
+) -> SearchResult:
+    """Maximize a pointwise objective(params) over R^n_params.
+
+    `maximize_batch` with each batch evaluated row by row, in order: the
+    objective sees every row of a round, one call per point, with the
+    restarts interleaved in lockstep order. The result equals that of
+    running the restarts one at a time. The objective may return -inf to
+    discard a point. With n_params == 0 it is evaluated once.
+    """
+    return maximize_batch(
+        lambda points: np.array([float(objective(x)) for x in points]), n_params, budget, starts
     )
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def complex_from_params(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -189,6 +246,11 @@ def complex_from_params(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _complex_stack(p: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
-    """`count` complex matrices from consecutive `complex_from_params` blocks."""
-    p = np.asarray(p, dtype=float).reshape(count, 2, rows, cols)
-    return p[:, 0] + 1j * p[:, 1]
+    """`count` complex matrices from consecutive `complex_from_params` blocks.
+
+    Leading axes of p are batch axes: (..., 2 count rows cols) gives
+    (..., count, rows, cols).
+    """
+    p = np.asarray(p, dtype=float)
+    p = p.reshape(p.shape[:-1] + (count, 2, rows, cols))
+    return p[..., 0, :, :] + 1j * p[..., 1, :, :]

@@ -1,0 +1,256 @@
+"""Every batch objective treats each row alone.
+
+The searches hand `maximize_batch` objectives of a whole round of points.
+Each one captured here must give row i of a batch exactly, bit for bit, the
+value it gives that row as a batch of one, on seeded batches of 1, 2 and 40
+rows that mix in points scoring -inf (a zero-norm code, a zero-trace state,
+a vanishing ray) and points whose square-root POVM needs its completion
+effect. The Schatten evaluator is also checked against the per-point formula
+it replaced.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qmi import capacity, entanglement, mutual
+from qmi.capacity import CodingScheme, StateFamily, cqc_capacity, pseudo_capacity, quantum_capacity
+from qmi.channels import _square_root_povm_rows, amplitude_damping_channel, depolarizing_channel, projective_povm
+from qmi.entanglement import qdc_hierarchy
+from qmi.entropy import _entropy_rows
+from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
+from qmi.operators import DensityOperator, pure_state
+from qmi.sampling import random_density, random_kraus_channel, random_unitary, rng_from
+from qmi.search import SearchBudget, _complex_stack
+
+TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
+
+
+def _captured(monkeypatch, run):
+    """(objective_rows, n_params, starts) of the first search of each objective
+    and size that `run` starts, keyed by the objective's qualified name and
+    its number of parameters."""
+    found = {}
+    for module in (mutual, capacity, entanglement):
+        original = module.maximize_batch
+
+        def recording(objective_rows, n_params, budget, starts=(), original=original):
+            name = getattr(objective_rows, "__qualname__", repr(objective_rows))
+            if n_params:
+                found.setdefault((name, n_params), (objective_rows, [np.asarray(s, float) for s in starts]))
+            return original(objective_rows, n_params, budget, starts)
+
+        monkeypatch.setattr(module, "maximize_batch", recording)
+    run()
+    monkeypatch.undo()
+    return found
+
+
+def _batch(n_params, starts, rows, seed, special=()):
+    """Seeded rows: a zero row, the starts, the special rows, then points near
+    the first start and far from it."""
+    rng = rng_from(seed)
+    centre = starts[0] if starts else np.zeros(n_params)
+    fixed = [np.zeros(n_params), *starts, *special]
+    near = centre + 0.05 * rng.normal(size=(rows, n_params))
+    far = rng.normal(size=(rows, n_params))
+    points = np.concatenate([np.array(fixed), near, far])
+    return points[:rows]
+
+
+def _assert_rows_alone(objective_rows, points):
+    for rows in (1, 2, len(points)):
+        batch = points[:rows]
+        together = np.asarray(objective_rows(batch), dtype=float)
+        assert together.shape == (rows,)
+        alone = np.array([np.asarray(objective_rows(batch[i : i + 1]), dtype=float)[0] for i in range(rows)])
+        # Bit for bit, -inf included.
+        assert together.tobytes() == alone.tobytes()
+
+
+def _only(found, name):
+    """The one captured search of the objective `name`."""
+    (entry,) = [(n_params, *rest) for (key, n_params), rest in found.items() if key == name]
+    n_params, objective_rows, starts = entry
+    return objective_rows, n_params, starts
+
+
+def _check_all(found, names, seed, special=None, rows=40):
+    """Row independence of every captured search of the named objectives."""
+    assert set(names) <= {name for name, _ in found}, sorted(found)
+    for (name, n_params), (objective_rows, starts) in found.items():
+        if name in names:
+            points = _batch(n_params, starts, rows, seed, (special or {}).get(name, ()))
+            _assert_rows_alone(objective_rows, points)
+
+
+def _degenerate_state(rng, spectrum=(2, 2, 1)):
+    u = random_unitary(len(spectrum), rng)
+    w = np.asarray(spectrum, dtype=float)
+    return DensityOperator((u * (w / w.sum())) @ u.conj().T)
+
+
+def test_schatten_and_split_objectives(monkeypatch):
+    rng = rng_from(501)
+    rho = _degenerate_state(rng)
+    ch = random_kraus_channel(3, 2, 2, rng)
+    found = _captured(monkeypatch, lambda: pseudo_mutual_entropy(rho, ch, 2, TINY))
+    # The split start puts one rank-one projector in each of two factor blocks
+    # of a qutrit: their sum has rank 2, so the POVM needs its completion.
+    objective_rows, n_params, starts = _only(found, "_split_search.<locals>.objective")
+    assert _square_root_povm_rows(_complex_stack(starts[0], 2, 3, 3)[None])[1][0]
+    assert math.isfinite(objective_rows(np.array(starts))[0])
+    _check_all(found, ["_MutualEvaluator.values", "_split_search.<locals>.objective"], 502)
+
+
+def test_pseudo_capacity_objectives(monkeypatch):
+    ch = amplitude_damping_channel(0.3)
+    found = _captured(monkeypatch, lambda: pseudo_capacity(ch, StateFamily("full", 2), 2, TINY))
+    objective_rows, n_params, starts = _only(found, "_split_search.<locals>.objective")
+    # A zero head is a member without trace: that row scores -inf.
+    zero_head = starts[0].copy()
+    zero_head[:8] = 0.0
+    assert objective_rows(zero_head[None])[0] == -math.inf
+    _check_all(found, ["StateFamily.supremum.<locals>.objective", "_split_search.<locals>.objective"], 503,
+               special={"_split_search.<locals>.objective": [zero_head]})
+
+
+@pytest.mark.parametrize("family", [StateFamily("diagonal", 3), StateFamily("rank", 3, 2)])
+def test_family_objective(monkeypatch, family):
+    ch = depolarizing_channel(0.2, 3)
+    found = _captured(monkeypatch, lambda: quantum_capacity(ch, family, SearchBudget(2, 8, seed=5)))
+    objective_rows, n_params, _ = _only(found, "StateFamily.supremum.<locals>.objective")
+    if family.kind == "rank":
+        assert objective_rows(np.zeros((1, n_params)))[0] == -math.inf  # no trace
+    _check_all(found, ["StateFamily.supremum.<locals>.objective"], 505)
+
+
+@pytest.mark.parametrize("pure", [True, False])
+@pytest.mark.parametrize("n_out", [2, 7])
+def test_cqc_objectives(monkeypatch, pure, n_out):
+    # With 7 free outcomes, a row whose POVM needs the completion effect has 8
+    # outcomes, and a sum over 8 terms rounds unlike one over 7 plus a zero.
+    ch = random_kraus_channel(2, 2, 2, rng_from(506))
+    coding = CodingScheme((pure_state([1.0, 0.0]), random_density(2, rng_from(507)), pure_state([0.6, 0.8j])))
+    decoding = projective_povm(2)
+    found = _captured(monkeypatch, lambda: cqc_capacity(
+        ch, decoding, coding, "full", TINY, pure_coding=pure, n_decoding=n_out))
+    assert len(found) == 3  # full runs coding runs weights: one objective per mode, told apart by size
+    size = coding.size
+    n_codes = size * (2 * 2 if pure else 2 * 2 * 2)
+    for (name, n_params), (objective_rows, starts) in found.items():
+        special = []
+        if n_params > size:
+            zero_code = starts[0].copy()
+            zero_code[size : size + n_codes] = 0.0
+            assert objective_rows(zero_code[None])[0] == -math.inf
+            special.append(zero_code)
+        if n_params > size + n_codes:
+            # Every decoding factor a multiple of |0><0|: the factors' sum has
+            # rank 1, so the POVM needs its completion effect.
+            rank_one = starts[0].copy()
+            blocks = rank_one[size + n_codes :].reshape(n_out, 2, 2, 2)
+            blocks[:] = 0.0
+            blocks[:, 0, 0, 0] = np.linspace(1.0, 0.5, n_out)
+            rank_one[size + n_codes :] = blocks.reshape(-1)
+            assert _square_root_povm_rows(_complex_stack(rank_one[size + n_codes :], n_out, 2, 2)[None])[1][0]
+            special.append(rank_one)
+        points = _batch(n_params, starts, 40, 508 + n_params, special)
+        _assert_rows_alone(objective_rows, points)
+
+
+def test_survey_and_ray_objectives(monkeypatch):
+    rng = rng_from(509)
+    rho = _degenerate_state(rng)
+    ch = depolarizing_channel(0.3, 3)
+    found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY))
+    _check_all(found, ["_survey_decompositions.<locals>.evaluate", "_q_value.<locals>.objective"], 510)
+    found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY))
+    _check_all(found, ["StateFamily.supremum.<locals>.objective"], 511)
+
+
+# -- the Schatten evaluator against the per-point formula it replaced --------------------
+
+
+def _hermitian_loop(p, m):
+    h = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        h[i, i] = p[i]
+    pos = m
+    for i in range(m):
+        for j in range(i + 1, m):
+            h[i, j] = p[pos] + 1j * p[pos + 1]
+            h[j, i] = p[pos] - 1j * p[pos + 1]
+            pos += 2
+    return h
+
+
+def _value_loop(ev: _MutualEvaluator, params: np.ndarray) -> float:
+    """One point: block rotations exp(iH) one block at a time, one einsum, one
+    stacked eigvalsh, and the weighted sum as a scalar dot product."""
+    images = ev.images
+    if ev.blocks:
+        u = np.eye(images.shape[0], dtype=complex)
+        pos = 0
+        for s in ev.blocks:
+            m = s.stop - s.start
+            w, v = np.linalg.eigh(_hermitian_loop(params[pos : pos + m * m], m))
+            u[s, s] = (v * np.exp(1j * w)) @ v.conj().T
+            pos += m * m
+        images = np.einsum("kor,kj->jor", images, u)
+    outputs = images @ images.conj().transpose(0, 2, 1)
+    return ev.out_entropy - float(ev.weights @ _entropy_rows(np.linalg.eigvalsh(outputs)))
+
+
+@pytest.mark.parametrize("spectrum", [(2, 2, 1), (3, 3, 2, 2), (2, 2, 1, 0), (1, 1, 1, 1, 0), (3, 2, 1)])
+def test_schatten_values_match_the_per_point_formula(spectrum):
+    rng = rng_from(512)
+    for d_out, n_ops in ((2, 3), (len(spectrum), 3), (5, 1)):
+        rho = _degenerate_state(rng, spectrum)
+        ev = _MutualEvaluator(rho.matrix, random_kraus_channel(rho.dim, d_out, n_ops, rng))
+        points = 2.0 * rng.normal(size=(40, ev.n_params))
+        got = ev.values(points)
+        want = np.array([_value_loop(ev, p) for p in points])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ohya_search_reports_the_evaluator_value():
+    rng = rng_from(513)
+    rho = _degenerate_state(rng)
+    ch = random_kraus_channel(3, 3, 2, rng)
+    result = ohya_mutual_entropy(rho, ch, TINY)
+    ev = _MutualEvaluator(rho.matrix, ch)
+    best = ev.supremum(TINY)
+    assert best.value == _value_loop(ev, best.params)
+    assert abs(result.value - best.value) < 1e-10
+
+
+# -- the batched commutation defect against the pairwise loop it replaced ----------------
+
+
+def _defect_loop(outputs) -> float:
+    norms = [float(np.linalg.norm(om)) for om in outputs]
+    worst = 0.0
+    for n in range(len(outputs)):
+        for m in range(n + 1, len(outputs)):
+            if norms[n] <= 1e-12 or norms[m] <= 1e-12:
+                continue
+            comm = outputs[n] @ outputs[m] - outputs[m] @ outputs[n]
+            worst = max(worst, float(np.linalg.norm(comm)) / (norms[n] * norms[m]))
+    return worst
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (2, 2), (3, 3), (4, 5)])
+def test_commutation_defects_match_the_pairwise_loop(k, d):
+    rng = rng_from(514)
+    outputs = rng.normal(size=(40, k, d, d)) + 1j * rng.normal(size=(40, k, d, d))
+    outputs = outputs @ outputs.conj().swapaxes(-1, -2)
+    outputs[::3, 0] = 0.0  # a vanishing output is skipped
+    if k > 1:
+        outputs[1::5, 1] = np.diag(np.arange(1.0, d + 1))  # commutes with nothing generic
+        outputs[2::7] = np.diag(np.arange(1.0, d + 1))  # all outputs commute
+    got = entanglement._commutation_defects(outputs)
+    want = np.array([_defect_loop(row) for row in outputs])
+    assert got.tobytes() == want.tobytes()
+    assert entanglement._commutation_defect(list(outputs[4])) == want[4]

@@ -19,7 +19,7 @@ from qmi.channels import amplitude_damping_channel, depolarizing_channel, identi
 from qmi.mutual import holevo_bound
 from qmi.operators import DensityOperator
 from qmi.sampling import random_kraus_channel, rng_from
-from qmi.search import SearchBudget, maximize
+from qmi.search import SearchBudget, maximize_batch
 
 TINY = SearchBudget(restarts=2, max_evals=40, seed=5, tol=1e-6)
 
@@ -121,7 +121,7 @@ def test_pseudo_capacity_floors_at_quantum():
 def test_pseudo_capacity_rejects_zero_components_before_searching(monkeypatch):
     calls = []
     for module in (capacity, mutual):
-        monkeypatch.setattr(module, "maximize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(module, "maximize_batch", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="need at least one component"):
         pseudo_capacity(amplitude_damping_channel(0.3), StateFamily("full", 2), 0, TINY)
     assert calls == []
@@ -198,7 +198,7 @@ def _patch_flat_search(monkeypatch, wrapper):
     original = capacity._split_search
 
     def split_search(*args):
-        monkeypatch.setattr(mutual, "maximize", wrapper)
+        monkeypatch.setattr(mutual, "maximize_batch", wrapper)
         return original(*args)
 
     monkeypatch.setattr(capacity, "_split_search", split_search)
@@ -207,16 +207,16 @@ def _patch_flat_search(monkeypatch, wrapper):
 def test_pseudo_capacity_reports_the_state_family_search_plus_the_flat_search(monkeypatch):
     counted = []
 
-    def counting(objective, *args, **kwargs):
+    def counting(objective_rows, *args, **kwargs):
         counted.append(0)
 
-        def wrapped(params):
-            counted[-1] += 1
-            return objective(params)
+        def wrapped(points):
+            counted[-1] += len(points)
+            return objective_rows(points)
 
-        return maximize(wrapped, *args, **kwargs)
+        return maximize_batch(wrapped, *args, **kwargs)
 
-    monkeypatch.setattr(capacity, "maximize", counting)
+    monkeypatch.setattr(capacity, "maximize_batch", counting)
     _patch_flat_search(monkeypatch, counting)
     ch = amplitude_damping_channel(0.3)
     rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
@@ -229,9 +229,9 @@ def test_pseudo_capacity_reports_the_state_family_search_plus_the_flat_search(mo
 def test_flat_pseudo_search_starts_at_the_quantum_maximizer(monkeypatch, ch):
     start_values = []
 
-    def recording(objective, n_params, budget, starts=(), **kwargs):
-        start_values.append([objective(s) for s in starts])
-        return maximize(objective, n_params, budget, starts=starts, **kwargs)
+    def recording(objective_rows, n_params, budget, starts=(), **kwargs):
+        start_values.append([objective_rows(s[None])[0] for s in starts])
+        return maximize_batch(objective_rows, n_params, budget, starts=starts, **kwargs)
 
     _patch_flat_search(monkeypatch, recording)
     rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)

@@ -31,17 +31,17 @@ TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
 
 def _perturb_maximize(monkeypatch, module, min_params=0, shift=1e-3):
-    """Make `module.maximize` report `shift` above its best value, for searches
-    of at least `min_params` parameters."""
-    original = module.maximize
+    """Make `module.maximize_batch` report `shift` above its best value, for
+    searches of at least `min_params` parameters."""
+    original = module.maximize_batch
 
-    def perturbed(objective, n_params, budget, starts=()):
-        result = original(objective, n_params, budget, starts)
+    def perturbed(objective_rows, n_params, budget, starts=()):
+        result = original(objective_rows, n_params, budget, starts)
         if n_params < min_params:
             return result
         return dataclasses.replace(result, value=result.value + shift)
 
-    monkeypatch.setattr(module, "maximize", perturbed)
+    monkeypatch.setattr(module, "maximize_batch", perturbed)
 
 
 def _counting(monkeypatch, module, name):

@@ -228,8 +228,8 @@ def test_q_never_exceeds_twice_the_smaller_entropy():
 
 
 def _hierarchy_searches(monkeypatch, ch) -> int:
-    """`maximize` calls of one fixed-state hierarchy, whose values match the
-    single-class entry point."""
+    """`maximize_batch` calls of one fixed-state hierarchy, whose values match
+    the single-class entry point."""
     import qmi.entanglement
     import qmi.mutual
     import qmi.search
@@ -238,10 +238,10 @@ def _hierarchy_searches(monkeypatch, ch) -> int:
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return qmi.search.maximize(*args, **kwargs)
+        return qmi.search.maximize_batch(*args, **kwargs)
 
-    for module in (qmi.entanglement, qmi.mutual):  # every module that binds maximize
-        monkeypatch.setattr(module, "maximize", counting)
+    for module in (qmi.entanglement, qmi.mutual):  # every module that binds maximize_batch
+        monkeypatch.setattr(module, "maximize_batch", counting)
     rho = DensityOperator(np.diag([0.4, 0.4, 0.2]))
     levels = qdc_hierarchy(rho, ch, TINY)
     searches = len(calls)
@@ -328,9 +328,9 @@ def test_capacity_hierarchy_searches_states_once(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return qmi.search.maximize(*args, **kwargs)
+        return qmi.search.maximize_batch(*args, **kwargs)
 
-    monkeypatch.setattr(qmi.capacity, "maximize", counting)  # StateFamily.supremum's maximize
+    monkeypatch.setattr(qmi.capacity, "maximize_batch", counting)  # StateFamily.supremum's search
     levels = qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY)
     assert calls == [8]  # one search over full-rank qubit states
     assert levels["c"].evals == levels["d"].evals <= levels["q"].evals

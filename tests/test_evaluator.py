@@ -118,7 +118,7 @@ def test_evaluator_matches_the_dual_route_value():
         for _ in range(5):
             params = rng.normal(size=ev.n_params) * 2.0
             fixed = mutual_entropy_fixed(rho, ch, schatten_family(rho, params)).value
-            worst = max(worst, abs(ev.value(params) - fixed))
+            worst = max(worst, abs(ev.values(params[None])[0] - fixed))
     assert worst < 1e-10
 
 
@@ -139,7 +139,7 @@ def test_evaluator_scores_nonorthogonal_splits():
             lam * umegaki_relative_entropy(apply_matrix(ch, s / lam), out_avg)
             for lam, s in zip(lams, sigmas)
         )
-        got = ev.score(lams, _transmit(ev.kraus, sigmas) / lams[:, None, None])
+        got = ev.score(lams, (_transmit(ev.kraus, sigmas) / lams[:, None, None])[None])[0]
         assert abs(got - reference) < 1e-10
 
 
@@ -233,7 +233,7 @@ def _pseudo_reference(rho, ch, n_components, budget):
         lams, sigmas = split(params)
         keep = lams > 1e-12
         lams = lams[keep]
-        return evaluator.score(lams, _transmit(evaluator.kraus, sigmas[keep]) / lams[:, None, None])
+        return evaluator.score(lams, (_transmit(evaluator.kraus, sigmas[keep]) / lams[:, None, None])[None])[0]
 
     n_params = n_components * 2 * dim * dim
     dec = baseline.decomposition

@@ -5,7 +5,9 @@ Each case records every point the objective sees under `maximize` and under
 uses, and asserts that the sequences, the best value and the convergence
 flag are identical. The reference's best value is the best finite value its
 objective saw, as `maximize` tracked it around scipy: scipy's own `fun` leaves
-out a point whose step the evaluation cap cut short.
+out a point whose step the evaluation cap cut short. With several restarts,
+which run in lockstep, each restart's own points are compared. The last
+cases check the batch protocol of `maximize_batch` itself.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from qmi.search import _REJECTED, SearchBudget, maximize
+from qmi.search import _REJECTED, SearchBudget, maximize, maximize_batch
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -137,9 +139,27 @@ def test_every_cap(objective):
         _assert_replay(objective, [x0], cap)
 
 
+def _split_by_restart(seen, per_restart):
+    """Assign each point of a lockstep sequence to the first restart whose next
+    reference point it equals; every point must find one, and every reference
+    point must be used."""
+    split = [[] for _ in per_restart]
+    for x in seen:
+        for k, ref in enumerate(per_restart):
+            if len(split[k]) < len(ref) and np.array_equal(x, ref[len(split[k])]):
+                split[k].append(x)
+                break
+        else:
+            raise AssertionError(f"point {x} is no restart's next reference point")
+    assert [len(s) for s in split] == [len(ref) for ref in per_restart]
+    return split
+
+
 def test_restarts_and_zero_coordinates():
     # Two explicit starts (one with zero coordinates, which get the absolute
     # 0.00025 step), then seeded random restarts drawn as `maximize` draws them.
+    # The restarts run in lockstep, so their points interleave; each restart's
+    # own points are scipy's, point for point and in order.
     budget = SearchBudget(restarts=4, max_evals=80, seed=11, tol=1e-7)
     starts = [np.array([0.0, 0.5, 0.0]), np.array([1.0, -1.0, 2.0])]
     seen, result = _ours(_quadratic, starts, budget)
@@ -147,8 +167,71 @@ def test_restarts_and_zero_coordinates():
         np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,))).normal(size=3)
         for k in range(2, 4)
     ]
+    per_restart = [_reference(_quadratic, [x0], budget)[0] for x0 in starts + drawn]
     ref_seen, ref_value, ref_success = _reference(_quadratic, starts + drawn, budget)
     assert len(seen) == len(ref_seen) == result.evals
-    assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
+    _split_by_restart(seen, per_restart)
     assert result.value == ref_value
     assert result.converged is ref_success
+
+
+def test_rounds_are_lockstep_batches():
+    # Round 1 is every restart's initial simplex; later rounds take one step's
+    # points from each unfinished restart, in restart order. No batch is empty,
+    # and `evals` counts the rows.
+    budget = SearchBudget(restarts=3, max_evals=50, seed=4, tol=1e-7)
+    batches = []
+
+    def rows(points):
+        batches.append(np.array(points))
+        return np.array([_rosenbrock(x) for x in points])
+
+    result = maximize_batch(rows, 4, budget, starts=[np.array([0.4, 0.2, 0.1, -0.3])])
+    assert all(len(b) >= 1 for b in batches)
+    assert len(batches[0]) == 3 * 5
+    assert result.evals == sum(len(b) for b in batches) == 3 * 50
+    seen, pointwise = _ours(_rosenbrock, [np.array([0.4, 0.2, 0.1, -0.3])], budget)
+    assert np.array_equal(np.concatenate(batches), np.array(seen))
+    assert (result.value, result.evals, result.converged) == (pointwise.value, pointwise.evals, pointwise.converged)
+    assert np.array_equal(result.params, pointwise.params)
+
+
+def test_tied_restarts_return_the_first_restarts_params():
+    # A plateau: every point scores 1, so both restarts reach the best value
+    # at their first point, and the first restart's start is returned.
+    budget = SearchBudget(restarts=2, max_evals=20, seed=3, tol=1e-7)
+    starts = [np.array([0.3, -0.2]), np.array([5.0, 4.0])]
+    result = maximize_batch(lambda points: np.ones(len(points)), 2, budget, starts=starts)
+    assert result.value == 1.0
+    assert np.array_equal(result.params, starts[0])
+    # The first restart still wins when the second reaches the tie in an
+    # earlier round: here restart 0 scores 1 only at its first reflection
+    # point (round 2), restart 1 already at its start (round 1).
+    batches = []
+
+    def flat(points):
+        batches.append(np.array(points))
+        return np.zeros(len(points))
+
+    maximize_batch(flat, 2, budget, starts=starts)
+    reflection = batches[1][0]
+    assert not np.array_equal(reflection, starts[0])
+
+    def two_peaks(points):
+        peak = np.all(points == reflection, axis=1) | np.all(points == starts[1], axis=1)
+        return peak.astype(float)
+
+    result = maximize_batch(two_peaks, 2, budget, starts=starts)
+    assert result.value == 1.0 and np.array_equal(result.params, reflection)
+
+
+def test_zero_parameters_evaluate_one_empty_row():
+    calls = []
+
+    def rows(points):
+        calls.append(points.shape)
+        return np.array([2.5])
+
+    result = maximize_batch(rows, 0, SearchBudget(restarts=3, max_evals=10))
+    assert calls == [(1, 0)]
+    assert (result.value, result.evals, result.converged) == (2.5, 1, True)
