@@ -20,13 +20,13 @@ from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
     MutualResult,
+    _checked_ohya,
     _MutualEvaluator,
     _split_search,
     _sqrt_psd,
     _transmit,
-    ohya_mutual_entropy,
 )
-from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability
+from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _support_layouts, as_probability
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
@@ -143,17 +143,20 @@ class StateFamily:
         grams, traced = _normalized_grams(_complex_stack(points, 1, self.dim, self.effective_rank))
         return grams[:, 0], traced
 
-    def supremum(self, value, budget: SearchBudget) -> tuple[SearchResult, DensityOperator | None]:
-        """Maximize value(matrix) over the family from its candidate starts.
+    def supremum(self, value_rows, budget: SearchBudget) -> tuple[SearchResult, DensityOperator | None]:
+        """Maximize a batch objective over the family from its candidate starts.
 
-        `value` sees unvalidated member matrices, one at a time; a member below
-        trace 1e-12 scores -inf. Only the maximizer is validated: the second
-        item is its DensityOperator, or None when it has no trace.
+        `value_rows(mats, traced)` sees the unvalidated members of a round of
+        points, stacked (rows, d, d), and per row whether the member has trace
+        at least 1e-12; it returns one value per row. A member below that
+        trace scores -inf, whatever its value. Only the maximizer is
+        validated: the second item is its DensityOperator, or None when it
+        has no trace.
         """
 
         def objective(points: np.ndarray) -> np.ndarray:
             mats, traced = self._matrices_from_params(points)
-            return np.array([value(m) if ok else -math.inf for m, ok in zip(mats, traced)])
+            return np.where(traced, value_rows(mats, traced), -math.inf)
 
         result = maximize_batch(objective, self.n_params, budget, starts=self.candidate_starts())
         return result, self.state_from_params(result.params)
@@ -274,11 +277,28 @@ def quantum_capacity(
 ) -> CapacityReport:
     """sup over the state family of the mutual entropy through the channel.
 
-    The inner Ohya searches run on the cached evaluator; the value reported
-    is `ohya_mutual_entropy` at the maximizing state, which repeats that
-    state's inner search and dual-route checks its decomposition.
+    Each round of family members has its inner Ohya suprema solved together
+    (`_ohya_suprema`), on budget.child(1). The inner result of the
+    maximizing state is kept, not searched again: its decomposition is
+    rebuilt and dual-route checked as `ohya_mutual_entropy` does, and that
+    checked value is reported.
     """
     return _quantum_search(ch, family, search or SearchBudget())[0]
+
+
+def _ohya_suprema(ch: KrausChannel, mats: np.ndarray, budget: SearchBudget) -> list[SearchResult]:
+    """The Ohya search of each stacked state, as `ohya_mutual_entropy` runs it.
+
+    States are grouped by support layout. All nondegenerate states of one
+    rank are scored in one stacked call, and the states of each degenerate
+    layout run as one lockstep search with a problem per state; each
+    result equals that state's search alone.
+    """
+    results = [None] * len(mats)
+    for rows, *support in _support_layouts(mats):
+        for i, result in zip(rows.tolist(), _MutualEvaluator(mats[rows], ch, support).supremum(budget)):
+            results[i] = result
+    return results
 
 
 def _quantum_search(
@@ -288,10 +308,23 @@ def _quantum_search(
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
-    result, best_state = family.supremum(
-        lambda rho: _MutualEvaluator(rho, ch).supremum(inner).value, budget
-    )
-    ohya = None if best_state is None else ohya_mutual_entropy(best_state, ch, inner)
+    found = {}  # the inner result of each evaluated member, by the member's bytes
+
+    def value_rows(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
+        mats = mats[traced]
+        results = _ohya_suprema(ch, mats, inner)
+        found.update(zip((m.tobytes() for m in mats), results))
+        values = np.full(len(traced), -math.inf)
+        values[traced] = [r.value for r in results]
+        return values
+
+    result, best_state = family.supremum(value_rows, budget)
+    ohya = None
+    if best_state is not None:
+        # DensityOperator keeps an exactly Hermitian member bit for bit.
+        inner_best = found[best_state.matrix.tobytes()]
+        best = _MutualEvaluator(best_state.matrix, ch).decomposition(0, inner_best.params)
+        ohya = _checked_ohya(best_state, ch, best, inner_best)
     report = CapacityReport(
         value=result.value if ohya is None else ohya.value,
         converged=result.converged,

@@ -62,8 +62,9 @@ class KrausChannel:
 
 
 def apply_matrix(ch: KrausChannel, m: np.ndarray) -> np.ndarray:
-    """Channel action on a raw matrix (no state validation)."""
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
+    """Channel action on a raw matrix, or on each of a stack (..., d, d)
+    (no state validation)."""
+    out = np.zeros(m.shape[:-2] + (ch.out_dim, ch.out_dim), dtype=complex)
     for k in ch.ops:
         out += k @ m @ k.conj().T
     return out

@@ -504,19 +504,19 @@ def _commutation_defects(outputs: np.ndarray) -> np.ndarray:
 
 
 def _survey_decompositions(
-    rho_mat: np.ndarray, ch: KrausChannel, budget: SearchBudget, best: _BestRecords
+    rho_mat: np.ndarray, evaluator: _MutualEvaluator, budget: SearchBudget, best: _BestRecords
 ) -> SearchResult:
-    """Search the Schatten decompositions of rho_mat, offering each one to `best`."""
-    evaluator = _MutualEvaluator(rho_mat, ch)
+    """Search the Schatten decompositions of rho_mat with its evaluator,
+    offering each one to `best`."""
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         outputs = evaluator.outputs(points)
-        values = evaluator.score(evaluator.weights, outputs)
+        values = evaluator.score(evaluator.weights[0], outputs)
         for params, value, defect in zip(points, values.tolist(), _commutation_defects(outputs).tolist()):
             best.offer(value, defect, rho_mat, params)
         return values
 
-    return evaluator.supremum(budget, evaluate)
+    return evaluator.supremum(budget, evaluate)[0]
 
 
 def _direction_param_count(g: int, k: int, fix_output_blocks: bool) -> int:
@@ -716,21 +716,32 @@ def _class_reports(
     best = _BestRecords()
     if rho is None:
         inner = budget.child(5)
-        result, _ = StateFamily("full", ch.in_dim).supremum(
-            lambda m: _survey_decompositions(m, ch, inner, best).value, budget
-        )
+
+        def survey(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
+            # Member by member, so that `best` takes its offers in evaluation order.
+            return np.array([
+                _survey_decompositions(m, _MutualEvaluator(m, ch), inner, best).value if ok else -math.inf
+                for m, ok in zip(mats, traced)
+            ])
+
+        result, _ = StateFamily("full", ch.in_dim).supremum(survey, budget)
     else:
         _check_dims(rho.dim, ch)
         inner = budget
-        result = _survey_decompositions(rho.matrix, ch, budget, best)
+        evaluator = _MutualEvaluator(rho.matrix, ch)
+        result = _survey_decompositions(rho.matrix, evaluator, budget, best)
     if best.d is None:
         raise ConsistencyError("no finite decomposition value found")
     checked = {}
 
     def checked_record(record: _DecRecord) -> tuple[DensityOperator, SchattenDecomposition, float]:
         if id(record) not in checked:
-            state = rho if rho is not None else DensityOperator(record.rho_mat)
-            dec = schatten_family(state, record.params)
+            if rho is None:
+                state = DensityOperator(record.rho_mat)
+                dec = schatten_family(state, record.params)
+            else:
+                # The survey's eigen-data, as schatten_family would compute them again.
+                state, dec = rho, evaluator.decomposition(0, record.params)
             checked[id(record)] = state, dec, float(mutual_entropy_fixed(state, ch, dec).value)
         return checked[id(record)]
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .channels import KrausChannel, _square_root_povm_rows, apply_matrix
 from .entropy import (
+    _entropy_from_eigenvalues,
     _entropy_rows,
     product_relative_entropy,
     shannon_entropy,
@@ -34,13 +35,14 @@ from .operators import (
     SchattenDecomposition,
     _block_param_count,
     _block_rotations,
-    _support_blocks,
+    _rotated,
+    _support_layouts,
     as_complex_matrix,
     as_probability,
+    hermitian_part,
     partial_trace,
-    schatten_family,
 )
-from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch
+from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, maximize_many
 
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
@@ -102,8 +104,9 @@ def _check_decomposes(rho_mat: np.ndarray, dec: SchattenDecomposition) -> None:
 
 
 def _images(kraus: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """images[k, :, r] = K_r v_k for stacked Kraus operators and vector columns."""
-    return (kraus @ vectors).transpose(2, 1, 0)
+    """images[..., k, :, r] = K_r v_k for stacked Kraus operators and vector
+    columns (..., d, K)."""
+    return (kraus @ vectors[..., None, :, :]).swapaxes(-1, -3)
 
 
 def _outputs(images: np.ndarray) -> np.ndarray:
@@ -156,53 +159,88 @@ def _component_route(
 
 
 class _MutualEvaluator:
-    """The fixed work of the mutual-entropy searches for one (rho, channel) pair.
+    """The fixed work of the mutual-entropy searches for a stack of states.
 
-    Built once per search: the support eigen-blocks of rho, the stacked Kraus
-    operators, the images K_r v_k of the canonical eigenvectors and S(ch(rho)).
-    Any split rho = sum_k lambda_k rho_k is scored as
+    The states share one support layout (rank and eigenvalue slices), so
+    one set of Schatten parameters indexes the decompositions of each.
+    Built once per search: the support eigen-data of every state (weights
+    (S, r), vectors (S, d, r)), the stacked Kraus operators, the images
+    K_r v_k of the canonical eigenvectors (S, r, out, Kraus) and each
+    S(ch(rho)). Any split rho = sum_k lambda_k rho_k is scored as
     S(ch(rho)) - sum_k lambda_k S(ch(rho_k)), which equals the component sum
     sum_k lambda_k S(ch(rho_k), ch(rho)) exactly, with one batched eigvalsh.
     Every method takes a batch of rows, one per parameter point, and treats
-    each row alone. Nothing here is validated; the searches check their
-    maximizer instead.
+    each row alone; `owners` gives each row's state, and None means state 0.
+    Each row's value is, bit for bit, what an evaluator of its state alone
+    gives it. Nothing here is validated; the searches check their maximizer
+    instead.
     """
 
-    def __init__(self, rho_mat: np.ndarray, ch: KrausChannel):
-        self.weights, self.vectors, blocks = _support_blocks(rho_mat)
+    def __init__(self, rho_mats: np.ndarray, ch: KrausChannel, support=None):
+        """rho_mats is one state (d, d) or a stack (S, d, d); support is the
+        stack's (weights, vectors, slices) from `_support_layouts`, computed
+        here when not given (the stack must then have one layout)."""
+        rho_mats = rho_mats.reshape(-1, *rho_mats.shape[-2:])
+        if support is None:
+            ((_, *support),) = _support_layouts(rho_mats)
+        self.weights, self.vectors, blocks = support
+        self.size = len(rho_mats)
         self.blocks = [s for s in blocks if s.stop - s.start >= 2]
         self.n_params = sum(_block_param_count(s.stop - s.start) for s in self.blocks)
         self.kraus = np.stack(ch.ops)
         self.images = _images(self.kraus, self.vectors)
-        self.out_entropy = von_neumann_entropy(apply_matrix(ch, rho_mat))
+        out_avg = hermitian_part(apply_matrix(ch, rho_mats))
+        self.out_entropy = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(out_avg)])
 
-    def score(self, weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    def score(self, weights: np.ndarray, outputs: np.ndarray, owners=None) -> np.ndarray:
         """S(ch(rho)) - sum_k weights[..., k] S(outputs[i, k]) per row i, for
         unit-trace outputs (rows, K, out, out)."""
-        return self.out_entropy - _weighted_sum(weights, _entropy_rows(np.linalg.eigvalsh(outputs)))
+        out_entropy = self.out_entropy[0] if owners is None else self.out_entropy[owners]
+        return out_entropy - _weighted_sum(weights, _entropy_rows(np.linalg.eigvalsh(outputs)))
 
-    def outputs(self, points: np.ndarray) -> np.ndarray:
+    def outputs(self, points: np.ndarray, owners=None) -> np.ndarray:
         """Channel images of the Schatten decompositions `schatten_family(rho, p)`
         for the rows p of points (rows, n_params)."""
         if not self.blocks:
-            return _outputs(self.images)[None].repeat(len(points), axis=0)
-        u = np.tile(np.eye(self.images.shape[0], dtype=complex), (len(points), 1, 1))
+            outputs = _outputs(self.images)
+            return outputs[0][None].repeat(len(points), axis=0) if owners is None else outputs[owners]
+        u = np.tile(np.eye(self.images.shape[1], dtype=complex), (len(points), 1, 1))
         for s, block in _block_rotations(self.blocks, points):
             u[:, s, s] = block
-        return _outputs(np.einsum("kor,bkj->bjor", self.images, u))
+        if owners is None:
+            return _outputs(np.einsum("kor,bkj->bjor", self.images[0], u))
+        return _outputs(np.einsum("bkor,bkj->bjor", self.images[owners], u))
 
-    def values(self, points: np.ndarray) -> np.ndarray:
+    def values(self, points: np.ndarray, owners=None) -> np.ndarray:
         """Mutual entropy of the Schatten decomposition indexed by each row of points."""
-        return self.score(self.weights, self.outputs(points))
+        weights = self.weights[0] if owners is None else self.weights[owners]
+        return self.score(weights, self.outputs(points, owners), owners)
 
-    def supremum(self, budget: SearchBudget, objective_rows=None) -> SearchResult:
-        """Maximize `objective_rows` (default `values`) over the Schatten parameters.
+    def supremum(self, budget: SearchBudget, objective_rows=None) -> list[SearchResult]:
+        """Maximize `objective_rows` (default `values`) over the Schatten
+        parameters of each state, one search problem per state, all in
+        lockstep. A nondegenerate state has a single decomposition, evaluated
+        once; all such states are scored in one call."""
+        objective_rows = objective_rows or self.values
+        starts = [np.zeros(self.n_params)]
+        if self.size == 1:
+            return [maximize_batch(objective_rows, self.n_params, budget, starts)]
+        return maximize_many(objective_rows, self.size, self.n_params, budget, starts)
 
-        A nondegenerate rho has a single decomposition, evaluated once.
-        """
-        return maximize_batch(
-            objective_rows or self.values, self.n_params, budget, starts=[np.zeros(self.n_params)]
-        )
+    def decomposition(self, state: int, params: np.ndarray) -> SchattenDecomposition:
+        """The Schatten decomposition of a state indexed by params, as
+        `schatten_family` builds it."""
+        return _rotated(self.weights[state], self.vectors[state], self.blocks, params)
+
+
+def _checked_ohya(
+    rho: DensityOperator, ch: KrausChannel, best: SchattenDecomposition, result: SearchResult
+) -> MutualResult:
+    """The Ohya result of a search of rho's decompositions: its best
+    decomposition `best`, valued by `mutual_entropy_fixed` with the
+    dual-route check."""
+    checked = mutual_entropy_fixed(rho, ch, best)
+    return MutualResult(value=checked.value, decomposition=best, converged=result.converged, evals=result.evals)
 
 
 def compound_state(rho: DensityOperator, ch: KrausChannel, dec: SchattenDecomposition) -> CompoundState:
@@ -262,20 +300,16 @@ def ohya_mutual_entropy(
     A nondegenerate state has a unique decomposition and needs a single
     evaluation; degenerate eigenvalue blocks are searched over their
     unitary rotations. The search scores decompositions with a cached
-    evaluator; the best one is rebuilt as a validated decomposition and
-    re-evaluated with the dual-route consistency check.
+    evaluator; the best one is rebuilt from the evaluator's eigen-data as a
+    validated decomposition and re-evaluated with the dual-route
+    consistency check (`_checked_ohya`).
     """
     _check_dims(rho.dim, ch)
-    budget = search or SearchBudget()
-    result = _MutualEvaluator(rho.matrix, ch).supremum(budget)
-    best = schatten_family(rho, result.params)
-    checked = mutual_entropy_fixed(rho, ch, best)
-    return MutualResult(
-        value=checked.value,
-        decomposition=best,
-        converged=result.converged,
-        evals=result.evals,
-    )
+    ev = _MutualEvaluator(rho.matrix, ch)
+    (result,) = ev.supremum(search or SearchBudget())
+    best = ev.decomposition(0, result.params)
+    del ev  # its Kraus images would otherwise add to the dual-route check's peak memory
+    return _checked_ohya(rho, ch, best, result)
 
 
 def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:

@@ -35,7 +35,8 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    """(a + a^dag) / 2, for one matrix or each of a stack (..., d, d)."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -138,25 +139,29 @@ class SpectralDecomposition:
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues descending and their eigenvector columns, for one Hermitian
+    matrix or each of a stack (..., d, d)."""
     w, v = np.linalg.eigh(hermitian_part(a))
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component over PHASE_TOL is real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.argmax(np.abs(col) > PHASE_TOL)
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    """Rotate each unit column so its first component over PHASE_TOL is real positive.
+
+    vecs is one matrix of columns or a stack (..., d, n). A column is
+    multiplied by conj(pivot) / |pivot|, with |pivot| the libm hypot of the
+    pivot's parts, as abs() of a complex scalar computes it; np.abs of a
+    complex array may round it otherwise.
+    """
+    first = np.argmax(np.abs(vecs) > PHASE_TOL, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, first, axis=-2)
+    return vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def _group_eigenvalues(w: np.ndarray) -> list[slice]:
-    """Chain-group a descending eigenvalue array; gap <= DEGENERACY_TOL*scale joins a group."""
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+def _group_eigenvalues(w) -> list[slice]:
+    """Chain-group a descending eigenvalue sequence; gap <= DEGENERACY_TOL*scale joins a group."""
+    w = np.asarray(w, dtype=float).tolist()
+    scale = max(1.0, max(map(abs, w), default=1.0))
     slices = []
     start = 0
     for i in range(1, len(w)):
@@ -248,6 +253,29 @@ def _support_blocks(rho) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     return w, v, _group_eigenvalues(w)
 
 
+def _support_layouts(mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]]:
+    """`_support_blocks` of each matrix of a stack (S, d, d), grouped by support layout.
+
+    Matrices share a layout when their supports have the same rank and the
+    same eigenvalue slices. One batched eigh serves the whole stack; its
+    eigen-data equal those of each matrix alone. Returns one
+    (rows, weights (n, r), vectors (n, d, r), slices) per layout, in order of
+    the first row that has it.
+    """
+    w, v = _eigh_descending(mats)
+    v = _fix_phases(v)
+    groups = {}
+    for i, row in enumerate(w.tolist()):
+        r = sum(x > ZERO_TOL for x in row)  # the support is a prefix: w descends
+        slices = _group_eigenvalues(row[:r])
+        groups.setdefault((r, *(s.stop for s in slices)), (r, slices, []))[2].append(i)
+    layouts = []
+    for r, slices, rows in groups.values():
+        rows = np.array(rows)
+        layouts.append((rows, w[rows, :r], np.ascontiguousarray(v[rows, :, :r]), slices))
+    return layouts
+
+
 def _block_param_count(m: int) -> int:
     """Real parameters rotating an eigenvalue block of multiplicity m: m^2 if m >= 2, else 0."""
     return m * m if m >= 2 else 0
@@ -318,6 +346,15 @@ def _block_rotations(blocks: list[slice], params: np.ndarray):
             pos += n
 
 
+def _rotated(weights: np.ndarray, vectors: np.ndarray, blocks: list[slice], params: np.ndarray) -> SchattenDecomposition:
+    """The decomposition of support eigen-data with each block of vector
+    columns rotated by its exp(i H) from params."""
+    vectors = vectors.copy()
+    for s, u in _block_rotations(blocks, params):
+        vectors[:, s] = vectors[:, s] @ u
+    return SchattenDecomposition(weights=weights, vectors=vectors)
+
+
 def schatten_family(rho, params: np.ndarray) -> SchattenDecomposition:
     """The Schatten decomposition indexed by `params`.
 
@@ -331,10 +368,7 @@ def schatten_family(rho, params: np.ndarray) -> SchattenDecomposition:
     expected = sum(_block_param_count(s.stop - s.start) for s in blocks)
     if params.size != expected:
         raise ValueError(f"expected {expected} parameters, got {params.size}")
-    v = v.copy()
-    for s, u in _block_rotations(blocks, params):
-        v[:, s] = v[:, s] @ u
-    return SchattenDecomposition(weights=w, vectors=v)
+    return _rotated(w, v, blocks, params)
 
 
 def purify(theta) -> tuple[np.ndarray, int]:

@@ -1,9 +1,10 @@
 """Shared multi-restart derivative-free maximization.
 
 Every supremum in the package (Schatten searches, capacity searches,
-entanglement searches) runs through `maximize_batch`: Nelder-Mead local
+entanglement searches) runs through `maximize_many`: Nelder-Mead local
 descents from seeded random starts, stepped in lockstep so that each round
-of points is one call of a batch objective, and reduced by max. Restart
+of points is one call of a batch objective, and reduced by max, for one
+problem (`maximize_batch`) or several independent ones at once. Restart
 seeds derive from the budget's master seed by counter, so results are
 reproducible. `maximize` is the same search for a pointwise objective.
 """
@@ -127,6 +128,95 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
     return False
 
 
+def maximize_many(
+    objective_rows,
+    n_problems: int,
+    n_params: int,
+    budget: SearchBudget,
+    starts=(),
+) -> list[SearchResult]:
+    """Maximize n_problems independent objectives over R^n_params together.
+
+    Every problem runs the search `maximize_batch` describes, from the same
+    starts and seeded restarts. Each round takes the unfinished descents'
+    batches, problem by problem and within a problem in restart order, and
+    scores them with one call `objective_rows(points, owners)`: points is an
+    (m, n_params) array, m >= 1, and owners[i] the problem of row i. With
+    one problem the call is `objective_rows(points)`, and no owner array is
+    built. With n_params == 0 each problem is evaluated once, on a row of
+    length 0, in one call. Descents do not interact, so each problem's
+    value, params, `evals` (its rows) and `converged` equal those of
+    `maximize_batch` on that problem alone.
+    """
+    if n_params == 0:
+        if n_problems == 1:
+            values = objective_rows(np.zeros((1, 0)))
+        else:
+            values = objective_rows(np.zeros((n_problems, 0)), np.arange(n_problems))
+        return [
+            SearchResult(value=float(values[p]), params=np.zeros(0), converged=True, evals=1)
+            for p in range(n_problems)
+        ]
+
+    starts = [np.asarray(s, dtype=float).reshape(-1) for s in starts]
+    for s in starts:
+        if s.size != n_params:
+            raise ValueError(f"start has {s.size} parameters, expected {n_params}")
+    n_restarts = max(budget.restarts, len(starts))
+    fatol = max(budget.tol * 0.1, 1e-12)
+    x0s = starts + [
+        np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,))).normal(size=n_params)
+        for k in range(len(starts), n_restarts)
+    ]
+
+    # One best per descent, descent j = p * n_restarts + k for restart k of problem p.
+    best_values = [-math.inf] * (n_problems * n_restarts)
+    best_params = [np.zeros(n_params)] * (n_problems * n_restarts)
+    converged = [False] * n_problems
+    evals = [0] * n_problems
+    active = []  # (descent, problem, its generator, its pending points)
+    for p in range(n_problems):
+        for k, x0 in enumerate(x0s):
+            descent = _nelder_mead(x0, budget.max_evals, 1e-8, fatol)
+            active.append((p * n_restarts + k, p, descent, next(descent)))
+    while active:
+        points = np.concatenate([pending for _, _, _, pending in active])
+        if n_problems == 1:
+            values = objective_rows(points)
+        else:
+            owners = np.repeat([p for _, p, _, _ in active], [len(pending) for _, _, _, pending in active])
+            values = objective_rows(points, owners)
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values)
+        scored = np.where(finite, values, -math.inf).tolist()
+        # The minimizer sees -value, and a finite stand-in for discarded points.
+        minimized = np.where(finite, -values, _REJECTED).tolist()
+        stepped = []
+        pos = 0
+        for j, p, descent, pending in active:
+            end = pos + len(pending)
+            evals[p] += end - pos
+            chunk = scored[pos:end]
+            top = max(chunk)
+            if top > best_values[j]:
+                best_values[j], best_params[j] = top, points[pos + chunk.index(top)].copy()
+            try:
+                stepped.append((j, p, descent, descent.send(minimized[pos:end])))
+            except StopIteration as stop:
+                converged[p] |= stop.value
+            pos = end
+        active = stepped
+
+    results = []
+    for p in range(n_problems):
+        value, params = -math.inf, np.zeros(n_params)
+        for j in range(p * n_restarts, (p + 1) * n_restarts):
+            if best_values[j] > value:
+                value, params = best_values[j], best_params[j]
+        results.append(SearchResult(value=value, params=params, converged=converged[p], evals=evals[p]))
+    return results
+
+
 def maximize_batch(
     objective_rows,
     n_params: int,
@@ -151,64 +241,10 @@ def maximize_batch(
     restart winning a tie; so the returned value and params, `evals` (the
     number of rows evaluated) and `converged` (some descent met the stop
     test) equal those of a run that takes one restart at a time. With
-    n_params == 0 the objective is evaluated once, on a 1 x 0 array.
+    n_params == 0 the objective is evaluated once, on a 1 x 0 array. This
+    is `maximize_many` with one problem.
     """
-    if n_params == 0:
-        return SearchResult(
-            value=float(objective_rows(np.zeros((1, 0)))[0]),
-            params=np.zeros(0),
-            converged=True,
-            evals=1,
-        )
-
-    starts = [np.asarray(s, dtype=float).reshape(-1) for s in starts]
-    for s in starts:
-        if s.size != n_params:
-            raise ValueError(f"start has {s.size} parameters, expected {n_params}")
-    n_restarts = max(budget.restarts, len(starts))
-    fatol = max(budget.tol * 0.1, 1e-12)
-
-    best_values = [-math.inf] * n_restarts
-    best_params = [np.zeros(n_params)] * n_restarts
-    converged = False
-    evals = 0
-    active = []  # (restart, descent, its pending points)
-    for k in range(n_restarts):
-        if k < len(starts):
-            x0 = starts[k]
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,)))
-            x0 = rng.normal(size=n_params)
-        descent = _nelder_mead(x0, budget.max_evals, 1e-8, fatol)
-        active.append((k, descent, next(descent)))
-    while active:
-        points = np.concatenate([pending for _, _, pending in active])
-        values = np.asarray(objective_rows(points), dtype=float)
-        evals += len(points)
-        finite = np.isfinite(values)
-        scored = np.where(finite, values, -math.inf).tolist()
-        # The minimizer sees -value, and a finite stand-in for discarded points.
-        minimized = np.where(finite, -values, _REJECTED).tolist()
-        stepped = []
-        pos = 0
-        for k, descent, pending in active:
-            end = pos + len(pending)
-            chunk = scored[pos:end]
-            top = max(chunk)
-            if top > best_values[k]:
-                best_values[k], best_params[k] = top, points[pos + chunk.index(top)].copy()
-            try:
-                stepped.append((k, descent, descent.send(minimized[pos:end])))
-            except StopIteration as stop:
-                converged |= stop.value
-            pos = end
-        active = stepped
-
-    value, params = -math.inf, np.zeros(n_params)
-    for v, p in zip(best_values, best_params):
-        if v > value:
-            value, params = v, p
-    return SearchResult(value=value, params=params, converged=converged, evals=evals)
+    return maximize_many(objective_rows, 1, n_params, budget, starts)[0]
 
 
 def maximize(

@@ -6,7 +6,8 @@ value it gives that row as a batch of one, on seeded batches of 1, 2 and 40
 rows that mix in points scoring -inf (a zero-norm code, a zero-trace state,
 a vanishing ray) and points whose square-root POVM needs its completion
 effect. The Schatten evaluator is also checked against the per-point formula
-it replaced.
+it replaced, and a stack of states in one evaluator against evaluators of
+each state alone.
 """
 
 import math
@@ -20,7 +21,7 @@ from qmi.channels import _square_root_povm_rows, amplitude_damping_channel, depo
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
 from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import DensityOperator, pure_state
+from qmi.operators import DensityOperator, _support_layouts, pure_state
 from qmi.sampling import random_density, random_kraus_channel, random_unitary, rng_from
 from qmi.search import SearchBudget, _complex_stack
 
@@ -186,10 +187,10 @@ def _hermitian_loop(p, m):
     return h
 
 
-def _value_loop(ev: _MutualEvaluator, params: np.ndarray) -> float:
-    """One point: block rotations exp(iH) one block at a time, one einsum, one
-    stacked eigvalsh, and the weighted sum as a scalar dot product."""
-    images = ev.images
+def _value_loop(ev: _MutualEvaluator, params: np.ndarray, state: int = 0) -> float:
+    """One point of one state: block rotations exp(iH) one block at a time, one
+    einsum, one stacked eigvalsh, and the weighted sum as a scalar dot product."""
+    images = ev.images[state]
     if ev.blocks:
         u = np.eye(images.shape[0], dtype=complex)
         pos = 0
@@ -200,7 +201,7 @@ def _value_loop(ev: _MutualEvaluator, params: np.ndarray) -> float:
             pos += m * m
         images = np.einsum("kor,kj->jor", images, u)
     outputs = images @ images.conj().transpose(0, 2, 1)
-    return ev.out_entropy - float(ev.weights @ _entropy_rows(np.linalg.eigvalsh(outputs)))
+    return ev.out_entropy[state] - float(ev.weights[state] @ _entropy_rows(np.linalg.eigvalsh(outputs)))
 
 
 @pytest.mark.parametrize("spectrum", [(2, 2, 1), (3, 3, 2, 2), (2, 2, 1, 0), (1, 1, 1, 1, 0), (3, 2, 1)])
@@ -221,9 +222,74 @@ def test_ohya_search_reports_the_evaluator_value():
     ch = random_kraus_channel(3, 3, 2, rng)
     result = ohya_mutual_entropy(rho, ch, TINY)
     ev = _MutualEvaluator(rho.matrix, ch)
-    best = ev.supremum(TINY)
+    (best,) = ev.supremum(TINY)
     assert best.value == _value_loop(ev, best.params)
     assert abs(result.value - best.value) < 1e-10
+
+
+# -- a stack of states against each state alone --------------------------------------
+
+
+def _mixed_stack(rng):
+    """Qutrit states of five support layouts, each held by two states: I/3,
+    2-fold blocks, pure states (the corner start of the state families),
+    2-fold blocks of rank 2, and nondegenerate states."""
+    pure = [pure_state([1.0, 0.0, 0.0]), pure_state(random_unitary(3, rng)[:, 0])]
+    states = [
+        DensityOperator(np.eye(3) / 3), _degenerate_state(rng), pure[0], random_density(3, rng),
+        _degenerate_state(rng, (1, 1, 0)), _degenerate_state(rng), random_density(3, rng), pure[1],
+        DensityOperator(np.eye(3) / 3), _degenerate_state(rng, (1, 1, 0)),
+    ]
+    return np.stack([s.matrix for s in states])
+
+
+@pytest.mark.parametrize("d_out, n_ops", [(3, 2), (2, 3)])
+def test_stacked_suprema_equal_lone_ohya_searches(d_out, n_ops):
+    rng = rng_from(515)
+    mats = _mixed_stack(rng)
+    ch = random_kraus_channel(3, d_out, n_ops, rng)
+    layouts = [(rows, _MutualEvaluator(mats[rows], ch, support)) for rows, *support in _support_layouts(mats)]
+    assert len(layouts) == 5
+    assert all(ev.size == 2 for _, ev in layouts)
+    assert sum(ev.n_params > 0 for _, ev in layouts) == 3
+    # Each row of a stacked evaluation is its state's lone value, bit for bit.
+    for rows, ev in layouts:
+        points = rng.normal(size=(30, ev.n_params))
+        owners = rng.integers(0, ev.size, size=30)
+        got = ev.values(points, owners)
+        alone = [_MutualEvaluator(mats[rows[o]], ch).values(p[None])[0] for p, o in zip(points, owners)]
+        assert got.tobytes() == np.array(alone).tobytes()
+    # Each state's search in the stack is its lone search, field for field, and
+    # the Ohya result built from it is `ohya_mutual_entropy`'s.
+    for m, got in zip(mats, capacity._ohya_suprema(ch, mats, TINY)):
+        ev = _MutualEvaluator(m, ch)
+        (alone,) = ev.supremum(TINY)
+        assert (got.value, got.evals, got.converged) == (alone.value, alone.evals, alone.converged)
+        assert np.array_equal(got.params, alone.params)
+        rho = DensityOperator(m)
+        mine = mutual._checked_ohya(rho, ch, ev.decomposition(0, got.params), got)
+        fresh = ohya_mutual_entropy(rho, ch, TINY)
+        assert (mine.value, mine.evals, mine.converged) == (fresh.value, fresh.evals, fresh.converged)
+        assert np.array_equal(mine.decomposition.weights, fresh.decomposition.weights)
+        assert np.array_equal(mine.decomposition.vectors, fresh.decomposition.vectors)
+
+
+@pytest.mark.parametrize("ch, family, degenerate", [
+    (depolarizing_channel(0.2, 3), StateFamily("full", 3), True),
+    (amplitude_damping_channel(0.3), StateFamily("full", 2), False),
+    (random_kraus_channel(3, 3, 2, rng_from(516)), StateFamily("rank", 3, 2), True),
+])
+def test_the_maximizer_keeps_its_inner_search(ch, family, degenerate):
+    # The Ohya result at the maximizer comes from the family search's own inner
+    # search; it is the one a fresh search at that state finds.
+    budget = SearchBudget(2, 40, seed=31)
+    report, _, ohya = capacity._quantum_search(ch, family, budget)
+    fresh = ohya_mutual_entropy(DensityOperator(report.maximizer["state"]), ch, budget.child(1))
+    assert report.value == ohya.value == fresh.value
+    assert (ohya.evals, ohya.converged) == (fresh.evals, fresh.converged)
+    assert (ohya.evals > 1) is degenerate
+    assert np.array_equal(ohya.decomposition.weights, fresh.decomposition.weights)
+    assert np.array_equal(ohya.decomposition.vectors, fresh.decomposition.vectors)
 
 
 # -- the batched commutation defect against the pairwise loop it replaced ----------------

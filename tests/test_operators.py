@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from qmi.operators import (
+    PHASE_TOL,
     ConsistencyError,
     DensityOperator,
+    _fix_phases,
+    _support_blocks,
+    _support_layouts,
     as_probability,
     canonical_schatten,
     eigenbasis,
@@ -135,3 +139,43 @@ def test_unitary_roundtrip_through_random_basis():
     u = random_unitary(4, rng)
     v = random_pure(4, rng)
     np.testing.assert_allclose(np.linalg.norm(u @ v), 1.0, atol=1e-12)
+
+
+def _fix_phases_loop(vecs):
+    """The column loop the stacked phase fix replaced."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        pivot = col[np.argmax(np.abs(col) > PHASE_TOL)]
+        if abs(pivot) > 0:
+            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9])
+def test_stacked_phase_fix_matches_the_column_loop(d):
+    rng = rng_from(81)
+    a = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    vecs = np.linalg.eigh(a + a.conj().swapaxes(-1, -2))[1][..., ::-1]
+    vecs[::4, 0, :] = 0.0  # columns whose pivot is a later component
+    vecs[1::4, 0, 0] = 1e-9  # a first component under PHASE_TOL
+    got = _fix_phases(vecs)
+    assert got.tobytes() == np.stack([_fix_phases_loop(v) for v in vecs]).tobytes()
+    assert _fix_phases(vecs[3]).tobytes() == _fix_phases_loop(vecs[3]).tobytes()
+
+
+def test_support_layouts_group_the_eigen_data_of_each_state():
+    rng = rng_from(82)
+    u = random_unitary(4, rng)
+    spectra = [(1, 1, 1, 1), (3, 3, 2, 1), (4, 3, 2, 1), (1, 1, 0, 0), (3, 3, 2, 1), (4, 3, 2, 0), (1, 0, 0, 0)]
+    mats = np.stack([
+        DensityOperator((v * (np.array(w) / sum(w))) @ v.conj().T).matrix
+        for w, v in zip(spectra, [u] + [random_unitary(4, rng) for _ in spectra[1:]])
+    ])
+    layouts = _support_layouts(mats)
+    assert [rows.tolist() for rows, *_ in layouts] == [[0], [1, 4], [2], [3], [5], [6]]
+    for rows, weights, vectors, slices in layouts:
+        for i, w, v in zip(rows, weights, vectors):
+            w1, v1, slices1 = _support_blocks(mats[i])
+            assert w.tobytes() == w1.tobytes() and v.tobytes() == v1.tobytes()
+            assert slices == slices1

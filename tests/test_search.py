@@ -7,7 +7,8 @@ flag are identical. The reference's best value is the best finite value its
 objective saw, as `maximize` tracked it around scipy: scipy's own `fun` leaves
 out a point whose step the evaluation cap cut short. With several restarts,
 which run in lockstep, each restart's own points are compared. The last
-cases check the batch protocol of `maximize_batch` itself.
+cases check the batch protocol of `maximize_batch` itself, and that
+`maximize_many` runs several problems as if each ran alone.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from qmi.search import _REJECTED, SearchBudget, maximize, maximize_batch
+from qmi.search import _REJECTED, SearchBudget, maximize, maximize_batch, maximize_many
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -235,3 +236,65 @@ def test_zero_parameters_evaluate_one_empty_row():
     result = maximize_batch(rows, 0, SearchBudget(restarts=3, max_evals=10))
     assert calls == [(1, 0)]
     assert (result.value, result.evals, result.converged) == (2.5, 1, True)
+
+
+def _alone(objective, n_params, budget, starts):
+    return maximize_batch(lambda points: np.array([objective(x) for x in points]), n_params, budget, starts)
+
+
+def _assert_same(got, want):
+    assert (got.value, got.evals, got.converged) == (want.value, want.evals, want.converged)
+    assert np.array_equal(got.params, want.params)
+
+
+def test_many_problems_equal_lone_runs():
+    # The staircase shrinks and converges, Rosenbrock and the quadratic run
+    # into the cap, and the half-rejected objective discards points: the
+    # problems finish in different rounds, and each result is that of its
+    # lone run.
+    objectives = [_quadratic, _rosenbrock, _staircase, _half_rejected]
+    budget = SearchBudget(restarts=3, max_evals=120, seed=8, tol=1e-7)
+    starts = [np.array([0.4, 0.2, 0.1])]
+    rounds = []
+
+    def rows(points, owners):
+        assert len(points) == len(owners) >= 1
+        assert np.all(np.diff(owners) >= 0)  # problem by problem
+        rounds.append(set(owners.tolist()))
+        return np.array([objectives[o](x) for x, o in zip(points, owners)])
+
+    results = maximize_many(rows, len(objectives), 3, budget, starts)
+    lone = [_alone(f, 3, budget, starts) for f in objectives]
+    for got, want in zip(results, lone):
+        _assert_same(got, want)
+    assert rounds[0] == {0, 1, 2, 3}
+    assert any(len(r) < len(objectives) for r in rounds)  # some problems finished first
+    assert results[2].converged and results[2].evals < budget.restarts * budget.max_evals
+    assert not results[1].converged and results[1].evals == budget.restarts * budget.max_evals
+
+
+def test_many_problems_without_parameters_take_one_call():
+    calls = []
+
+    def rows(points, owners):
+        calls.append((points.shape, owners.tolist()))
+        return np.array([1.5, -math.inf, 2.0])
+
+    results = maximize_many(rows, 3, 0, SearchBudget(restarts=3, max_evals=10))
+    assert calls == [((3, 0), [0, 1, 2])]
+    for got, value in zip(results, (1.5, -math.inf, 2.0)):
+        _assert_same(got, _alone(lambda x, value=value: value, 0, SearchBudget(restarts=3, max_evals=10), ()))
+
+
+@pytest.mark.parametrize("n_params", [0, 4])
+def test_one_problem_is_called_without_owners(n_params):
+    budget = SearchBudget(restarts=2, max_evals=30, seed=6, tol=1e-7)
+    arities = []
+
+    def rows(*args):
+        arities.append(len(args))
+        return np.array([_rosenbrock(x) if n_params else 0.5 for x in args[0]])
+
+    (result,) = maximize_many(rows, 1, n_params, budget)
+    assert set(arities) == {1}
+    _assert_same(result, maximize_batch(rows, n_params, budget))
