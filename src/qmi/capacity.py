@@ -321,8 +321,11 @@ def _quantum_search(
     result, best_state = family.supremum(value_rows, budget)
     ohya = None
     if best_state is not None:
-        # DensityOperator keeps an exactly Hermitian member bit for bit.
-        inner_best = found[best_state.matrix.tobytes()]
+        # state_from_params rebuilds the member as the search's round built it,
+        # and DensityOperator keeps an exactly Hermitian member bit for bit.
+        inner_best = found.get(best_state.matrix.tobytes())
+        if inner_best is None:
+            raise ConsistencyError("the maximizing state, rebuilt from its parameters, is no evaluated member")
         best = _MutualEvaluator(best_state.matrix, ch).decomposition(0, inner_best.params)
         ohya = _checked_ohya(best_state, ch, best, inner_best)
     report = CapacityReport(

@@ -41,13 +41,13 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _rotated,
     _upper_indices,
     as_complex_matrix,
     as_probability,
     eigenbasis,
     hermitian_from_params,
     partial_trace,
-    schatten_family,
 )
 from .search import SearchBudget, SearchResult, complex_from_params, maximize_batch
 
@@ -436,16 +436,23 @@ def conditional_and_degree(compound) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _DecRecord:
-    """One scored Schatten decomposition: its state matrix and parameters."""
+    """One scored Schatten decomposition: its state matrix, the support
+    eigen-data its survey rotated (weights, vectors, degenerate blocks) and
+    its parameters."""
 
     value: float
     commute_defect: float
     rho_mat: np.ndarray
+    support: tuple
     params: np.ndarray
 
     @property
     def key(self) -> tuple[float, float]:
         return (self.value, -self.commute_defect)
+
+    def decomposition(self) -> SchattenDecomposition:
+        """The decomposition, as `schatten_family(rho_mat, params)` builds it."""
+        return _rotated(*self.support, self.params)
 
 
 class _BestRecords:
@@ -463,14 +470,14 @@ class _BestRecords:
         self.d: _DecRecord | None = None
         self.c: _DecRecord | None = None
 
-    def offer(self, value: float, commute_defect: float, rho_mat: np.ndarray, params: np.ndarray):
+    def offer(self, value: float, commute_defect: float, rho_mat: np.ndarray, support: tuple, params: np.ndarray):
         if not math.isfinite(value):
             return
         key = (value, -commute_defect)
         beats_d = self.d is None or key > self.d.key
         beats_c = commute_defect <= COMMUTE_TOL and (self.c is None or key > self.c.key)
         if beats_d or beats_c:
-            record = _DecRecord(value, commute_defect, rho_mat, np.array(params, dtype=float))
+            record = _DecRecord(value, commute_defect, rho_mat, support, np.array(params, dtype=float))
             if beats_d:
                 self.d = record
             if beats_c:
@@ -504,16 +511,18 @@ def _commutation_defects(outputs: np.ndarray) -> np.ndarray:
 
 
 def _survey_decompositions(
-    rho_mat: np.ndarray, evaluator: _MutualEvaluator, budget: SearchBudget, best: _BestRecords
+    rho_mat: np.ndarray, ch: KrausChannel, budget: SearchBudget, best: _BestRecords
 ) -> SearchResult:
-    """Search the Schatten decompositions of rho_mat with its evaluator,
-    offering each one to `best`."""
+    """Search the Schatten decompositions of rho_mat, offering each one to `best`."""
+    evaluator = _MutualEvaluator(rho_mat, ch)
+    # The records keep these eigen-data, not the evaluator and its Kraus images.
+    support = evaluator.weights[0], evaluator.vectors[0], evaluator.blocks
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         outputs = evaluator.outputs(points)
         values = evaluator.score(evaluator.weights[0], outputs)
         for params, value, defect in zip(points, values.tolist(), _commutation_defects(outputs).tolist()):
-            best.offer(value, defect, rho_mat, params)
+            best.offer(value, defect, rho_mat, support, params)
         return values
 
     return evaluator.supremum(budget, evaluate)[0]
@@ -720,7 +729,7 @@ def _class_reports(
         def survey(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
             # Member by member, so that `best` takes its offers in evaluation order.
             return np.array([
-                _survey_decompositions(m, _MutualEvaluator(m, ch), inner, best).value if ok else -math.inf
+                _survey_decompositions(m, ch, inner, best).value if ok else -math.inf
                 for m, ok in zip(mats, traced)
             ])
 
@@ -728,20 +737,15 @@ def _class_reports(
     else:
         _check_dims(rho.dim, ch)
         inner = budget
-        evaluator = _MutualEvaluator(rho.matrix, ch)
-        result = _survey_decompositions(rho.matrix, evaluator, budget, best)
+        result = _survey_decompositions(rho.matrix, ch, budget, best)
     if best.d is None:
         raise ConsistencyError("no finite decomposition value found")
     checked = {}
 
     def checked_record(record: _DecRecord) -> tuple[DensityOperator, SchattenDecomposition, float]:
         if id(record) not in checked:
-            if rho is None:
-                state = DensityOperator(record.rho_mat)
-                dec = schatten_family(state, record.params)
-            else:
-                # The survey's eigen-data, as schatten_family would compute them again.
-                state, dec = rho, evaluator.decomposition(0, record.params)
+            state = rho if rho is not None else DensityOperator(record.rho_mat)
+            dec = record.decomposition()
             checked[id(record)] = state, dec, float(mutual_entropy_fixed(state, ch, dec).value)
         return checked[id(record)]
 

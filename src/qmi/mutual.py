@@ -221,11 +221,8 @@ class _MutualEvaluator:
         parameters of each state, one search problem per state, all in
         lockstep. A nondegenerate state has a single decomposition, evaluated
         once; all such states are scored in one call."""
-        objective_rows = objective_rows or self.values
         starts = [np.zeros(self.n_params)]
-        if self.size == 1:
-            return [maximize_batch(objective_rows, self.n_params, budget, starts)]
-        return maximize_many(objective_rows, self.size, self.n_params, budget, starts)
+        return maximize_many(objective_rows or self.values, self.size, self.n_params, budget, starts)
 
     def decomposition(self, state: int, params: np.ndarray) -> SchattenDecomposition:
         """The Schatten decomposition of a state indexed by params, as

@@ -1,6 +1,7 @@
 """Every batch objective treats each row alone.
 
-The searches hand `maximize_batch` objectives of a whole round of points.
+The searches hand `maximize_batch`, and `maximize_many` with one problem,
+objectives of a whole round of points.
 Each one captured here must give row i of a batch exactly, bit for bit, the
 value it gives that row as a batch of one, on seeded batches of 1, 2 and 40
 rows that mix in points scoring -inf (a zero-norm code, a zero-trace state,
@@ -21,7 +22,7 @@ from qmi.channels import _square_root_povm_rows, amplitude_damping_channel, depo
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
 from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import DensityOperator, _support_layouts, pure_state
+from qmi.operators import ConsistencyError, DensityOperator, _support_layouts, pure_state
 from qmi.sampling import random_density, random_kraus_channel, random_unitary, rng_from
 from qmi.search import SearchBudget, _complex_stack
 
@@ -33,16 +34,28 @@ def _captured(monkeypatch, run):
     and size that `run` starts, keyed by the objective's qualified name and
     its number of parameters."""
     found = {}
+
+    def record(objective_rows, n_params, starts):
+        name = getattr(objective_rows, "__qualname__", repr(objective_rows))
+        if n_params:
+            found.setdefault((name, n_params), (objective_rows, [np.asarray(s, float) for s in starts]))
+
     for module in (mutual, capacity, entanglement):
         original = module.maximize_batch
 
         def recording(objective_rows, n_params, budget, starts=(), original=original):
-            name = getattr(objective_rows, "__qualname__", repr(objective_rows))
-            if n_params:
-                found.setdefault((name, n_params), (objective_rows, [np.asarray(s, float) for s in starts]))
+            record(objective_rows, n_params, starts)
             return original(objective_rows, n_params, budget, starts)
 
         monkeypatch.setattr(module, "maximize_batch", recording)
+    many = mutual.maximize_many  # the Schatten searches of `_MutualEvaluator.supremum`
+
+    def recording_many(objective_rows, n_problems, n_params, budget, starts=()):
+        if n_problems == 1:  # a lone search's objective takes no owners
+            record(objective_rows, n_params, starts)
+        return many(objective_rows, n_problems, n_params, budget, starts)
+
+    monkeypatch.setattr(mutual, "maximize_many", recording_many)
     run()
     monkeypatch.undo()
     return found
@@ -290,6 +303,23 @@ def test_the_maximizer_keeps_its_inner_search(ch, family, degenerate):
     assert (ohya.evals > 1) is degenerate
     assert np.array_equal(ohya.decomposition.weights, fresh.decomposition.weights)
     assert np.array_equal(ohya.decomposition.vectors, fresh.decomposition.vectors)
+
+
+def test_a_maximizer_no_round_evaluated_is_an_error(monkeypatch):
+    # The kept inner result is found by the maximizer's member matrix; a
+    # rebuilt member that differs from the evaluated one in its last bits
+    # finds none, and says so.
+    original = StateFamily.state_from_params
+
+    def nudged(self, params):
+        m = original(self, params).matrix.copy()
+        m[0, 1] += 1e-14
+        m[1, 0] += 1e-14
+        return DensityOperator(m)
+
+    monkeypatch.setattr(StateFamily, "state_from_params", nudged)
+    with pytest.raises(ConsistencyError, match="is no evaluated member"):
+        quantum_capacity(amplitude_damping_channel(0.3), StateFamily("full", 2), TINY)
 
 
 # -- the batched commutation defect against the pairwise loop it replaced ----------------

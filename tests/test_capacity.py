@@ -120,8 +120,8 @@ def test_pseudo_capacity_floors_at_quantum():
 
 def test_pseudo_capacity_rejects_zero_components_before_searching(monkeypatch):
     calls = []
-    for module in (capacity, mutual):
-        monkeypatch.setattr(module, "maximize_batch", lambda *a, **k: calls.append(a))
+    for module, name in ((capacity, "maximize_batch"), (mutual, "maximize_batch"), (mutual, "maximize_many")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="need at least one component"):
         pseudo_capacity(amplitude_damping_channel(0.3), StateFamily("full", 2), 0, TINY)
     assert calls == []

@@ -31,17 +31,28 @@ TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
 
 def _perturb_maximize(monkeypatch, module, min_params=0, shift=1e-3):
-    """Make `module.maximize_batch` report `shift` above its best value, for
-    searches of at least `min_params` parameters."""
-    original = module.maximize_batch
+    """Make `module.maximize_batch`, and `module.maximize_many` where the
+    module binds it, report `shift` above each best value, for searches of at
+    least `min_params` parameters."""
 
-    def perturbed(objective_rows, n_params, budget, starts=()):
-        result = original(objective_rows, n_params, budget, starts)
+    def shifted(result, n_params):
         if n_params < min_params:
             return result
         return dataclasses.replace(result, value=result.value + shift)
 
+    batch = module.maximize_batch
+
+    def perturbed(objective_rows, n_params, budget, starts=()):
+        return shifted(batch(objective_rows, n_params, budget, starts), n_params)
+
     monkeypatch.setattr(module, "maximize_batch", perturbed)
+    if hasattr(module, "maximize_many"):
+        many = module.maximize_many
+
+        def perturbed_many(objective_rows, n_problems, n_params, budget, starts=()):
+            return [shifted(r, n_params) for r in many(objective_rows, n_problems, n_params, budget, starts)]
+
+        monkeypatch.setattr(module, "maximize_many", perturbed_many)
 
 
 def _counting(monkeypatch, module, name):

@@ -228,7 +228,7 @@ def test_q_never_exceeds_twice_the_smaller_entropy():
 
 
 def _hierarchy_searches(monkeypatch, ch) -> int:
-    """`maximize_batch` calls of one fixed-state hierarchy, whose values match
+    """Search-driver calls of one fixed-state hierarchy, whose values match
     the single-class entry point."""
     import qmi.entanglement
     import qmi.mutual
@@ -236,12 +236,17 @@ def _hierarchy_searches(monkeypatch, ch) -> int:
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return qmi.search.maximize_batch(*args, **kwargs)
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return getattr(qmi.search, name)(*args, **kwargs)
 
-    for module in (qmi.entanglement, qmi.mutual):  # every module that binds maximize_batch
-        monkeypatch.setattr(module, "maximize_batch", counting)
+        return counted
+
+    # Every driver binding of the modules that the hierarchy searches in.
+    for module, name in ((qmi.entanglement, "maximize_batch"), (qmi.mutual, "maximize_batch"),
+                         (qmi.mutual, "maximize_many")):
+        monkeypatch.setattr(module, name, counting(name))
     rho = DensityOperator(np.diag([0.4, 0.4, 0.2]))
     levels = qdc_hierarchy(rho, ch, TINY)
     searches = len(calls)

@@ -6,9 +6,10 @@ uses, and asserts that the sequences, the best value and the convergence
 flag are identical. The reference's best value is the best finite value its
 objective saw, as `maximize` tracked it around scipy: scipy's own `fun` leaves
 out a point whose step the evaluation cap cut short. With several restarts,
-which run in lockstep, each restart's own points are compared. The last
-cases check the batch protocol of `maximize_batch` itself, and that
-`maximize_many` runs several problems as if each ran alone.
+which run in lockstep, each restart's own points are compared; these
+cases skip without scipy. The last cases check the batch protocol of
+`maximize_batch` itself, and that `maximize_many` runs several problems as
+if each ran alone; they need no scipy.
 """
 
 import math
@@ -17,8 +18,6 @@ import numpy as np
 import pytest
 
 from qmi.search import _REJECTED, SearchBudget, maximize, maximize_batch, maximize_many
-
-optimize = pytest.importorskip("scipy.optimize")
 
 
 def _quadratic(x):
@@ -53,6 +52,7 @@ def _ours(objective, starts, budget):
 
 
 def _reference(objective, starts, budget):
+    optimize = pytest.importorskip("scipy.optimize")
     seen, values, success = [], [-math.inf], False
 
     def neg(x):
