@@ -21,12 +21,12 @@ from .mutual import (
     DualRouteValue,
     MutualResult,
     _checked_ohya,
-    _MutualEvaluator,
+    _ohya_suprema,
     _split_search,
     _sqrt_psd,
     _transmit,
 )
-from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _support_layouts, as_probability
+from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _rotated, as_probability
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
@@ -278,44 +278,35 @@ def quantum_capacity(
     """sup over the state family of the mutual entropy through the channel.
 
     Each round of family members has its inner Ohya suprema solved together
-    (`_ohya_suprema`), on budget.child(1). The inner result of the
+    (`mutual._ohya_suprema`), on budget.child(1). The inner result of the
     maximizing state is kept, not searched again: its decomposition is
-    rebuilt and dual-route checked as `ohya_mutual_entropy` does, and that
-    checked value is reported.
+    rebuilt from the support eigen-data that search rotated and dual-route
+    checked as `ohya_mutual_entropy` does, and that checked value is
+    reported. `qdc_hierarchy(None, ...)` reads this same search, so its d
+    capacity is this value.
     """
     return _quantum_search(ch, family, search or SearchBudget())[0]
 
 
-def _ohya_suprema(ch: KrausChannel, mats: np.ndarray, budget: SearchBudget) -> list[SearchResult]:
-    """The Ohya search of each stacked state, as `ohya_mutual_entropy` runs it.
-
-    States are grouped by support layout. All nondegenerate states of one
-    rank are scored in one stacked call, and the states of each degenerate
-    layout run as one lockstep search with a problem per state; each
-    result equals that state's search alone.
-    """
-    results = [None] * len(mats)
-    for rows, *support in _support_layouts(mats):
-        for i, result in zip(rows.tolist(), _MutualEvaluator(mats[rows], ch, support).supremum(budget)):
-            results[i] = result
-    return results
-
-
 def _quantum_search(
-    ch: KrausChannel, family: StateFamily, budget: SearchBudget
+    ch: KrausChannel, family: StateFamily, budget: SearchBudget, observe=None
 ) -> tuple[CapacityReport, np.ndarray, MutualResult | None]:
-    """`quantum_capacity`'s report, its family parameters and the Ohya result at its maximizer."""
+    """`quantum_capacity`'s report, its family parameters and the Ohya result at its maximizer.
+
+    `observe` is handed to every inner `_ohya_suprema`, so it sees each
+    scored decomposition of each evaluated member.
+    """
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
-    found = {}  # the inner result of each evaluated member, by the member's bytes
+    found = {}  # the inner (result, support) of each evaluated member, by the member's bytes
 
     def value_rows(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
         mats = mats[traced]
-        results = _ohya_suprema(ch, mats, inner)
+        results = _ohya_suprema(ch, mats, inner, observe)
         found.update(zip((m.tobytes() for m in mats), results))
         values = np.full(len(traced), -math.inf)
-        values[traced] = [r.value for r in results]
+        values[traced] = [r.value for r, _ in results]
         return values
 
     result, best_state = family.supremum(value_rows, budget)
@@ -323,11 +314,10 @@ def _quantum_search(
     if best_state is not None:
         # state_from_params rebuilds the member as the search's round built it,
         # and DensityOperator keeps an exactly Hermitian member bit for bit.
-        inner_best = found.get(best_state.matrix.tobytes())
-        if inner_best is None:
+        if (inner_best := found.get(best_state.matrix.tobytes())) is None:
             raise ConsistencyError("the maximizing state, rebuilt from its parameters, is no evaluated member")
-        best = _MutualEvaluator(best_state.matrix, ch).decomposition(0, inner_best.params)
-        ohya = _checked_ohya(best_state, ch, best, inner_best)
+        inner_result, support = inner_best
+        ohya = _checked_ohya(best_state, ch, _rotated(*support, inner_result.params), inner_result)
     report = CapacityReport(
         value=result.value if ohya is None else ohya.value,
         converged=result.converged,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityReport, StateFamily
+from .capacity import CapacityReport, StateFamily, _quantum_search
 from .channels import KrausChannel, apply_matrix
 from .entropy import _entropy_rows, product_relative_entropy, von_neumann_entropy
 from .mutual import (
@@ -32,7 +32,7 @@ from .mutual import (
     CompoundState,
     _check_dims,
     _compound_matrix,
-    _MutualEvaluator,
+    _ohya_suprema,
     _transmitted,
     mutual_entropy_fixed,
 )
@@ -49,7 +49,7 @@ from .operators import (
     hermitian_from_params,
     partial_trace,
 )
-from .search import SearchBudget, SearchResult, complex_from_params, maximize_batch
+from .search import SearchBudget, complex_from_params, maximize_batch
 
 NORMALIZATION_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -458,30 +458,37 @@ class _DecRecord:
 class _BestRecords:
     """The running best decomposition (d) and best commuting one (c) of a search.
 
-    Non-finite values are skipped. Records rank by (value, -commute_defect),
-    and a record replaces the best only when its key is strictly greater, so
-    the first maximum in evaluation order is kept. The searches offer their
-    points round by round, in lockstep order, so when two restarts tie
-    exactly the record is the point of the earlier round, not necessarily
-    that of the earlier restart.
+    `observe` is the observer of `mutual._ohya_suprema`: it takes each
+    scored batch of decompositions, computes their commutation defects and
+    offers the rows in order. Non-finite values are skipped. Records rank by
+    (value, -commute_defect), and a record replaces the best only when its
+    key is strictly greater, so the first maximum in offer order is kept.
+    The offer order is the lockstep order of the searches: round by round,
+    each round's rows in problem and then restart order; with rho free,
+    each round of family members offers its support layouts in turn, in
+    order of their first member. So when two points tie exactly the record
+    is the one of the earlier round, not necessarily that of the earlier
+    restart or member.
     """
 
     def __init__(self):
         self.d: _DecRecord | None = None
         self.c: _DecRecord | None = None
 
-    def offer(self, value: float, commute_defect: float, rho_mat: np.ndarray, support: tuple, params: np.ndarray):
-        if not math.isfinite(value):
-            return
-        key = (value, -commute_defect)
-        beats_d = self.d is None or key > self.d.key
-        beats_c = commute_defect <= COMMUTE_TOL and (self.c is None or key > self.c.key)
-        if beats_d or beats_c:
-            record = _DecRecord(value, commute_defect, rho_mat, support, np.array(params, dtype=float))
-            if beats_d:
-                self.d = record
-            if beats_c:
-                self.c = record
+    def observe(self, mats: np.ndarray, support: tuple, points: np.ndarray, outputs: np.ndarray, values: np.ndarray):
+        weights, vectors, blocks = support
+        for i, (value, defect) in enumerate(zip(values.tolist(), _commutation_defects(outputs).tolist())):
+            if not math.isfinite(value):
+                continue
+            key = (value, -defect)
+            beats_d = self.d is None or key > self.d.key
+            beats_c = defect <= COMMUTE_TOL and (self.c is None or key > self.c.key)
+            if beats_d or beats_c:
+                record = _DecRecord(value, defect, mats[i], (weights[i], vectors[i], blocks), points[i].copy())
+                if beats_d:
+                    self.d = record
+                if beats_c:
+                    self.c = record
 
 
 def _commutation_defect(outputs) -> float:
@@ -508,24 +515,6 @@ def _commutation_defects(outputs: np.ndarray) -> np.ndarray:
     counted = (left > ZERO_TOL) & (right > ZERO_TOL)
     ratios = np.divide(comm, left * right, out=np.zeros(comm.shape), where=counted)
     return np.max(ratios, axis=1, initial=0.0)
-
-
-def _survey_decompositions(
-    rho_mat: np.ndarray, ch: KrausChannel, budget: SearchBudget, best: _BestRecords
-) -> SearchResult:
-    """Search the Schatten decompositions of rho_mat, offering each one to `best`."""
-    evaluator = _MutualEvaluator(rho_mat, ch)
-    # The records keep these eigen-data, not the evaluator and its Kraus images.
-    support = evaluator.weights[0], evaluator.vectors[0], evaluator.blocks
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        outputs = evaluator.outputs(points)
-        values = evaluator.score(evaluator.weights[0], outputs)
-        for params, value, defect in zip(points, values.tolist(), _commutation_defects(outputs).tolist()):
-            best.offer(value, defect, rho_mat, support, params)
-        return values
-
-    return evaluator.supremum(budget, evaluate)[0]
 
 
 def _direction_param_count(g: int, k: int, fix_output_blocks: bool) -> int:
@@ -724,20 +713,12 @@ def _class_reports(
     all read from the records of one search."""
     best = _BestRecords()
     if rho is None:
-        inner = budget.child(5)
-
-        def survey(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
-            # Member by member, so that `best` takes its offers in evaluation order.
-            return np.array([
-                _survey_decompositions(m, ch, inner, best).value if ok else -math.inf
-                for m, ok in zip(mats, traced)
-            ])
-
-        result, _ = StateFamily("full", ch.in_dim).supremum(survey, budget)
+        inner = budget.child(1)
+        result = _quantum_search(ch, StateFamily("full", ch.in_dim), budget, best.observe)[0]
     else:
         _check_dims(rho.dim, ch)
         inner = budget
-        result = _survey_decompositions(rho.matrix, ch, budget, best)
+        ((result, _),) = _ohya_suprema(ch, rho.matrix[None], budget, best.observe)
     if best.d is None:
         raise ConsistencyError("no finite decomposition value found")
     checked = {}
@@ -814,16 +795,17 @@ def qdc_hierarchy(
 ) -> dict[str, CapacityReport]:
     """All three class-constrained values, ordered c <= d <= q by construction.
 
-    At fixed rho one decomposition survey feeds a running best record (d)
-    and a best record among decompositions with commuting outputs (c); q
-    steps along rays out of the d record's diagonal compound and never falls
-    below it. For the capacities (rho None) one search over the `full`
-    state family scores each state by its survey's best d value on
-    `search.child(5)`, every survey feeding the same two records: d and q
-    come from the best d record (the ray search on the child budget) and c
-    from the best commuting record over all states visited. Each reported
-    record is validated once, its value recomputed by `mutual_entropy_fixed`.
-    `evals` counts the objective calls of the outermost search (the survey
-    at fixed rho, the state search otherwise), plus the ray search's for q.
+    At fixed rho the Ohya search of its decompositions, as
+    `ohya_mutual_entropy` runs it, feeds a running best record (d) and a
+    best record among decompositions with commuting outputs (c); q steps
+    along rays out of the d record's diagonal compound and never falls below
+    it. For the capacities (rho None) the search is `quantum_capacity`'s
+    over the `full` state family, its inner Ohya searches feeding the same
+    two records over all states visited, so d is the quantum capacity at the
+    same budget; the ray search of q runs on `search.child(1)`. Each
+    reported record is validated once, its value recomputed by
+    `mutual_entropy_fixed`. `evals` counts the objective calls of the
+    outermost search (the decomposition search at fixed rho, the state
+    search otherwise), plus the ray search's for q.
     """
     return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)

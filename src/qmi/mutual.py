@@ -216,18 +216,43 @@ class _MutualEvaluator:
         weights = self.weights[0] if owners is None else self.weights[owners]
         return self.score(weights, self.outputs(points, owners), owners)
 
-    def supremum(self, budget: SearchBudget, objective_rows=None) -> list[SearchResult]:
-        """Maximize `objective_rows` (default `values`) over the Schatten
-        parameters of each state, one search problem per state, all in
-        lockstep. A nondegenerate state has a single decomposition, evaluated
-        once; all such states are scored in one call."""
-        starts = [np.zeros(self.n_params)]
-        return maximize_many(objective_rows or self.values, self.size, self.n_params, budget, starts)
 
-    def decomposition(self, state: int, params: np.ndarray) -> SchattenDecomposition:
-        """The Schatten decomposition of a state indexed by params, as
-        `schatten_family` builds it."""
-        return _rotated(self.weights[state], self.vectors[state], self.blocks, params)
+def _ohya_suprema(ch: KrausChannel, mats: np.ndarray, budget: SearchBudget, observe=None) -> list[tuple]:
+    """The Ohya search of each stacked state (S, d, d), as `ohya_mutual_entropy` runs it.
+
+    States are grouped by support layout; each layout's states run as one
+    lockstep search with a problem per state, started at the canonical
+    decomposition. A nondegenerate state has a single decomposition,
+    evaluated once, and all such states of one rank are scored in one call.
+    Each state's result equals its search alone. Returns, per state, its
+    SearchResult and the support eigen-data its parameters rotate,
+    (weights (r,), vectors (d, r), degenerate blocks), so that
+    `_rotated(*support, result.params)` is its best decomposition.
+
+    `observe(mats, support, points, outputs, values)`, when given, sees every
+    scored batch of a layout: per row its state matrix, its support
+    (weights (rows, r), vectors (rows, d, r), blocks), its parameters, its
+    channel outputs (rows, r, out, out) and its value, in the order the
+    search scores them.
+    """
+    found = [None] * len(mats)
+    for rows, *support in _support_layouts(mats):
+        group = mats[rows]
+        ev = _MutualEvaluator(group, ch, support)
+        objective = ev.values
+        if observe is not None:
+
+            def objective(points, owners=None, ev=ev, group=group):
+                outputs = ev.outputs(points, owners)
+                values = ev.score(ev.weights[0] if owners is None else ev.weights[owners], outputs, owners)
+                index = np.zeros(len(points), dtype=int) if owners is None else owners
+                observe(group[index], (ev.weights[index], ev.vectors[index], ev.blocks), points, outputs, values)
+                return values
+
+        results = maximize_many(objective, ev.size, ev.n_params, budget, [np.zeros(ev.n_params)])
+        for i, result, weights, vectors in zip(rows.tolist(), results, ev.weights, ev.vectors):
+            found[i] = result, (weights, vectors, ev.blocks)
+    return found
 
 
 def _checked_ohya(
@@ -296,17 +321,13 @@ def ohya_mutual_entropy(
 
     A nondegenerate state has a unique decomposition and needs a single
     evaluation; degenerate eigenvalue blocks are searched over their
-    unitary rotations. The search scores decompositions with a cached
-    evaluator; the best one is rebuilt from the evaluator's eigen-data as a
-    validated decomposition and re-evaluated with the dual-route
-    consistency check (`_checked_ohya`).
+    unitary rotations. This is `_ohya_suprema` of the one state: its best
+    decomposition is rebuilt from the support eigen-data the search rotated
+    and re-evaluated with the dual-route consistency check (`_checked_ohya`).
     """
     _check_dims(rho.dim, ch)
-    ev = _MutualEvaluator(rho.matrix, ch)
-    (result,) = ev.supremum(search or SearchBudget())
-    best = ev.decomposition(0, result.params)
-    del ev  # its Kraus images would otherwise add to the dual-route check's peak memory
-    return _checked_ohya(rho, ch, best, result)
+    ((result, support),) = _ohya_suprema(ch, rho.matrix[None], search or SearchBudget())
+    return _checked_ohya(rho, ch, _rotated(*support, result.params), result)
 
 
 def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:

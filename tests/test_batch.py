@@ -22,9 +22,9 @@ from qmi.channels import _square_root_povm_rows, amplitude_damping_channel, depo
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
 from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import ConsistencyError, DensityOperator, _support_layouts, pure_state
+from qmi.operators import ConsistencyError, DensityOperator, _rotated, _support_layouts, pure_state
 from qmi.sampling import random_density, random_kraus_channel, random_unitary, rng_from
-from qmi.search import SearchBudget, _complex_stack
+from qmi.search import SearchBudget, _complex_stack, maximize_batch
 
 TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
@@ -48,7 +48,7 @@ def _captured(monkeypatch, run):
             return original(objective_rows, n_params, budget, starts)
 
         monkeypatch.setattr(module, "maximize_batch", recording)
-    many = mutual.maximize_many  # the Schatten searches of `_MutualEvaluator.supremum`
+    many = mutual.maximize_many  # the Schatten searches of `_ohya_suprema`
 
     def recording_many(objective_rows, n_problems, n_params, budget, starts=()):
         if n_problems == 1:  # a lone search's objective takes no owners
@@ -179,7 +179,7 @@ def test_survey_and_ray_objectives(monkeypatch):
     rho = _degenerate_state(rng)
     ch = depolarizing_channel(0.3, 3)
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY))
-    _check_all(found, ["_survey_decompositions.<locals>.evaluate", "_q_value.<locals>.objective"], 510)
+    _check_all(found, ["_ohya_suprema.<locals>.objective", "_q_value.<locals>.objective"], 510)
     found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY))
     _check_all(found, ["StateFamily.supremum.<locals>.objective"], 511)
 
@@ -235,7 +235,7 @@ def test_ohya_search_reports_the_evaluator_value():
     ch = random_kraus_channel(3, 3, 2, rng)
     result = ohya_mutual_entropy(rho, ch, TINY)
     ev = _MutualEvaluator(rho.matrix, ch)
-    (best,) = ev.supremum(TINY)
+    ((best, _),) = mutual._ohya_suprema(ch, rho.matrix[None], TINY)
     assert best.value == _value_loop(ev, best.params)
     assert abs(result.value - best.value) < 1e-10
 
@@ -274,13 +274,15 @@ def test_stacked_suprema_equal_lone_ohya_searches(d_out, n_ops):
         assert got.tobytes() == np.array(alone).tobytes()
     # Each state's search in the stack is its lone search, field for field, and
     # the Ohya result built from it is `ohya_mutual_entropy`'s.
-    for m, got in zip(mats, capacity._ohya_suprema(ch, mats, TINY)):
+    for m, (got, support) in zip(mats, mutual._ohya_suprema(ch, mats, TINY)):
         ev = _MutualEvaluator(m, ch)
-        (alone,) = ev.supremum(TINY)
+        alone = maximize_batch(ev.values, ev.n_params, TINY, starts=[np.zeros(ev.n_params)])
         assert (got.value, got.evals, got.converged) == (alone.value, alone.evals, alone.converged)
         assert np.array_equal(got.params, alone.params)
+        assert np.array_equal(support[0], ev.weights[0]) and np.array_equal(support[1], ev.vectors[0])
+        assert support[2] == ev.blocks
         rho = DensityOperator(m)
-        mine = mutual._checked_ohya(rho, ch, ev.decomposition(0, got.params), got)
+        mine = mutual._checked_ohya(rho, ch, _rotated(*support, got.params), got)
         fresh = ohya_mutual_entropy(rho, ch, TINY)
         assert (mine.value, mine.evals, mine.converged) == (fresh.value, fresh.evals, fresh.converged)
         assert np.array_equal(mine.decomposition.weights, fresh.decomposition.weights)
