@@ -291,11 +291,8 @@ def quantum_capacity(
 def _quantum_search(
     ch: KrausChannel, family: StateFamily, budget: SearchBudget, observe=None
 ) -> tuple[CapacityReport, np.ndarray, MutualResult | None]:
-    """`quantum_capacity`'s report, its family parameters and the Ohya result at its maximizer.
-
-    `observe` is handed to every inner `_ohya_suprema`, so it sees each
-    scored decomposition of each evaluated member.
-    """
+    """`quantum_capacity`'s report, its family parameters and the Ohya result
+    at its maximizer; `observe` goes to every inner `_ohya_suprema`."""
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)

@@ -437,7 +437,7 @@ def conditional_and_degree(compound) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _DecRecord:
     """One scored Schatten decomposition: its state matrix, the support
-    eigen-data its survey rotated (weights, vectors, degenerate blocks) and
+    eigen-data its search rotated (weights, vectors, degenerate blocks) and
     its parameters."""
 
     value: float
@@ -458,17 +458,16 @@ class _DecRecord:
 class _BestRecords:
     """The running best decomposition (d) and best commuting one (c) of a search.
 
-    `observe` is the observer of `mutual._ohya_suprema`: it takes each
-    scored batch of decompositions, computes their commutation defects and
-    offers the rows in order. Non-finite values are skipped. Records rank by
-    (value, -commute_defect), and a record replaces the best only when its
-    key is strictly greater, so the first maximum in offer order is kept.
-    The offer order is the lockstep order of the searches: round by round,
-    each round's rows in problem and then restart order; with rho free,
-    each round of family members offers its support layouts in turn, in
-    order of their first member. So when two points tie exactly the record
-    is the one of the earlier round, not necessarily that of the earlier
-    restart or member.
+    `observe` is an observer of `mutual._ohya_suprema`: it computes the
+    commutation defects of each scored batch and offers its rows in order.
+    Non-finite values are skipped. Records rank by (value, -commute_defect),
+    and a record replaces the best only when its key is strictly greater, so
+    the first maximum in offer order is kept. Offers come in lockstep order:
+    an Ohya search offers round by round, each round's rows by state and
+    then by restart. A round of family members runs the Ohya searches of its
+    support layouts one after another, in order of their first member. So
+    when two points tie exactly the record is the one offered first, not
+    necessarily that of the earlier restart or member.
     """
 
     def __init__(self):
@@ -714,7 +713,16 @@ def _class_reports(
     best = _BestRecords()
     if rho is None:
         inner = budget.child(1)
-        result = _quantum_search(ch, StateFamily("full", ch.in_dim), budget, best.observe)[0]
+        result, _, ohya = _quantum_search(ch, StateFamily("full", ch.in_dim), budget, best.observe)
+        if ohya is not None:
+            # d is the search's own maximizer, which on an exact tie need not be
+            # the first best offer; c is d when d commutes, so c <= d holds.
+            dec = ohya.decomposition
+            defect = _commutation_defect(_transmitted(ch, dec))
+            support = dec.weights, dec.vectors, []
+            best.d = _DecRecord(ohya.value, defect, result.maximizer["state"], support, np.zeros(0))
+            if defect <= COMMUTE_TOL:
+                best.c = best.d
     else:
         _check_dims(rho.dim, ch)
         inner = budget

@@ -147,6 +147,8 @@ def _compound_matrix(dec: SchattenDecomposition, outputs: np.ndarray) -> np.ndar
 def _component_route(
     weights: np.ndarray, outputs: list[np.ndarray], out_avg: np.ndarray
 ) -> float:
+    """sum_k lambda_k S(outputs[k], out_avg), each term floored at 0: for
+    unit-trace states a negative term is rounding (Klein's inequality)."""
     total = 0.0
     for lam, sig in zip(weights, outputs):
         if lam <= 1e-15:
@@ -154,7 +156,7 @@ def _component_route(
         term = umegaki_relative_entropy(sig, out_avg)
         if math.isinf(term):
             return math.inf
-        total += lam * term
+        total += lam * max(term, 0.0)
     return total
 
 
@@ -218,22 +220,15 @@ class _MutualEvaluator:
 
 
 def _ohya_suprema(ch: KrausChannel, mats: np.ndarray, budget: SearchBudget, observe=None) -> list[tuple]:
-    """The Ohya search of each stacked state (S, d, d), as `ohya_mutual_entropy` runs it.
+    """The Ohya search of each stacked state (S, d, d), as `ohya_mutual_entropy`
+    runs it, and the support (weights, vectors, blocks) it rotates.
 
-    States are grouped by support layout; each layout's states run as one
-    lockstep search with a problem per state, started at the canonical
-    decomposition. A nondegenerate state has a single decomposition,
-    evaluated once, and all such states of one rank are scored in one call.
-    Each state's result equals its search alone. Returns, per state, its
-    SearchResult and the support eigen-data its parameters rotate,
-    (weights (r,), vectors (d, r), degenerate blocks), so that
-    `_rotated(*support, result.params)` is its best decomposition.
-
-    `observe(mats, support, points, outputs, values)`, when given, sees every
-    scored batch of a layout: per row its state matrix, its support
-    (weights (rows, r), vectors (rows, d, r), blocks), its parameters, its
-    channel outputs (rows, r, out, out) and its value, in the order the
-    search scores them.
+    The states of each support layout run as one lockstep search, a problem
+    per state; nondegenerate states of one rank are scored in one call. Each
+    result equals the state's search alone. `observe(mats, support, points,
+    outputs, values)`, if given, sees every scored batch in order: per row
+    its state, support (weights, vectors, blocks), parameters, channel
+    outputs and value.
     """
     found = [None] * len(mats)
     for rows, *support in _support_layouts(mats):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qmi.capacity import StateFamily, quantum_capacity
 from qmi.channels import amplitude_damping_channel, apply_matrix, depolarizing_channel, identity_channel
 from qmi.entanglement import (
     EntanglingOperator,
@@ -323,6 +324,57 @@ def test_single_class_capacity_matches_hierarchy():
     levels = qdc_hierarchy(None, ch, TINY)
     for tag, rep in levels.items():
         assert class_mutual_and_capacity(None, ch, tag, TINY).value == rep.value
+
+
+def _rk(d: int, seed: int):
+    return random_kraus_channel(d, d, 2, np.random.default_rng(seed))
+
+
+CAPACITY_CASES = {
+    "amplitude damping 0.3": lambda: amplitude_damping_channel(0.3),
+    "amplitude damping 0.6": lambda: amplitude_damping_channel(0.6),
+    "qubit depolarizing 0.3": lambda: depolarizing_channel(0.3, 2),
+    "qutrit depolarizing 0.2": lambda: depolarizing_channel(0.2, 3),
+    **{f"rk2_{s}": (lambda s=s: _rk(2, s)) for s in range(4)},
+    **{f"rk3_{s}": (lambda s=s: _rk(3, s)) for s in range(2)},
+}
+
+
+@pytest.mark.parametrize("budget", [TINY, SearchBudget(2, 40, seed=5)], ids=["tiny", "2x40"])
+@pytest.mark.parametrize("name", list(CAPACITY_CASES))
+def test_capacity_mode_d_is_the_quantum_capacity(name, budget):
+    # The d class reproduces the Ohya supremum, so its capacity is the quantum
+    # capacity; both come from one family search at the same budget.
+    ch = CAPACITY_CASES[name]()
+    quantum = quantum_capacity(ch, StateFamily("full", ch.in_dim), budget)
+    levels = qdc_hierarchy(None, ch, budget)
+    assert levels["d"].value == quantum.value
+    assert np.array_equal(levels["d"].maximizer["state"], quantum.maximizer["state"])
+    assert (levels["d"].evals, levels["d"].converged) == (quantum.evals, quantum.converged)
+    assert 0.0 <= levels["c"].value <= levels["d"].value <= levels["q"].value
+
+
+def test_capacity_mode_d_keeps_the_search_maximizer_on_exact_ties():
+    # A qubit unitary channel gives every decomposition of I/2 the value ln 2,
+    # up to rounding: here the first best offer is another decomposition of
+    # I/2 than the one the search reports, one rounding step above it.
+    ch = random_kraus_channel(2, 2, 1, rng_from(1))
+    budget = SearchBudget(2, 12, seed=3)
+    quantum = quantum_capacity(ch, StateFamily("full", 2), budget)
+    levels = qdc_hierarchy(None, ch, budget)
+    assert levels["d"].value == quantum.value
+    assert abs(quantum.value - math.log(2.0)) < 1e-12
+    # Its outputs commute, so the c record is the same decomposition.
+    assert levels["c"].value == levels["d"].value
+    assert levels["c"].maximizer["decomposition"] is levels["d"].maximizer["decomposition"]
+
+
+def test_capacity_mode_c_is_not_negative():
+    # The best commuting decomposition of rk3_0 has value 0; its component
+    # terms, rounded, summed to -5.6e-17 before each was floored at 0.
+    levels = qdc_hierarchy(None, _rk(3, 0), SearchBudget(2, 40, seed=5))
+    assert levels["c"].notes["feasible"]
+    assert levels["c"].value == 0.0
 
 
 def test_capacity_hierarchy_searches_states_once(monkeypatch):

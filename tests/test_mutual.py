@@ -18,7 +18,7 @@ from qmi.mutual import (
     ohya_mutual_entropy,
     pseudo_mutual_entropy,
 )
-from qmi.operators import DensityOperator, canonical_schatten, maximally_mixed
+from qmi.operators import DensityOperator, canonical_schatten, maximally_mixed, pure_state
 from qmi.sampling import (
     random_density,
     random_kraus_channel,
@@ -222,3 +222,14 @@ def test_budgets_need_a_search():
         SearchBudget(restarts=0)
     with pytest.raises(ValueError, match="max_evals"):
         SearchBudget(max_evals=0)
+
+
+def test_ohya_value_of_a_pure_state_is_not_negative():
+    # A pure state's one component transmits to the output mixture itself, so
+    # its relative entropy is 0; rounded, it was -3.3e-16 before the component
+    # terms were floored at 0 (Klein's inequality holds for unit-trace states).
+    rho = pure_state(np.random.default_rng(100).normal(size=2) + 0j)
+    ch = random_kraus_channel(2, 2, 2, np.random.default_rng(0))
+    result = ohya_mutual_entropy(rho, ch, SearchBudget(2, 12, seed=1))
+    assert result.value == 0.0
+    assert mutual_entropy_fixed(rho, ch, result.decomposition).defect <= DUAL_ROUTE_TOL

@@ -1,6 +1,7 @@
 """Property tests over random channels: the capacity ordering, seed determinism,
-the q/d/c bounds, the pseudo mutual entropy's ensemble at fixed states, data
-processing, and the cqc capacity chain."""
+the q/d/c bounds at fixed states and for the capacities, the pseudo mutual
+entropy's ensemble at fixed states, data processing, and the cqc capacity
+chain."""
 
 import dataclasses
 import math
@@ -12,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qmi.capacity import CodingScheme, StateFamily, cqc_capacity, pseudo_capacity  # noqa: E402
+from qmi.capacity import CodingScheme, StateFamily, cqc_capacity, pseudo_capacity, quantum_capacity  # noqa: E402
 from qmi.channels import apply_matrix, compose  # noqa: E402
 from qmi.entanglement import qdc_hierarchy  # noqa: E402
 from qmi.entropy import von_neumann_entropy  # noqa: E402
@@ -85,6 +86,31 @@ def test_class_values_within_entropy_bounds(problem):
         assert c <= d
     else:
         assert c == 0.0
+
+
+@st.composite
+def qubit_channels(draw):
+    """A random channel on a qubit, into a qubit or a qutrit, and a small budget."""
+    d_out = draw(st.sampled_from([2, 3]))
+    ch = random_kraus_channel(2, d_out, draw(st.integers(1, 3)), rng_from(draw(st.integers(0, 2**31 - 1))))
+    return ch, SearchBudget(restarts=2, max_evals=12, seed=draw(st.integers(1, 2**31 - 1)))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(qubit_channels())
+def test_capacity_classes_within_bounds(problem):
+    ch, budget = problem
+    levels = qdc_hierarchy(None, ch, budget)
+    c, d, q = (levels[t].value for t in ("c", "d", "q"))
+    assert 0.0 <= c <= d <= q
+    assert d == quantum_capacity(ch, StateFamily("full", 2), budget).value
+    rho_d = levels["d"].maximizer["state"]
+    bound = min(von_neumann_entropy(rho_d), von_neumann_entropy(apply_matrix(ch, rho_d)))
+    assert q <= 2 * bound + 1e-12
+    for rep in levels.values():
+        if rep.notes["feasible"]:
+            rebuilt = rep.maximizer["decomposition"].reconstruct()
+            assert np.max(np.abs(rebuilt - rep.maximizer["state"])) <= 1e-8
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
