@@ -49,7 +49,7 @@ from .operators import (
     hermitian_from_params,
     partial_trace,
 )
-from .search import SearchBudget, complex_from_params, maximize_batch
+from .search import SearchBudget, _complex_stack, maximize_batch
 
 NORMALIZATION_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -524,47 +524,61 @@ def _direction_param_count(g: int, k: int, fix_output_blocks: bool) -> int:
 
 
 def _in_input_frame(dec: SchattenDecomposition, blocks: np.ndarray) -> np.ndarray:
-    """sum_nm |v_n><v_m| (x) blocks[n, m] as a (d_g k) x (d_g k) matrix."""
+    """sum_nm |v_n><v_m| (x) blocks[..., n, m] as (..., d_g k, d_g k) matrices."""
     e = dec.vectors
     n = e.shape[0] * blocks.shape[-1]
-    return np.einsum("xn,nmab,ym->xayb", e, blocks, e.conj()).reshape(n, n)
+    x = np.einsum("xn,...nmab,ym->...xayb", e, blocks, e.conj())
+    return x.reshape(*blocks.shape[:-4], n, n)
 
 
-def _assemble_direction(
-    params: np.ndarray, dec: SchattenDecomposition, k: int, fix_output_blocks: bool
-) -> np.ndarray | None:
-    """Hermitian perturbation preserving both marginals of a diagonal compound.
+def _traceless(mats: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Each k x k matrix of a stack minus traces / k times the identity."""
+    k = mats.shape[-1]
+    diag = np.arange(k)
+    mats[..., diag, diag] -= (traces / k)[..., None]
+    return mats
+
+
+def _assemble_directions(
+    points: np.ndarray, dec: SchattenDecomposition, k: int, fix_output_blocks: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Hermitian perturbations preserving both marginals of a diagonal
+    compound, one per row of points (m, n_params), and per row whether its
+    norm before scaling is above 1e-12 (the ray of another row is 0).
 
     Off-diagonal blocks are free but traceless (input marginal unchanged);
     when the output blocks are released, the diagonal parts are traceless
     and sum to zero (both marginals unchanged).
     """
-    g = dec.size
-    blocks = np.zeros((g, g, k, k), dtype=complex)
-    per = 2 * k * k
-    pos = 0
-    for n in range(g):
-        for m in range(n + 1, g):
-            b = complex_from_params(params[pos : pos + per], k, k)
-            b = b - (np.trace(b) / k) * np.eye(k)
-            blocks[n, m] = b
-            blocks[m, n] = b.conj().T
-            pos += per
+    g, m = dec.size, len(points)
+    first, second = _upper_indices(g)
+    pos = len(first) * 2 * k * k
+    blocks = np.zeros((m, g, g, k, k), dtype=complex)
+    off = _complex_stack(points[:, :pos], len(first), k, k)
+    off = _traceless(off, np.trace(off, axis1=-2, axis2=-1))
+    blocks[:, first, second] = off
+    blocks[:, second, first] = off.conj().swapaxes(-1, -2)
     if not fix_output_blocks:
-        diags = []
+        diags = hermitian_from_params(points[:, pos:].reshape(m, g, k * k), k)
+        diags = _traceless(diags, np.trace(diags, axis1=-2, axis2=-1).real)
+        total = diags[:, 0]
+        for n in range(1, g):
+            total = total + diags[:, n]
+        mean = total / g
         for n in range(g):
-            d = hermitian_from_params(params[pos : pos + k * k], k)
-            d = d - (np.trace(d).real / k) * np.eye(k)
-            diags.append(d)
-            pos += k * k
-        mean = sum(diags) / g
-        for n in range(g):
-            blocks[n, n] = diags[n] - mean
+            blocks[:, n, n] = diags[:, n] - mean
     x = _in_input_frame(dec, blocks)
-    norm = float(np.linalg.norm(x))
-    if norm <= 1e-12:
-        return None
-    return x / norm
+    norms = _frobenius_norms(x)
+    ok = norms > 1e-12
+    return np.divide(x, norms[:, None, None], out=np.zeros_like(x), where=ok[:, None, None]), ok
+
+
+def _assemble_direction(
+    params: np.ndarray, dec: SchattenDecomposition, k: int, fix_output_blocks: bool
+) -> np.ndarray | None:
+    """`_assemble_directions` of one point; None when its ray is 0."""
+    rays, ok = _assemble_directions(np.asarray(params, dtype=float)[None], dec, k, fix_output_blocks)
+    return rays[0] if ok[0] else None
 
 
 def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int) -> np.ndarray | None:
@@ -623,39 +637,55 @@ class _RayScorer:
     at an invertible theta_d the slope of I at t = 0 is tr(x ln theta_d) = 0,
     so I(t_max) >= I(0) as well; with released blocks the slope need not
     vanish, and t = 0 may be the larger end. So a ray is scored once, at
-    t_max, from one eigvalsh, and nothing else is checked.
+    t_max, and nothing else is checked.
+
+    A round of rays is scored as one stack (`values`): one stacked eigh for
+    their steps and one stacked eigvalsh for their endpoints. Each row's
+    LAPACK call sees the same matrix as it would alone, so a row's score
+    does not depend on the other rows; `max_step` and `value` are the same
+    code on a stack of one ray.
     """
 
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray):
         self.theta_d = theta_d
         w, self.frame = np.linalg.eigh(theta_d + PSD_STEP_TOL * np.eye(theta_d.shape[0]))
         self.inv_sqrt = 1.0 / np.sqrt(w) if w[0] > 0.0 else None  # of A's eigenvalues
+        self.scale = None if self.inv_sqrt is None else np.outer(self.inv_sqrt, self.inv_sqrt)
         self.marginal_entropy = von_neumann_entropy(rho_mat) + von_neumann_entropy(out_avg)
 
-    def max_step(self, x: np.ndarray) -> float:
-        """Largest t <= 64 with lambda_min(theta_d + t x) >= 0, to second order in eps."""
+    def max_steps(self, xs: np.ndarray) -> np.ndarray:
+        """Largest t <= 64 with lambda_min(theta_d + t x) >= 0, to second order
+        in eps, for each ray x of a stack (m, n, n)."""
         if self.inv_sqrt is None:
-            return 0.0
-        scaled = self.frame.conj().T @ x @ self.frame * np.outer(self.inv_sqrt, self.inv_sqrt)
-        mu, z = np.linalg.eigh(scaled)
-        if mu[0] * _STEP_CAP >= -1.0:
-            return _STEP_CAP
-        u_norm2 = float(np.sum(np.abs(self.inv_sqrt * z[:, 0]) ** 2))
-        step = -(1.0 - PSD_STEP_TOL * u_norm2) / float(mu[0])
+            return np.zeros(len(xs))
+        mu, z = np.linalg.eigh(self.frame.conj().T @ xs @ self.frame * self.scale)
+        mu = mu[:, 0]
+        bounded = ~(mu * _STEP_CAP >= -1.0)
+        u_norm2 = np.sum(np.abs(self.inv_sqrt * z[..., 0]) ** 2, axis=-1)
+        steps = np.divide(PSD_STEP_TOL * u_norm2 - 1.0, mu, out=np.full(len(xs), _STEP_CAP), where=bounded)
         # A ray leaving the support has the exact step 0; rounding leaves a
         # step of either sign that moves theta_d by about 1e-16 or less.
-        return step if step * float(np.linalg.norm(x)) > ZERO_TOL else 0.0
+        rounding = bounded & ~(steps * _frobenius_norms(xs) > ZERO_TOL)
+        return np.where(rounding, 0.0, steps)
+
+    def values(self, xs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+        """I(t_max) of each ray of a stack (m, n, n); -inf where ok is False,
+        t_max is 0 or the endpoint has an eigenvalue below -ZERO_TOL."""
+        values = np.full(len(xs), -math.inf)
+        steps = self.max_steps(xs)
+        live = np.flatnonzero(ok & (steps > 0.0))
+        if live.size:
+            eigs = np.linalg.eigvalsh(self.theta_d + steps[live, None, None] * xs[live])
+            values[live] = np.where(eigs[:, 0] < -ZERO_TOL, -math.inf, self.marginal_entropy - _entropy_rows(eigs))
+        return values
+
+    def max_step(self, x: np.ndarray) -> float:
+        """`max_steps` of one ray."""
+        return float(self.max_steps(x[None])[0])
 
     def value(self, x: np.ndarray) -> float:
-        """I(t_max) of the ray; -inf when t_max is 0 or the endpoint has an
-        eigenvalue below -ZERO_TOL."""
-        t_max = self.max_step(x)
-        if t_max <= 0.0:
-            return -math.inf
-        eigs = np.linalg.eigvalsh(self.theta_d + t_max * x)
-        if eigs[0] < -ZERO_TOL:
-            return -math.inf
-        return self.marginal_entropy - float(_entropy_rows(eigs))
+        """`values` of one ray."""
+        return float(self.values(x[None], np.ones(1, dtype=bool))[0])
 
 
 def _q_value(
@@ -668,6 +698,11 @@ def _q_value(
 ) -> tuple[float, int]:
     """Perturb the best diagonal compound along marginal-preserving rays; a
     ray that beats `diagonal_value` is checked at its PSD endpoint, once.
+
+    Each lockstep round of the ray search is one stack: its points become
+    rays in one `_assemble_directions` call and are scored in one
+    `_RayScorer.values` call. The candidate ray and the winning ray go
+    through the same two functions, one row at a time.
 
     With fixed output blocks and a singular output omega_n, no random ray
     has a PSD step: x vanishes on the diagonal blocks, so its block on the
@@ -688,8 +723,7 @@ def _q_value(
     if n_params and dec.size >= 2 and not singular:
 
         def objective(points: np.ndarray) -> np.ndarray:
-            rays = (_assemble_direction(params, dec, k, fix_output_blocks) for params in points)
-            return np.array([-math.inf if x is None else scorer.value(x) for x in rays])
+            return scorer.values(*_assemble_directions(points, dec, k, fix_output_blocks))
 
         result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
