@@ -456,18 +456,21 @@ class _DecRecord:
 
 
 class _BestRecords:
-    """The running best decomposition (d) and best commuting one (c) of a search.
+    """A search's maximizer (d) and the best decomposition with commuting
+    outputs that it offers (c).
 
     `observe` is an observer of `mutual._ohya_suprema`: it computes the
-    commutation defects of each scored batch and offers its rows in order.
-    Non-finite values are skipped. Records rank by (value, -commute_defect),
-    and a record replaces the best only when its key is strictly greater, so
-    the first maximum in offer order is kept. Offers come in lockstep order:
-    an Ohya search offers round by round, each round's rows by state and
-    then by restart. A round of family members runs the Ohya searches of its
-    support layouts one after another, in order of their first member. So
-    when two points tie exactly the record is the one offered first, not
-    necessarily that of the earlier restart or member.
+    commutation defects of each scored batch and offers its commuting rows
+    in order. Non-finite values are skipped. Records rank by
+    (value, -commute_defect), and a record replaces c only when its key is
+    strictly greater, so the first maximum in offer order is kept. Offers
+    come in lockstep order: an Ohya search offers round by round, each
+    round's rows by state and then by restart. A round of family members
+    runs the Ohya searches of its support layouts one after another, in
+    order of their first member. So when two commuting points tie exactly,
+    c is the one offered first, not necessarily that of the earlier restart
+    or member. `keep_maximizer` sets d to the search's own maximizer, and c
+    to d when d commutes, so c <= d holds.
     """
 
     def __init__(self):
@@ -477,17 +480,14 @@ class _BestRecords:
     def observe(self, mats: np.ndarray, support: tuple, points: np.ndarray, outputs: np.ndarray, values: np.ndarray):
         weights, vectors, blocks = support
         for i, (value, defect) in enumerate(zip(values.tolist(), _commutation_defects(outputs).tolist())):
-            if not math.isfinite(value):
-                continue
-            key = (value, -defect)
-            beats_d = self.d is None or key > self.d.key
-            beats_c = defect <= COMMUTE_TOL and (self.c is None or key > self.c.key)
-            if beats_d or beats_c:
-                record = _DecRecord(value, defect, mats[i], (weights[i], vectors[i], blocks), points[i].copy())
-                if beats_d:
-                    self.d = record
-                if beats_c:
-                    self.c = record
+            if math.isfinite(value) and defect <= COMMUTE_TOL and (self.c is None or (value, -defect) > self.c.key):
+                self.c = _DecRecord(value, defect, mats[i], (weights[i], vectors[i], blocks), points[i].copy())
+
+    def keep_maximizer(self, ch: KrausChannel, value: float, rho_mat: np.ndarray, dec: SchattenDecomposition):
+        defect = _commutation_defect(_transmitted(ch, dec))
+        self.d = _DecRecord(value, defect, rho_mat, (dec.weights, dec.vectors, []), np.zeros(0))
+        if defect <= COMMUTE_TOL:
+            self.c = self.d
 
 
 def _commutation_defect(outputs) -> float:
@@ -749,18 +749,13 @@ def _class_reports(
         inner = budget.child(1)
         result, _, ohya = _quantum_search(ch, StateFamily("full", ch.in_dim), budget, best.observe)
         if ohya is not None:
-            # d is the search's own maximizer, which on an exact tie need not be
-            # the first best offer; c is d when d commutes, so c <= d holds.
-            dec = ohya.decomposition
-            defect = _commutation_defect(_transmitted(ch, dec))
-            support = dec.weights, dec.vectors, []
-            best.d = _DecRecord(ohya.value, defect, result.maximizer["state"], support, np.zeros(0))
-            if defect <= COMMUTE_TOL:
-                best.c = best.d
+            best.keep_maximizer(ch, ohya.value, result.maximizer["state"], ohya.decomposition)
     else:
         _check_dims(rho.dim, ch)
         inner = budget
-        ((result, _),) = _ohya_suprema(ch, rho.matrix[None], budget, best.observe)
+        ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, best.observe)
+        if math.isfinite(result.value):
+            best.keep_maximizer(ch, result.value, rho.matrix, _rotated(*support, result.params))
     if best.d is None:
         raise ConsistencyError("no finite decomposition value found")
     checked = {}

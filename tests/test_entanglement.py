@@ -25,9 +25,16 @@ from qmi.entanglement import (
     weak_orthogonality_defect,
 )
 from qmi.entropy import shannon_entropy, von_neumann_entropy
-from qmi.mutual import CompoundState
+from qmi.mutual import CompoundState, ohya_mutual_entropy
 from qmi.operators import DensityOperator, maximally_mixed, partial_trace
-from qmi.sampling import random_density, random_hermitian, random_kraus_channel, random_probability, rng_from
+from qmi.sampling import (
+    random_density,
+    random_hermitian,
+    random_kraus_channel,
+    random_probability,
+    random_unitary,
+    rng_from,
+)
 from qmi.search import SearchBudget
 
 
@@ -367,6 +374,30 @@ def test_capacity_mode_d_keeps_the_search_maximizer_on_exact_ties():
     # Its outputs commute, so the c record is the same decomposition.
     assert levels["c"].value == levels["d"].value
     assert levels["c"].maximizer["decomposition"] is levels["d"].maximizer["decomposition"]
+
+
+@pytest.mark.parametrize("channel", ["depolarizing", "identity"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_state_d_is_the_ohya_search_maximizer(seed, channel):
+    # Every decomposition of a degenerate qutrit state scores the same value up
+    # to rounding under these channels. The d record is the Ohya search's own
+    # maximizer, not the first best offer, which on seeds 0 (depolarizing),
+    # 1 and 2 (identity) is another decomposition a rounding step away.
+    rng = rng_from(seed)
+    u = random_unitary(3, rng)
+    rho = DensityOperator((u * np.array([0.4, 0.4, 0.2])) @ u.conj().T)
+    ch = depolarizing_channel(0.3, 3) if channel == "depolarizing" else identity_channel(3)
+    budget = SearchBudget(2, 40, seed=seed)
+    ohya = ohya_mutual_entropy(rho, ch, budget)
+    levels = qdc_hierarchy(rho, ch, budget)
+    d = levels["d"].maximizer["decomposition"]
+    assert levels["d"].value == ohya.value
+    assert np.array_equal(d.weights, ohya.decomposition.weights)
+    assert np.array_equal(d.vectors, ohya.decomposition.vectors)
+    assert (levels["d"].evals, levels["d"].converged) == (ohya.evals, ohya.converged)
+    # The outputs commute, so the c record is the same decomposition.
+    assert levels["c"].maximizer["decomposition"] is d
+    assert levels["q"].notes["diagonal_value"] == ohya.value
 
 
 def test_capacity_mode_c_is_not_negative():
