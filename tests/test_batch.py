@@ -18,11 +18,17 @@ import pytest
 
 from qmi import capacity, entanglement, mutual
 from qmi.capacity import CodingScheme, StateFamily, cqc_capacity, pseudo_capacity, quantum_capacity
-from qmi.channels import _square_root_povm_rows, amplitude_damping_channel, depolarizing_channel, projective_povm
+from qmi.channels import (
+    _square_root_povm_rows,
+    amplitude_damping_channel,
+    apply_matrix,
+    depolarizing_channel,
+    projective_povm,
+)
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
 from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import ConsistencyError, DensityOperator, _rotated, _support_layouts, pure_state
+from qmi.operators import ConsistencyError, DensityOperator, _rotated, _support_layouts, pure_state, schatten_family
 from qmi.sampling import random_density, random_kraus_channel, random_unitary, rng_from
 from qmi.search import SearchBudget, _complex_stack, maximize_batch
 
@@ -180,8 +186,11 @@ def test_survey_and_ray_objectives(monkeypatch):
     ch = depolarizing_channel(0.3, 3)
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY))
     _check_all(found, ["_ohya_suprema.<locals>.objective", "_q_value.<locals>.objective"], 510)
+    # Released output blocks add the diagonal-block parameters to each ray.
+    found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY, fix_output_blocks=False))
+    _check_all(found, ["_q_value.<locals>.objective"], 512)
     found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY))
-    _check_all(found, ["StateFamily.supremum.<locals>.objective"], 511)
+    _check_all(found, ["StateFamily.supremum.<locals>.objective", "_q_value.<locals>.objective"], 511)
 
 
 # -- the Schatten evaluator against the per-point formula it replaced --------------------
@@ -352,3 +361,107 @@ def test_commutation_defects_match_the_pairwise_loop(k, d):
     want = np.array([_defect_loop(row) for row in outputs])
     assert got.tobytes() == want.tobytes()
     assert entanglement._commutation_defect(list(outputs[4])) == want[4]
+
+
+# -- the stacked ray scorer against the per-ray loop it replaced ------------------------
+
+
+def _ray_loop(params, dec, k, fix_output_blocks):
+    """One marginal-preserving ray: its blocks one at a time, one einsum, and
+    np.linalg.norm; None when the ray is 0."""
+    g = dec.size
+    blocks = np.zeros((g, g, k, k), dtype=complex)
+    pos = 0
+    for n in range(g):
+        for m in range(n + 1, g):
+            half = k * k
+            b = (params[pos : pos + half] + 1j * params[pos + half : pos + 2 * half]).reshape(k, k)
+            b = b - (np.trace(b) / k) * np.eye(k)
+            blocks[n, m], blocks[m, n] = b, b.conj().T
+            pos += 2 * half
+    if not fix_output_blocks:
+        diags = []
+        for n in range(g):
+            d = _hermitian_loop(params[pos : pos + k * k], k)
+            diags.append(d - (np.trace(d).real / k) * np.eye(k))
+            pos += k * k
+        mean = sum(diags) / g
+        for n in range(g):
+            blocks[n, n] = diags[n] - mean
+    e = dec.vectors
+    x = np.einsum("xn,nmab,ym->xayb", e, blocks, e.conj()).reshape(e.shape[0] * k, e.shape[0] * k)
+    norm = float(np.linalg.norm(x))
+    return None if norm <= 1e-12 else x / norm
+
+
+def _step_loop(scorer, x) -> float:
+    """The PSD step of one ray from its own eigh, in scalars."""
+    if scorer.inv_sqrt is None:
+        return 0.0
+    scaled = scorer.frame.conj().T @ x @ scorer.frame * np.outer(scorer.inv_sqrt, scorer.inv_sqrt)
+    mu, z = np.linalg.eigh(scaled)
+    if mu[0] * 64.0 >= -1.0:
+        return 64.0
+    u_norm2 = float(np.sum(np.abs(scorer.inv_sqrt * z[:, 0]) ** 2))
+    step = -(1.0 - entanglement.PSD_STEP_TOL * u_norm2) / float(mu[0])
+    return step if step * float(np.linalg.norm(x)) > 1e-12 else 0.0
+
+
+def _score_loop(scorer, x) -> float:
+    """The endpoint score of one ray from its own eigvalsh."""
+    t_max = _step_loop(scorer, x)
+    if t_max <= 0.0:
+        return -math.inf
+    eigs = np.linalg.eigvalsh(scorer.theta_d + t_max * x)
+    if eigs[0] < -1e-12:
+        return -math.inf
+    return scorer.marginal_entropy - float(_entropy_rows(eigs))
+
+
+@pytest.mark.parametrize("fix_output_blocks", [True, False])
+def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
+    rng = rng_from(517)
+    cases = [
+        (_degenerate_state(rng), depolarizing_channel(0.3, 3)),  # theta_d of full rank
+        (random_density(3, rng), random_kraus_channel(3, 3, 1, rng)),  # pure outputs: rank-deficient theta_d
+        (random_density(3, rng, rank=2), random_kraus_channel(3, 2, 2, rng)),  # a rank-deficient input
+    ]
+    masked = zero_steps = capped = scored = 0
+    for rho, ch in cases:
+        dec = schatten_family(rho, rng.normal(size=_MutualEvaluator(rho.matrix, ch).n_params))
+        outputs = mutual._transmitted(ch, dec)
+        k = ch.out_dim
+        scorer = entanglement._RayScorer(
+            mutual._compound_matrix(dec, outputs), rho.matrix, apply_matrix(ch, rho.matrix))
+        n_params = entanglement._direction_param_count(dec.size, k, fix_output_blocks)
+        # A zero row and a row whose ray norm is below 1e-12 are masked out.
+        points = np.concatenate([np.zeros((1, n_params)), 1e-14 * rng.normal(size=(1, n_params)),
+                                 rng.normal(size=(20, n_params))])
+        rays, ok = entanglement._assemble_directions(points, dec, k, fix_output_blocks)
+        alone = [_ray_loop(p, dec, k, fix_output_blocks) for p in points]
+        assert ok.tolist() == [x is not None for x in alone]
+        for i, x in enumerate(alone):
+            if x is not None:
+                assert rays[i].tobytes() == x.tobytes()
+                assert entanglement._assemble_direction(points[i], dec, k, fix_output_blocks).tobytes() == x.tobytes()
+            else:
+                assert entanglement._assemble_direction(points[i], dec, k, fix_output_blocks) is None
+        # The same rays shortened: at 1e-3 their steps reach the cap of 64, and
+        # at 1e-6 the rounding-level step of a ray leaving the support exceeds
+        # 1e-12 while moving theta_d by less, so it is still taken as 0.
+        xs, ok = np.concatenate([rays, 1e-3 * rays, 1e-6 * rays]), np.concatenate([ok, ok, ok])
+        steps = scorer.max_steps(xs)
+        values = scorer.values(xs, ok)
+        want_steps = np.array([_step_loop(scorer, x) for x in xs])
+        want = np.array([_score_loop(scorer, x) if o else -math.inf for x, o in zip(xs, ok)])
+        assert steps[ok].tobytes() == want_steps[ok].tobytes()
+        assert values.tobytes() == want.tobytes()
+        for x, o, value in zip(xs, ok, values):
+            if o:
+                assert scorer.max_step(x) == _step_loop(scorer, x)
+                assert scorer.value(x) == value
+        masked += int(np.sum(~ok))
+        zero_steps += int(np.sum(ok & (steps == 0.0)))
+        capped += int(np.sum(ok & (steps == 64.0)))
+        scored += int(np.sum(np.isfinite(values)))
+    assert masked and zero_steps and capped and scored, (masked, zero_steps, capped, scored)

@@ -82,8 +82,9 @@ def test_q_is_checked_when_a_ray_wins(monkeypatch, dim, perturb):
         # of 1 makes the search's ray the reported one.
         _perturb_maximize(monkeypatch, entanglement, shift=1.0)
     else:
-        original = _RayScorer.value
-        monkeypatch.setattr(_RayScorer, "value", lambda self, x: original(self, x) + 1e-3)
+        # Every ray, the candidate and the search's, is scored by the stacked scorer.
+        original = _RayScorer.values
+        monkeypatch.setattr(_RayScorer, "values", lambda self, xs, ok: original(self, xs, ok) + 1e-3)
     with pytest.raises(ConsistencyError, match="compound search scored"):
         qdc_hierarchy(rho, ch, TINY)
 
