@@ -532,7 +532,7 @@ def _in_input_frame(dec: SchattenDecomposition, blocks: np.ndarray) -> np.ndarra
 
 
 def _traceless(mats: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """Each k x k matrix of a stack minus traces / k times the identity."""
+    """Each k x k matrix of a stack minus traces / k times the identity, in place."""
     k = mats.shape[-1]
     diag = np.arange(k)
     mats[..., diag, diag] -= (traces / k)[..., None]
@@ -544,7 +544,7 @@ def _assemble_directions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit Hermitian perturbations preserving both marginals of a diagonal
     compound, one per row of points (m, n_params), and per row whether its
-    norm before scaling is above 1e-12 (the ray of another row is 0).
+    norm before scaling is above 1e-12; a row where it is not gets the ray 0.
 
     Off-diagonal blocks are free but traceless (input marginal unchanged);
     when the output blocks are released, the diagonal parts are traceless
@@ -561,12 +561,7 @@ def _assemble_directions(
     if not fix_output_blocks:
         diags = hermitian_from_params(points[:, pos:].reshape(m, g, k * k), k)
         diags = _traceless(diags, np.trace(diags, axis1=-2, axis2=-1).real)
-        total = diags[:, 0]
-        for n in range(1, g):
-            total = total + diags[:, n]
-        mean = total / g
-        for n in range(g):
-            blocks[:, n, n] = diags[:, n] - mean
+        blocks[:, range(g), range(g)] = diags - diags.sum(axis=1, keepdims=True) / g
     x = _in_input_frame(dec, blocks)
     norms = _frobenius_norms(x)
     ok = norms > 1e-12
