@@ -634,8 +634,8 @@ class _RayScorer:
     vanish, and t = 0 may be the larger end. So a ray is scored once, at
     t_max, and nothing else is checked.
 
-    A round of rays is scored as one stack (`values`): one stacked eigh for
-    their steps and one stacked eigvalsh for their endpoints. Each row's
+    A round of rays is scored as one stack (`endpoints`): one stacked eigh
+    for their steps and one stacked eigvalsh for their endpoints. Each row's
     LAPACK call sees the same matrix as it would alone, so a row's score
     does not depend on the other rows; `max_step` and `value` are the same
     code on a stack of one ray.
@@ -663,24 +663,25 @@ class _RayScorer:
         rounding = bounded & ~(steps * _frobenius_norms(xs) > ZERO_TOL)
         return np.where(rounding, 0.0, steps)
 
-    def values(self, xs: np.ndarray, ok: np.ndarray) -> np.ndarray:
-        """I(t_max) of each ray of a stack (m, n, n); -inf where ok is False,
-        t_max is 0 or the endpoint has an eigenvalue below -ZERO_TOL."""
+    def endpoints(self, xs: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I(t_max) and t_max of each ray of a stack (m, n, n); I is -inf where
+        ok is False, t_max is 0 or the endpoint has an eigenvalue below
+        -ZERO_TOL."""
         values = np.full(len(xs), -math.inf)
         steps = self.max_steps(xs)
         live = np.flatnonzero(ok & (steps > 0.0))
         if live.size:
             eigs = np.linalg.eigvalsh(self.theta_d + steps[live, None, None] * xs[live])
             values[live] = np.where(eigs[:, 0] < -ZERO_TOL, -math.inf, self.marginal_entropy - _entropy_rows(eigs))
-        return values
+        return values, steps
 
     def max_step(self, x: np.ndarray) -> float:
         """`max_steps` of one ray."""
         return float(self.max_steps(x[None])[0])
 
     def value(self, x: np.ndarray) -> float:
-        """`values` of one ray."""
-        return float(self.values(x[None], np.ones(1, dtype=bool))[0])
+        """The `endpoints` value of one ray."""
+        return float(self.endpoints(x[None], np.ones(1, dtype=bool))[0][0])
 
 
 def _q_value(
@@ -696,8 +697,10 @@ def _q_value(
 
     Each lockstep round of the ray search is one stack: its points become
     rays in one `_assemble_directions` call and are scored in one
-    `_RayScorer.values` call. The candidate ray and the winning ray go
-    through the same two functions, one row at a time.
+    `_RayScorer.endpoints` call. The candidate ray and the winning ray go
+    through the same two functions, one row at a time; the candidate's
+    step comes with its score, and only a winning search ray has its step
+    computed again, for the check.
 
     With fixed output blocks and a singular output omega_n, no random ray
     has a PSD step: x vanishes on the diagonal blocks, so its block on the
@@ -709,24 +712,26 @@ def _q_value(
     k = ch.out_dim
     out_avg = apply_matrix(ch, rho.matrix)
     scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg)
-    best, best_ray, evals = diagonal_value, None, 0
+    best, best_end, evals = diagonal_value, None, 0
     candidate = _candidate_direction(dec, outputs, k)
-    if candidate is not None and (value := scorer.value(candidate)) > best:
-        best, best_ray = value, candidate
+    if candidate is not None:
+        values, steps = scorer.endpoints(candidate[None], np.ones(1, dtype=bool))
+        if values[0] > best:
+            best, best_end = float(values[0]), scorer.theta_d + steps[0] * candidate
     n_params = _direction_param_count(dec.size, k, fix_output_blocks)
     singular = fix_output_blocks and float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) <= ZERO_TOL
     if n_params and dec.size >= 2 and not singular:
 
         def objective(points: np.ndarray) -> np.ndarray:
-            return scorer.values(*_assemble_directions(points, dec, k, fix_output_blocks))
+            return scorer.endpoints(*_assemble_directions(points, dec, k, fix_output_blocks))[0]
 
         result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
         if result.value > best:
-            best, best_ray = result.value, _assemble_direction(result.params, dec, k, fix_output_blocks)
-    if best_ray is not None:
-        step = scorer.max_step(best_ray)
-        _check_compound(scorer.theta_d + step * best_ray, rho, DensityOperator(out_avg), best)
+            ray = _assemble_direction(result.params, dec, k, fix_output_blocks)
+            best, best_end = result.value, scorer.theta_d + scorer.max_step(ray) * ray
+    if best_end is not None:
+        _check_compound(best_end, rho, DensityOperator(out_avg), best)
     return best, evals
 
 

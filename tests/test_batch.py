@@ -450,8 +450,7 @@ def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
         # at 1e-6 the rounding-level step of a ray leaving the support exceeds
         # 1e-12 while moving theta_d by less, so it is still taken as 0.
         xs, ok = np.concatenate([rays, 1e-3 * rays, 1e-6 * rays]), np.concatenate([ok, ok, ok])
-        steps = scorer.max_steps(xs)
-        values = scorer.values(xs, ok)
+        values, steps = scorer.endpoints(xs, ok)
         want_steps = np.array([_step_loop(scorer, x) for x in xs])
         want = np.array([_score_loop(scorer, x) if o else -math.inf for x, o in zip(xs, ok)])
         assert steps[ok].tobytes() == want_steps[ok].tobytes()

@@ -83,8 +83,13 @@ def test_q_is_checked_when_a_ray_wins(monkeypatch, dim, perturb):
         _perturb_maximize(monkeypatch, entanglement, shift=1.0)
     else:
         # Every ray, the candidate and the search's, is scored by the stacked scorer.
-        original = _RayScorer.values
-        monkeypatch.setattr(_RayScorer, "values", lambda self, xs, ok: original(self, xs, ok) + 1e-3)
+        original = _RayScorer.endpoints
+
+        def shifted(self, xs, ok):
+            values, steps = original(self, xs, ok)
+            return values + 1e-3, steps
+
+        monkeypatch.setattr(_RayScorer, "endpoints", shifted)
     with pytest.raises(ConsistencyError, match="compound search scored"):
         qdc_hierarchy(rho, ch, TINY)
 
