@@ -41,6 +41,8 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _eigh_descending,
+    _fix_phases,
     _rotated,
     _upper_indices,
     as_complex_matrix,
@@ -587,18 +589,11 @@ def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int
     g = dec.size
     if g < 2:
         return None
-    leads = []
-    for om in outputs:
-        _, u = eigenbasis(om)
-        leads.append(u[:, 0])
-    blocks = np.zeros((g, g, k, k), dtype=complex)
-    for n in range(g):
-        for m in range(g):
-            if n == m:
-                continue
-            scale = math.sqrt(max(dec.weights[n] * dec.weights[m], 0.0))
-            b = np.outer(leads[n], leads[m].conj())
-            blocks[n, m] = scale * (b - (np.trace(b) / k) * np.eye(k))
+    leads = _fix_phases(_eigh_descending(outputs)[1])[..., 0]  # as eigenbasis(om)[1][:, 0], stacked
+    b = leads[:, None, :, None] * leads.conj()[None, :, None, :]  # outer(lead_n, conj(lead_m))
+    scale = np.sqrt(np.maximum(np.outer(dec.weights, dec.weights), 0.0))
+    blocks = scale[:, :, None, None] * _traceless(b, np.trace(b, axis1=-2, axis2=-1))
+    blocks[range(g), range(g)] = 0.0
     x = _in_input_frame(dec, blocks)
     norm = float(np.linalg.norm(x))
     return None if norm <= 1e-12 else x
