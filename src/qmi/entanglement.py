@@ -581,7 +581,7 @@ def _assemble_direction(
 def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int) -> np.ndarray | None:
     """Coherence between the leading output eigenvectors of each component.
 
-    Each block is made traceless, as in `_assemble_direction`, so the ray
+    Each block is made traceless, as in `_assemble_directions`, so the ray
     keeps the input marginal when the leading eigenvectors overlap. Under
     the identity channel they are orthogonal, and the ray passes through
     the standard entanglement of the input state at its feasibility boundary.
