@@ -471,8 +471,10 @@ class _BestRecords:
     runs the Ohya searches of its support layouts one after another, in
     order of their first member. So when two commuting points tie exactly,
     c is the one offered first, not necessarily that of the earlier restart
-    or member. `keep_maximizer` sets d to the search's own maximizer, and c
-    to d when d commutes, so c <= d holds.
+    or member. d is the search's own maximizer: at a fixed rho it is the c
+    record when that is the maximizer's own point, and otherwise
+    `keep_maximizer` measures its defect and sets c to d when d commutes.
+    Either way c <= d holds.
     """
 
     def __init__(self):
@@ -749,7 +751,9 @@ def _class_reports(
         _check_dims(rho.dim, ch)
         inner = budget
         ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, best.observe)
-        if math.isfinite(result.value):
+        if best.c is not None and best.c.params.tobytes() == result.params.tobytes():
+            best.d = best.c  # the maximizer is the best commuting offer, its defect already measured
+        elif math.isfinite(result.value):
             best.keep_maximizer(ch, result.value, rho.matrix, _rotated(*support, result.params))
     if best.d is None:
         raise ConsistencyError("no finite decomposition value found")
