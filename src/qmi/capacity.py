@@ -123,13 +123,9 @@ class StateFamily:
         return 2 * self.dim * self.effective_rank
 
     def state_from_params(self, params: np.ndarray) -> DensityOperator | None:
-        m = self._matrix_from_params(params)
-        return None if m is None else DensityOperator(m)
-
-    def _matrix_from_params(self, params: np.ndarray) -> np.ndarray | None:
-        """The family member's matrix, unvalidated; None below trace 1e-12."""
+        """The validated family member; None below trace 1e-12."""
         mats, traced = self._matrices_from_params(np.asarray(params, dtype=float)[None])
-        return mats[0] if traced[0] else None
+        return DensityOperator(mats[0]) if traced[0] else None
 
     def _matrices_from_params(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The members of the rows of points (rows, n_params), unvalidated, and

@@ -31,6 +31,7 @@ from .mutual import (
     DUAL_ROUTE_TOL,
     CompoundState,
     _check_dims,
+    _checked_ohya,
     _compound_matrix,
     _ohya_suprema,
     _transmitted,
@@ -457,41 +458,32 @@ class _DecRecord:
         return _rotated(*self.support, self.params)
 
 
-class _BestRecords:
-    """A search's maximizer (d) and the best decomposition with commuting
-    outputs that it offers (c).
+class _BestCommuting:
+    """The best decomposition with commuting outputs that a search offers (c).
 
     `observe` is an observer of `mutual._ohya_suprema`: it computes the
     commutation defects of each scored batch and offers its commuting rows
     in order. Non-finite values are skipped. Records rank by
-    (value, -commute_defect), and a record replaces c only when its key is
-    strictly greater, so the first maximum in offer order is kept. Offers
-    come in lockstep order: an Ohya search offers round by round, each
-    round's rows by state and then by restart. A round of family members
-    runs the Ohya searches of its support layouts one after another, in
-    order of their first member. So when two commuting points tie exactly,
-    c is the one offered first, not necessarily that of the earlier restart
-    or member. d is the search's own maximizer: at a fixed rho it is the c
-    record when that is the maximizer's own point, and otherwise
-    `keep_maximizer` measures its defect and sets c to d when d commutes.
-    Either way c <= d holds.
+    (value, -commute_defect), and a record replaces the kept one only when
+    its key is strictly greater, so the first maximum in offer order is
+    kept. Offers come in lockstep order: an Ohya search offers round by
+    round, each round's rows by state and then by restart. A round of family
+    members runs the Ohya searches of its support layouts one after another,
+    in order of their first member. So when two commuting points tie
+    exactly, the record is the one offered first, not necessarily that of
+    the earlier restart or member.
     """
 
     def __init__(self):
-        self.d: _DecRecord | None = None
-        self.c: _DecRecord | None = None
+        self.record: _DecRecord | None = None
 
     def observe(self, mats: np.ndarray, support: tuple, points: np.ndarray, outputs: np.ndarray, values: np.ndarray):
         weights, vectors, blocks = support
         for i, (value, defect) in enumerate(zip(values.tolist(), _commutation_defects(outputs).tolist())):
-            if math.isfinite(value) and defect <= COMMUTE_TOL and (self.c is None or (value, -defect) > self.c.key):
-                self.c = _DecRecord(value, defect, mats[i], (weights[i], vectors[i], blocks), points[i].copy())
-
-    def keep_maximizer(self, ch: KrausChannel, value: float, rho_mat: np.ndarray, dec: SchattenDecomposition):
-        defect = _commutation_defect(_transmitted(ch, dec))
-        self.d = _DecRecord(value, defect, rho_mat, (dec.weights, dec.vectors, []), np.zeros(0))
-        if defect <= COMMUTE_TOL:
-            self.c = self.d
+            if not (math.isfinite(value) and defect <= COMMUTE_TOL):
+                continue
+            if self.record is None or (value, -defect) > self.record.key:
+                self.record = _DecRecord(value, defect, mats[i], (weights[i], vectors[i], blocks), points[i].copy())
 
 
 def _commutation_defect(outputs) -> float:
@@ -572,14 +564,6 @@ def _assemble_directions(
     return np.divide(x, norms[:, None, None], out=np.zeros_like(x), where=ok[:, None, None]), ok
 
 
-def _assemble_direction(
-    params: np.ndarray, dec: SchattenDecomposition, k: int, fix_output_blocks: bool
-) -> np.ndarray | None:
-    """`_assemble_directions` of one point; None when its ray is 0."""
-    rays, ok = _assemble_directions(np.asarray(params, dtype=float)[None], dec, k, fix_output_blocks)
-    return rays[0] if ok[0] else None
-
-
 def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int) -> np.ndarray | None:
     """Coherence between the leading output eigenvectors of each component.
 
@@ -634,8 +618,8 @@ class _RayScorer:
     A round of rays is scored as one stack (`endpoints`): one stacked eigh
     for their steps and one stacked eigvalsh for their endpoints. Each row's
     LAPACK call sees the same matrix as it would alone, so a row's score
-    does not depend on the other rows; `max_step` and `value` are the same
-    code on a stack of one ray.
+    does not depend on the other rows, and a single ray is scored as a
+    stack of one.
     """
 
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray):
@@ -672,19 +656,12 @@ class _RayScorer:
             values[live] = np.where(eigs[:, 0] < -ZERO_TOL, -math.inf, self.marginal_entropy - _entropy_rows(eigs))
         return values, steps
 
-    def max_step(self, x: np.ndarray) -> float:
-        """`max_steps` of one ray."""
-        return float(self.max_steps(x[None])[0])
-
-    def value(self, x: np.ndarray) -> float:
-        """The `endpoints` value of one ray."""
-        return float(self.endpoints(x[None], np.ones(1, dtype=bool))[0][0])
-
 
 def _q_value(
     rho: DensityOperator,
     ch: KrausChannel,
     dec: SchattenDecomposition,
+    outputs: np.ndarray,
     diagonal_value: float,
     budget: SearchBudget,
     fix_output_blocks: bool,
@@ -692,12 +669,13 @@ def _q_value(
     """Perturb the best diagonal compound along marginal-preserving rays; a
     ray that beats `diagonal_value` is checked at its PSD endpoint, once.
 
-    Each lockstep round of the ray search is one stack: its points become
-    rays in one `_assemble_directions` call and are scored in one
-    `_RayScorer.endpoints` call. The candidate ray and the winning ray go
-    through the same two functions, one row at a time; the candidate's
-    step comes with its score, and only a winning search ray has its step
-    computed again, for the check.
+    `outputs` are dec's channel outputs, `mutual._transmitted(ch, dec)`,
+    which the caller has already computed; the diagonal compound and the
+    candidate ray are built from them. Each lockstep round of the ray search
+    is one stack: its points become rays in one `_assemble_directions` call
+    and are scored in one `_RayScorer.endpoints` call. The candidate ray and
+    the winning search ray go through the same two functions as stacks of
+    one row, and each one's step comes with its score.
 
     With fixed output blocks and a singular output omega_n, no random ray
     has a PSD step: x vanishes on the diagonal blocks, so its block on the
@@ -705,7 +683,6 @@ def _q_value(
     the support and the kernel is not, for generic parameters. The ray
     search is then skipped and only the candidate ray is scored.
     """
-    outputs = _transmitted(ch, dec)
     k = ch.out_dim
     out_avg = apply_matrix(ch, rho.matrix)
     scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg)
@@ -725,8 +702,9 @@ def _q_value(
         result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
         if result.value > best:
-            ray = _assemble_direction(result.params, dec, k, fix_output_blocks)
-            best, best_end = result.value, scorer.theta_d + scorer.max_step(ray) * ray
+            rays, ok = _assemble_directions(result.params[None], dec, k, fix_output_blocks)
+            _, steps = scorer.endpoints(rays, ok)
+            best, best_end = result.value, scorer.theta_d + steps[0] * rays[0]
     if best_end is not None:
         _check_compound(best_end, rho, DensityOperator(out_avg), best)
     return best, evals
@@ -740,36 +718,39 @@ def _class_reports(
     fix_output_blocks: bool,
 ) -> dict[str, CapacityReport]:
     """The requested class values at rho, or their capacities when rho is None,
-    all read from the records of one search."""
-    best = _BestRecords()
+    all read from one search.
+
+    d is that search's maximizer, checked once as `ohya_mutual_entropy` (at
+    rho) or `quantum_capacity` (rho None) checks it. Its decomposition goes
+    through the channel once more, and those outputs give both its
+    commutation defect and q's rays. c is d when d's outputs commute, and
+    otherwise the best commuting offer, checked by `mutual_entropy_fixed`
+    only here, where it is reported. Either way c <= d holds.
+    """
+    commuting = _BestCommuting()
     if rho is None:
         inner = budget.child(1)
-        result, _, ohya = _quantum_search(ch, StateFamily("full", ch.in_dim), budget, best.observe)
-        if ohya is not None:
-            best.keep_maximizer(ch, ohya.value, result.maximizer["state"], ohya.decomposition)
+        result, _, ohya = _quantum_search(ch, StateFamily("full", ch.in_dim), budget, commuting.observe)
+        if ohya is None:
+            raise ConsistencyError("no finite decomposition value found")
+        state = DensityOperator(result.maximizer["state"])
     else:
         _check_dims(rho.dim, ch)
-        inner = budget
-        ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, best.observe)
-        if best.c is not None and best.c.params.tobytes() == result.params.tobytes():
-            best.d = best.c  # the maximizer is the best commuting offer, its defect already measured
-        elif math.isfinite(result.value):
-            best.keep_maximizer(ch, result.value, rho.matrix, _rotated(*support, result.params))
-    if best.d is None:
-        raise ConsistencyError("no finite decomposition value found")
-    checked = {}
+        inner, state = budget, rho
+        ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, commuting.observe)
+        if not math.isfinite(result.value):
+            raise ConsistencyError("no finite decomposition value found")
+        ohya = _checked_ohya(rho, ch, _rotated(*support, result.params), result)
+    d_value, dec, c = float(ohya.value), ohya.decomposition, commuting.record
+    outputs = _transmitted(ch, dec)
+    if rho is not None and c is not None and c.params.tobytes() == result.params.tobytes():
+        defect = c.commute_defect  # the maximizer is the best commuting offer, its defect already measured
+    else:
+        defect = _commutation_defect(outputs)
 
-    def checked_record(record: _DecRecord) -> tuple[DensityOperator, SchattenDecomposition, float]:
-        if id(record) not in checked:
-            state = rho if rho is not None else DensityOperator(record.rho_mat)
-            dec = record.decomposition()
-            checked[id(record)] = state, dec, float(mutual_entropy_fixed(state, ch, dec).value)
-        return checked[id(record)]
-
-    def report(tag: str, record: _DecRecord, evals: int, value: float | None = None, **notes) -> CapacityReport:
-        state, dec, checked_value = checked_record(record)
+    def report(tag: str, value: float, state=state, dec=dec, evals=result.evals, **notes) -> CapacityReport:
         return CapacityReport(
-            value=checked_value if value is None else value,
+            value=value,
             converged=result.converged,
             evals=evals,
             maximizer={"state": state.matrix, "decomposition": dec},
@@ -778,7 +759,9 @@ def _class_reports(
 
     reports = {}
     if "c" in tags:
-        if best.c is None:
+        if defect <= COMMUTE_TOL:
+            reports["c"] = report("c", d_value, commute_defect=defect)
+        elif c is None:
             reports["c"] = CapacityReport(
                 value=0.0,
                 converged=result.converged,
@@ -787,13 +770,14 @@ def _class_reports(
                 notes={"class": "c", "feasible": False},
             )
         else:
-            reports["c"] = report("c", best.c, result.evals, commute_defect=best.c.commute_defect)
+            c_state, c_dec = rho if rho is not None else DensityOperator(c.rho_mat), c.decomposition()
+            c_value = float(mutual_entropy_fixed(c_state, ch, c_dec).value)
+            reports["c"] = report("c", c_value, c_state, c_dec, commute_defect=c.commute_defect)
     if "d" in tags:
-        reports["d"] = report("d", best.d, result.evals)
+        reports["d"] = report("d", d_value)
     if "q" in tags:
-        state, dec, value = checked_record(best.d)
-        q, ray_evals = _q_value(state, ch, dec, value, inner, fix_output_blocks)
-        reports["q"] = report("q", best.d, result.evals + ray_evals, float(q), diagonal_value=value)
+        q, ray_evals = _q_value(state, ch, dec, outputs, d_value, inner, fix_output_blocks)
+        reports["q"] = report("q", float(q), evals=result.evals + ray_evals, diagonal_value=d_value)
     return reports
 
 
@@ -831,17 +815,18 @@ def qdc_hierarchy(
 ) -> dict[str, CapacityReport]:
     """All three class-constrained values, ordered c <= d <= q by construction.
 
-    At fixed rho the Ohya search of its decompositions, as
-    `ohya_mutual_entropy` runs it, feeds a running best record (d) and a
-    best record among decompositions with commuting outputs (c); q steps
-    along rays out of the d record's diagonal compound and never falls below
-    it. For the capacities (rho None) the search is `quantum_capacity`'s
-    over the `full` state family, its inner Ohya searches feeding the same
-    two records over all states visited, so d is the quantum capacity at the
-    same budget; the ray search of q runs on `search.child(1)`. Each
-    reported record is validated once, its value recomputed by
-    `mutual_entropy_fixed`. `evals` counts the objective calls of the
-    outermost search (the decomposition search at fixed rho, the state
-    search otherwise), plus the ray search's for q.
+    At fixed rho the search is the Ohya search of its decompositions, and d
+    is its checked maximizer, exactly what `ohya_mutual_entropy` returns.
+    For the capacities (rho None) the search is `quantum_capacity`'s over
+    the `full` state family, and d is its checked maximizer, so d is the
+    quantum capacity at the same budget. Either search feeds a running best
+    record among decompositions with commuting outputs (c), over all states
+    visited; c is d when d's outputs commute. q steps along rays out of d's
+    diagonal compound and never falls below it; with rho None its ray search
+    runs on `search.child(1)`. d is sent through the channel once more, for
+    its commutation defect and q's rays, and a c that is not d is validated
+    once, its value recomputed by `mutual_entropy_fixed`. `evals` counts the
+    objective calls of the outermost search (the decomposition search at
+    fixed rho, the state search otherwise), plus the ray search's for q.
     """
     return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)

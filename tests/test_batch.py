@@ -443,9 +443,10 @@ def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
         for i, x in enumerate(alone):
             if x is not None:
                 assert rays[i].tobytes() == x.tobytes()
-                assert entanglement._assemble_direction(points[i], dec, k, fix_output_blocks).tobytes() == x.tobytes()
-            else:
-                assert entanglement._assemble_direction(points[i], dec, k, fix_output_blocks) is None
+            # The same point alone, as a stack of one row: the winning search ray is rebuilt so.
+            one, one_ok = entanglement._assemble_directions(points[i][None], dec, k, fix_output_blocks)
+            assert one_ok[0] == (x is not None)
+            assert one[0].tobytes() == rays[i].tobytes()
         # The same rays shortened: at 1e-3 their steps reach the cap of 64, and
         # at 1e-6 the rounding-level step of a ray leaving the support exceeds
         # 1e-12 while moving theta_d by less, so it is still taken as 0.
@@ -455,10 +456,10 @@ def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
         want = np.array([_score_loop(scorer, x) if o else -math.inf for x, o in zip(xs, ok)])
         assert steps[ok].tobytes() == want_steps[ok].tobytes()
         assert values.tobytes() == want.tobytes()
-        for x, o, value in zip(xs, ok, values):
+        for x, o, value, step in zip(xs, ok, values, steps):
             if o:
-                assert scorer.max_step(x) == _step_loop(scorer, x)
-                assert scorer.value(x) == value
+                one_values, one_steps = scorer.endpoints(x[None], np.ones(1, dtype=bool))
+                assert (one_values[0], one_steps[0]) == (value, step)
         masked += int(np.sum(~ok))
         zero_steps += int(np.sum(ok & (steps == 0.0)))
         capped += int(np.sum(ok & (steps == 64.0)))

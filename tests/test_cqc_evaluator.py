@@ -297,8 +297,12 @@ def test_family_matrix_is_the_validated_state():
     for family in (StateFamily("full", 3), StateFamily("rank", 3, 1), StateFamily("diagonal", 2)):
         for _ in range(10):
             params = rng.normal(size=family.n_params)
-            assert np.array_equal(family._matrix_from_params(params), family.state_from_params(params).matrix)
-    assert StateFamily("full", 2)._matrix_from_params(np.zeros(8)) is None
+            mats, traced = family._matrices_from_params(params[None])
+            assert traced[0]
+            assert mats[0].tobytes() == family.state_from_params(params).matrix.tobytes()
+    zero = np.zeros(8)
+    assert not StateFamily("full", 2)._matrices_from_params(zero[None])[1][0]
+    assert StateFamily("full", 2).state_from_params(zero) is None
 
 
 # -- validation only at the boundary ---------------------------------------------------

@@ -424,6 +424,42 @@ def test_capacity_hierarchy_searches_states_once(monkeypatch):
     assert levels["c"].evals == levels["d"].evals <= levels["q"].evals
 
 
+@pytest.mark.parametrize("rho_seed, ch, separate_c", [
+    (100, _rk(3, 0), False),  # no commuting offer: c infeasible
+    (None, _rk(2, 0), True),  # c is the best commuting offer, not d
+    (None, depolarizing_channel(0.3, 2), False),  # d's outputs commute: c is d
+])
+def test_hierarchy_checks_each_reported_decomposition_once(monkeypatch, rho_seed, ch, separate_c):
+    # d is the search's maximizer, checked once as ohya_mutual_entropy and
+    # quantum_capacity check it; c is checked apart only when it is not d. The
+    # hierarchy itself sends d through the channel once, for its commutation
+    # defect and q's rays.
+    import qmi.entanglement
+    import qmi.mutual
+
+    checks, sends = [], []
+    fixed, transmitted = qmi.mutual.mutual_entropy_fixed, qmi.entanglement._transmitted
+
+    def counted_fixed(*args):
+        checks.append(args[2])
+        return fixed(*args)
+
+    def counted_transmitted(*args):
+        sends.append(args[1])
+        return transmitted(*args)
+
+    for module in (qmi.mutual, qmi.entanglement):
+        monkeypatch.setattr(module, "mutual_entropy_fixed", counted_fixed)
+    monkeypatch.setattr(qmi.entanglement, "_transmitted", counted_transmitted)
+    rho = None if rho_seed is None else random_density(ch.in_dim, np.random.default_rng(rho_seed))
+    levels = qdc_hierarchy(rho, ch, SearchBudget(2, 40, seed=5))
+    c, d = (levels[t].maximizer["decomposition"] for t in ("c", "d"))
+    reported = [d] if c is None or c is d else [d, c]
+    assert (len(reported) == 2) == separate_c
+    assert list(map(id, checks)) == list(map(id, reported))
+    assert list(map(id, sends)) == [id(d)]
+
+
 def test_q_stays_within_the_entropy_bound_on_random_channels():
     # The leading output eigenvectors of a general channel overlap; a candidate
     # ray built from them without removing the block traces moved the input

@@ -7,7 +7,7 @@ import pytest
 
 from qmi.channels import _square_root_povm, apply_matrix, depolarizing_channel
 from qmi.entanglement import (
-    _assemble_direction,
+    _assemble_directions,
     _candidate_direction,
     _RayScorer,
 )
@@ -186,13 +186,12 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
         k = ch.out_dim
         scorer = _RayScorer(theta_d, rho.matrix, out_avg)
         n_params = (dec.size * (dec.size - 1)) * k * k + (0 if fix_output_blocks else dec.size * k * k)
-        directions = [_candidate_direction(dec, outputs, k)]
-        directions += [
-            _assemble_direction(rng.normal(size=n_params), dec, k, fix_output_blocks)
-            for _ in range(4)
-        ]
+        rays, ok = _assemble_directions(rng.normal(size=(4, n_params)), dec, k, fix_output_blocks)
+        assert ok.all()
+        directions = [_candidate_direction(dec, outputs, k), *rays]
         for x in directions:
-            exact = scorer.max_step(x)
+            values, steps = scorer.endpoints(x[None], np.ones(1, dtype=bool))
+            exact = float(steps[0])
             reference = _bisection_step(theta_d, x)
             # A direction leaving the support of a rank-deficient theta_d has no
             # PSD step; the bisection's floor lets it reach about 4e-14, hence
@@ -203,7 +202,7 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
                 assert exact == 0.0
             # The step never passes the PSD boundary beyond eigvalsh's resolution.
             assert float(np.min(np.linalg.eigvalsh(theta_d + exact * x))) >= -1e-15
-            got = scorer.value(x)
+            got = float(values[0])
             if exact == 0.0:
                 assert got == -math.inf  # no PSD step: the ray scores nothing
             else:
