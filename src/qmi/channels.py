@@ -16,6 +16,7 @@ import numpy as np
 from .operators import (
     PSD_TOL,
     DensityOperator,
+    _check_finite,
     as_complex_matrix,
     as_probability,
     hermitian_part,
@@ -40,6 +41,7 @@ class KrausChannel:
             a = as_complex_matrix(k, "Kraus operator")
             if 0 in a.shape:
                 raise ValueError(f"Kraus operator has a zero dimension, shape {a.shape}")
+            _check_finite(a, "Kraus operator")
             if shape is None:
                 shape = a.shape
             elif a.shape != shape:
@@ -93,6 +95,7 @@ class StinespringIsometry:
         rows, cols = a.shape
         if self.out_dim <= 0 or rows % self.out_dim:
             raise ValueError(f"rows {rows} not divisible by out_dim {self.out_dim}")
+        _check_finite(a, "isometry")
         if np.max(np.abs(a.conj().T @ a - np.eye(cols))) > KRAUS_TOL:
             raise ValueError("not an isometry: V^dag V != I within 1e-9")
         a = a.copy()
@@ -178,6 +181,7 @@ class Povm:
                 dim = a.shape[0]
             elif a.shape[0] != dim:
                 raise ValueError("effects have inconsistent dimensions")
+            _check_finite(a, "effect")
             if not is_hermitian(a):
                 raise ValueError("effect is not Hermitian within 1e-10")
             if float(np.min(np.linalg.eigvalsh(hermitian_part(a)))) < -PSD_TOL:

@@ -239,14 +239,14 @@ def main(argv=None) -> int:
     except (KeyError, IndexError) as exc:
         sys.stderr.write(f"qmi {name}: missing or malformed config field: {exc}\n")
         return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught before ValueError
+        sys.stderr.write(f"qmi {name}: linear algebra failure: {exc}\n")
+        return 2
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"qmi {name}: {exc}\n")
         return 1
     except ConsistencyError as exc:
         sys.stderr.write(f"qmi {name}: consistency check failed: {exc}\n")
-        return 2
-    except np.linalg.LinAlgError as exc:
-        sys.stderr.write(f"qmi {name}: linear algebra failure: {exc}\n")
         return 2
 
     report = {

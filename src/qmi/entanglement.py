@@ -42,6 +42,7 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    _check_finite,
     _eigh_descending,
     _fix_phases,
     _rotated,
@@ -51,6 +52,7 @@ from .operators import (
     eigenbasis,
     hermitian_from_params,
     partial_trace,
+    purify,
 )
 from .search import SearchBudget, _complex_stack, maximize_batch
 
@@ -81,6 +83,8 @@ class EntanglingOperator:
         g = v.shape[0]
         if u.shape != (g, g):
             raise ValueError(f"basis shape {u.shape} does not match g_dim {g}")
+        _check_finite(v, "amplitudes")
+        _check_finite(u, "basis")
         if np.max(np.abs(u.conj().T @ u - np.eye(g))) > UNITARY_TOL:
             raise ValueError("basis columns are not orthonormal")
         total = float(np.sum(np.abs(v) ** 2))
@@ -157,7 +161,8 @@ def entangling_from_state(
     The ancilla dimension is the numerical rank of theta; kappa_n collects
     the purification components along |n>, by default the eigenbasis of the
     G-marginal. Any other orthonormal basis may be forced for diagnostics;
-    the weak-orthogonality property is specific to the eigenbasis.
+    the weak-orthogonality property is specific to the eigenbasis. A state
+    with empty support raises ValueError, as `purify` does.
     """
     t = as_complex_matrix(theta, "theta")
     d_g, d_k = dims
@@ -166,13 +171,8 @@ def entangling_from_state(
     if basis is None:
         _, basis = eigenbasis(partial_trace(t, dims, keep=0))
     u = np.asarray(basis, dtype=complex)
-    w, v = eigenbasis(t)
-    keep = w > ZERO_TOL
-    if not np.any(keep):
-        raise ValueError("state has empty support")
-    amp = v[:, keep] * np.sqrt(w[keep])
-    psi = amp.reshape(d_g, d_k, int(np.sum(keep)))
-    coeffs = np.einsum("gn,gkf->nkf", u.conj(), psi)
+    psi, anc = purify(t)
+    coeffs = np.einsum("gn,gkf->nkf", u.conj(), psi.reshape(d_g, d_k, anc))
     return EntanglingOperator(vectors=coeffs.transpose(0, 2, 1), basis=u)
 
 
@@ -186,16 +186,12 @@ def weak_orthogonality_defect(kappa: EntanglingOperator) -> float:
 def strong_orthogonality_defect(kappa: EntanglingOperator, weights, outputs) -> float:
     """Deviation of the blocks from p_n omega_n delta_nm."""
     p = as_probability(weights)
-    defect = 0.0
-    for n in range(kappa.g_dim):
-        for m in range(kappa.g_dim):
-            blk = kappa.block(n, m)
-            if n == m:
-                om = as_complex_matrix(outputs[n], "omega")
-                defect = max(defect, float(np.max(np.abs(blk - p[n] * om))))
-            else:
-                defect = max(defect, float(np.max(np.abs(blk))))
-    return defect
+    g, v = kappa.g_dim, kappa.vectors
+    if p.size != g or len(outputs) != g:
+        raise ValueError(f"{p.size} weights and {len(outputs)} outputs for {g} amplitudes")
+    blocks = v.swapaxes(1, 2)[:, None] @ v.conj()[None]  # blocks[n, m] = kappa.block(n, m)
+    blocks[range(g), range(g)] -= p[:, None, None] * np.stack([as_complex_matrix(om, "omega") for om in outputs])
+    return float(np.max(np.abs(blocks)))
 
 
 def phi(kappa: EntanglingOperator, a) -> np.ndarray:
@@ -240,14 +236,11 @@ def classify_compound(theta, dims: tuple[int, int] | None = None) -> Entanglemen
         raise ValueError("dims required for a raw bipartite state")
     t = as_complex_matrix(theta, "theta")
     blocks = _blocks_in_eigenbasis(t, dims)
-    d_g = dims[0]
-    off = 0.0
-    for n in range(d_g):
-        for m in range(n + 1, d_g):
-            off = max(off, float(np.linalg.norm(blocks[n, m])))
+    off = float(np.max(_frobenius_norms(blocks[_upper_indices(dims[0])]), initial=0.0))
     if off > OFF_DIAG_TOL:
         return EntanglementClass(tag="q", off_diag_norm=off, max_commutator=math.nan)
-    worst = _commutation_defect([blocks[n, n] for n in range(d_g)])
+    diag = np.arange(dims[0])
+    worst = _commutation_defect(blocks[diag, diag])
     tag = "c" if worst <= COMMUTE_TOL else "d"
     return EntanglementClass(tag=tag, off_diag_norm=off, max_commutator=worst)
 
@@ -263,13 +256,10 @@ def standard_entanglement(sigma) -> EntangledCompound:
     k = s.dim
     w, u = eigenbasis(s.matrix)
     amps = np.sqrt(np.clip(w, 0.0, None))
-    m0 = (u * amps) @ u.T
-    psi = m0.reshape(-1)
+    columns = u * amps  # column n is amps[n] u_n, the amplitude kappa_n
+    psi = (columns @ u.T).reshape(-1)
     theta = np.outer(psi, psi.conj())
-    vectors = np.zeros((k, 1, k), dtype=complex)
-    for n in range(k):
-        vectors[n, 0, :] = amps[n] * u[:, n]
-    kappa = EntanglingOperator(vectors=vectors, basis=u)
+    kappa = EntanglingOperator(vectors=columns.T[:, None, :], basis=u)
     compound = CompoundState(
         theta=DensityOperator(theta),
         d_g=k,
@@ -303,23 +293,17 @@ def d_compound(p, omegas) -> EntangledCompound:
     k = oms[0].dim
     if any(om.dim != k for om in oms):
         raise ValueError("output states have inconsistent dimensions")
+    mats = np.stack([om.matrix for om in oms])
+    diag = np.arange(g)
     four = np.zeros((g, k, g, k), dtype=complex)
-    for n in range(g):
-        four[n, :, n, :] = probs[n] * oms[n].matrix
+    four[diag, :, diag, :] = probs[:, None, None] * mats
     theta = four.reshape(g * k, g * k)
 
-    spectra = []
-    for om in oms:
-        w, u = eigenbasis(om.matrix)
-        keep = w > ZERO_TOL
-        spectra.append((w[keep], u[:, keep]))
-    f_dim = sum(w.size for w, _ in spectra)
-    vectors = np.zeros((g, f_dim, k), dtype=complex)
-    offset = 0
-    for n, (w, u) in enumerate(spectra):
-        for j in range(w.size):
-            vectors[n, offset + j, :] = math.sqrt(probs[n] * w[j]) * u[:, j]
-        offset += w.size
+    # One ancilla sector per support eigenvector, by component, then eigenbasis order.
+    w, u = _eigh_descending(mats)
+    comp, col = np.nonzero(w > ZERO_TOL)
+    vectors = np.zeros((g, comp.size, k), dtype=complex)
+    vectors[comp, np.arange(comp.size)] = np.sqrt(probs[comp] * w[comp, col])[:, None] * _fix_phases(u)[comp, :, col]
     kappa = EntanglingOperator(vectors=vectors, basis=np.eye(g, dtype=complex))
     compound = CompoundState(
         theta=DensityOperator(theta),
@@ -595,7 +579,9 @@ class _RayScorer:
     order. With A = theta_d + eps I (eps = PSD_STEP_TOL) factored once,
     lambda_min(theta_d + t x) >= -eps holds exactly while
     1 + t mu >= 0, mu = lambda_min(A^{-1/2} x A^{-1/2}); since lambda_min is
-    concave in t, the feasible steps are an interval from 0. At t = -1/mu the
+    concave in t, the feasible steps are an interval from 0. A's eigenvalues
+    are eps plus theta_d's, which are >= 0 (a compound state) up to rounding
+    of about 1e-16, so all are positive. At t = -1/mu the
     eigenvalue -eps belongs to u = A^{-1/2} z (z the eigenvector of mu) and
     falls with slope mu / |u|^2, so one Newton step back to
     lambda_min = 0 gives t = -(1 - eps |u|^2) / mu; it is 0 when the ray
@@ -625,15 +611,13 @@ class _RayScorer:
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray):
         self.theta_d = theta_d
         w, self.frame = np.linalg.eigh(theta_d + PSD_STEP_TOL * np.eye(theta_d.shape[0]))
-        self.inv_sqrt = 1.0 / np.sqrt(w) if w[0] > 0.0 else None  # of A's eigenvalues
-        self.scale = None if self.inv_sqrt is None else np.outer(self.inv_sqrt, self.inv_sqrt)
+        self.inv_sqrt = 1.0 / np.sqrt(w)  # of A's eigenvalues, all about eps or more
+        self.scale = np.outer(self.inv_sqrt, self.inv_sqrt)
         self.marginal_entropy = von_neumann_entropy(rho_mat) + von_neumann_entropy(out_avg)
 
     def max_steps(self, xs: np.ndarray) -> np.ndarray:
         """Largest t <= 64 with lambda_min(theta_d + t x) >= 0, to second order
         in eps, for each ray x of a stack (m, n, n)."""
-        if self.inv_sqrt is None:
-            return np.zeros(len(xs))
         mu, z = np.linalg.eigh(self.frame.conj().T @ xs @ self.frame * self.scale)
         mu = mu[:, 0]
         bounded = ~(mu * _STEP_CAP >= -1.0)

@@ -336,14 +336,12 @@ def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
     weights = as_probability(p)
     if ch.in_dim != weights.size:
         raise ValueError(f"input length {weights.size} does not match channel {ch.in_dim}")
-    outputs = []
-    for k in range(weights.size):
-        basis = np.zeros((ch.in_dim, ch.in_dim), dtype=complex)
-        basis[k, k] = 1.0
-        out = apply_matrix(ch, basis)
-        if np.max(np.abs(out - np.diag(np.diagonal(out)))) > DIAGONAL_TOL:
-            raise ValueError("channel does not map diagonal states to diagonal states")
-        outputs.append(out)
+    letters = np.arange(weights.size)
+    basis = np.zeros((weights.size, ch.in_dim, ch.in_dim), dtype=complex)
+    basis[letters, letters, letters] = 1.0
+    outputs = apply_matrix(ch, basis)  # the image of each basis projector |k><k|
+    if np.max(np.abs(outputs[:, ~np.eye(ch.out_dim, dtype=bool)]), initial=0.0) > DIAGONAL_TOL:
+        raise ValueError("channel does not map diagonal states to diagonal states")
     avg = sum(lam * out for lam, out in zip(weights, outputs))
     dists = [np.clip(np.real(np.diagonal(out)), 0.0, None) for out in outputs]
     avg_dist = np.clip(np.real(np.diagonal(avg)), 0.0, None)
@@ -463,13 +461,18 @@ def _split_search(
     split parameters are the factor blocks of `_povm_split`, and components
     of trace at or below 1e-12 drop out. A split scores
     chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)) with one batched
-    eigvalsh, unvalidated. The search starts at `head` split by the
-    projectors of `floor`, the Ohya result at member(head). A split that beats
-    the floor by more than budget.tol is checked once by `_checked_ensemble`,
-    and its converged flag is the split search's; otherwise the floor's
-    decomposition is reported, converged when either search is, so a split
-    that wins by rounding alone never replaces the exact floor. Returns that
-    result, whose evals count the split search alone, and the state it splits.
+    eigvalsh, unvalidated. A dropped component is not normalized: its
+    output has trace at most 1e-12, so `_entropy_rows` counts none of its
+    eigenvalues (rounding aside) and the component adds an exact 0 to the
+    weighted sum. For splits of at most 12 components that sum equals, bit
+    for bit, the dot product over the kept components alone. The search
+    starts at `head` split by the projectors of `floor`, the Ohya result at
+    member(head). A split that beats the floor by more than budget.tol is
+    checked once by `_checked_ensemble`, and its converged flag is the split
+    search's; otherwise the floor's decomposition is reported, converged
+    when either search is, so a split that wins by rounding alone never
+    replaces the exact floor. Returns that result, whose evals count the
+    split search alone, and the state it splits.
     """
     kraus = np.stack(ch.ops)
     n_head = head.size
@@ -483,11 +486,7 @@ def _split_search(
         _, out_entropies, traced, lams, sigmas = split(points)
         keep = lams > 1e-12
         outputs = _transmit(kraus, sigmas) / np.where(keep, lams, 1.0)[..., None, None]
-        entropies = _entropy_rows(np.linalg.eigvalsh(outputs))
-        mixed = _weighted_sum(lams, entropies)
-        # A row that drops a component sums over the components it keeps.
-        for i in np.flatnonzero(traced & ~keep.all(axis=1)):
-            mixed[i] = lams[i][keep[i]] @ entropies[i][keep[i]]
+        mixed = _weighted_sum(lams, _entropy_rows(np.linalg.eigvalsh(outputs)))
         return np.where(traced, out_entropies - mixed, -math.inf)
 
     start = np.concatenate([head, _projector_factors(floor.decomposition.vectors, n_components)])

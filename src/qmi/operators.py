@@ -27,6 +27,12 @@ class ConsistencyError(RuntimeError):
     """Two independently computed routes to the same quantity disagree."""
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    """The check of every validated type and `as_probability`: no NaN or infinity."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite entry in {name}")
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     if a.ndim != 2:
@@ -44,10 +50,11 @@ def is_hermitian(a: np.ndarray) -> bool:
 
 
 def as_probability(p) -> np.ndarray:
-    """Validate and return a probability vector (entries >= -1e-12, sum 1 within 1e-9)."""
+    """Validate and return a probability vector (finite entries >= -1e-12, sum 1 within 1e-9)."""
     v = np.asarray(p, dtype=float).reshape(-1)
     if v.size == 0:
         raise ValueError("empty probability vector")
+    _check_finite(v, "probability vector")
     if np.min(v) < -1e-12:
         raise ValueError(f"negative probability {np.min(v):.3e}")
     if abs(float(np.sum(v)) - 1.0) > PROBABILITY_TOL:
@@ -68,6 +75,7 @@ class DensityOperator:
             raise ValueError(f"density operator must be square, got {a.shape}")
         if n > MAX_DIM:
             raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
+        _check_finite(a, "density operator")
         if not is_hermitian(a):
             raise ValueError("density operator is not Hermitian within 1e-10")
         tr = complex(np.trace(a))
@@ -221,6 +229,8 @@ class SchattenDecomposition:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[1] != w.shape[0]:
             raise ValueError("vectors must be columns matching the weights")
+        _check_finite(w, "Schatten weights")
+        _check_finite(v, "Schatten vectors")
         if w.size and np.min(w) < -1e-12:
             raise ValueError(f"negative weight {np.min(w):.3e}")
         if abs(float(np.sum(w)) - 1.0) > 1e-9:

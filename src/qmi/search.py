@@ -31,6 +31,8 @@ class SearchBudget:
             raise ValueError(f"budget restarts must be at least 1, got {self.restarts}")
         if self.max_evals < 1:
             raise ValueError(f"budget max_evals must be at least 1, got {self.max_evals}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"budget tol must be finite and at least 0, got {self.tol}")
 
     def child(self, tag: int):
         """Nested-search budget: seed from (seed, tag), max(2, restarts // 8)

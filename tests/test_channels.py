@@ -6,6 +6,7 @@ import pytest
 from qmi.channels import (
     KrausChannel,
     Povm,
+    StinespringIsometry,
     amplitude_damping_channel,
     apply,
     apply_matrix,
@@ -32,6 +33,20 @@ from qmi.sampling import random_density, random_kraus_channel, random_povm, rand
 def test_kraus_completeness_is_enforced():
     with pytest.raises(ValueError):
         KrausChannel((np.eye(2) * 0.5,))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: KrausChannel((np.diag([1.0, np.nan]),)), "Kraus operator"),
+        (lambda: Povm((np.diag([np.nan, 0.0]), np.diag([0.0, 1.0]))), "effect"),
+        (lambda: StinespringIsometry(np.diag([1.0, np.nan]), out_dim=2), "isometry"),
+    ],
+    ids=["kraus", "povm", "stinespring"],
+)
+def test_non_finite_entries_are_rejected(build, name):
+    with pytest.raises(ValueError, match=f"non-finite entry in {name}"):
+        build()
 
 
 def test_channels_preserve_trace_and_positivity():

@@ -21,6 +21,7 @@ from qmi.channels import (
     phase_damping_channel,
     unitary_channel,
 )
+from qmi import cli
 from qmi.cli import main
 from qmi.sampling import random_kraus_channel, random_povm, random_unitary, rng_from
 from qmi.serialize import matrix_to_json, parse_channel
@@ -88,6 +89,9 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def test_pseudo_mutual_merges_tiny_split_components(tmp_path):
+    # At this budget the best split no longer beats the Ohya floor, so the
+    # floor's decomposition is reported and no merge runs;
+    # test_mutual.py::test_checked_ensemble_merges_a_tiny_component reaches it.
     u = random_unitary(3, rng_from(8))
     rho = (u * [0.5, 0.5, 0.0]) @ u.conj().T
     cfg = _write(
@@ -348,19 +352,53 @@ def test_holevo_rejects_invalid_coded_states(tmp_path, capsys, states, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["restarts", "max_evals"])
-def test_empty_budget_exits_one(tmp_path, capsys, field):
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("restarts", 0, "budget restarts must be at least 1, got 0"),
+        ("max_evals", 0, "budget max_evals must be at least 1, got 0"),
+        ("tol", -1.0, "budget tol must be finite and at least 0, got -1.0"),
+        ("tol", math.nan, "budget tol must be finite and at least 0, got nan"),
+    ],
+    ids=["restarts", "max_evals", "tol-negative", "tol-nan"],
+)
+def test_empty_budget_exits_one(tmp_path, capsys, field, value, message):
     cfg = _write(
         tmp_path,
         "c.json",
         {
             "state": [[0.5, 0.0], [0.0, 0.5]],
             "channel": {"kind": "identity", "dim": 2},
-            "budget": {field: 0},
+            "budget": {field: value},
         },
     )
     assert main(["mutual", "--config", cfg]) == 1
-    assert f"budget {field} must be at least 1, got 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_weight_exits_one(tmp_path, capsys):
+    # Python's json reads NaN; the weight is rejected where it enters.
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "weights": [math.nan, 1.0],
+            "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+            "channel": {"kind": "identity", "dim": 2},
+        },
+    )
+    assert main(["holevo", "--config", cfg]) == 1
+    assert "non-finite entry in probability vector" in capsys.readouterr().err
+
+
+def test_linear_algebra_failure_exits_two(monkeypatch, capsys):
+    # np.linalg.LinAlgError subclasses ValueError, which exits 1.
+    def failing(cfg, ctx, budget):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", failing)
+    assert main(["verify"]) == 2
+    assert "linear algebra failure: Eigenvalues did not converge" in capsys.readouterr().err
 
 
 def test_verify_command_reports_suites(tmp_path):

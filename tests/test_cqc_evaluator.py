@@ -216,6 +216,21 @@ def test_evaluator_matches_the_loop_route(seed):
             assert abs(_cqc_routes(inst.weights, dists).value - want.value) <= 1e-13
 
 
+@pytest.mark.parametrize("letters", range(2, 8))
+def test_zero_weight_letters_change_no_bit_of_the_kl_rows(letters):
+    # Up to 7 letters numpy sums a row in order, so the exact 0 a dropped
+    # letter adds leaves the sum over the kept letters unchanged.
+    rng = rng_from(40 + letters)
+    dists = rng.dirichlet(np.ones(3), size=letters)
+    keep = rng.random((50, letters)) < 0.6
+    keep[:, 0] = True
+    weights = np.where(keep, rng.dirichlet(np.ones(letters), size=50), 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    got = capacity._cqc_kl(weights, dists)
+    for row, kept, value in zip(weights, keep, got):
+        assert value == capacity._cqc_kl(row[kept][None], dists[kept])[0]
+
+
 def test_infinite_kl_route_raises_on_both_paths():
     # The second letter has weight 1e-14 and charges an outcome whose mixture
     # probability (1e-14) is below the zero threshold: KL is +inf while the

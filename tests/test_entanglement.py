@@ -9,6 +9,7 @@ from qmi.capacity import StateFamily, quantum_capacity
 from qmi.channels import amplitude_damping_channel, apply_matrix, depolarizing_channel, identity_channel
 from qmi.entanglement import (
     EntanglingOperator,
+    _blocks_in_eigenbasis,
     class_mutual_and_capacity,
     classify_compound,
     conditional_and_degree,
@@ -26,7 +27,7 @@ from qmi.entanglement import (
 )
 from qmi.entropy import shannon_entropy, von_neumann_entropy
 from qmi.mutual import CompoundState, ohya_mutual_entropy
-from qmi.operators import DensityOperator, maximally_mixed, partial_trace
+from qmi.operators import ZERO_TOL, DensityOperator, eigenbasis, maximally_mixed, partial_trace
 from qmi.sampling import (
     random_density,
     random_hermitian,
@@ -114,6 +115,47 @@ def test_lifting_preserves_identity_and_trace():
 def test_entangling_operator_validates():
     with pytest.raises(ValueError):
         EntanglingOperator(vectors=np.ones((2, 1, 2), dtype=complex), basis=np.eye(2, dtype=complex))
+
+
+def test_entangling_operator_rejects_non_finite_entries():
+    vectors = np.full((2, 1, 2), 0.5, dtype=complex)
+    vectors[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite entry in amplitudes"):
+        EntanglingOperator(vectors=vectors, basis=np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="non-finite entry in basis"):
+        EntanglingOperator(vectors=np.full((2, 1, 2), 0.5, dtype=complex), basis=np.diag([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_constructions_equal_their_loops_bit_for_bit(seed):
+    rng = rng_from(300 + seed)
+    g, k = 3, 2
+    p = random_probability(g, rng)
+    omegas = [random_density(k, rng).matrix for _ in range(g - 1)] + [np.diag([1.0, 0.0])]
+    # d_compound's amplitudes: one ancilla sector per support eigenvector.
+    sectors = []
+    for n, om in enumerate(omegas):
+        w, u = eigenbasis(om)
+        sectors += [(n, math.sqrt(p[n] * w[j]) * u[:, j]) for j in range(k) if w[j] > ZERO_TOL]
+    want = np.zeros((g, len(sectors), k), dtype=complex)
+    for sector, (n, amplitude) in enumerate(sectors):
+        want[n, sector] = amplitude
+    np.testing.assert_array_equal(d_compound(p, omegas).kappa.vectors, want)
+    # strong_orthogonality_defect against the block loop.
+    kappa = entangling_from_state(random_density(g * k, rng).matrix, (g, k))
+    want = 0.0
+    for n in range(g):
+        for m in range(g):
+            dev = kappa.block(n, m) - p[n] * omegas[n] if n == m else kappa.block(n, m)
+            want = max(want, float(np.max(np.abs(dev))))
+    assert strong_orthogonality_defect(kappa, p, omegas) == want
+    with pytest.raises(ValueError, match="1 weights and 1 outputs for 3 amplitudes"):
+        strong_orthogonality_defect(kappa, [1.0], omegas[:1])
+    # classify_compound's off-diagonal norm against np.linalg.norm per block.
+    theta = random_density(g * k, rng).matrix
+    blocks = _blocks_in_eigenbasis(theta, (g, k))
+    want = max(float(np.linalg.norm(blocks[n, m])) for n in range(g) for m in range(n + 1, g))
+    assert classify_compound(theta, (g, k)).off_diag_norm == want
 
 
 def test_standard_entanglement_doubles_entropy():

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from qmi.capacity import CodingScheme, CqcInstance, cqc_mutual_entropy
-from qmi.channels import classical_channel, depolarizing_channel, identity_channel, projective_povm
-from qmi.entropy import shannon_entropy, von_neumann_entropy
+from qmi.channels import (
+    amplitude_damping_channel,
+    classical_channel,
+    depolarizing_channel,
+    identity_channel,
+    projective_povm,
+)
+from qmi.entropy import _entropy_rows, shannon_entropy, von_neumann_entropy
 from qmi.mutual import (
     DUAL_ROUTE_TOL,
     MERGE_WEIGHT_TOL,
+    _checked_ensemble,
+    _weighted_sum,
     classical_mutual_entropy,
     compound_state,
     holevo_bound,
@@ -127,9 +135,9 @@ def test_pseudo_mutual_never_below_orthogonal():
 
 
 def test_tiny_split_components_merge_into_a_valid_ensemble():
-    # The best split has a third component, the square-root POVM's residual
-    # effect, of weight about 9e-12: divided by its trace, it is not
-    # Hermitian within 1e-10, so it must be merged before validation.
+    # At this budget the best split no longer beats the Ohya floor, so the
+    # floor's decomposition is reported and no merge runs;
+    # test_checked_ensemble_merges_a_tiny_component reaches it.
     u = random_unitary(3, rng_from(8))
     rho = DensityOperator((u * [0.5, 0.5, 0.0]) @ u.conj().T)
     ch = depolarizing_channel(0.3, 3)
@@ -140,6 +148,43 @@ def test_tiny_split_components_merge_into_a_valid_ensemble():
     rebuilt = sum(w * c for w, c in zip(got.weights, components))
     assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-8
     assert abs(holevo_bound(got.weights, components, ch) - got.value) <= DUAL_ROUTE_TOL
+
+
+def test_checked_ensemble_merges_a_tiny_component():
+    # sigma_2 has weight 1e-9 and an anti-Hermitian part of 1e-18: divided by
+    # its trace it is not Hermitian within 1e-10, so it must be merged into
+    # the heaviest component before validation.
+    ch = amplitude_damping_channel(0.3)
+    rho = np.diag([0.6, 0.4]).astype(complex)
+    tiny = np.array([[1e-9, 1e-18], [0.0, 0.0]], dtype=complex)
+    sigmas = np.stack([np.diag([0.6, 0.0]) - tiny, np.diag([0.0, 0.4]), tiny])
+    lams = np.real(np.trace(sigmas, axis1=-2, axis2=-1))
+    assert lams[2] <= MERGE_WEIGHT_TOL
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityOperator(sigmas[2] / lams[2])
+    chi = holevo_bound([0.6, 0.4], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ch)
+    state, weights, components = _checked_ensemble(ch, rho, lams, sigmas, chi)
+    assert len(components) == 2
+    np.testing.assert_allclose(weights, [0.6, 0.4], rtol=0, atol=1e-15)
+    assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+    rebuilt = sum(w * DensityOperator(c).matrix for w, c in zip(weights, components))
+    assert np.max(np.abs(rebuilt - state)) <= 1e-8
+    assert abs(holevo_bound(weights, components, ch) - chi) <= DUAL_ROUTE_TOL
+
+
+@pytest.mark.parametrize("components", [2, 5, 12])
+def test_dropped_split_components_add_an_exact_zero(components):
+    # A component of trace at most 1e-12 keeps its tiny eigenvalues, which
+    # _entropy_rows does not count: the weighted sum over all components is
+    # the dot product over the kept ones, bit for bit.
+    rng = rng_from(500 + components)
+    drop = rng.random((40, components)) < 0.3
+    lams = np.where(drop, 5e-13, rng.dirichlet(np.ones(components), size=40))
+    eigenvalues = rng.dirichlet(np.ones(3), size=drop.shape) * np.where(drop, 5e-13, 1.0)[..., None]
+    entropies = _entropy_rows(eigenvalues)
+    got = _weighted_sum(lams, entropies)
+    for value, row, entropy, dropped in zip(got, lams, entropies, drop):
+        assert value == row[~dropped] @ entropy[~dropped]
 
 
 def test_a_split_must_beat_the_floor_by_more_than_tol():

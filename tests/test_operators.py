@@ -7,6 +7,7 @@ from qmi.operators import (
     PHASE_TOL,
     ConsistencyError,
     DensityOperator,
+    SchattenDecomposition,
     _fix_phases,
     _support_blocks,
     _support_layouts,
@@ -34,6 +35,21 @@ def test_density_operator_rejects_bad_input():
         DensityOperator(np.diag([0.9, 0.3]))  # trace 1.2
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.2, -0.2]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: as_probability([np.nan, 1.0]), "probability vector"),
+        (lambda: DensityOperator(np.diag([np.nan, 0.5])), "density operator"),
+        (lambda: SchattenDecomposition(np.array([np.nan, 1.0]), np.eye(2)), "Schatten weights"),
+        (lambda: SchattenDecomposition(np.array([0.5, 0.5]), np.diag([1.0, np.inf])), "Schatten vectors"),
+    ],
+    ids=["probability", "density", "schatten-weight", "schatten-vector"],
+)
+def test_non_finite_entries_are_rejected(build, name):
+    with pytest.raises(ValueError, match=f"non-finite entry in {name}"):
+        build()
 
 
 def test_eigenbasis_descending_and_reconstructs():
