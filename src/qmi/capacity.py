@@ -197,6 +197,120 @@ def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return np.where(infinite, math.inf, total)
 
 
+def _letter_kl(weights: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(W_k || lambda W) for every letter k, weight 0 included, by the terms
+    `_cqc_kl` sums (+inf when W_k charges an outcome the mixture does not),
+    and the mixture lambda W."""
+    avg = (weights[:, None] * dists).sum(axis=0)
+    charged = dists > ZERO_TOL
+    supported = avg > ZERO_TOL
+    ratio = np.divide(dists, avg, out=np.ones(dists.shape), where=charged & supported)
+    kl = (dists * np.log(ratio)).sum(axis=-1)
+    return np.where((charged & ~supported).any(axis=-1), math.inf, kl), avg
+
+
+def _cqc_weights(dists: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, float, float, int]:
+    """Shannon capacity of the transition rows `dists` (K, J): the input
+    weights q, I(q), the gap and the number of evaluations of I.
+
+    I(q) = `_cqc_kl` is concave, and the gap max_k D(W_k || qW) - I(q) bounds
+    its distance to the capacity from above (Blahut 1972; Arimoto 1972).
+    From uniform q the solver moves to the first of `_trials` that raises I,
+    until the gap is at most budget.tol, no trial raises I, or
+    budget.restarts * budget.max_evals evaluations are spent (the rows that
+    the budget's Nelder-Mead descents may score).
+    """
+    size = len(dists)
+    cap = budget.restarts * budget.max_evals
+
+    def score(q):
+        return float(_cqc_kl(q[None], dists)[0]), *_letter_kl(q, dists)
+
+    q = np.full(size, 1.0 / size)
+    value, kl, avg = score(q)
+    evals = 1
+    while (gap := float(kl.max()) - value) > budget.tol and evals < cap:
+        for trial in _trials(q, value, kl, avg, dists, budget.tol):
+            if evals == cap:
+                break
+            scored = score(trial)
+            evals += 1
+            if math.isfinite(scored[0]) and scored[0] > value:
+                q, (value, kl, avg) = trial, scored
+                break
+        else:
+            break
+    return q, value, gap, evals
+
+
+def _trials(q, value, kl, avg, dists, tol):
+    """The points `_cqc_weights` tries from q, in order, until one raises I:
+    while some letter of finite D_k has D_k - I above tol, the Newton point
+    and the Blahut-Arimoto point; then, for each letter of D_k = +inf,
+    (1 - eps) q + eps e_k for eps = 1/K, 1/2K, ..., while eps W_kj stays
+    above ZERO_TOL on every outcome j the letter charges and the mixture
+    does not (below, `_cqc_kl` scores the point +inf)."""
+    finite = np.isfinite(kl)
+    if kl[finite].max() - value > tol:
+        yield _newton_step(q, value, kl, finite, avg, dists)
+        yield _blahut_arimoto_step(q, kl, finite)
+    for letter in np.flatnonzero(~finite):
+        row = dists[letter]
+        floor = ZERO_TOL / row[(row > ZERO_TOL) & (avg <= ZERO_TOL)].min()
+        eps = 1.0 / len(q)
+        while eps > floor:
+            trial = (1.0 - eps) * q
+            trial[letter] += eps
+            yield trial
+            eps /= 2
+
+
+def _newton_step(q, value, kl, finite, avg, dists) -> np.ndarray:
+    """The active-set Newton point from q.
+
+    I has gradient D_k - 1 and Hessian -W diag(1/qW) W^T. The Newton system,
+    with a ridge of 1e-12 times the trace and steps summing to 0, is solved
+    on the free letters: those of positive weight, and those at 0 with
+    D_k > I. A letter at 0 whose component comes out negative leaves the set
+    before the system is solved again. A ratio test cuts the step where the
+    first letter reaches 0 and sets that letter to exactly 0.
+    """
+    free = ((q > 0) | (kl > value)) & finite
+    inv_avg = np.divide(1.0, avg, out=np.zeros_like(avg), where=avg > ZERO_TOL)
+    while True:
+        idx = np.flatnonzero(free)
+        rows = dists[idx]
+        hess = (rows * inv_avg) @ rows.T
+        n = len(idx)
+        system = np.ones((n + 1, n + 1))
+        system[:n, :n] = hess + 1e-12 * np.trace(hess) * np.eye(n)
+        system[n, n] = 0.0
+        step = np.linalg.solve(system, np.append(kl[idx], 0.0))[:n]
+        leaving = (q[idx] == 0) & (step < 0)
+        if not leaving.any():
+            break
+        free[idx[leaving]] = False
+    trial = q.copy()
+    shrinking = np.flatnonzero(step < 0)
+    ratios = q[idx[shrinking]] / -step[shrinking]
+    if len(ratios) and ratios.min() < 1.0:
+        block = int(np.argmin(ratios))
+        trial[idx] += ratios[block] * step
+        trial[idx[shrinking[block]]] = 0.0
+    else:
+        trial[idx] += step
+    trial = np.clip(trial, 0.0, None)
+    return trial / trial.sum()
+
+
+def _blahut_arimoto_step(q: np.ndarray, kl: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """q_k exp(D_k), normalized, on the letters of positive weight and finite D_k."""
+    support = (q > 0) & finite
+    trial = np.zeros_like(q)
+    trial[support] = q[support] * np.exp(kl[support] - kl[support].max())
+    return trial / trial.sum()
+
+
 def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     """Shannon mutual information of input weights through transition rows, two ways.
 
@@ -410,8 +524,15 @@ def cqc_capacity(
     "full" also frees the decoding POVM. Each richer mode includes the
     poorer one's supremum as a candidate, so the chain is monotone. All
     modes score the chain with one cached evaluator by the KL route alone.
-    Each search's reported point is dual-route checked once, when it sets the
-    value. `n_decoding` (default: `decoding`'s) counts "full"'s free outcomes.
+    Each reported point is dual-route checked once, when it sets the value.
+    `n_decoding` (default: `decoding`'s) counts "full"'s free outcomes.
+
+    "weights" is a concave problem and is solved, not searched
+    (`_cqc_weights`): its notes hold the gap max_k D(W_k || qW) - I(q), an
+    upper bound on the distance to the capacity; `converged` means gap <=
+    search.tol; `evals` counts the evaluations of I; `maximizer["weights"]`
+    is q. "coding" and "full" run a Nelder-Mead search floored at the poorer
+    mode on a child budget; their `evals` is the search's plus the floor's.
     """
     if mode not in ("weights", "coding", "full"):
         raise ValueError(f"unknown cqc mode {mode!r}")
@@ -439,19 +560,20 @@ def _cqc_search(
     pure: bool,
     n_out: int,
 ) -> CapacityReport:
+    """`cqc_capacity` on the evaluator and the stacked coded states: the
+    "weights" solve, or a "coding" or "full" search whose weights block
+    starts at zeros and whose floor is the poorer mode on budget.child(3)
+    ("coding" over "weights") or budget.child(4) ("full" over "coding")."""
     size, dim = states.shape[:2]
     if mode == "weights":
         dists = evaluator.transitions(states)
-
-        def objective(points):
-            return _cqc_kl(softmax(points), dists)
-
-        result = maximize_batch(objective, size, budget, starts=[np.zeros(size)])
+        weights, value, gap, evals = _cqc_weights(dists, budget)
         return CapacityReport(
-            value=_checked_cqc(result.value, softmax(result.params), dists),
-            converged=result.converged,
-            evals=result.evals,
-            maximizer={"weights": softmax(result.params)},
+            value=_checked_cqc(value, weights, dists),
+            converged=gap <= budget.tol,
+            evals=evals,
+            maximizer={"weights": weights},
+            notes={"gap": gap},
         )
 
     poorer, child = ("weights", 3) if mode == "coding" else ("coding", 4)

@@ -276,10 +276,13 @@ def _suite_capacity(rng, budget: SearchBudget) -> SuiteResult:
     povm = projective_povm(2)
 
     clean = cqc_capacity(identity_channel(2), povm, basis, "weights", budget)
-    checks.append(_check("noiseless orthogonal coding reaches ln 2", abs(clean.value - math.log(2.0)), 1e-5))
+    checks.append(_check("noiseless orthogonal coding reaches ln 2", abs(clean.value - math.log(2.0)), 1e-9))
 
-    noisy = amplitude_damping_channel(0.3)
+    gamma = 0.3
+    noisy = amplitude_damping_channel(gamma)
     w_only = cqc_capacity(noisy, povm, basis, "weights", budget)
+    z_channel = math.log(1.0 + (1.0 - gamma) * gamma ** (gamma / (1.0 - gamma)))
+    checks.append(_check("basis coding through amplitude damping is the Z channel", abs(w_only.value - z_channel), 1e-9))
     freed = cqc_capacity(noisy, povm, basis, "coding", budget)
     full = cqc_capacity(noisy, povm, basis, "full", budget)
     chain = max(w_only.value - freed.value, freed.value - full.value)

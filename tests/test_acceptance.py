@@ -236,7 +236,7 @@ def test_criterion_08_cqc_chain():
     basis = CodingScheme((pure_state([1.0, 0.0]), pure_state([0.0, 1.0])))
     clean = cqc_capacity(identity_channel(2), projective_povm(2), basis, "weights", budget)
     clean_err = abs(clean.value - LN2)
-    ok = chain_ok and clean_err < 1e-5
+    ok = chain_ok and clean_err < 1e-9
     _gate(8, "classical-quantum-classical chain is monotone", ok, f"noiseless err {clean_err:.2e}")
 
 

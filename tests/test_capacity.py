@@ -15,11 +15,18 @@ from qmi.capacity import (
     pseudo_capacity,
     quantum_capacity,
 )
-from qmi.channels import amplitude_damping_channel, depolarizing_channel, identity_channel, projective_povm
+from qmi.channels import (
+    amplitude_damping_channel,
+    classical_channel,
+    depolarizing_channel,
+    identity_channel,
+    projective_povm,
+)
+from qmi.entropy import kl_divergence, shannon_entropy
 from qmi.mutual import holevo_bound
-from qmi.operators import DensityOperator
-from qmi.sampling import random_kraus_channel, rng_from
-from qmi.search import SearchBudget, maximize_batch
+from qmi.operators import DensityOperator, pure_state
+from qmi.sampling import random_kraus_channel, random_povm, random_pure, rng_from
+from qmi.search import SearchBudget, maximize_batch, softmax
 
 TINY = SearchBudget(restarts=2, max_evals=40, seed=5, tol=1e-6)
 
@@ -78,7 +85,7 @@ def test_cqc_mutual_entropy_routes_agree():
 
 def test_noiseless_orthogonal_cqc_capacity_is_ln2():
     rep = cqc_capacity(identity_channel(2), projective_povm(2), BASIS_CODING, "weights", TINY)
-    assert abs(rep.value - math.log(2.0)) < 1e-5
+    assert abs(rep.value - math.log(2.0)) < 1e-9
 
 
 def test_cqc_modes_are_monotone():
@@ -237,3 +244,104 @@ def test_flat_pseudo_search_starts_at_the_quantum_maximizer(monkeypatch, ch):
     rep = pseudo_capacity(ch, StateFamily("full", 2), 2, TINY)
     # Two components carry the qubit maximizer's whole Ohya decomposition.
     assert abs(start_values[-1][0] - rep.notes["quantum_capacity"]) < 1e-12
+
+
+# -- the certified weights solve -------------------------------------------------------
+
+
+def _basis_capacity(rows, budget=TINY):
+    """cqc_capacity's "weights" mode with transition rows W[k, j] = P(j | k):
+    basis coding through the classical channel, read out projectively."""
+    rows = np.asarray(rows, dtype=float)
+    eye = np.eye(len(rows))
+    coding = CodingScheme(tuple(DensityOperator(np.diag(e)) for e in eye))
+    return cqc_capacity(classical_channel(rows.T), projective_povm(rows.shape[1]), coding, "weights", budget)
+
+
+def _loop_gap(weights, rows):
+    """max_k KL(W_k || qW) - I(q), letter by letter."""
+    avg = np.asarray(weights) @ np.asarray(rows, dtype=float)
+    kl = [kl_divergence(row, avg) for row in rows]
+    return max(kl) - sum(w * d for w, d in zip(weights, kl) if w > 1e-15)
+
+
+def _z_channel_capacity(gamma):
+    return math.log(1.0 + (1.0 - gamma) * gamma ** (gamma / (1.0 - gamma)))
+
+
+def _symmetric_rows(p, k):
+    """Keep the letter with probability 1 - p, else any other one uniformly."""
+    return np.full((k, k), p / (k - 1)) + (1.0 - p - p / (k - 1)) * np.eye(k)
+
+
+@pytest.mark.parametrize(
+    "rows, value",
+    [
+        (_symmetric_rows(0.11, 2), math.log(2.0) - shannon_entropy(np.array([0.89, 0.11]))),
+        ([[1.0, 0.0], [0.3, 0.7]], _z_channel_capacity(0.3)),
+        ([[1.0, 0.0], [0.75, 0.25]], _z_channel_capacity(0.75)),
+        (_symmetric_rows(0.2, 3), math.log(3.0) - shannon_entropy(np.array([0.8, 0.1, 0.1]))),
+        (np.eye(4), math.log(4.0)),
+        ([[0.3, 0.7]] * 3, 0.0),
+    ],
+    ids=["bsc", "z-0.3", "z-0.75", "qutrit-symmetric", "identity", "identical-rows"],
+)
+def test_weights_solve_reaches_the_closed_form(rows, value):
+    rep = _basis_capacity(rows)
+    assert abs(rep.value - value) <= 1e-9
+    assert rep.converged and rep.evals <= 10
+    assert rep.notes["gap"] <= TINY.tol
+    assert abs(_loop_gap(rep.maximizer["weights"], rows) - rep.notes["gap"]) <= 1e-12
+
+
+def test_weights_solve_sets_an_unused_letter_to_zero():
+    rows = [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]
+    rep = _basis_capacity(rows)
+    assert rep.maximizer["weights"][1] == 0.0
+    assert abs(rep.value - (math.log(2.0) - shannon_entropy(np.array([0.9, 0.1])))) <= 1e-9
+    assert rep.converged
+
+
+def test_weights_solve_brings_back_a_letter_of_infinite_divergence(monkeypatch):
+    # Only the last letter charges the first outcome. The first Newton step
+    # sets it to 0, where D(W_2 || qW) = +inf; it comes back by mixing.
+    rows = [[0.0, 1.0, 0.0], [0.0, 0.25, 0.75], [0.2, 0.4, 0.4]]
+    letter_kl = capacity._letter_kl
+    infinite = []
+
+    def recording(weights, dists):
+        kl, avg = letter_kl(weights, dists)
+        infinite.append(bool(np.isinf(kl).any()))
+        return kl, avg
+
+    monkeypatch.setattr(capacity, "_letter_kl", recording)
+    rep = _basis_capacity(rows)
+    assert any(infinite) and not infinite[-1]
+    assert rep.maximizer["weights"][2] > 0.05
+    assert rep.converged
+    assert _loop_gap(rep.maximizer["weights"], rows) <= TINY.tol
+
+
+def test_weights_solve_stops_at_its_evaluation_cap():
+    starved = SearchBudget(restarts=1, max_evals=2, tol=1e-12)
+    rep = _basis_capacity([[1.0, 0.0], [0.3, 0.7]], starved)
+    assert rep.evals == 2
+    assert not rep.converged and rep.notes["gap"] > starved.tol
+
+
+def test_weights_solve_never_loses_to_the_simplex_search():
+    # Random qubit and qutrit cqc chains with 2-3 pure codes, each at a budget
+    # of its own; the Nelder-Mead search over softmax weights is the one the
+    # weights mode ran before it was solved.
+    rng = rng_from(120)
+    for trial in range(200):
+        dim, size = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        channel = random_kraus_channel(dim, dim, 2, rng)
+        decoding = random_povm(dim, int(rng.integers(2, 5)), rng)
+        coding = CodingScheme(tuple(pure_state(random_pure(dim, rng)) for _ in range(size)))
+        budget = SearchBudget(restarts=2, max_evals=60, seed=trial + 1)
+        rep = cqc_capacity(channel, decoding, coding, "weights", budget)
+        dists = capacity._CqcEvaluator(channel, decoding).transitions(np.stack([s.matrix for s in coding.states]))
+        searched = maximize_batch(lambda p: capacity._cqc_kl(softmax(p), dists), size, budget, starts=[np.zeros(size)])
+        assert rep.value >= searched.value - 1e-9, trial
+        assert rep.converged and rep.notes["gap"] <= budget.tol, trial

@@ -117,14 +117,24 @@ _CODING = CodingScheme((pure_state([1.0, 0.0]), pure_state([0.0, 1.0])))
 
 @pytest.mark.parametrize(
     "mode, min_params",
-    # Parameters of each mode's own search on a pure two-letter qubit coding:
-    # 2 weights, + 2 x 4 code reals, + 2 x 8 decoding-factor reals.
+    # Parameters of each mode on a pure two-letter qubit coding: 2 weights,
+    # + 2 x 4 code reals, + 2 x 8 decoding-factor reals. The weights are
+    # solved, not searched, so there the solver's value is shifted.
     [("weights", 2), ("coding", 10), ("full", 26)],
 )
 def test_each_cqc_mode_checks_its_own_search(monkeypatch, mode, min_params):
     args = (depolarizing_channel(0.2, 2), projective_povm(2), _CODING, mode, TINY)
     cqc_capacity(*args)
-    _perturb_maximize(monkeypatch, capacity, min_params)
+    if mode == "weights":
+        solve = capacity._cqc_weights
+
+        def shifted(dists, budget):
+            weights, value, gap, evals = solve(dists, budget)
+            return weights, value + 1e-3, gap, evals
+
+        monkeypatch.setattr(capacity, "_cqc_weights", shifted)
+    else:
+        _perturb_maximize(monkeypatch, capacity, min_params)
     with pytest.raises(ConsistencyError, match="cqc search reported"):
         cqc_capacity(*args)
 

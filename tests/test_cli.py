@@ -88,6 +88,29 @@ def test_reports_are_byte_identical(tmp_path):
     assert json.loads(first)["seed"] == 7
 
 
+def test_cqc_weights_report_carries_its_certificate(tmp_path):
+    # Basis coding through amplitude damping, read out in the basis, is the Z channel.
+    gamma = 0.3
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "channel": {"kind": "amplitude_damping", "gamma": gamma},
+            "coding": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "decoding": {"projective": 2},
+            "mode": "weights",
+            "budget": {"tol": 1e-8},
+        },
+    )
+    code, text = _run(tmp_path, ["cqc", "--config", cfg])
+    assert code == 0
+    report = json.loads(text)
+    z_channel = math.log(1.0 + (1.0 - gamma) * gamma ** (gamma / (1.0 - gamma)))
+    assert abs(report["results"]["nats"] - z_channel) <= 1e-9
+    assert report["converged"] is True
+    assert 0.0 <= report["results"]["notes"]["gap"] <= 1e-8
+
+
 def test_pseudo_mutual_merges_tiny_split_components(tmp_path):
     # At this budget the best split no longer beats the Ohya floor, so the
     # floor's decomposition is reported and no merge runs;

@@ -131,20 +131,19 @@ def _sqrt_params_loop(mats, slots, dim):
 
 
 def _reference_capacity(channel, decoding, coding, mode, budget, pure=True):
-    """cqc_capacity through validated instances at every evaluation."""
+    """cqc_capacity's "coding" or "full" search through validated instances at
+    every evaluation, floored at the "weights" solve of `cqc_capacity`."""
     size, dim, out_dim = coding.size, channel.in_dim, channel.out_dim
     n_out = decoding.n_outcomes
 
     def value_at(weights, cod, dec):
         return _reference_mutual(CqcInstance(weights, cod, channel, dec)).value
 
-    if mode == "weights":
-        result = maximize(
-            lambda p: value_at(softmax(p), coding, decoding), size, budget, starts=[np.zeros(size)]
-        )
-        return result.value, result.evals
-    poorer, child = ("weights", 3) if mode == "coding" else ("coding", 4)
-    floor, floor_evals = _reference_capacity(channel, decoding, coding, poorer, budget.child(child), pure)
+    if mode == "coding":
+        solved = cqc_capacity(channel, decoding, coding, "weights", budget.child(3))
+        floor, floor_evals = solved.value, solved.evals
+    else:
+        floor, floor_evals = _reference_capacity(channel, decoding, coding, "coding", budget.child(4), pure)
     per_code = 2 * dim if pure else 2 * dim * dim
     n_codes = size * per_code
     if pure:
@@ -284,6 +283,22 @@ def test_random_povm_matches_the_loop(seed):
 # -- the capacity searches -------------------------------------------------------------
 
 
+def _assert_certified(report, channel, decoding, coding, tol):
+    """The weights report is I at its weights, and by the loop route its gap
+    max_k KL(W_k || qW) - I is the reported one, at most tol."""
+    weights = report.maximizer["weights"]
+    inst = CqcInstance(weights, coding, channel, decoding)
+    value = _reference_mutual(inst).value
+    dists = [born_probabilities(decoding, apply_matrix(channel, s.matrix)) for s in coding.states]
+    dists = [d / d.sum() for d in dists]
+    avg = sum(lam * d for lam, d in zip(weights, dists))
+    gap = max(kl_divergence(d, avg) for d in dists) - value
+    assert abs(report.value - value) <= 1e-12
+    assert abs(report.notes["gap"] - gap) <= 1e-12
+    assert gap <= tol
+    assert report.converged
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cqc_capacity_matches_the_reference_searches(seed):
     rng = rng_from(100 + seed)
@@ -291,8 +306,10 @@ def test_cqc_capacity_matches_the_reference_searches(seed):
     decoding = random_povm(2, 3, rng)
     coding = CodingScheme((random_density(2, rng), pure_state(random_pure(2, rng))))
     budget = SearchBudget(restarts=2, max_evals=30, seed=seed)
-    for mode in ("weights", "coding", "full"):
-        for pure in (True, False):
+    for pure in (True, False):
+        _assert_certified(cqc_capacity(channel, decoding, coding, "weights", budget, pure_coding=pure),
+                          channel, decoding, coding, budget.tol)
+        for mode in ("coding", "full"):
             got = cqc_capacity(channel, decoding, coding, mode, budget, pure_coding=pure)
             value, evals = _reference_capacity(channel, decoding, coding, mode, budget, pure)
             assert abs(got.value - value) <= 1e-12, (mode, pure)
