@@ -244,16 +244,22 @@ def _cqc_weights(dists: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, f
 
 
 def _trials(q, value, kl, avg, dists, tol):
-    """The points `_cqc_weights` tries from q, in order, until one raises I:
-    while some letter of finite D_k has D_k - I above tol, the Newton point
-    and the Blahut-Arimoto point; then, for each letter of D_k = +inf,
+    """The points `_cqc_weights` tries from q, in order, until one raises I.
+
+    While some letter of finite D_k has D_k - I above tol: the Newton point,
+    then the Blahut-Arimoto point q_k exp(D_k) / Z. Then, for each letter of
+    D_k = +inf (weight 0, charging an outcome the mixture does not),
     (1 - eps) q + eps e_k for eps = 1/K, 1/2K, ..., while eps W_kj stays
-    above ZERO_TOL on every outcome j the letter charges and the mixture
-    does not (below, `_cqc_kl` scores the point +inf)."""
+    above ZERO_TOL on every such outcome j (below, `_cqc_kl` scores the
+    point +inf).
+    """
     finite = np.isfinite(kl)
     if kl[finite].max() - value > tol:
         yield _newton_step(q, value, kl, finite, avg, dists)
-        yield _blahut_arimoto_step(q, kl, finite)
+        support = (q > 0) & finite
+        ba = np.zeros_like(q)
+        ba[support] = q[support] * np.exp(kl[support] - kl[support].max())
+        yield ba / ba.sum()
     for letter in np.flatnonzero(~finite):
         row = dists[letter]
         floor = ZERO_TOL / row[(row > ZERO_TOL) & (avg <= ZERO_TOL)].min()
@@ -300,14 +306,6 @@ def _newton_step(q, value, kl, finite, avg, dists) -> np.ndarray:
     else:
         trial[idx] += step
     trial = np.clip(trial, 0.0, None)
-    return trial / trial.sum()
-
-
-def _blahut_arimoto_step(q: np.ndarray, kl: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """q_k exp(D_k), normalized, on the letters of positive weight and finite D_k."""
-    support = (q > 0) & finite
-    trial = np.zeros_like(q)
-    trial[support] = q[support] * np.exp(kl[support] - kl[support].max())
     return trial / trial.sum()
 
 

@@ -322,6 +322,15 @@ def test_weights_solve_brings_back_a_letter_of_infinite_divergence(monkeypatch):
     assert _loop_gap(rep.maximizer["weights"], rows) <= TINY.tol
 
 
+def test_weights_solve_falls_back_on_blahut_arimoto(monkeypatch):
+    # With a Newton point that never raises I, every step is a Blahut-Arimoto step.
+    monkeypatch.setattr(capacity, "_newton_step", lambda q, *rest: q)
+    rep = _basis_capacity([[1.0, 0.0], [0.3, 0.7]])
+    assert rep.converged and rep.notes["gap"] <= TINY.tol
+    assert abs(rep.value - _z_channel_capacity(0.3)) <= 1e-9
+    assert rep.evals > 10
+
+
 def test_weights_solve_stops_at_its_evaluation_cap():
     starved = SearchBudget(restarts=1, max_evals=2, tol=1e-12)
     rep = _basis_capacity([[1.0, 0.0], [0.3, 0.7]], starved)
