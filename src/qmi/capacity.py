@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, _square_root_povm_rows
+from .channels import KrausChannel, Povm, _square_root_povm_rows, apply_matrix
 from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
@@ -24,7 +24,6 @@ from .mutual import (
     _ohya_suprema,
     _split_search,
     _sqrt_psd,
-    _transmit,
 )
 from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _rotated, as_probability
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
@@ -340,19 +339,18 @@ def _checked_cqc(value: float, weights: np.ndarray, dists: np.ndarray) -> float:
 class _CqcEvaluator:
     """The fixed work of the cqc searches for one (channel, decoding) pair.
 
-    Built once per search: the stacked Kraus operators and the decoding's
-    Heisenberg-picture effects ch*(E_j) = sum_r K_r^dag E_j K_r, so the
-    transition matrix W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k) of
-    a stack of coded states is one einsum. Nothing here is validated: the
-    inputs come from validated objects or from the searches' own
-    parameterizations.
+    Built once per search: the decoding's Heisenberg-picture effects
+    ch*(E_j) = sum_r K_r^dag E_j K_r, so the transition matrix
+    W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k) of a stack of coded
+    states is one einsum. Nothing here is validated: the inputs come from
+    validated objects or from the searches' own parameterizations.
     """
 
     def __init__(self, ch: KrausChannel, decoding: Povm):
-        self.kraus = np.stack(ch.ops)
-        kraus_dag = self.kraus.conj().transpose(0, 2, 1)
+        self.channel = ch
+        kraus = ch.stack
         effects = np.stack(decoding.effects)
-        self.dual = (kraus_dag[:, None] @ effects @ self.kraus[:, None]).sum(axis=0)
+        self.dual = (kraus.conj().transpose(0, 2, 1)[:, None] @ effects @ kraus[:, None]).sum(axis=0)
 
     def transitions(self, states: np.ndarray) -> np.ndarray:
         """W for stacked coded states (..., K, d, d) and the cached decoding."""
@@ -364,7 +362,7 @@ class _CqcEvaluator:
 
     def decoded_transitions(self, states: np.ndarray, effects: np.ndarray) -> np.ndarray:
         """W for stacked coded states (..., K, d, d) and decoding effects (..., J, e, e)."""
-        return _outcome_rows(np.einsum("...jab,...kba->...kj", effects, _transmit(self.kraus, states)).real)
+        return _outcome_rows(np.einsum("...jab,...kba->...kj", effects, apply_matrix(self.channel, states)).real)
 
 
 def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
@@ -455,11 +453,10 @@ def pseudo_capacity(
     base, base_params, ohya = _quantum_search(ch, family, budget)
     if ohya is None:
         raise ConsistencyError("the quantum capacity search found no state")
-    kraus = np.stack(ch.ops)
 
     def member(heads: np.ndarray):
         rhos, traced = family._matrices_from_params(heads)
-        out_entropies = _entropy_rows(np.linalg.eigvalsh(_transmit(kraus, rhos)))
+        out_entropies = _entropy_rows(np.linalg.eigvalsh(apply_matrix(ch, rhos)))
         return rhos, _sqrt_psd(rhos), out_entropies, traced
 
     # The floor is the quantum capacity: its value is ohya's, its flag the family search's.

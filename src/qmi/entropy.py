@@ -53,20 +53,30 @@ def umegaki_relative_entropy(rho, sigma) -> float:
     b = as_complex_matrix(sigma, "sigma")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    ws, vs = np.linalg.eigh(hermitian_part(b))
+    return float(_relative_entropy_rows(a[None], b)[0])
+
+
+def _relative_entropy_rows(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """S(rhos[k], sigma) for each matrix of a stack (K, d, d), with sigma
+    factored once; `umegaki_relative_entropy` is its one-row case.
+
+    Raises ValueError when sigma has an eigenvalue below -PSD_TOL. A row
+    that puts more than SUPPORT_TOL of its mass on sigma's kernel scores
+    +inf. Every other row is -S(rho_k) - tr rho_k ln sigma, each term the
+    float expression of the one-row case, so a row's value does not depend
+    on the rest of the stack.
+    """
+    ws, vs = np.linalg.eigh(hermitian_part(sigma))
     if float(np.min(ws)) < -PSD_TOL:
         raise ValueError(f"sigma has eigenvalue {np.min(ws):.3e}")
     kernel = ws <= ZERO_TOL
-    if np.any(kernel):
-        vk = vs[:, kernel]
-        leak = float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, a, vk)))
-        if leak > SUPPORT_TOL:
-            return math.inf
-    tr_rho_log_rho = -von_neumann_entropy(a)
+    vk = vs[:, kernel]
+    leaks = np.real(np.einsum("ij,bjk,ki->b", vk.conj().T, rhos, vk))
+    entropies = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(hermitian_part(rhos))])
     vsup = vs[:, ~kernel]
     log_sigma = (vsup * np.log(ws[~kernel])) @ vsup.conj().T
-    tr_rho_log_sigma = float(np.real(np.trace(a @ log_sigma)))
-    return tr_rho_log_rho - tr_rho_log_sigma
+    traces = np.real(np.trace(rhos @ log_sigma, axis1=-2, axis2=-1))
+    return np.where(leaks > SUPPORT_TOL, math.inf, -entropies - traces)
 
 
 def _log_trace_against(marginal: np.ndarray, factor: np.ndarray) -> tuple[float, float]:

@@ -24,9 +24,9 @@ from .channels import KrausChannel, _square_root_povm_rows, apply_matrix
 from .entropy import (
     _entropy_from_eigenvalues,
     _entropy_rows,
+    _relative_entropy_rows,
     product_relative_entropy,
     shannon_entropy,
-    umegaki_relative_entropy,
     von_neumann_entropy,
 )
 from .operators import (
@@ -115,11 +115,6 @@ def _outputs(images: np.ndarray) -> np.ndarray:
     return images @ images.conj().swapaxes(-1, -2)
 
 
-def _transmit(kraus: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The channel with stacked Kraus operators applied to each matrix of a stack (..., d, d)."""
-    return (kraus @ mats[..., None, :, :] @ kraus.conj().transpose(0, 2, 1)).sum(axis=-3)
-
-
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_k weights[..., k] values[i, k] for each row i of values (rows, K).
 
@@ -132,7 +127,7 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> np.ndarray:
     """Channel images of the rank-one components, stacked along the first axis."""
-    return _outputs(_images(np.stack(ch.ops), dec.vectors))
+    return _outputs(_images(ch.stack, dec.vectors))
 
 
 def _compound_matrix(dec: SchattenDecomposition, outputs: np.ndarray) -> np.ndarray:
@@ -144,18 +139,19 @@ def _compound_matrix(dec: SchattenDecomposition, outputs: np.ndarray) -> np.ndar
     return theta.transpose(0, 2, 1, 3).reshape(d_g * d_k, d_g * d_k)
 
 
-def _component_route(
-    weights: np.ndarray, outputs: list[np.ndarray], out_avg: np.ndarray
-) -> float:
-    """sum_k lambda_k S(outputs[k], out_avg), each term floored at 0: for
-    unit-trace states a negative term is rounding (Klein's inequality)."""
+def _component_route(weights: np.ndarray, outputs: np.ndarray, out_avg: np.ndarray) -> float:
+    """sum_k lambda_k S(outputs[k], out_avg) over the components of weight
+    above 1e-15, each term floored at 0: for unit-trace states a negative
+    term is rounding (Klein's inequality). out_avg is factored once for all
+    terms (`_relative_entropy_rows`); each term, and so the sum, equals
+    `umegaki_relative_entropy(outputs[k], out_avg)` bit for bit. +inf when
+    a kept component leaks off the support of out_avg."""
+    keep = weights > 1e-15
+    terms = _relative_entropy_rows(outputs[keep], out_avg)
+    if np.isinf(terms).any():
+        return math.inf
     total = 0.0
-    for lam, sig in zip(weights, outputs):
-        if lam <= 1e-15:
-            continue
-        term = umegaki_relative_entropy(sig, out_avg)
-        if math.isinf(term):
-            return math.inf
+    for lam, term in zip(weights[keep], terms.tolist()):
         total += lam * max(term, 0.0)
     return total
 
@@ -166,7 +162,7 @@ class _MutualEvaluator:
     The states share one support layout (rank and eigenvalue slices), so
     one set of Schatten parameters indexes the decompositions of each.
     Built once per search: the support eigen-data of every state (weights
-    (S, r), vectors (S, d, r)), the stacked Kraus operators, the images
+    (S, r), vectors (S, d, r)), the images
     K_r v_k of the canonical eigenvectors (S, r, out, Kraus) and each
     S(ch(rho)). Any split rho = sum_k lambda_k rho_k is scored as
     S(ch(rho)) - sum_k lambda_k S(ch(rho_k)), which equals the component sum
@@ -189,8 +185,7 @@ class _MutualEvaluator:
         self.size = len(rho_mats)
         self.blocks = [s for s in blocks if s.stop - s.start >= 2]
         self.n_params = sum(_block_param_count(s.stop - s.start) for s in self.blocks)
-        self.kraus = np.stack(ch.ops)
-        self.images = _images(self.kraus, self.vectors)
+        self.images = _images(ch.stack, self.vectors)
         out_avg = hermitian_part(apply_matrix(ch, rho_mats))
         self.out_entropy = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(out_avg)])
 
@@ -206,9 +201,15 @@ class _MutualEvaluator:
         if not self.blocks:
             outputs = _outputs(self.images)
             return outputs[0][None].repeat(len(points), axis=0) if owners is None else outputs[owners]
-        u = np.tile(np.eye(self.images.shape[1], dtype=complex), (len(points), 1, 1))
-        for s, block in _block_rotations(self.blocks, points):
-            u[:, s, s] = block
+        rank = self.images.shape[1]
+        rotations = list(_block_rotations(self.blocks, points))
+        if len(rotations) == 1 and rotations[0][0] == slice(0, rank):
+            u = rotations[0][1]  # one block spans the support
+        else:
+            u = np.zeros((len(points), rank, rank), dtype=complex)
+            u[:, range(rank), range(rank)] = 1.0
+            for s, block in rotations:
+                u[:, s, s] = block
         if owners is None:
             return _outputs(np.einsum("kor,bkj->bjor", self.images[0], u))
         return _outputs(np.einsum("bkor,bkj->bjor", self.images[owners], u))
@@ -370,7 +371,7 @@ def holevo_bound(p, coded, ch: KrausChannel) -> float:
         raise ValueError(f"{weights.size} weights but {len(states)} coded states")
     for s in states:
         _check_dims(DensityOperator(s).dim, ch)
-    outputs = [apply_matrix(ch, s) for s in states]
+    outputs = apply_matrix(ch, np.stack(states))
     avg = sum(lam * out for lam, out in zip(weights, outputs))
     return von_neumann_entropy(avg) - sum(
         lam * von_neumann_entropy(out)
@@ -474,7 +475,6 @@ def _split_search(
     replaces the exact floor. Returns that result, whose evals count the
     split search alone, and the state it splits.
     """
-    kraus = np.stack(ch.ops)
     n_head = head.size
 
     def split(points: np.ndarray):
@@ -485,7 +485,7 @@ def _split_search(
     def objective(points: np.ndarray) -> np.ndarray:
         _, out_entropies, traced, lams, sigmas = split(points)
         keep = lams > 1e-12
-        outputs = _transmit(kraus, sigmas) / np.where(keep, lams, 1.0)[..., None, None]
+        outputs = apply_matrix(ch, sigmas) / np.where(keep, lams, 1.0)[..., None, None]
         mixed = _weighted_sum(lams, _entropy_rows(np.linalg.eigvalsh(outputs)))
         return np.where(traced, out_entropies - mixed, -math.inf)
 

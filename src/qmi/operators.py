@@ -321,22 +321,34 @@ def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _hermitian_basis(m: int) -> np.ndarray:
+    """The m^2 Hermitian basis matrices of `hermitian_from_params`, one per
+    row, each as its m x m complex entries viewed as (re, im) pairs: a
+    read-only (m^2, 2 m^2) real matrix."""
+    rows, cols = _upper_indices(m)
+    diag, pairs = np.arange(m), m + 2 * np.arange(rows.size)
+    basis = np.zeros((m * m, m, m), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[pairs, rows, cols] = basis[pairs, cols, rows] = 1.0
+    basis[pairs + 1, rows, cols], basis[pairs + 1, cols, rows] = 1j, -1j
+    real = basis.reshape(m * m, m * m).view(float)
+    real.setflags(write=False)
+    return real
+
+
 def hermitian_from_params(p: np.ndarray, m: int) -> np.ndarray:
     """Hermitian m x m matrix from m^2 reals: diagonal, then (re, im) pairs.
 
     Leading axes of p are batch axes: p of shape (..., m^2) gives (..., m, m).
+    One real product with the cached basis: for finite p every entry is one
+    parameter times 1 or -1 plus exact zeros, so the matrix equals the
+    entry-by-entry assignment exactly.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (m * m,):
         raise ValueError(f"expected {m * m} parameters, got {p.shape[-1] if p.ndim else p.size}")
-    rows, cols = _upper_indices(m)
-    diag = np.arange(m)
-    h = np.zeros(p.shape[:-1] + (m, m), dtype=complex)
-    h[..., diag, diag] = p[..., :m]
-    upper = p[..., m::2] + 1j * p[..., m + 1 :: 2]
-    h[..., rows, cols] = upper
-    h[..., cols, rows] = upper.conj()
-    return h
+    return (p @ _hermitian_basis(m)).view(complex).reshape(p.shape[:-1] + (m, m))
 
 
 def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:

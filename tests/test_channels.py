@@ -163,3 +163,41 @@ def test_identity_channel_fixes_everything():
     rng = rng_from(37)
     rho = random_density(4, rng).matrix
     np.testing.assert_allclose(apply_matrix(identity_channel(4), rho), rho, atol=1e-14)
+
+
+def _apply_loop(ch, m):
+    out = np.zeros(m.shape[:-2] + (ch.out_dim, ch.out_dim), dtype=complex)
+    for k in ch.ops:
+        out += k @ m @ k.conj().T
+    return out
+
+
+def test_stacked_apply_matrix_equals_the_operator_loop():
+    rng = rng_from(41)
+    channels = [
+        random_kraus_channel(3, 5, 2, rng),
+        random_kraus_channel(4, 2, 3, rng),
+        random_kraus_channel(3, 1, 12, rng),
+        depolarizing_channel(0.3, 8),
+    ]
+    for ch in channels:
+        d = ch.in_dim
+        for lead in [(), (3,), (2, 4)]:
+            m = rng.normal(size=lead + (d, d)) + 1j * rng.normal(size=lead + (d, d))
+            got = apply_matrix(ch, m)
+            assert got.shape == lead + (ch.out_dim, ch.out_dim)
+            assert np.array_equal(got, _apply_loop(ch, m))
+
+
+def test_kraus_stack_is_read_only_and_holds_the_operators():
+    rng = rng_from(42)
+    given = list(random_kraus_channel(3, 2, 4, rng).ops)
+    ch = KrausChannel(tuple(np.array(k) for k in given))
+    assert ch.stack.shape == (4, 2, 3)
+    with pytest.raises(ValueError):
+        ch.stack[0, 0, 0] = 1.0
+    for i, op in enumerate(ch.ops):
+        assert np.shares_memory(op, ch.stack)
+        assert np.array_equal(op, given[i])
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0

@@ -12,8 +12,8 @@ from qmi.entropy import (
     umegaki_relative_entropy,
     von_neumann_entropy,
 )
-from qmi.operators import maximally_mixed, pure_state
-from qmi.sampling import random_density, random_pure, rng_from
+from qmi.operators import hermitian_part, maximally_mixed, pure_state
+from qmi.sampling import random_density, random_pure, random_unitary, rng_from
 
 # S(diag(0.9, 0.1)) evaluated independently: -(0.9 ln 0.9 + 0.1 ln 0.1)
 ENTROPY_9010 = 0.3250829733914482
@@ -112,3 +112,29 @@ def test_shannon_entropy_bounds():
         p = random_probability(4, rng)
         h = shannon_entropy(p)
         assert -1e-12 < h < math.log(4) + 1e-12
+
+
+def _umegaki_direct(a, b):
+    """tr a ln a - tr a ln b for one pair, each factor diagonalized on its own."""
+    ws, vs = np.linalg.eigh(hermitian_part(b))
+    kernel = ws <= 1e-12
+    vk = vs[:, kernel]
+    if np.any(kernel) and float(np.real(np.einsum("ij,jk,ki->", vk.conj().T, a, vk))) > 1e-9:
+        return math.inf
+    tr_a_log_a = -von_neumann_entropy(a)
+    vsup = vs[:, ~kernel]
+    log_b = (vsup * np.log(ws[~kernel])) @ vsup.conj().T
+    return tr_a_log_a - float(np.real(np.trace(a @ log_b)))
+
+
+def test_relative_entropy_equals_the_direct_formula_bit_for_bit():
+    rng = rng_from(26)
+    for case in range(120):
+        d = int(rng.integers(2, 10))
+        rank = d if case % 2 else int(rng.integers(1, d))
+        u = random_unitary(d, rng)[:, :rank]
+        a = random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
+        if case % 3 == 0:
+            a = u @ random_density(rank, rng).matrix @ u.conj().T
+        b = u @ random_density(rank, rng).matrix @ u.conj().T
+        assert umegaki_relative_entropy(a, b) == _umegaki_direct(a, b)

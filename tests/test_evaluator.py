@@ -17,7 +17,6 @@ from qmi.mutual import (
     _compound_matrix,
     _MutualEvaluator,
     _sqrt_psd,
-    _transmit,
     _transmitted,
     mutual_entropy_fixed,
     ohya_mutual_entropy,
@@ -139,7 +138,7 @@ def test_evaluator_scores_nonorthogonal_splits():
             lam * umegaki_relative_entropy(apply_matrix(ch, s / lam), out_avg)
             for lam, s in zip(lams, sigmas)
         )
-        got = ev.score(lams, (_transmit(ev.kraus, sigmas) / lams[:, None, None])[None])[0]
+        got = ev.score(lams, (apply_matrix(ch, sigmas) / lams[:, None, None])[None])[0]
         assert abs(got - reference) < 1e-10
 
 
@@ -232,7 +231,7 @@ def _pseudo_reference(rho, ch, n_components, budget):
         lams, sigmas = split(params)
         keep = lams > 1e-12
         lams = lams[keep]
-        return evaluator.score(lams, (_transmit(evaluator.kraus, sigmas[keep]) / lams[:, None, None])[None])[0]
+        return evaluator.score(lams, (apply_matrix(ch, sigmas[keep]) / lams[:, None, None])[None])[0]
 
     n_params = n_components * 2 * dim * dim
     dec = baseline.decomposition

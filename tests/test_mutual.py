@@ -13,11 +13,12 @@ from qmi.channels import (
     identity_channel,
     projective_povm,
 )
-from qmi.entropy import _entropy_rows, shannon_entropy, von_neumann_entropy
+from qmi.entropy import _entropy_rows, shannon_entropy, umegaki_relative_entropy, von_neumann_entropy
 from qmi.mutual import (
     DUAL_ROUTE_TOL,
     MERGE_WEIGHT_TOL,
     _checked_ensemble,
+    _component_route,
     _weighted_sum,
     classical_mutual_entropy,
     compound_state,
@@ -278,3 +279,41 @@ def test_ohya_value_of_a_pure_state_is_not_negative():
     result = ohya_mutual_entropy(rho, ch, SearchBudget(2, 12, seed=1))
     assert result.value == 0.0
     assert mutual_entropy_fixed(rho, ch, result.decomposition).defect <= DUAL_ROUTE_TOL
+
+
+def _component_loop(weights, outputs, out_avg):
+    total = 0.0
+    for lam, sig in zip(weights, outputs):
+        if lam <= 1e-15:
+            continue
+        term = umegaki_relative_entropy(sig, out_avg)
+        if math.isinf(term):
+            return math.inf
+        total += lam * max(term, 0.0)
+    return total
+
+
+def test_component_route_equals_the_per_component_terms():
+    rng = rng_from(63)
+    kinds = ["full", "rank-deficient", "tiny weight", "leak"]
+    infinite = dict.fromkeys(kinds, 0)
+    for case in range(240):
+        kind = kinds[case % 4]
+        d, n = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        rank = d if kind == "full" else int(rng.integers(1, d))
+        u = random_unitary(d, rng)
+        support, off = u[:, :rank], u[:, d - 1]
+        outputs = np.array([support @ random_density(rank, rng).matrix @ support.conj().T for _ in range(n)])
+        weights = random_probability(n, rng)
+        mixed = n
+        if kind == "tiny weight":  # a skipped component off the support of the mixture
+            weights[0], outputs[0] = 1e-16, np.outer(off, off.conj())
+        if kind == "leak":  # a kept component off the support of the reference
+            outputs[-1], mixed = np.outer(off, off.conj()), n - 1
+        out_avg = np.einsum("k,kij->ij", weights[:mixed], outputs[:mixed])
+        got = _component_route(weights, outputs, out_avg)
+        assert got == _component_loop(weights, outputs, out_avg)
+        infinite[kind] += math.isinf(got)
+    assert infinite == {"full": 0, "rank-deficient": 0, "tiny weight": 0, "leak": 60}
+    with pytest.raises(ValueError, match="sigma has eigenvalue"):
+        _component_route(np.array([1.0]), np.eye(2)[None] / 2, np.diag([1.0, -1e-6]))
