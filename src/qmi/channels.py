@@ -66,33 +66,19 @@ class KrausChannel:
         return self.stack.shape[1]
 
 
-# Bytes of the per-chunk temporaries in `apply_matrix`. Larger temporaries
-# pass the allocator's mmap threshold, and their fresh pages cost more than
-# the Python loop over the chunks saves.
-_APPLY_CHUNK_BYTES = 1 << 17
-
-
 def apply_matrix(ch: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, or on each of a stack (..., d, d)
     (no state validation).
 
-    The terms K_r m K_r^dag are formed as stacked products over chunks of
-    the Kraus operators and added to a zero start in operator order, so the
-    result equals the loop `out += K_r @ m @ K_r^dag` bit for bit. Each
-    chunk's sum reduces the Kraus axis of the terms viewed as real pairs,
-    which keeps that axis out of numpy's pairwise inner loop even when
-    out_dim is 1.
+    The terms K_r m K_r^dag are formed as one stacked product and added to a
+    zero start in operator order, so the result equals the loop
+    `out += K_r @ m @ K_r^dag` bit for bit. The sum reduces the Kraus axis
+    of the terms viewed as real pairs, which keeps that axis out of numpy's
+    pairwise inner loop even when out_dim is 1.
     """
-    stack = ch.stack
-    out = np.zeros(m.shape[:-2] + (ch.out_dim, ch.out_dim), dtype=complex)
-    op_bytes = 16 * (out.size // ch.out_dim) * max(ch.out_dim, ch.in_dim)  # one operator's largest term
-    step = max(1, _APPLY_CHUNK_BYTES // max(1, op_bytes))
-    for start in range(0, len(stack), step):
-        k = stack[start : start + step]
-        terms = k @ m[..., None, :, :] @ k.conj().swapaxes(-1, -2)
-        terms[..., 0, :, :] += out
-        out = terms.view(float).sum(axis=-3).view(complex)
-    return out
+    terms = ch.stack @ m[..., None, :, :] @ ch.stack.conj().swapaxes(-1, -2)
+    terms[..., 0, :, :] += 0.0  # the loop's zero start
+    return terms.view(float).sum(axis=-3).view(complex)
 
 
 def apply(ch: KrausChannel, rho):
@@ -156,17 +142,13 @@ def stinespring_to_kraus(st: StinespringIsometry) -> KrausChannel:
 
 def kraus_to_stinespring(ch: KrausChannel) -> StinespringIsometry:
     """Stack the Kraus operators into the canonical dilation isometry."""
-    return StinespringIsometry(np.vstack(ch.ops), out_dim=ch.out_dim)
+    return StinespringIsometry(ch.stack.reshape(-1, ch.in_dim), out_dim=ch.out_dim)
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
     """sum_{ij} |i><j| (x) ch(|i><j|); PSD exactly when the map is CP."""
-    d_in, d_out = ch.in_dim, ch.out_dim
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in ch.ops:
-        vec = k.T.reshape(-1)  # |i> (x) K|i> stacked over the input basis
-        choi += np.outer(vec, vec.conj())
-    return choi
+    vecs = ch.stack.swapaxes(1, 2).reshape(len(ch.stack), -1)  # per K: |i> (x) K|i> over the input basis
+    return vecs.T @ vecs.conj()
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:

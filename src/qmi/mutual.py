@@ -202,14 +202,10 @@ class _MutualEvaluator:
             outputs = _outputs(self.images)
             return outputs[0][None].repeat(len(points), axis=0) if owners is None else outputs[owners]
         rank = self.images.shape[1]
-        rotations = list(_block_rotations(self.blocks, points))
-        if len(rotations) == 1 and rotations[0][0] == slice(0, rank):
-            u = rotations[0][1]  # one block spans the support
-        else:
-            u = np.zeros((len(points), rank, rank), dtype=complex)
-            u[:, range(rank), range(rank)] = 1.0
-            for s, block in rotations:
-                u[:, s, s] = block
+        u = np.zeros((len(points), rank, rank), dtype=complex)
+        u[:, range(rank), range(rank)] = 1.0
+        for s, block in _block_rotations(self.blocks, points):
+            u[:, s, s] = block
         if owners is None:
             return _outputs(np.einsum("kor,bkj->bjor", self.images[0], u))
         return _outputs(np.einsum("bkor,bkj->bjor", self.images[owners], u))

@@ -322,33 +322,34 @@ def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=MAX_DIM)
-def _hermitian_basis(m: int) -> np.ndarray:
-    """The m^2 Hermitian basis matrices of `hermitian_from_params`, one per
-    row, each as its m x m complex entries viewed as (re, im) pairs: a
-    read-only (m^2, 2 m^2) real matrix."""
+def _hermitian_sources(m: int) -> np.ndarray:
+    """For each float of an m x m complex matrix viewed as (re, im) pairs,
+    its source in [p, -p, 0] under `hermitian_from_params`; read-only."""
+    n = m * m
     rows, cols = _upper_indices(m)
     diag, pairs = np.arange(m), m + 2 * np.arange(rows.size)
-    basis = np.zeros((m * m, m, m), dtype=complex)
-    basis[diag, diag, diag] = 1.0
-    basis[pairs, rows, cols] = basis[pairs, cols, rows] = 1.0
-    basis[pairs + 1, rows, cols], basis[pairs + 1, cols, rows] = 1j, -1j
-    real = basis.reshape(m * m, m * m).view(float)
-    real.setflags(write=False)
-    return real
+    src = np.full((m, m, 2), 2 * n)
+    src[diag, diag, 0] = diag
+    src[rows, cols, 0] = src[cols, rows, 0] = pairs
+    src[rows, cols, 1] = pairs + 1
+    src[cols, rows, 1] = n + pairs + 1
+    src = src.reshape(-1)
+    src.setflags(write=False)
+    return src
 
 
 def hermitian_from_params(p: np.ndarray, m: int) -> np.ndarray:
     """Hermitian m x m matrix from m^2 reals: diagonal, then (re, im) pairs.
 
     Leading axes of p are batch axes: p of shape (..., m^2) gives (..., m, m).
-    One real product with the cached basis: for finite p every entry is one
-    parameter times 1 or -1 plus exact zeros, so the matrix equals the
-    entry-by-entry assignment exactly.
+    Every float of the result is one parameter, its negation or zero, taken
+    in one gather.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (m * m,):
         raise ValueError(f"expected {m * m} parameters, got {p.shape[-1] if p.ndim else p.size}")
-    return (p @ _hermitian_basis(m)).view(complex).reshape(p.shape[:-1] + (m, m))
+    signed = np.concatenate([p, -p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+    return signed.take(_hermitian_sources(m), axis=-1).view(complex).reshape(p.shape[:-1] + (m, m))
 
 
 def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:

@@ -65,6 +65,15 @@ def test_choi_matrix_of_identity():
     np.testing.assert_allclose(choi, np.outer(vec, vec), atol=1e-12)
 
 
+def test_choi_matrix_sums_the_operator_outer_products():
+    rng = rng_from(34)
+    ch = random_kraus_channel(3, 2, 4, rng)
+    vecs = [k.T.reshape(-1) for k in ch.ops]  # |i> (x) K|i> over the input basis
+    np.testing.assert_allclose(choi_matrix(ch), sum(np.outer(v, v.conj()) for v in vecs), atol=1e-14)
+    blocks = choi_matrix(ch).reshape(3, 2, 3, 2)
+    np.testing.assert_allclose(np.einsum("iojo->ij", blocks), np.eye(3), atol=1e-12)
+
+
 def test_stinespring_round_trip():
     rng = rng_from(32)
     ch = random_kraus_channel(2, 2, 3, rng)

@@ -153,10 +153,26 @@ def test_einsum_forms_match_the_loops():
 
 def test_hermitian_parameter_map_matches_the_loop():
     rng = rng_from(307)
-    for m in (1, 2, 3, 5):
+    for m in (1, 2, 3, 5, 8, 16):
         for _ in range(5):
             p = rng.normal(size=m * m)
             assert np.array_equal(hermitian_from_params(p, m), _hermitian_loop(p, m))
+        batch = rng.normal(size=(2, 3, m * m))
+        h = hermitian_from_params(batch, m)
+        assert all(np.array_equal(h[i, j], _hermitian_loop(batch[i, j], m)) for i in range(2) for j in range(3))
+
+
+def test_an_infinite_parameter_stays_in_its_entries():
+    m = 3
+    for k in range(m * m):
+        p = np.arange(1.0, m * m + 1)
+        p[k] = np.inf
+        h = hermitian_from_params(p, m)
+        finite = _hermitian_loop(np.where(np.isinf(p), 0.0, p), m)
+        assert not np.isnan(h.view(float)).any()
+        hit = h != finite
+        assert np.all(np.isinf(h[hit].real) | np.isinf(h[hit].imag))
+        assert hit.sum() == (1 if k < m else 2)
 
 
 def _ray_value_reference(theta_d, x, rho_mat, out_avg):
