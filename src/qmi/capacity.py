@@ -29,7 +29,7 @@ from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _rotated, as
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodingScheme:
     """Alphabet-indexed coded states."""
 
@@ -58,7 +58,7 @@ def _check_chain_dims(coding: CodingScheme, channel: KrausChannel, decoding: Pov
         raise ValueError("decoding dimension does not match the channel output")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqcInstance:
     """A classical-quantum-classical transmission instance."""
 
@@ -76,7 +76,7 @@ class CqcInstance:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacityReport:
     value: float
     converged: bool

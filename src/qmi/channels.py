@@ -26,7 +26,7 @@ from .operators import (
 KRAUS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map rho -> sum_i K_i rho K_i^dag.
 
@@ -35,7 +35,7 @@ class KrausChannel:
     """
 
     ops: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.ops:
@@ -92,7 +92,7 @@ def apply(ch: KrausChannel, rho):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StinespringIsometry:
     """Isometry V: in -> noise (x) out with the channel tr_noise(V rho V^dag)."""
 
@@ -166,7 +166,7 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operator-valued measure: effects summing to the identity."""
 

@@ -63,7 +63,7 @@ COMMUTE_TOL = 1e-8
 PSD_STEP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglingOperator:
     """Amplitudes kappa_n in F (x) K over an orthonormal G-basis.
 
@@ -144,7 +144,7 @@ class EntanglementClass:
             raise ValueError(f"unknown class tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntangledCompound:
     """A compound state with its classification and optional amplitude family."""
 
@@ -421,7 +421,7 @@ def conditional_and_degree(compound) -> tuple[float, float]:
     return h_sigma - value, von_neumann_entropy(c.output_marginal.matrix) - value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DecRecord:
     """One scored Schatten decomposition: its state matrix, the support
     eigen-data its search rotated (weights, vectors, degenerate blocks) and

@@ -105,11 +105,21 @@ def product_relative_entropy(theta, left, right) -> float:
         raise ValueError(f"joint dimension {t.shape[0]} is not {d_g}*{d_k}")
     m_in = partial_trace(t, (d_g, d_k), keep=0)
     m_out = partial_trace(t, (d_g, d_k), keep=1)
-    log_left, leak_left = _log_trace_against(m_in, a)
-    log_right, leak_right = _log_trace_against(m_out, b)
+    return _product_relative_entropy(von_neumann_entropy(t), m_in, m_out, a, b)
+
+
+def _product_relative_entropy(joint_entropy: float, m_in, m_out, left, right) -> float:
+    """S(theta, left (x) right) from S(theta) and theta's two marginals.
+
+    -S(theta) - tr m_in ln left - tr m_out ln right, each factor classified
+    on its own support; +inf when either marginal puts more than
+    SUPPORT_TOL of its mass off its factor's support. Nothing is validated.
+    """
+    log_left, leak_left = _log_trace_against(m_in, left)
+    log_right, leak_right = _log_trace_against(m_out, right)
     if leak_left > SUPPORT_TOL or leak_right > SUPPORT_TOL:
         return math.inf
-    return -von_neumann_entropy(t) - log_left - log_right
+    return -joint_entropy - log_left - log_right
 
 
 def shannon_entropy(p) -> float:

@@ -24,6 +24,7 @@ from .channels import KrausChannel, _square_root_povm_rows, apply_matrix
 from .entropy import (
     _entropy_from_eigenvalues,
     _entropy_rows,
+    _product_relative_entropy,
     _relative_entropy_rows,
     product_relative_entropy,
     shannon_entropy,
@@ -65,7 +66,7 @@ class DualRouteValue:
         return abs(self.value - self.cross_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompoundState:
     """Joint input-output state over G (x) K with its two marginals."""
 
@@ -137,6 +138,30 @@ def _compound_matrix(dec: SchattenDecomposition, outputs: np.ndarray) -> np.ndar
     projectors = np.einsum("k,xk,yk->kxy", dec.weights, v, v.conj())
     theta = np.tensordot(projectors, outputs, axes=(0, 0))  # indices x, y, a, b
     return theta.transpose(0, 2, 1, 3).reshape(d_g * d_k, d_g * d_k)
+
+
+def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray, outputs: np.ndarray) -> tuple:
+    """(S(theta), tr_K theta, tr_G theta) of the compound state
+    theta = sum_k lambda_k |v_k><v_k| (x) outputs[k], without forming theta.
+
+    theta = B B^dag, where B has one column b_kr = sqrt(lambda_k) v_k (x) K_r v_k
+    per component k and Kraus operator r (images (K, out, r)). B^dag B, of
+    side K r, has the nonzero spectrum of theta; its entries are
+    sqrt(lambda_k lambda_k') <v_k|v_k'> <K_r v_k|K_r' v_k'>. The marginals
+    contract B the same way: tr_K theta = sum_k lambda_k tr(outputs[k]) |v_k><v_k|
+    and tr_G theta = sum_k lambda_k <v_k|v_k> outputs[k]. Weights are
+    clipped at 0 (a decomposition may carry weights down to -1e-12).
+    """
+    v, n_r = dec.vectors, images.shape[-1]
+    weights = np.clip(dec.weights, 0.0, None)
+    scale = np.sqrt(weights)
+    overlaps = v.conj().T @ v
+    factor = (overlaps * np.outer(scale, scale)).repeat(n_r, axis=0).repeat(n_r, axis=1)
+    columns = images.swapaxes(0, 1).reshape(images.shape[1], -1)  # column k r is K_r v_k
+    joint = _entropy_from_eigenvalues(np.linalg.eigvalsh((columns.conj().T @ columns) * factor))
+    m_in = (v * (weights * np.real(np.trace(outputs, axis1=-2, axis2=-1)))) @ v.conj().T
+    m_out = np.tensordot(weights * np.real(np.diagonal(overlaps)), outputs, axes=1)
+    return joint, m_in, m_out
 
 
 def _component_route(weights: np.ndarray, outputs: np.ndarray, out_avg: np.ndarray) -> float:
@@ -216,7 +241,9 @@ class _MutualEvaluator:
         return self.score(weights, self.outputs(points, owners), owners)
 
 
-def _ohya_suprema(ch: KrausChannel, mats: np.ndarray, budget: SearchBudget, observe=None) -> list[tuple]:
+def _ohya_suprema(
+    ch: KrausChannel, mats: np.ndarray, budget: SearchBudget, observe=None, layouts=None
+) -> list[tuple]:
     """The Ohya search of each stacked state (S, d, d), as `ohya_mutual_entropy`
     runs it, and the support (weights, vectors, blocks) it rotates.
 
@@ -225,10 +252,11 @@ def _ohya_suprema(ch: KrausChannel, mats: np.ndarray, budget: SearchBudget, obse
     result equals the state's search alone. `observe(mats, support, points,
     outputs, values)`, if given, sees every scored batch in order: per row
     its state, support (weights, vectors, blocks), parameters, channel
-    outputs and value.
+    outputs and value. `layouts` is `_support_layouts(mats)`, computed here
+    when not given.
     """
     found = [None] * len(mats)
-    for rows, *support in _support_layouts(mats):
+    for rows, *support in _support_layouts(mats) if layouts is None else layouts:
         group = mats[rows]
         ev = _MutualEvaluator(group, ch, support)
         objective = ev.values
@@ -277,17 +305,27 @@ def mutual_entropy_fixed(
     """Mutual entropy of one fixed decomposition, computed by both routes.
 
     `value` is the component sum; `cross_value` the relative entropy of the
-    compound state against the product of marginals. Disagreement beyond
+    compound state theta against the product of marginals. With K
+    components and r Kraus operators, theta = B B^dag for a B of K r
+    columns: when K r < d_g d_k, S(theta) and the marginals are read from
+    B (`_narrow_compound`) and theta is never formed; otherwise theta is
+    formed and passed to `product_relative_entropy`. Disagreement beyond
     DUAL_ROUTE_TOL raises ConsistencyError.
     """
     rho_mat = as_complex_matrix(rho, "rho")
     _check_dims(rho_mat.shape[0], ch)
     _check_decomposes(rho_mat, dec)
-    outputs = _transmitted(ch, dec)
+    images = _images(ch.stack, dec.vectors)
+    outputs = _outputs(images)
+    n_k, d_k, n_r = images.shape
+    narrow = _narrow_compound(dec, images, outputs) if n_k * n_r < rho_mat.shape[0] * d_k else None
+    del images  # with many Kraus operators as large as theta, so freed before theta is formed
     out_avg = apply_matrix(ch, rho_mat)
     component = _component_route(dec.weights, outputs, out_avg)
-    theta = _compound_matrix(dec, outputs)
-    compound = product_relative_entropy(theta, rho_mat, out_avg)
+    if narrow is None:
+        compound = product_relative_entropy(_compound_matrix(dec, outputs), rho_mat, out_avg)
+    else:
+        compound = _product_relative_entropy(*narrow, rho_mat, out_avg)
     result = DualRouteValue(value=component, cross_value=compound)
     if result.defect > DUAL_ROUTE_TOL:
         raise ConsistencyError(
@@ -296,7 +334,7 @@ def mutual_entropy_fixed(
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MutualResult:
     value: float
     decomposition: SchattenDecomposition
@@ -311,14 +349,22 @@ def ohya_mutual_entropy(
 ) -> MutualResult:
     """Mutual entropy: supremum over the Schatten decompositions of rho.
 
-    A nondegenerate state has a unique decomposition and needs a single
-    evaluation; degenerate eigenvalue blocks are searched over their
-    unitary rotations. This is `_ohya_suprema` of the one state: its best
-    decomposition is rebuilt from the support eigen-data the search rotated
-    and re-evaluated with the dual-route consistency check (`_checked_ohya`).
+    A nondegenerate state has a unique decomposition, the canonical one: it
+    is valued once by `mutual_entropy_fixed`, with `evals = 1` and
+    `converged = True`, and no search runs. A state with a degenerate
+    eigenvalue block is searched over the blocks' unitary rotations by
+    `_ohya_suprema`: its best decomposition is rebuilt from the support
+    eigen-data the search rotated and re-evaluated with the dual-route
+    consistency check (`_checked_ohya`). The support is read once, for both.
     """
     _check_dims(rho.dim, ch)
-    ((result, support),) = _ohya_suprema(ch, rho.matrix[None], search or SearchBudget())
+    layouts = _support_layouts(rho.matrix[None])
+    ((_, weights, vectors, blocks),) = layouts
+    if all(s.stop - s.start < 2 for s in blocks):
+        dec = SchattenDecomposition(weights=weights[0], vectors=vectors[0])
+        value = mutual_entropy_fixed(rho, ch, dec).value
+        return MutualResult(value=value, decomposition=dec, converged=True, evals=1)
+    ((result, support),) = _ohya_suprema(ch, rho.matrix[None], search or SearchBudget(), layouts=layouts)
     return _checked_ohya(rho, ch, _rotated(*support, result.params), result)
 
 
@@ -376,7 +422,7 @@ def holevo_bound(p, coded, ch: KrausChannel) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoResult:
     value: float
     weights: np.ndarray

@@ -62,7 +62,7 @@ def as_probability(p) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated density operator: Hermitian, PSD, unit trace."""
 
@@ -131,7 +131,7 @@ def partial_trace(theta, dims: tuple[int, int], keep: int) -> np.ndarray:
     raise ValueError("keep must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (descending, degeneracy-grouped) with orthogonal projectors."""
 
@@ -217,7 +217,7 @@ def eigenbasis(rho) -> tuple[np.ndarray, np.ndarray]:
     return w, _fix_phases(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchattenDecomposition:
     """rho = sum_k weights[k] |v_k><v_k| with orthonormal v_k, weights descending."""
 

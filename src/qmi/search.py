@@ -45,7 +45,7 @@ class SearchBudget:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     value: float
     params: np.ndarray

@@ -22,9 +22,9 @@ from qmi.channels import (
 )
 from qmi.cli import main
 from qmi.entanglement import _RayScorer, q_entropy_sup, qdc_hierarchy
-from qmi.mutual import pseudo_mutual_entropy
+from qmi.mutual import ohya_mutual_entropy, pseudo_mutual_entropy
 from qmi.operators import ConsistencyError, pure_state
-from qmi.sampling import random_density, random_hermitian, rng_from
+from qmi.sampling import random_density, random_hermitian, random_kraus_channel, rng_from
 from qmi.search import SearchBudget
 
 TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
@@ -144,6 +144,26 @@ def test_a_perturbed_kl_route_is_caught(monkeypatch):
     monkeypatch.setattr(capacity, "_cqc_kl", lambda w, d: original(w, d) + 1e-3)
     with pytest.raises(ConsistencyError, match="cqc mutual-entropy routes disagree"):
         cqc_capacity(depolarizing_channel(0.2, 2), projective_povm(2), _CODING, "weights", TINY)
+
+
+def test_a_perturbed_narrow_compound_route_is_caught(monkeypatch):
+    # K r = 16 columns of B against a 64-square compound: the cross route
+    # reads S(theta) from B^dag B.
+    rng = rng_from(71)
+    rho, ch = random_density(8, rng), random_kraus_channel(8, 8, 2, rng)
+    ohya_mutual_entropy(rho, ch, TINY)
+    original = mutual._narrow_compound
+    calls = []
+
+    def shifted(*args):
+        calls.append(args)
+        joint, m_in, m_out = original(*args)
+        return joint + 1e-3, m_in, m_out
+
+    monkeypatch.setattr(mutual, "_narrow_compound", shifted)
+    with pytest.raises(ConsistencyError, match="mutual-entropy routes disagree"):
+        ohya_mutual_entropy(rho, ch, TINY)
+    assert len(calls) == 1
 
 
 def test_checks_do_not_grow_with_the_budget(monkeypatch):

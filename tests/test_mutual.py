@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qmi import mutual
 from qmi.capacity import CodingScheme, CqcInstance, cqc_mutual_entropy
 from qmi.channels import (
     amplitude_damping_channel,
@@ -13,12 +14,21 @@ from qmi.channels import (
     identity_channel,
     projective_povm,
 )
-from qmi.entropy import _entropy_rows, shannon_entropy, umegaki_relative_entropy, von_neumann_entropy
+from qmi.channels import apply_matrix
+from qmi.entropy import (
+    _entropy_rows,
+    product_relative_entropy,
+    shannon_entropy,
+    umegaki_relative_entropy,
+    von_neumann_entropy,
+)
 from qmi.mutual import (
     DUAL_ROUTE_TOL,
     MERGE_WEIGHT_TOL,
     _checked_ensemble,
+    _compound_matrix,
     _component_route,
+    _transmitted,
     _weighted_sum,
     classical_mutual_entropy,
     compound_state,
@@ -27,7 +37,15 @@ from qmi.mutual import (
     ohya_mutual_entropy,
     pseudo_mutual_entropy,
 )
-from qmi.operators import DensityOperator, canonical_schatten, maximally_mixed, pure_state
+from qmi.operators import (
+    DensityOperator,
+    _rotated,
+    canonical_schatten,
+    maximally_mixed,
+    pure_state,
+    schatten_family,
+    schatten_param_count,
+)
 from qmi.sampling import (
     random_density,
     random_kraus_channel,
@@ -317,3 +335,120 @@ def test_component_route_equals_the_per_component_terms():
     assert infinite == {"full": 0, "rank-deficient": 0, "tiny weight": 0, "leak": 60}
     with pytest.raises(ValueError, match="sigma has eigenvalue"):
         _component_route(np.array([1.0]), np.eye(2)[None] / 2, np.diag([1.0, -1e-6]))
+
+
+# -- the unique decomposition and the narrow compound route -------------------------------
+
+
+def _searched_ohya(rho, ch, budget):
+    """The one-point search path a nondegenerate state took before it skipped
+    the search: `_ohya_suprema`, then `_checked_ohya`."""
+    ((result, support),) = mutual._ohya_suprema(ch, rho.matrix[None], budget)
+    return mutual._checked_ohya(rho, ch, _rotated(*support, result.params), result)
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    for name in ("maximize_many", "_ohya_suprema"):
+        original = getattr(mutual, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mutual, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["d2", "d3", "d16 depolarizing", "d16 two operators", "rank-deficient"])
+def test_a_nondegenerate_state_skips_the_search(monkeypatch, case):
+    rng = rng_from(700)
+    rho, ch = {
+        "d2": lambda: (random_density(2, rng), amplitude_damping_channel(0.3)),
+        "d3": lambda: (random_density(3, rng), random_kraus_channel(3, 3, 2, rng)),
+        "d16 depolarizing": lambda: (random_density(16, rng), depolarizing_channel(0.3, 16)),
+        "d16 two operators": lambda: (random_density(16, rng), random_kraus_channel(16, 16, 2, rng)),
+        "rank-deficient": lambda: (random_density(4, rng, rank=2), random_kraus_channel(4, 3, 2, rng)),
+    }[case]()
+    assert schatten_param_count(rho) == 0
+    want = _searched_ohya(rho, ch, SMALL)
+    calls = _count_searches(monkeypatch)
+    got = ohya_mutual_entropy(rho, ch, SMALL)
+    assert calls == []
+    assert got.value == want.value
+    assert np.array_equal(got.decomposition.weights, want.decomposition.weights)
+    assert np.array_equal(got.decomposition.vectors, want.decomposition.vectors)
+    assert (got.evals, got.converged) == (want.evals, want.converged) == (1, True)
+
+
+def test_a_degenerate_state_still_searches(monkeypatch):
+    rho = DensityOperator(np.diag([0.4, 0.4, 0.2]))
+    ch = random_kraus_channel(3, 3, 2, rng_from(701))
+    want = _searched_ohya(rho, ch, SMALL)
+    calls = _count_searches(monkeypatch)
+    got = ohya_mutual_entropy(rho, ch, SMALL)
+    assert calls == ["_ohya_suprema", "maximize_many"]
+    assert got.value == want.value and got.evals == want.evals > 1
+    assert np.array_equal(got.decomposition.vectors, want.decomposition.vectors)
+
+
+def _route_case(rng, case):
+    """A seeded (rho, channel, decomposition): 1-3 Kraus operators (more
+    when out_dim 1 needs them), output dimensions 1-6 (square or not),
+    full-rank, rank-deficient or degenerate states, the degenerate ones
+    under a random block rotation."""
+    d = int(rng.integers(2, 6))
+    out_dim = 1 if case % 10 == 0 else int(rng.integers(2, 7))
+    fewest = -(-d // out_dim)  # a trace-preserving channel needs n_ops * out_dim >= d
+    n_ops = int(rng.integers(fewest, max(fewest, 3) + 1))
+    ch = random_kraus_channel(d, out_dim, n_ops, rng)
+    kind = case % 3
+    if kind == 0:
+        rho = random_density(d, rng)
+    elif kind == 1:
+        rho = random_density(d, rng, rank=int(rng.integers(1, d)))
+    else:
+        u = random_unitary(d, rng)
+        w = np.array([2.0, 2.0] + [1.0] * (d - 2) if d > 2 else [1.0, 1.0])
+        rho = DensityOperator((u * (w / w.sum())) @ u.conj().T)
+    n_params = schatten_param_count(rho)
+    return rho, ch, schatten_family(rho, rng.normal(size=n_params))
+
+
+def test_the_narrow_compound_route_matches_the_formed_compound():
+    # theta = B B^dag with K r columns: below d_g d_k of them the cross route
+    # reads S(theta) and the marginals from B; above, it forms theta.
+    rng = rng_from(702)
+    sides = {"narrow": 0, "wide": 0}
+    for case in range(150):
+        rho, ch, dec = _route_case(rng, case)
+        outputs = _transmitted(ch, dec)
+        out_avg = apply_matrix(ch, rho.matrix)
+        got = mutual_entropy_fixed(rho, ch, dec)
+        assert got.value == _component_route(dec.weights, outputs, out_avg)
+        want = product_relative_entropy(_compound_matrix(dec, outputs), rho.matrix, out_avg)
+        assert abs(got.cross_value - want) <= 1e-12
+        sides["narrow" if dec.size * len(ch.ops) < rho.dim * ch.out_dim else "wide"] += 1
+    assert min(sides.values()) >= 30, sides
+
+
+def test_a_nondegenerate_d64_state_solves_without_a_wide_eigensolve(monkeypatch):
+    # Through two Kraus operators theta is 4096-square but B^dag B is 128-square.
+    ch = random_kraus_channel(64, 64, 2, np.random.default_rng(0))
+    rho = random_density(64, rng_from(703))
+    assert schatten_param_count(rho) == 0
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def sized(a, *args, original=original, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            assert sizes[-1] <= 128, f"a {sizes[-1]}-square eigen-solve"
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, sized)
+    result = ohya_mutual_entropy(rho, ch)
+    checked = mutual_entropy_fixed(rho, ch, result.decomposition)
+    assert checked.value == result.value
+    assert checked.defect <= 1e-10
+    assert 128 in sizes

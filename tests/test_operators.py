@@ -1,8 +1,12 @@
 """Core operator plumbing: decompositions, partial traces, parameter maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qmi
+from qmi.channels import depolarizing_channel
 from qmi.operators import (
     PHASE_TOL,
     ConsistencyError,
@@ -195,3 +199,31 @@ def test_support_layouts_group_the_eigen_data_of_each_state():
             w1, v1, slices1 = _support_blocks(mats[i])
             assert w.tobytes() == w1.tobytes() and v.tobytes() == v1.tobytes()
             assert slices == slices1
+
+
+# Records whose fields are scalars, strings or other such records compare by
+# value; every other record holds an array, directly or through a field.
+_VALUE_RECORDS = {"StateFamily", "Check", "SuiteResult", "EntanglementClass", "SearchBudget", "DualRouteValue"}
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    records = {
+        cls.__name__: cls
+        for module in vars(qmi).values()
+        if getattr(module, "__name__", "").startswith("qmi.")
+        for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    assert _VALUE_RECORDS < set(records)
+    for name, cls in records.items():
+        by_value = name in _VALUE_RECORDS
+        assert (cls.__eq__ is not object.__eq__) == by_value, name
+        if by_value:
+            scalar = {"int", "float", "bool", "str", "int | None", "tuple[Check, ...]"}
+            assert {f.type for f in dataclasses.fields(cls)} <= scalar, name
+        else:
+            assert cls.__hash__ is object.__hash__, name
+    ch, rho = depolarizing_channel(0.3, 2), maximally_mixed(2)
+    assert (depolarizing_channel(0.3, 2) == depolarizing_channel(0.3, 2)) is False
+    assert ch == ch and rho != maximally_mixed(2)
+    assert len({ch, rho, ch}) == 2
