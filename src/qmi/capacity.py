@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, _square_root_povm_rows, apply_matrix
+from .channels import KRAUS_TOL, KrausChannel, Povm, apply_matrix
 from .entropy import _entropy_rows
 from .mutual import (
     DualRouteValue,
@@ -198,26 +198,32 @@ def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
 
 def _letter_kl(weights: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D(W_k || lambda W) for every letter k, weight 0 included, by the terms
-    `_cqc_kl` sums (+inf when W_k charges an outcome the mixture does not),
-    and the mixture lambda W."""
+    `_cqc_kl` sums, and the mixture lambda W.
+
+    Where W_k charges an outcome the mixture does not (at the points
+    `_cqc_weights` keeps, only a letter of weight at most 1e-15 can), the
+    mixture there is read at ZERO_TOL, the least that `_cqc_kl` resolves,
+    so D_k stays finite: a letter whose best weight lies below that
+    resolution (say e^-690) is certified at weight 0.
+    """
     avg = (weights[:, None] * dists).sum(axis=0)
-    charged = dists > ZERO_TOL
-    supported = avg > ZERO_TOL
-    ratio = np.divide(dists, avg, out=np.ones(dists.shape), where=charged & supported)
-    kl = (dists * np.log(ratio)).sum(axis=-1)
-    return np.where((charged & ~supported).any(axis=-1), math.inf, kl), avg
+    ratio = np.divide(dists, np.maximum(avg, ZERO_TOL), out=np.ones(dists.shape), where=dists > ZERO_TOL)
+    return (dists * np.log(ratio)).sum(axis=-1), avg
 
 
-def _cqc_weights(dists: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, float, float, int]:
+def _cqc_weights(
+    dists: np.ndarray, budget: SearchBudget, start: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float, int]:
     """Shannon capacity of the transition rows `dists` (K, J): the input
     weights q, I(q), the gap and the number of evaluations of I.
 
     I(q) = `_cqc_kl` is concave, and the gap max_k D(W_k || qW) - I(q) bounds
-    its distance to the capacity from above (Blahut 1972; Arimoto 1972).
-    From uniform q the solver moves to the first of `_trials` that raises I,
-    until the gap is at most budget.tol, no trial raises I, or
-    budget.restarts * budget.max_evals evaluations are spent (the rows that
-    the budget's Nelder-Mead descents may score).
+    its distance to the capacity from above (Blahut 1972; Arimoto 1972),
+    with D_k as `_letter_kl` scores it. From `start` (default: uniform),
+    which must score a finite I, the solver moves to the first of `_trials`
+    that raises I, until the gap is at most budget.tol, no trial raises I,
+    or budget.restarts * budget.max_evals evaluations are spent (the rows
+    that the budget's Nelder-Mead descents may score).
     """
     size = len(dists)
     cap = budget.restarts * budget.max_evals
@@ -225,7 +231,7 @@ def _cqc_weights(dists: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, f
     def score(q):
         return float(_cqc_kl(q[None], dists)[0]), *_letter_kl(q, dists)
 
-    q = np.full(size, 1.0 / size)
+    q = np.full(size, 1.0 / size) if start is None else start
     value, kl, avg = score(q)
     evals = 1
     while (gap := float(kl.max()) - value) > budget.tol and evals < cap:
@@ -245,21 +251,22 @@ def _cqc_weights(dists: np.ndarray, budget: SearchBudget) -> tuple[np.ndarray, f
 def _trials(q, value, kl, avg, dists, tol):
     """The points `_cqc_weights` tries from q, in order, until one raises I.
 
-    While some letter of finite D_k has D_k - I above tol: the Newton point,
-    then the Blahut-Arimoto point q_k exp(D_k) / Z. Then, for each letter of
-    D_k = +inf (weight 0, charging an outcome the mixture does not),
-    (1 - eps) q + eps e_k for eps = 1/K, 1/2K, ..., while eps W_kj stays
-    above ZERO_TOL on every such outcome j (below, `_cqc_kl` scores the
-    point +inf).
+    A letter is blocked when it charges an outcome the mixture does not
+    (weight 0, D_k read at the threshold). While some letter that is not
+    blocked has D_k - I above tol: the Newton point, then the
+    Blahut-Arimoto point q_k exp(D_k) / Z. Then, for each blocked letter
+    with D_k - I above tol, (1 - eps) q + eps e_k for eps = 1/K, 1/2K, ...,
+    while eps W_kj stays above ZERO_TOL on every such outcome j (below,
+    `_cqc_kl` scores the point +inf).
     """
-    finite = np.isfinite(kl)
-    if kl[finite].max() - value > tol:
-        yield _newton_step(q, value, kl, finite, avg, dists)
-        support = (q > 0) & finite
+    unblocked = ~(dists[:, avg <= ZERO_TOL] > ZERO_TOL).any(axis=-1)
+    if kl[unblocked].max() - value > tol:
+        yield _newton_step(q, value, kl, unblocked, avg, dists)
+        support = (q > 0) & unblocked
         ba = np.zeros_like(q)
         ba[support] = q[support] * np.exp(kl[support] - kl[support].max())
         yield ba / ba.sum()
-    for letter in np.flatnonzero(~finite):
+    for letter in np.flatnonzero(~unblocked & (kl - value > tol)):
         row = dists[letter]
         floor = ZERO_TOL / row[(row > ZERO_TOL) & (avg <= ZERO_TOL)].min()
         eps = 1.0 / len(q)
@@ -270,7 +277,7 @@ def _trials(q, value, kl, avg, dists, tol):
             eps /= 2
 
 
-def _newton_step(q, value, kl, finite, avg, dists) -> np.ndarray:
+def _newton_step(q, value, kl, unblocked, avg, dists) -> np.ndarray:
     """The active-set Newton point from q.
 
     I has gradient D_k - 1 and Hessian -W diag(1/qW) W^T. The Newton system,
@@ -280,7 +287,7 @@ def _newton_step(q, value, kl, finite, avg, dists) -> np.ndarray:
     before the system is solved again. A ratio test cuts the step where the
     first letter reaches 0 and sets that letter to exactly 0.
     """
-    free = ((q > 0) | (kl > value)) & finite
+    free = ((q > 0) | (kl > value)) & unblocked
     inv_avg = np.divide(1.0, avg, out=np.zeros_like(avg), where=avg > ZERO_TOL)
     while True:
         idx = np.flatnonzero(free)
@@ -328,41 +335,22 @@ def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     return result
 
 
-def _checked_cqc(value: float, weights: np.ndarray, dists: np.ndarray) -> float:
-    """`value`, once `_cqc_routes` at (weights, dists) has reproduced it within 1e-8."""
-    routes = _cqc_routes(weights, dists)
-    if abs(routes.value - value) > 1e-8:
-        raise ConsistencyError(f"cqc search reported {value!r}, its point scores {routes.value!r}")
-    return value
-
-
 class _CqcEvaluator:
-    """The fixed work of the cqc searches for one (channel, decoding) pair.
+    """The fixed work of the cqc solves for one channel and stack of effects.
 
-    Built once per search: the decoding's Heisenberg-picture effects
-    ch*(E_j) = sum_r K_r^dag E_j K_r, so the transition matrix
-    W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k) of a stack of coded
-    states is one einsum. Nothing here is validated: the inputs come from
-    validated objects or from the searches' own parameterizations.
+    The decoding's Heisenberg-picture effects ch*(E_j) = sum_r K_r^dag E_j K_r,
+    so the transition matrix W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k)
+    of a stack of coded states is one einsum. Nothing here is validated: the
+    inputs come from validated objects or from the alternation's own steps.
     """
 
-    def __init__(self, ch: KrausChannel, decoding: Povm):
-        self.channel = ch
+    def __init__(self, ch: KrausChannel, effects: np.ndarray):
         kraus = ch.stack
-        effects = np.stack(decoding.effects)
         self.dual = (kraus.conj().transpose(0, 2, 1)[:, None] @ effects @ kraus[:, None]).sum(axis=0)
 
     def transitions(self, states: np.ndarray) -> np.ndarray:
-        """W for stacked coded states (..., K, d, d) and the cached decoding."""
-        return _outcome_rows(np.einsum("jab,...kba->...kj", self.dual, states).real)
-
-    def pure_transitions(self, vectors: np.ndarray) -> np.ndarray:
-        """W for coded states |v_k><v_k| given as the rows of `vectors` (..., K, d)."""
-        return _outcome_rows(np.einsum("...ka,jab,...kb->...kj", vectors.conj(), self.dual, vectors).real)
-
-    def decoded_transitions(self, states: np.ndarray, effects: np.ndarray) -> np.ndarray:
-        """W for stacked coded states (..., K, d, d) and decoding effects (..., J, e, e)."""
-        return _outcome_rows(np.einsum("...jab,...kba->...kj", effects, apply_matrix(self.channel, states)).real)
+        """W for stacked coded states (K, d, d) and the cached effects."""
+        return _outcome_rows(np.einsum("jab,kba->kj", self.dual, states).real)
 
 
 def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
@@ -372,7 +360,7 @@ def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
     mixture; the cross route is the Shannon-entropy difference. The two are
     algebraically identical and checked to 1e-8.
     """
-    evaluator = _CqcEvaluator(inst.channel, inst.decoding)
+    evaluator = _CqcEvaluator(inst.channel, np.stack(inst.decoding.effects))
     states = np.stack([s.matrix for s in inst.coding.states])
     return _cqc_routes(inst.weights, evaluator.transitions(states))
 
@@ -472,35 +460,7 @@ def pseudo_capacity(
     )
 
 
-def _pure_codes(points: np.ndarray, size: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit coding vectors (rows, size, dim) for each row of points, and per
-    row whether every vector has norm at least 1e-8."""
-    v = _complex_stack(points, size, 1, dim)[..., 0, :]
-    norms = np.linalg.norm(v, axis=-1)
-    coded = np.min(norms, axis=-1) >= 1e-8
-    return v / np.where(coded[:, None], norms, 1.0)[..., None], coded
-
-
-def _mixed_codes(points: np.ndarray, size: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coded states A A^dag / tr (rows, size, dim, dim) for each row of points,
-    and per row whether every trace is at least 1e-12."""
-    return _normalized_grams(_complex_stack(points, size, dim, dim))
-
-
-def _sqrt_psd_params(mats, slots: int) -> np.ndarray:
-    """Parameters whose complex blocks are sqrt(m) for the leading matrices, zero after."""
-    roots = _sqrt_psd(np.stack(mats[:slots]))
-    out = np.zeros((slots, 2, *roots.shape[1:]))
-    out[: len(roots), 0], out[: len(roots), 1] = roots.real, roots.imag
-    return out.reshape(-1)
-
-
-def _coding_params(states: np.ndarray, pure: bool) -> np.ndarray:
-    """Parameters reproducing (approximately) the reference coding's states."""
-    if not pure:
-        return _sqrt_psd_params(states, len(states))
-    top = np.linalg.eigh(states)[1][:, :, -1]
-    return np.stack([top.real, top.imag], axis=1).reshape(-1)
+_DECODING_ITERATIONS = 3  # fixed-point steps per decoding step of the cqc alternation
 
 
 def cqc_capacity(
@@ -509,114 +469,151 @@ def cqc_capacity(
     coding: CodingScheme,
     mode: str = "weights",
     search: SearchBudget | None = None,
-    pure_coding: bool = True,
-    n_decoding: int | None = None,
 ) -> CapacityReport:
     """Capacity of the classical-quantum-classical chain.
 
     mode "weights" maximizes over input distributions with the given coding
-    and decoding fixed; "coding" additionally frees the coded states;
-    "full" also frees the decoding POVM. Each richer mode includes the
-    poorer one's supremum as a candidate, so the chain is monotone. All
-    modes score the chain with one cached evaluator by the KL route alone.
-    Each reported point is dual-route checked once, when it sets the value.
-    `n_decoding` (default: `decoding`'s) counts "full"'s free outcomes.
+    and decoding fixed; "coding" also frees the coded states; "full" also
+    frees the given decoding's effects, as many as it has. Each richer mode
+    starts from the poorer one's maximizer, solved on budget.child(3)
+    ("coding" over "weights") or budget.child(4) ("full" over "coding"),
+    and keeps only steps that raise I, so the chain is monotone. The
+    reported maximizer is validated and dual-route checked once, at the end.
 
-    "weights" is a concave problem and is solved, not searched
-    (`_cqc_weights`): its notes hold the gap max_k D(W_k || qW) - I(q), an
-    upper bound on the distance to the capacity; `converged` means gap <=
-    search.tol; `evals` counts the evaluations of I; `maximizer["weights"]`
-    is q. "coding" and "full" run a Nelder-Mead search floored at the poorer
-    mode on a child budget; their `evals` is the search's plus the floor's.
+    "weights" is concave and solved (`_cqc_weights`): notes hold the gap
+    max_k D(W_k || qW) - I(q), an upper bound on the distance to the
+    capacity, `converged` means gap <= search.tol, and `maximizer` holds the
+    weights q. "coding" and "full" alternate monotone block steps
+    (`_cqc_alternation`) for at most max(1, search.max_evals // 10) rounds;
+    `converged` means the last round raised I by at most search.tol, which
+    makes the point stationary for the alternation, not a certified
+    maximum. Their notes hold `rounds` and `last_gain`; `maximizer` holds
+    `weights`, the coded states `codes` and, in "full", the `effects`.
+    `evals` counts every evaluation of I, the poorer modes' included.
     """
     if mode not in ("weights", "coding", "full"):
         raise ValueError(f"unknown cqc mode {mode!r}")
-    if n_decoding is not None and n_decoding < 1:
-        raise ValueError("need at least one decoding outcome")
     _check_chain_dims(coding, channel, decoding)
     states = np.stack([s.matrix for s in coding.states])
-    return _cqc_search(
-        _CqcEvaluator(channel, decoding),
-        states,
-        decoding,
-        mode,
-        search or SearchBudget(),
-        pure_coding,
-        decoding.n_outcomes if n_decoding is None else n_decoding,
-    )
+    report = _cqc_search(channel, states, np.stack(decoding.effects), mode, search or SearchBudget())
+    point = report.maximizer
+    if mode != "weights":
+        coding = CodingScheme(tuple(DensityOperator(c) for c in point["codes"]))
+    if mode == "full":
+        decoding = Povm(tuple(point["effects"]))
+    routes = cqc_mutual_entropy(CqcInstance(point["weights"], coding, channel, decoding))
+    if abs(routes.value - report.value) > 1e-8:
+        raise ConsistencyError(f"cqc search reported {report.value!r}, its point scores {routes.value!r}")
+    return report
 
 
 def _cqc_search(
-    evaluator: _CqcEvaluator,
-    states: np.ndarray,
-    decoding: Povm,
-    mode: str,
-    budget: SearchBudget,
-    pure: bool,
-    n_out: int,
+    channel: KrausChannel, states: np.ndarray, effects: np.ndarray, mode: str, budget: SearchBudget
 ) -> CapacityReport:
-    """`cqc_capacity` on the evaluator and the stacked coded states: the
-    "weights" solve, or a "coding" or "full" search whose weights block
-    starts at zeros and whose floor is the poorer mode on budget.child(3)
-    ("coding" over "weights") or budget.child(4) ("full" over "coding")."""
-    size, dim = states.shape[:2]
+    """`cqc_capacity` on the stacked coded states and effects, unchecked: the
+    "weights" solve, or the alternation from the poorer mode's maximizer."""
     if mode == "weights":
-        dists = evaluator.transitions(states)
+        dists = _CqcEvaluator(channel, effects).transitions(states)
         weights, value, gap, evals = _cqc_weights(dists, budget)
         return CapacityReport(
-            value=_checked_cqc(value, weights, dists),
+            value=value,
             converged=gap <= budget.tol,
             evals=evals,
             maximizer={"weights": weights},
             notes={"gap": gap},
         )
-
     poorer, child = ("weights", 3) if mode == "coding" else ("coding", 4)
-    floor = _cqc_search(evaluator, states, decoding, poorer, budget.child(child), pure, n_out)
-    make_codes = _pure_codes if pure else _mixed_codes
-    n_codes = size * (2 * dim if pure else 2 * dim * dim)
-    out_dim = decoding.dim
-
-    def transitions(points):
-        """W at the coding (and decoding) of each row of points; per row whether
-        every code has a norm; and per row whether its decoding needed the
-        square-root POVM's completion effect."""
-        codes, coded = make_codes(points[:, size : size + n_codes], size, dim)
-        if mode == "coding":
-            dists = evaluator.pure_transitions(codes) if pure else evaluator.transitions(codes)
-            return dists, coded, np.zeros(len(points), dtype=bool)
-        if pure:
-            codes = codes[..., :, None] * codes.conj()[..., None, :]
-        factors = _complex_stack(points[:, size + n_codes :], n_out, out_dim, out_dim)
-        effects, completed = _square_root_povm_rows(factors)
-        if not completed.any():
-            effects = effects[:, :-1]
-        return evaluator.decoded_transitions(codes, effects), coded, completed
-
-    def objective(points):
-        dists, coded, completed = transitions(points)
-        if completed.any() and not completed.all():
-            # Each row's sums run over its own outcomes: score the rows with and
-            # without the completion effect apart.
-            values = np.empty(len(points))
-            for group in (completed, ~completed):
-                values[group] = objective(points[group])
-            return values
-        return np.where(coded, _cqc_kl(softmax(points[:, :size]), dists), -math.inf)
-
-    starts = [np.zeros(size), _coding_params(states, pure)]
-    if mode == "full":
-        starts.append(_sqrt_psd_params(decoding.effects, n_out))
-    notes = {"fixed_coding_value" if mode == "coding" else "fixed_decoding_value": floor.value}
-    start = np.concatenate(starts)
-    result = maximize_batch(objective, start.size, budget, starts=[start])
-    if result.value > floor.value:
-        dists, _, _ = transitions(result.params[None])
-        _checked_cqc(result.value, softmax(result.params[:size]), dists[0])
-    return CapacityReport(
-        value=max(result.value, floor.value),
-        converged=result.converged or floor.converged,
-        evals=result.evals + floor.evals,
-        maximizer={"mode": mode},
-        notes=notes,
+    floor = _cqc_search(channel, states, effects, poorer, budget.child(child))
+    start = floor.maximizer
+    value, point, rounds, gain, evals = _cqc_alternation(
+        channel, start["weights"], start.get("codes", states), effects, floor.value, mode == "full", budget
     )
+    if mode == "coding":
+        del point["effects"]
+    return CapacityReport(
+        value=value,
+        converged=gain <= budget.tol,
+        evals=floor.evals + evals,
+        maximizer=point,
+        notes={"rounds": rounds, "last_gain": gain},
+    )
+
+
+def _cqc_alternation(channel, weights, codes, effects, value, free_decoding, budget):
+    """Ascend I(q, W) by blocks from weights q, coded states (K, d, d) and
+    effects (J, e, e), where I is `value`: I at the point reached, the
+    point, the rounds, the last round's gain and the evaluations of I.
+
+    With q and the decoding fixed, I is convex in W, and W is linear in each
+    coded state and in each effect, so I lies above its linearization in
+    each block. A round takes, in order:
+    - codes: each sigma_k becomes the top eigenvector of
+      A_k = sum_j ln(W_kj / (qW)_j) ch*(E_j), the maximizer of the
+      linearization over states;
+    - decoding, when freed: `_DECODING_ITERATIONS` fixed-point steps
+      (Jezek, Rehacek and Fiurasek, PRA 65, 060301 (2002)) on
+      sum_j tr(G_j E_j), G_j = sum_k q_k ln(W_kj / (qW)_j) ch(sigma_k),
+      kept only if the effects still sum to the identity within 1e-9;
+    - weights: the certified `_cqc_weights` solve from the current q.
+    A step's candidate is kept only if it raises I (the weights solve never
+    lowers it). The rounds stop after max(1, budget.max_evals // 10), or
+    when one gains at most budget.tol.
+    """
+    evaluator = _CqcEvaluator(channel, effects)
+    dists = evaluator.transitions(codes)
+    evals = rounds = 0
+    gain = math.inf
+    while rounds < max(1, budget.max_evals // 10) and gain > budget.tol:
+        before = value
+        trial_codes = _code_step(evaluator.dual, weights, dists)
+        trial_dists = evaluator.transitions(trial_codes)
+        trial = float(_cqc_kl(weights[None], trial_dists)[0])
+        evals += 1
+        if math.isfinite(trial) and trial > value:
+            codes, dists, value = trial_codes, trial_dists, trial
+        if free_decoding and (trial_effects := _decoding_step(channel, weights, codes, dists, effects)) is not None:
+            trial_evaluator = _CqcEvaluator(channel, trial_effects)
+            trial_dists = trial_evaluator.transitions(codes)
+            trial = float(_cqc_kl(weights[None], trial_dists)[0])
+            evals += 1
+            if math.isfinite(trial) and trial > value:
+                effects, evaluator, dists, value = trial_effects, trial_evaluator, trial_dists, trial
+        weights, value, _, solved = _cqc_weights(dists, budget, weights)
+        evals += solved
+        rounds += 1
+        gain = value - before
+    return value, {"weights": weights, "codes": codes, "effects": effects}, rounds, gain, evals
+
+
+def _log_ratios(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """ln(W_kj / (qW)_j), both clipped below at ZERO_TOL: dI/dW_kj = q_k times this."""
+    return np.log(np.maximum(dists, ZERO_TOL)) - np.log(np.maximum(weights @ dists, ZERO_TOL))
+
+
+def _code_step(dual: np.ndarray, weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """|v_k><v_k| for v_k the top eigenvector of A_k = sum_j ln(W_kj / (qW)_j) ch*(E_j)."""
+    top = np.linalg.eigh(np.einsum("kj,jab->kab", _log_ratios(weights, dists), dual))[1][..., -1]
+    return top[:, :, None] * top.conj()[:, None, :]
+
+
+def _decoding_step(channel, weights, codes, dists, effects) -> np.ndarray | None:
+    """The effects after `_DECODING_ITERATIONS` steps
+    E_j <- R^-1 G_j E_j G_j R^-1, R = (sum_j G_j E_j G_j)^(1/2), of
+    G_j = sum_k q_k ln(W_kj / (qW)_j) ch(sigma_k) shifted by a multiple of
+    the identity to be PSD; None when R is singular or the effects no
+    longer sum to the identity within 1e-9 (KRAUS_TOL, the Povm check's)."""
+    grads = np.einsum("k,kj,kab->jab", weights, _log_ratios(weights, dists), apply_matrix(channel, codes))
+    grads = (grads + grads.conj().swapaxes(-1, -2)) / 2
+    eye = np.eye(grads.shape[-1])
+    grads = grads - np.min(np.linalg.eigvalsh(grads)) * eye
+    for _ in range(_DECODING_ITERATIONS):
+        terms = grads @ effects @ grads
+        w, v = np.linalg.eigh(terms.sum(axis=0))
+        if not w[0] > ZERO_TOL * w[-1]:
+            return None
+        inv_root = (v / np.sqrt(w)) @ v.conj().T
+        effects = inv_root @ terms @ inv_root
+        effects = (effects + effects.conj().swapaxes(-1, -2)) / 2
+    if np.max(np.abs(effects.sum(axis=0) - eye)) > KRAUS_TOL:
+        return None
+    return effects

@@ -105,6 +105,12 @@ def _cmd_capacity(cfg, ctx, budget):
     return results, rep.converged
 
 
+_REMOVED_CQC_KEYS = {
+    "pure_coding": "mode coding moves the codes to pure states, as mixed ones reach no higher value",
+    "n_decoding": "mode full frees the given decoding's outcomes; pass a decoding with as many as wanted",
+}
+
+
 def _cmd_cqc(cfg, ctx, budget):
     ch = parse_channel(cfg["channel"], ctx)
     coding = CodingScheme(tuple(parse_state(s, ctx) for s in cfg["coding"]))
@@ -119,15 +125,10 @@ def _cmd_cqc(cfg, ctx, budget):
         )
         got = cqc_mutual_entropy(inst)
         return {"nats": got.value, "route_defect": got.defect}, True
-    rep = cqc_capacity(
-        ch,
-        decoding,
-        coding,
-        mode,
-        budget,
-        pure_coding=bool(cfg.get("pure_coding", True)),
-        n_decoding=cfg.get("n_decoding"),
-    )
+    for key in _REMOVED_CQC_KEYS:
+        if key in cfg:
+            raise ValueError(f"config key {key!r} is no longer read: {_REMOVED_CQC_KEYS[key]}")
+    rep = cqc_capacity(ch, decoding, coding, mode, budget)
     return {"nats": rep.value, "evals": rep.evals, "notes": rep.notes}, rep.converged
 
 

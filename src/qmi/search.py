@@ -274,17 +274,9 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def complex_from_params(p: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Free complex matrix from 2*rows*cols reals."""
-    p = np.asarray(p, dtype=float)
-    if p.size != 2 * rows * cols:
-        raise ValueError(f"expected {2 * rows * cols} parameters, got {p.size}")
-    half = rows * cols
-    return (p[:half] + 1j * p[half:]).reshape(rows, cols)
-
-
 def _complex_stack(p: np.ndarray, count: int, rows: int, cols: int) -> np.ndarray:
-    """`count` complex matrices from consecutive `complex_from_params` blocks.
+    """`count` complex (rows, cols) matrices from consecutive blocks of
+    2 rows cols reals, the real parts then the imaginary parts.
 
     Leading axes of p are batch axes: (..., 2 count rows cols) gives
     (..., count, rows, cols).

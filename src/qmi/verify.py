@@ -289,6 +289,13 @@ def _suite_capacity(rng, budget: SearchBudget) -> SuiteResult:
     checks.append(_check("richer searches never lose to poorer ones", chain, 1e-9))
     checks.append(_check("chained capacity is nonnegative", -w_only.value, 1e-12))
 
+    channel = random_kraus_channel(2, 2, 2, rng)
+    decoding = random_povm(2, 3, rng)
+    coding = CodingScheme(tuple(pure_state(random_pure(2, rng)) for _ in range(3)))
+    full = cqc_capacity(channel, decoding, coding, "full", budget)
+    chi = holevo_bound(full.maximizer["weights"], list(full.maximizer["codes"]), channel)
+    checks.append(_check("freed decoding stays under the Holevo bound of its ensemble", full.value - chi, 1e-9))
+
     family = StateFamily("full", 2)
     ident = quantum_capacity(identity_channel(2), family, budget)
     checks.append(_check("identity channel capacity is ln 2", abs(ident.value - math.log(2.0)), 1e-5))

@@ -4,10 +4,10 @@ The searches hand `maximize_batch`, and `maximize_many` with one problem,
 objectives of a whole round of points.
 Each one captured here must give row i of a batch exactly, bit for bit, the
 value it gives that row as a batch of one, on seeded batches of 1, 2 and 40
-rows that mix in points scoring -inf (a zero-norm code, a zero-trace state,
-a vanishing ray) and points whose square-root POVM needs its completion
-effect. The Schatten evaluator is also checked against the per-point formula
-it replaced, and a stack of states in one evaluator against evaluators of
+rows that mix in points scoring -inf (a zero-trace state, a vanishing ray)
+and points whose square-root POVM needs its completion effect. The
+Schatten evaluator is also checked against the per-point formula it
+replaced, and a stack of states in one evaluator against evaluators of
 each state alone.
 """
 
@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from qmi import capacity, entanglement, mutual
-from qmi.capacity import CodingScheme, StateFamily, cqc_capacity, pseudo_capacity, quantum_capacity
+from qmi.capacity import StateFamily, pseudo_capacity, quantum_capacity
 from qmi.channels import (
     _square_root_povm_rows,
     amplitude_damping_channel,
     apply_matrix,
     depolarizing_channel,
-    projective_povm,
 )
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
@@ -144,42 +143,6 @@ def test_family_objective(monkeypatch, family):
     if family.kind == "rank":
         assert objective_rows(np.zeros((1, n_params)))[0] == -math.inf  # no trace
     _check_all(found, ["StateFamily.supremum.<locals>.objective"], 505)
-
-
-@pytest.mark.parametrize("pure", [True, False])
-@pytest.mark.parametrize("n_out", [2, 7])
-def test_cqc_objectives(monkeypatch, pure, n_out):
-    # With 7 free outcomes, a row whose POVM needs the completion effect has 8
-    # outcomes, and a sum over 8 terms rounds unlike one over 7 plus a zero.
-    ch = random_kraus_channel(2, 2, 2, rng_from(506))
-    coding = CodingScheme((pure_state([1.0, 0.0]), random_density(2, rng_from(507)), pure_state([0.6, 0.8j])))
-    decoding = projective_povm(2)
-    found = _captured(monkeypatch, lambda: cqc_capacity(
-        ch, decoding, coding, "full", TINY, pure_coding=pure, n_decoding=n_out))
-    # full runs coding runs weights: one search objective each for full and
-    # coding, told apart by size; the weights floor is solved, not searched.
-    assert len(found) == 2
-    size = coding.size
-    n_codes = size * (2 * 2 if pure else 2 * 2 * 2)
-    for (name, n_params), (objective_rows, starts) in found.items():
-        special = []
-        if n_params > size:
-            zero_code = starts[0].copy()
-            zero_code[size : size + n_codes] = 0.0
-            assert objective_rows(zero_code[None])[0] == -math.inf
-            special.append(zero_code)
-        if n_params > size + n_codes:
-            # Every decoding factor a multiple of |0><0|: the factors' sum has
-            # rank 1, so the POVM needs its completion effect.
-            rank_one = starts[0].copy()
-            blocks = rank_one[size + n_codes :].reshape(n_out, 2, 2, 2)
-            blocks[:] = 0.0
-            blocks[:, 0, 0, 0] = np.linspace(1.0, 0.5, n_out)
-            rank_one[size + n_codes :] = blocks.reshape(-1)
-            assert _square_root_povm_rows(_complex_stack(rank_one[size + n_codes :], n_out, 2, 2)[None])[1][0]
-            special.append(rank_one)
-        points = _batch(n_params, starts, 40, 508 + n_params, special)
-        _assert_rows_alone(objective_rows, points)
 
 
 def test_survey_and_ray_objectives(monkeypatch):

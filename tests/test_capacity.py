@@ -24,7 +24,7 @@ from qmi.channels import (
 )
 from qmi.entropy import kl_divergence, shannon_entropy
 from qmi.mutual import holevo_bound
-from qmi.operators import DensityOperator, pure_state
+from qmi.operators import ZERO_TOL, DensityOperator, pure_state
 from qmi.sampling import random_kraus_channel, random_povm, random_pure, rng_from
 from qmi.search import SearchBudget, maximize_batch, softmax
 
@@ -304,14 +304,16 @@ def test_weights_solve_sets_an_unused_letter_to_zero():
 
 def test_weights_solve_brings_back_a_letter_of_infinite_divergence(monkeypatch):
     # Only the last letter charges the first outcome. The first Newton step
-    # sets it to 0, where D(W_2 || qW) = +inf; it comes back by mixing.
+    # sets it to 0, where D(W_2 || qW) = +inf (the solve reads it at the
+    # threshold); it comes back by mixing.
     rows = [[0.0, 1.0, 0.0], [0.0, 0.25, 0.75], [0.2, 0.4, 0.4]]
     letter_kl = capacity._letter_kl
     infinite = []
 
     def recording(weights, dists):
         kl, avg = letter_kl(weights, dists)
-        infinite.append(bool(np.isinf(kl).any()))
+        infinite.append(bool((dists[:, avg <= ZERO_TOL] > ZERO_TOL).any()))
+        assert np.isfinite(kl).all()
         return kl, avg
 
     monkeypatch.setattr(capacity, "_letter_kl", recording)
@@ -320,6 +322,17 @@ def test_weights_solve_brings_back_a_letter_of_infinite_divergence(monkeypatch):
     assert rep.maximizer["weights"][2] > 0.05
     assert rep.converged
     assert _loop_gap(rep.maximizer["weights"], rows) <= TINY.tol
+
+
+def test_weights_solve_certifies_a_letter_below_the_resolvable_weight():
+    # The third letter's best weight is about e^-690: at 0 it alone charges
+    # the last outcome. Read at the threshold, its D_k is below I, so the
+    # solve is certified at q = (1/2, 1/2, 0) with a finite gap.
+    rep = _basis_capacity([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.499, 0.001]], SearchBudget(2, 60))
+    assert math.isfinite(rep.notes["gap"]) and rep.notes["gap"] <= SearchBudget().tol
+    assert rep.converged
+    assert abs(rep.value - math.log(2.0)) <= 1e-12
+    assert rep.maximizer["weights"][2] == 0.0
 
 
 def test_weights_solve_falls_back_on_blahut_arimoto(monkeypatch):
@@ -350,7 +363,7 @@ def test_weights_solve_never_loses_to_the_simplex_search():
         coding = CodingScheme(tuple(pure_state(random_pure(dim, rng)) for _ in range(size)))
         budget = SearchBudget(restarts=2, max_evals=60, seed=trial + 1)
         rep = cqc_capacity(channel, decoding, coding, "weights", budget)
-        dists = capacity._CqcEvaluator(channel, decoding).transitions(np.stack([s.matrix for s in coding.states]))
+        dists = capacity._CqcEvaluator(channel, np.stack(decoding.effects)).transitions(np.stack([s.matrix for s in coding.states]))
         searched = maximize_batch(lambda p: capacity._cqc_kl(softmax(p), dists), size, budget, starts=[np.zeros(size)])
         assert rep.value >= searched.value - 1e-9, trial
         assert rep.converged and rep.notes["gap"] <= budget.tol, trial

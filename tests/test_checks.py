@@ -30,27 +30,24 @@ from qmi.search import SearchBudget
 TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
 
-def _perturb_maximize(monkeypatch, module, min_params=0, shift=1e-3):
+def _perturb_maximize(monkeypatch, module, shift=1e-3):
     """Make `module.maximize_batch`, and `module.maximize_many` where the
-    module binds it, report `shift` above each best value, for searches of at
-    least `min_params` parameters."""
+    module binds it, report `shift` above each best value."""
 
-    def shifted(result, n_params):
-        if n_params < min_params:
-            return result
+    def shifted(result):
         return dataclasses.replace(result, value=result.value + shift)
 
     batch = module.maximize_batch
 
     def perturbed(objective_rows, n_params, budget, starts=()):
-        return shifted(batch(objective_rows, n_params, budget, starts), n_params)
+        return shifted(batch(objective_rows, n_params, budget, starts))
 
     monkeypatch.setattr(module, "maximize_batch", perturbed)
     if hasattr(module, "maximize_many"):
         many = module.maximize_many
 
         def perturbed_many(objective_rows, n_problems, n_params, budget, starts=()):
-            return [shifted(r, n_params) for r in many(objective_rows, n_problems, n_params, budget, starts)]
+            return [shifted(r) for r in many(objective_rows, n_problems, n_params, budget, starts)]
 
         monkeypatch.setattr(module, "maximize_many", perturbed_many)
 
@@ -115,26 +112,19 @@ def test_pseudo_split_is_checked(monkeypatch):
 _CODING = CodingScheme((pure_state([1.0, 0.0]), pure_state([0.0, 1.0])))
 
 
-@pytest.mark.parametrize(
-    "mode, min_params",
-    # Parameters of each mode on a pure two-letter qubit coding: 2 weights,
-    # + 2 x 4 code reals, + 2 x 8 decoding-factor reals. The weights are
-    # solved, not searched, so there the solver's value is shifted.
-    [("weights", 2), ("coding", 10), ("full", 26)],
-)
-def test_each_cqc_mode_checks_its_own_search(monkeypatch, mode, min_params):
+@pytest.mark.parametrize("mode", ["weights", "coding", "full"])
+def test_each_cqc_mode_checks_its_own_search(monkeypatch, mode):
+    # Every mode ends its rounds, or its solve, on the weights solve: shift
+    # the value it reports, and the point no longer scores the mode's value.
     args = (depolarizing_channel(0.2, 2), projective_povm(2), _CODING, mode, TINY)
     cqc_capacity(*args)
-    if mode == "weights":
-        solve = capacity._cqc_weights
+    solve = capacity._cqc_weights
 
-        def shifted(dists, budget):
-            weights, value, gap, evals = solve(dists, budget)
-            return weights, value + 1e-3, gap, evals
+    def shifted(*args):
+        weights, value, gap, evals = solve(*args)
+        return weights, value + 1e-3, gap, evals
 
-        monkeypatch.setattr(capacity, "_cqc_weights", shifted)
-    else:
-        _perturb_maximize(monkeypatch, capacity, min_params)
+    monkeypatch.setattr(capacity, "_cqc_weights", shifted)
     with pytest.raises(ConsistencyError, match="cqc search reported"):
         cqc_capacity(*args)
 
@@ -244,8 +234,12 @@ def test_kraus_operator_with_a_zero_dimension_is_rejected(shape):
 
 @pytest.mark.parametrize("n_decoding", [0, -1])
 def test_cqc_needs_a_decoding_outcome(n_decoding):
-    with pytest.raises(ValueError, match="need at least one decoding outcome"):
+    # "full" frees exactly the given decoding's outcomes: no count is taken,
+    # and a decoding has at least one effect.
+    with pytest.raises(TypeError, match="n_decoding"):
         cqc_capacity(identity_channel(2), projective_povm(2), _CODING, "full", TINY, n_decoding=n_decoding)
+    with pytest.raises(ValueError, match="a POVM needs at least one effect"):
+        Povm(())
 
 
 @pytest.mark.parametrize(
@@ -256,8 +250,8 @@ def test_cqc_needs_a_decoding_outcome(n_decoding):
         ("mutual", {"channel": {"kind": "identity", "dim": -1}}, "channel dimension must be at least 1"),
         ("mutual", {"channel": {"kind": "kraus", "ops": [{"re": [[]]}]}}, "zero dimension"),
         ("cqc", {"channel": {"kind": "identity", "dim": 2}, "coding": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
-                 "decoding": {"projective": 2}, "mode": "full", "n_decoding": 0},
-         "need at least one decoding outcome"),
+                 "decoding": [], "mode": "full"},
+         "a POVM needs at least one effect"),
         ("cqc", {"channel": {"kind": "identity", "dim": 2}, "coding": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
                  "decoding": {"projective": -1}},
          "POVM dimension must be at least 1, got -1"),

@@ -111,6 +111,24 @@ def test_cqc_weights_report_carries_its_certificate(tmp_path):
     assert 0.0 <= report["results"]["notes"]["gap"] <= 1e-8
 
 
+@pytest.mark.parametrize("key, value", [("pure_coding", False), ("n_decoding", 4)])
+def test_cqc_rejects_a_removed_key(tmp_path, capsys, key, value):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "channel": {"kind": "identity", "dim": 2},
+            "coding": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+            "decoding": {"projective": 2},
+            "mode": "full",
+            key: value,
+        },
+    )
+    assert main(["cqc", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r} is no longer read" in err and "Traceback" not in err
+
+
 def test_pseudo_mutual_merges_tiny_split_components(tmp_path):
     # At this budget the best split no longer beats the Ohya floor, so the
     # floor's decomposition is reported and no merge runs;
@@ -441,6 +459,19 @@ def test_console_script_is_wired():
         text=True,
     )
     assert proc.returncode == 1  # empty file is a parse error, cleanly reported
+
+
+def test_package_runs_as_a_module():
+    # A checkout without an install has `python -m qmi` as its entry point.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmi", "verify", "--seed", "5"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["ok"] is True
 
 
 def test_start_up_imports_no_scipy():

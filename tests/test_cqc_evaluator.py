@@ -30,7 +30,7 @@ from qmi.channels import (
 )
 from qmi.entanglement import class_mutual_and_capacity
 from qmi.entropy import kl_divergence, shannon_entropy
-from qmi.mutual import DualRouteValue
+from qmi.mutual import DualRouteValue, holevo_bound
 from qmi.operators import ConsistencyError, DensityOperator, hermitian_part, pure_state
 from qmi.sampling import (
     random_density,
@@ -41,7 +41,7 @@ from qmi.sampling import (
     random_unitary,
     rng_from,
 )
-from qmi.search import SearchBudget, complex_from_params, maximize, softmax
+from qmi.search import SearchBudget
 
 
 # -- the validated loop route ----------------------------------------------------------
@@ -97,82 +97,63 @@ def _random_povm_loop(dim, n_outcomes, rng):
     return [hermitian_part(inv_sqrt @ b.conj().T @ b @ inv_sqrt) for b in bs]
 
 
-def _coding_loop(params, size, dim, pure):
-    states = []
-    if pure:
-        for k in range(size):
-            v = complex_from_params(params[k * 2 * dim : (k + 1) * 2 * dim], dim, 1).reshape(-1)
-            norm = np.linalg.norm(v)
-            if norm < 1e-8:
-                return None
-            v = v / norm
-            states.append(DensityOperator(np.outer(v, v.conj())))
-    else:
-        per = 2 * dim * dim
-        for k in range(size):
-            a = complex_from_params(params[k * per : (k + 1) * per], dim, dim)
-            m = a @ a.conj().T
-            tr = float(np.real(np.trace(m)))
-            if tr < 1e-12:
-                return None
-            states.append(DensityOperator(m / tr))
-    return CodingScheme(tuple(states))
+def _loop_dists(inst: CqcInstance) -> np.ndarray:
+    dists = [born_probabilities(inst.decoding, apply_matrix(inst.channel, s.matrix)) for s in inst.coding.states]
+    return np.array([d / s if (s := float(d.sum())) > 0 else d for d in dists])
 
 
-def _sqrt_params_loop(mats, slots, dim):
-    per = 2 * dim * dim
-    out = np.zeros(slots * per)
-    for j, m in enumerate(mats[:slots]):
-        w, v = np.linalg.eigh(m)
-        b = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-        out[j * per : j * per + dim * dim] = np.real(b).reshape(-1)
-        out[j * per + dim * dim : (j + 1) * per] = np.imag(b).reshape(-1)
-    return out
-
-
-def _reference_capacity(channel, decoding, coding, mode, budget, pure=True):
-    """cqc_capacity's "coding" or "full" search through validated instances at
-    every evaluation, floored at the "weights" solve of `cqc_capacity`."""
-    size, dim, out_dim = coding.size, channel.in_dim, channel.out_dim
-    n_out = decoding.n_outcomes
-
-    def value_at(weights, cod, dec):
-        return _reference_mutual(CqcInstance(weights, cod, channel, dec)).value
-
+def _reference_capacity(channel, decoding, coding, mode, budget):
+    """cqc_capacity's "coding" or "full" alternation letter by letter and
+    effect by effect, through validated objects at every evaluation: the
+    value, the evaluations and the final instance."""
     if mode == "coding":
         solved = cqc_capacity(channel, decoding, coding, "weights", budget.child(3))
-        floor, floor_evals = solved.value, solved.evals
+        inst = CqcInstance(solved.maximizer["weights"], coding, channel, decoding)
+        value, evals = solved.value, solved.evals
     else:
-        floor, floor_evals = _reference_capacity(channel, decoding, coding, "coding", budget.child(4), pure)
-    per_code = 2 * dim if pure else 2 * dim * dim
-    n_codes = size * per_code
-    if pure:
-        codes = np.zeros(n_codes)
-        for k, s in enumerate(coding.states):
-            vec = np.linalg.eigh(s.matrix)[1][:, -1]
-            codes[k * 2 * dim : k * 2 * dim + dim] = vec.real
-            codes[k * 2 * dim + dim : (k + 1) * 2 * dim] = vec.imag
-    else:
-        codes = _sqrt_params_loop([s.matrix for s in coding.states], size, dim)
-    start = [np.zeros(size), codes]
-
-    def objective(params):
-        cod = _coding_loop(params[size : size + n_codes], size, dim, pure)
-        if cod is None:
-            return -math.inf
-        dec = decoding
+        value, evals, inst = _reference_capacity(channel, decoding, coding, "coding", budget.child(4))
+    gain = math.inf
+    for _ in range(max(1, budget.max_evals // 10)):
+        if gain <= budget.tol:
+            break
+        before = value
+        dists = _loop_dists(inst)
+        avg = inst.weights @ dists
+        ratios = np.log(np.maximum(dists, 1e-12)) - np.log(np.maximum(avg, 1e-12))
+        duals = [sum(k.conj().T @ e @ k for k in channel.ops) for e in inst.decoding.effects]
+        codes = []
+        for row in ratios:
+            top = np.linalg.eigh(sum(r * d for r, d in zip(row, duals)))[1][:, -1]
+            codes.append(pure_state(top))
+        trial = CqcInstance(inst.weights, CodingScheme(tuple(codes)), channel, inst.decoding)
+        trial_value = _reference_mutual(trial).value
+        evals += 1
+        if math.isfinite(trial_value) and trial_value > value:
+            inst, value = trial, trial_value
         if mode == "full":
-            per = 2 * out_dim * out_dim
-            rest = params[size + n_codes :]
-            bs = [complex_from_params(rest[j * per : (j + 1) * per], out_dim, out_dim) for j in range(n_out)]
-            dec = Povm(tuple(_effects_loop(bs, out_dim)))
-        return value_at(softmax(params[:size]), cod, dec)
-
-    if mode == "full":
-        start.append(_sqrt_params_loop(decoding.effects, n_out, out_dim))
-    start = np.concatenate(start)
-    result = maximize(objective, start.size, budget, starts=[start])
-    return max(result.value, floor), result.evals + floor_evals
+            dists = _loop_dists(inst)
+            ratios = np.log(np.maximum(dists, 1e-12)) - np.log(np.maximum(inst.weights @ dists, 1e-12))
+            outputs = [apply_matrix(channel, s.matrix) for s in inst.coding.states]
+            grads = [hermitian_part(sum(q * r * out for q, r, out in zip(inst.weights, column, outputs)))
+                     for column in ratios.T]
+            shift = min(float(np.linalg.eigvalsh(g)[0]) for g in grads)
+            grads = [g - shift * np.eye(len(g)) for g in grads]
+            effects = list(inst.decoding.effects)
+            for _ in range(capacity._DECODING_ITERATIONS):
+                terms = [g @ e @ g for g, e in zip(grads, effects)]
+                w, v = np.linalg.eigh(sum(terms))
+                inv_root = (v / np.sqrt(w)) @ v.conj().T
+                effects = [hermitian_part(inv_root @ t @ inv_root) for t in terms]
+            trial = CqcInstance(inst.weights, inst.coding, channel, Povm(tuple(effects)))
+            trial_value = _reference_mutual(trial).value
+            evals += 1
+            if math.isfinite(trial_value) and trial_value > value:
+                inst, value = trial, trial_value
+        weights, value, _, solved = capacity._cqc_weights(_loop_dists(inst), budget, inst.weights)
+        evals += solved
+        inst = CqcInstance(weights, inst.coding, channel, inst.decoding)
+        gain = value - before
+    return value, evals, inst
 
 
 # -- the evaluator ---------------------------------------------------------------------
@@ -201,18 +182,9 @@ def test_evaluator_matches_the_loop_route(seed):
         got = cqc_mutual_entropy(inst)
         assert abs(got.value - want.value) <= 1e-13
         assert abs(got.cross_value - want.cross_value) <= 1e-13
-        evaluator = _CqcEvaluator(inst.channel, inst.decoding)
-        states = np.stack([s.matrix for s in inst.coding.states])
-        effects = np.stack(inst.decoding.effects)
-        for dists in (
-            evaluator.transitions(states),
-            evaluator.decoded_transitions(states, effects),
-        ):
-            assert abs(_cqc_routes(inst.weights, dists).value - want.value) <= 1e-13
-        if all(np.linalg.matrix_rank(s.matrix, tol=1e-9) == 1 for s in inst.coding.states):
-            vectors = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in inst.coding.states])
-            dists = evaluator.pure_transitions(vectors)
-            assert abs(_cqc_routes(inst.weights, dists).value - want.value) <= 1e-13
+        evaluator = _CqcEvaluator(inst.channel, np.stack(inst.decoding.effects))
+        dists = evaluator.transitions(np.stack([s.matrix for s in inst.coding.states]))
+        assert abs(_cqc_routes(inst.weights, dists).value - want.value) <= 1e-13
 
 
 @pytest.mark.parametrize("letters", range(2, 8))
@@ -301,19 +273,77 @@ def _assert_certified(report, channel, decoding, coding, tol):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cqc_capacity_matches_the_reference_searches(seed):
+    # One mixed code: the first code step makes it pure.
     rng = rng_from(100 + seed)
     channel = random_kraus_channel(2, 2, 2, rng)
     decoding = random_povm(2, 3, rng)
     coding = CodingScheme((random_density(2, rng), pure_state(random_pure(2, rng))))
     budget = SearchBudget(restarts=2, max_evals=30, seed=seed)
-    for pure in (True, False):
-        _assert_certified(cqc_capacity(channel, decoding, coding, "weights", budget, pure_coding=pure),
-                          channel, decoding, coding, budget.tol)
-        for mode in ("coding", "full"):
-            got = cqc_capacity(channel, decoding, coding, mode, budget, pure_coding=pure)
-            value, evals = _reference_capacity(channel, decoding, coding, mode, budget, pure)
-            assert abs(got.value - value) <= 1e-12, (mode, pure)
-            assert got.evals == evals
+    _assert_certified(cqc_capacity(channel, decoding, coding, "weights", budget), channel, decoding, coding,
+                      budget.tol)
+    for mode in ("coding", "full"):
+        got = cqc_capacity(channel, decoding, coding, mode, budget)
+        value, evals, inst = _reference_capacity(channel, decoding, coding, mode, budget)
+        assert abs(got.value - value) <= 1e-12, mode
+        assert got.evals == evals
+        assert np.max(np.abs(got.maximizer["weights"] - inst.weights)) <= 1e-9
+        assert np.max(np.abs(got.maximizer["codes"] - np.stack([s.matrix for s in inst.coding.states]))) <= 1e-9
+        if mode == "full":
+            assert np.max(np.abs(got.maximizer["effects"] - np.stack(inst.decoding.effects))) <= 1e-9
+        else:
+            assert "effects" not in got.maximizer
+
+
+def _rcqc(seed):
+    """A random cqc problem: a qubit or qutrit channel of two Kraus
+    operators, a random POVM of d + 1 outcomes and d + 1 pure codes."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    channel = random_kraus_channel(d, d, 2, rng)
+    decoding = random_povm(d, d + 1, rng)
+    coding = CodingScheme(tuple(pure_state(random_pure(d, rng)) for _ in range(d + 1)))
+    return channel, decoding, coding, SearchBudget(2, 60, seed=seed)
+
+
+def test_alternation_on_random_chains():
+    raised = 0
+    for seed in range(60):
+        channel, decoding, coding, budget = _rcqc(seed)
+        weights, coded, full = (cqc_capacity(channel, decoding, coding, mode, budget)
+                                for mode in ("weights", "coding", "full"))
+        assert weights.value <= coded.value <= full.value, seed
+        raised += coded.value > weights.value + 1e-9
+        for rep, povm in ((coded, decoding), (full, None)):
+            point = rep.maximizer
+            povm = povm or Povm(tuple(point["effects"]))
+            states = CodingScheme(tuple(DensityOperator(c) for c in point["codes"]))
+            rescored = cqc_mutual_entropy(CqcInstance(point["weights"], states, channel, povm))
+            assert abs(rescored.value - rep.value) <= 1e-12, seed
+        chi = holevo_bound(full.maximizer["weights"], list(full.maximizer["codes"]), channel)
+        assert full.value <= chi + 1e-9, seed
+    assert raised >= 55
+
+
+def test_alternation_rounds_never_lower_the_value(monkeypatch):
+    # Every mode ends each round on the weights solve, and "full" starts
+    # from "coding", which starts from "weights": the solves' values, in
+    # call order, are the chain's values round by round.
+    solve = capacity._cqc_weights
+    values = []
+
+    def recording(*args):
+        result = solve(*args)
+        values.append(result[1])
+        return result
+
+    monkeypatch.setattr(capacity, "_cqc_weights", recording)
+    for seed in range(10):
+        channel, decoding, coding, budget = _rcqc(seed)
+        values.clear()
+        rep = cqc_capacity(channel, decoding, coding, "full", budget)
+        assert len(values) > 1 + rep.notes["rounds"]
+        assert all(b >= a for a, b in zip(values, values[1:])), seed
+        assert values[-1] == rep.value
 
 
 def test_cqc_capacity_rejects_mismatched_dimensions():
@@ -367,9 +397,6 @@ def test_searches_validate_only_at_the_boundary(constructions):
     decoding = projective_povm(2)
     runs = {
         "cqc full": lambda evals: cqc_capacity(channel, decoding, coding, "full", SearchBudget(2, evals)),
-        "cqc mixed full": lambda evals: cqc_capacity(
-            channel, decoding, coding, "full", SearchBudget(2, evals), pure_coding=False
-        ),
         "quantum": lambda evals: quantum_capacity(channel, StateFamily("full", 2), SearchBudget(2, evals // 4)),
         "pseudo capacity": lambda evals: pseudo_capacity(channel, StateFamily("full", 2), 2, SearchBudget(2, evals // 4)),
         "d capacity": lambda evals: class_mutual_and_capacity(
@@ -380,4 +407,5 @@ def test_searches_validate_only_at_the_boundary(constructions):
         small = _counted(constructions, lambda: run(40))
         large = _counted(constructions, lambda: run(80))
         assert small == large, (name, small, large)
-    assert _counted(constructions, lambda: runs["cqc full"](80)) == 0
+    # The maximizer of "cqc full": two coded states, the POVM and the instance.
+    assert _counted(constructions, lambda: runs["cqc full"](80)) == 4
