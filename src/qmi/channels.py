@@ -10,6 +10,7 @@ are embedded as diagonal density operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,12 @@ from .operators import (
 )
 
 KRAUS_TOL = 1e-9
+# `apply_matrix` takes the transfer-matrix product when T has fewer than
+# TRANSFER_CROSSOVER * r * (in + out) entries. A swept crossover, not a flop
+# count: r small Kraus products each carry a fixed overhead, and a large T is
+# streamed from memory on every call. At in = out = 16 the rule is the flop
+# count, r (in + out) > in out; smaller channels take T sooner, larger later.
+TRANSFER_CROSSOVER = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +38,8 @@ class KrausChannel:
     """CPTP map rho -> sum_i K_i rho K_i^dag.
 
     The operators are stored once, as the read-only stack `stack` of shape
-    (r, out, in); `ops` holds views of its rows.
+    (r, out, in); `ops` holds views of its rows. A wide channel also caches
+    its transfer matrix `transfer` on first use.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -65,17 +73,42 @@ class KrausChannel:
     def out_dim(self) -> int:
         return self.stack.shape[1]
 
+    @property
+    def wide(self) -> bool:
+        """Whether `apply_matrix` takes the transfer-matrix product: when T,
+        (in out)^2 entries, is below TRANSFER_CROSSOVER * r * (in + out)."""
+        n_ops, d_out, d_in = self.stack.shape
+        return (d_in * d_out) ** 2 < TRANSFER_CROSSOVER * n_ops * (d_in + d_out)
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """T = sum_r K_r (x) conj(K_r), read-only (out^2, in^2): the row-major
+        vec of ch(m) is T vec(m). Built on first use."""
+        n_ops, d_out, d_in = self.stack.shape
+        t = np.einsum("rai,rbj->abij", self.stack, self.stack.conj()).reshape(d_out * d_out, d_in * d_in)
+        t.setflags(write=False)
+        return t
+
 
 def apply_matrix(ch: KrausChannel, m: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, or on each of a stack (..., d, d)
     (no state validation).
 
-    The terms K_r m K_r^dag are formed as one stacked product and added to a
-    zero start in operator order, so the result equals the loop
-    `out += K_r @ m @ K_r^dag` bit for bit. The sum reduces the Kraus axis
-    of the terms viewed as real pairs, which keeps that axis out of numpy's
-    pairwise inner loop even when out_dim is 1.
+    A wide channel (`KrausChannel.wide`) applies its cached transfer matrix
+    to the row-major vec of each matrix, in one stacked product; it agrees
+    with the per-operator loop `out += K_r @ m @ K_r^dag` to rounding.
+    Otherwise the terms K_r m K_r^dag are formed as one stacked product and
+    added to a zero start in operator order, so the result equals that loop
+    bit for bit. The sum reduces the Kraus axis of the terms viewed as real
+    pairs, which keeps that axis out of numpy's pairwise inner loop even
+    when out_dim is 1.
     """
+    if ch.wide:
+        lead, d_out = m.shape[:-2], ch.out_dim
+        # One row vector per matrix, so each matrix's product is its own, bit
+        # for bit, whatever the stack: one matrix product over the stack
+        # would round a row differently with the number of rows.
+        return (m.reshape(*lead, 1, -1) @ ch.transfer.T).reshape(*lead, d_out, d_out)
     terms = ch.stack @ m[..., None, :, :] @ ch.stack.conj().swapaxes(-1, -2)
     terms[..., 0, :, :] += 0.0  # the loop's zero start
     return terms.view(float).sum(axis=-3).view(complex)

@@ -53,12 +53,30 @@ def umegaki_relative_entropy(rho, sigma) -> float:
     b = as_complex_matrix(sigma, "sigma")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(_relative_entropy_rows(a[None], b)[0])
+    return float(_relative_entropy_rows(a[None], _factored(b))[0])
 
 
-def _relative_entropy_rows(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """S(rhos[k], sigma) for each matrix of a stack (K, d, d), with sigma
-    factored once; `umegaki_relative_entropy` is its one-row case.
+def _factored(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvector columns) of the Hermitian part of sigma: the
+    one factorization the relative-entropy kernels below read."""
+    return np.linalg.eigh(hermitian_part(sigma))
+
+
+def _log_sigma_split(factor: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kernel eigenvectors, support eigenvectors, ln of the support
+    eigenvalues) of a factored reference sigma. Raises ValueError when
+    sigma has an eigenvalue below -PSD_TOL."""
+    ws, vs = factor
+    if float(np.min(ws)) < -PSD_TOL:
+        raise ValueError(f"sigma has eigenvalue {np.min(ws):.3e}")
+    kernel = ws <= ZERO_TOL
+    return vs[:, kernel], vs[:, ~kernel], np.log(ws[~kernel])
+
+
+def _relative_entropy_rows(rhos: np.ndarray, factor: tuple) -> np.ndarray:
+    """S(rhos[k], sigma) for each matrix of a stack (K, d, d), from sigma's
+    factorization `_factored(sigma)`; `umegaki_relative_entropy` is its
+    one-row case.
 
     Raises ValueError when sigma has an eigenvalue below -PSD_TOL. A row
     that puts more than SUPPORT_TOL of its mass on sigma's kernel scores
@@ -66,22 +84,35 @@ def _relative_entropy_rows(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     float expression of the one-row case, so a row's value does not depend
     on the rest of the stack.
     """
-    ws, vs = np.linalg.eigh(hermitian_part(sigma))
-    if float(np.min(ws)) < -PSD_TOL:
-        raise ValueError(f"sigma has eigenvalue {np.min(ws):.3e}")
-    kernel = ws <= ZERO_TOL
-    vk = vs[:, kernel]
+    vk, vsup, log_w = _log_sigma_split(factor)
     leaks = np.real(np.einsum("ij,bjk,ki->b", vk.conj().T, rhos, vk))
     entropies = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(hermitian_part(rhos))])
-    vsup = vs[:, ~kernel]
-    log_sigma = (vsup * np.log(ws[~kernel])) @ vsup.conj().T
+    log_sigma = (vsup * log_w) @ vsup.conj().T
     traces = np.real(np.trace(rhos @ log_sigma, axis1=-2, axis2=-1))
     return np.where(leaks > SUPPORT_TOL, math.inf, -entropies - traces)
 
 
-def _log_trace_against(marginal: np.ndarray, factor: np.ndarray) -> tuple[float, float]:
-    """(tr of marginal against ln factor on its support, mass off support)."""
-    w, v = np.linalg.eigh(hermitian_part(factor))
+def _image_relative_entropy_rows(images: np.ndarray, factor: tuple) -> np.ndarray:
+    """S(rho_k, sigma) for rho_k = sum_r |x_kr><x_kr| given by its vectors
+    x_kr, images (K, d, r), with r < d, and sigma's factorization.
+
+    S(rho_k) is read from the r x r Gram matrix (<x_kr|x_kr'>), which has
+    the nonzero spectrum of rho_k; tr rho_k ln sigma and the mass on
+    sigma's kernel are sums over the vectors, sum_r <x_kr|ln sigma|x_kr>
+    and sum_r |P_ker x_kr|^2. So no d-square matrix is formed or factored.
+    Raises, leaks and scores as `_relative_entropy_rows`, to rounding.
+    """
+    vk, vsup, log_w = _log_sigma_split(factor)
+    leaks = np.sum(np.abs(vk.conj().T @ images) ** 2, axis=(-2, -1))
+    traces = np.sum(np.abs(vsup.conj().T @ images) ** 2, axis=-1) @ log_w
+    entropies = _entropy_rows(np.linalg.eigvalsh(images.conj().swapaxes(-1, -2) @ images))
+    return np.where(leaks > SUPPORT_TOL, math.inf, -entropies - traces)
+
+
+def _log_trace_against(marginal: np.ndarray, factor: tuple) -> tuple[float, float]:
+    """(tr of marginal against ln sigma on its support, mass off support),
+    from sigma's factorization `_factored(sigma)`."""
+    w, v = factor
     amps = np.real(np.einsum("ji,jk,ki->i", v.conj(), marginal, v))
     keep = w > ZERO_TOL
     value = np.sum(amps[keep] * np.log(w[keep]))
@@ -103,13 +134,21 @@ def product_relative_entropy(theta, left, right) -> float:
     d_g, d_k = a.shape[0], b.shape[0]
     if t.shape[0] != d_g * d_k:
         raise ValueError(f"joint dimension {t.shape[0]} is not {d_g}*{d_k}")
-    m_in = partial_trace(t, (d_g, d_k), keep=0)
-    m_out = partial_trace(t, (d_g, d_k), keep=1)
-    return _product_relative_entropy(von_neumann_entropy(t), m_in, m_out, a, b)
+    return _compound_relative_entropy(t, _factored(a), _factored(b))
 
 
-def _product_relative_entropy(joint_entropy: float, m_in, m_out, left, right) -> float:
-    """S(theta, left (x) right) from S(theta) and theta's two marginals.
+def _compound_relative_entropy(theta: np.ndarray, left: tuple, right: tuple) -> float:
+    """`product_relative_entropy` of a formed theta, from the factorizations
+    `_factored` of left and right. Nothing is validated."""
+    dims = (left[0].size, right[0].size)
+    m_in = partial_trace(theta, dims, keep=0)
+    m_out = partial_trace(theta, dims, keep=1)
+    return _product_relative_entropy(von_neumann_entropy(theta), m_in, m_out, left, right)
+
+
+def _product_relative_entropy(joint_entropy: float, m_in, m_out, left: tuple, right: tuple) -> float:
+    """S(theta, left (x) right) from S(theta), theta's two marginals and the
+    factorizations `_factored` of left and right.
 
     -S(theta) - tr m_in ln left - tr m_out ln right, each factor classified
     on its own support; +inf when either marginal puts more than

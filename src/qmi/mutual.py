@@ -22,11 +22,13 @@ import numpy as np
 
 from .channels import KrausChannel, _square_root_povm_rows, apply_matrix
 from .entropy import (
+    _compound_relative_entropy,
     _entropy_from_eigenvalues,
     _entropy_rows,
+    _factored,
+    _image_relative_entropy_rows,
     _product_relative_entropy,
     _relative_entropy_rows,
-    product_relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -36,6 +38,7 @@ from .operators import (
     SchattenDecomposition,
     _block_param_count,
     _block_rotations,
+    _eigh_descending,
     _rotated,
     _support_layouts,
     as_complex_matrix,
@@ -116,6 +119,12 @@ def _outputs(images: np.ndarray) -> np.ndarray:
     return images @ images.conj().swapaxes(-1, -2)
 
 
+def _projected(ch: KrausChannel, rows: np.ndarray) -> np.ndarray:
+    """ch(|x><x|) for every row vector x of rows (..., K, d), through
+    `apply_matrix`."""
+    return apply_matrix(ch, rows[..., :, None] * rows.conj()[..., None, :])
+
+
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_k weights[..., k] values[i, k] for each row i of values (rows, K).
 
@@ -127,7 +136,11 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> np.ndarray:
-    """Channel images of the rank-one components, stacked along the first axis."""
+    """Channel images of the rank-one components, stacked along the first
+    axis: one transfer-matrix product for a wide channel, else from the
+    Kraus images."""
+    if ch.wide:
+        return _projected(ch, dec.vectors.T)
     return _outputs(_images(ch.stack, dec.vectors))
 
 
@@ -140,17 +153,18 @@ def _compound_matrix(dec: SchattenDecomposition, outputs: np.ndarray) -> np.ndar
     return theta.transpose(0, 2, 1, 3).reshape(d_g * d_k, d_g * d_k)
 
 
-def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray, outputs: np.ndarray) -> tuple:
+def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray) -> tuple:
     """(S(theta), tr_K theta, tr_G theta) of the compound state
-    theta = sum_k lambda_k |v_k><v_k| (x) outputs[k], without forming theta.
+    theta = sum_k lambda_k |v_k><v_k| (x) ch(|v_k><v_k|), without forming theta.
 
     theta = B B^dag, where B has one column b_kr = sqrt(lambda_k) v_k (x) K_r v_k
     per component k and Kraus operator r (images (K, out, r)). B^dag B, of
     side K r, has the nonzero spectrum of theta; its entries are
     sqrt(lambda_k lambda_k') <v_k|v_k'> <K_r v_k|K_r' v_k'>. The marginals
-    contract B the same way: tr_K theta = sum_k lambda_k tr(outputs[k]) |v_k><v_k|
-    and tr_G theta = sum_k lambda_k <v_k|v_k> outputs[k]. Weights are
-    clipped at 0 (a decomposition may carry weights down to -1e-12).
+    contract B the same way: tr_K theta = sum_k lambda_k |K v_k|^2 |v_k><v_k|
+    and tr_G theta = sum_kr lambda_k <v_k|v_k> |K_r v_k><K_r v_k|, with
+    |K v_k|^2 = sum_r |K_r v_k|^2. Weights are clipped at 0 (a decomposition
+    may carry weights down to -1e-12).
     """
     v, n_r = dec.vectors, images.shape[-1]
     weights = np.clip(dec.weights, 0.0, None)
@@ -158,21 +172,30 @@ def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray, outputs: np
     overlaps = v.conj().T @ v
     factor = (overlaps * np.outer(scale, scale)).repeat(n_r, axis=0).repeat(n_r, axis=1)
     columns = images.swapaxes(0, 1).reshape(images.shape[1], -1)  # column k r is K_r v_k
-    joint = _entropy_from_eigenvalues(np.linalg.eigvalsh((columns.conj().T @ columns) * factor))
-    m_in = (v * (weights * np.real(np.trace(outputs, axis1=-2, axis2=-1)))) @ v.conj().T
-    m_out = np.tensordot(weights * np.real(np.diagonal(overlaps)), outputs, axes=1)
+    grams = columns.conj().T @ columns
+    joint = _entropy_from_eigenvalues(np.linalg.eigvalsh(grams * factor))
+    traces = np.real(np.diagonal(grams)).reshape(-1, n_r).sum(axis=1)
+    m_in = (v * (weights * traces)) @ v.conj().T
+    m_out = (columns * (weights * np.real(np.diagonal(overlaps))).repeat(n_r)) @ columns.conj().T
     return joint, m_in, m_out
 
 
-def _component_route(weights: np.ndarray, outputs: np.ndarray, out_avg: np.ndarray) -> float:
-    """sum_k lambda_k S(outputs[k], out_avg) over the components of weight
+def _component_route(weights: np.ndarray, components: np.ndarray, out_factor: tuple) -> float:
+    """sum_k lambda_k S(ch(rho_k), ch(rho)) over the components of weight
     above 1e-15, each term floored at 0: for unit-trace states a negative
-    term is rounding (Klein's inequality). out_avg is factored once for all
-    terms (`_relative_entropy_rows`); each term, and so the sum, equals
-    `umegaki_relative_entropy(outputs[k], out_avg)` bit for bit. +inf when
-    a kept component leaks off the support of out_avg."""
+    term is rounding (Klein's inequality). +inf when a kept component leaks
+    off the support of ch(rho).
+
+    The shape of `components` picks the kernel. Kraus images K_r v_k
+    (K, out, r) with r < out take the r x r Gram side,
+    `_image_relative_entropy_rows`; channel outputs (K, out, out) take
+    `_relative_entropy_rows`, whose terms equal `umegaki_relative_entropy`
+    bit for bit. Both read ch(rho) from its one factorization `out_factor`
+    (`entropy._factored`)."""
     keep = weights > 1e-15
-    terms = _relative_entropy_rows(outputs[keep], out_avg)
+    kept = components[keep]
+    rows = _image_relative_entropy_rows if kept.shape[-1] < kept.shape[-2] else _relative_entropy_rows
+    terms = rows(kept, out_factor)
     if np.isinf(terms).any():
         return math.inf
     total = 0.0
@@ -187,11 +210,21 @@ class _MutualEvaluator:
     The states share one support layout (rank and eigenvalue slices), so
     one set of Schatten parameters indexes the decompositions of each.
     Built once per search: the support eigen-data of every state (weights
-    (S, r), vectors (S, d, r)), the images
-    K_r v_k of the canonical eigenvectors (S, r, out, Kraus) and each
-    S(ch(rho)). Any split rho = sum_k lambda_k rho_k is scored as
+    (S, r), vectors (S, d, r)), each S(ch(rho)), and the parts of the
+    canonical components that a rotation of a degenerate block mixes
+    linearly (S, K, n). Any split rho = sum_k lambda_k rho_k is scored as
     S(ch(rho)) - sum_k lambda_k S(ch(rho_k)), which equals the component sum
-    sum_k lambda_k S(ch(rho_k), ch(rho)) exactly, with one batched eigvalsh.
+    sum_k lambda_k S(ch(rho_k), ch(rho)) exactly.
+
+    The channel's shapes choose the parts and the entropy kernel. With r
+    Kraus operators and r < out, the parts are the images K_r v_k and each
+    S(ch(|v_k><v_k|)) is the entropy of their r x r Gram matrix, which has
+    the output's nonzero spectrum. Otherwise the entropies come from the
+    out-square outputs: of the vectors v_k through the transfer matrix for
+    a wide channel (`KrausChannel.wide`), else of the images. A rotation
+    multiplies only its block's parts. Outputs are formed on the Gram side
+    only for an observer (`observed`).
+
     Every method takes a batch of rows, one per parameter point, and treats
     each row alone; `owners` gives each row's state, and None means state 0.
     Each row's value is, bit for bit, what an evaluator of its state alone
@@ -210,35 +243,65 @@ class _MutualEvaluator:
         self.size = len(rho_mats)
         self.blocks = [s for s in blocks if s.stop - s.start >= 2]
         self.n_params = sum(_block_param_count(s.stop - s.start) for s in self.blocks)
-        self.images = _images(ch.stack, self.vectors)
+        self.channel = ch
+        n_r, d_out = ch.stack.shape[:2]
+        self.gram = n_r < d_out
+        # The parts: each component's images K_r v_k, flattened, or its vector v_k.
+        if self.gram or not ch.wide:
+            self.image_shape = (d_out, n_r)
+            images = _images(ch.stack, self.vectors)
+            self.parts = images.reshape(*images.shape[:2], -1)
+        else:
+            self.image_shape = None
+            self.parts = self.vectors.swapaxes(-1, -2).copy()
         out_avg = hermitian_part(apply_matrix(ch, rho_mats))
         self.out_entropy = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(out_avg)])
 
-    def score(self, weights: np.ndarray, outputs: np.ndarray, owners=None) -> np.ndarray:
-        """S(ch(rho)) - sum_k weights[..., k] S(outputs[i, k]) per row i, for
-        unit-trace outputs (rows, K, out, out)."""
-        out_entropy = self.out_entropy[0] if owners is None else self.out_entropy[owners]
-        return out_entropy - _weighted_sum(weights, _entropy_rows(np.linalg.eigvalsh(outputs)))
-
-    def outputs(self, points: np.ndarray, owners=None) -> np.ndarray:
-        """Channel images of the Schatten decompositions `schatten_family(rho, p)`
-        for the rows p of points (rows, n_params)."""
-        if not self.blocks:
-            outputs = _outputs(self.images)
-            return outputs[0][None].repeat(len(points), axis=0) if owners is None else outputs[owners]
-        rank = self.images.shape[1]
-        u = np.zeros((len(points), rank, rank), dtype=complex)
-        u[:, range(rank), range(rank)] = 1.0
-        for s, block in _block_rotations(self.blocks, points):
-            u[:, s, s] = block
+    def _rows(self, points: np.ndarray, owners) -> np.ndarray:
+        """The parts (rows, K, n) of the decomposition `schatten_family(rho, p)`
+        for each row p of points: a block of components, rotated by U, has
+        the parts U^T (parts of the block)."""
         if owners is None:
-            return _outputs(np.einsum("kor,bkj->bjor", self.images[0], u))
-        return _outputs(np.einsum("bkor,bkj->bjor", self.images[owners], u))
+            parts = self.parts[0]
+            rows = np.repeat(parts[None], len(points), axis=0)
+        else:
+            parts = rows = self.parts[owners]
+        for s, u in _block_rotations(self.blocks, points):
+            rows[:, s] = u.swapaxes(-1, -2) @ parts[..., s, :]
+        return rows
+
+    def _outputs(self, rows: np.ndarray) -> np.ndarray:
+        """The channel outputs (rows, K, out, out) of parts from `_rows`."""
+        if self.image_shape is None:
+            return _projected(self.channel, rows)
+        return _outputs(rows.reshape(*rows.shape[:2], *self.image_shape))
+
+    def _entropies(self, rows: np.ndarray, outputs=None) -> np.ndarray:
+        """S(ch(|v_k><v_k|)) per row and component (rows, K), from parts from
+        `_rows`, or from their outputs when given."""
+        if self.gram:
+            images = rows.reshape(*rows.shape[:2], *self.image_shape)
+            return _entropy_rows(np.linalg.eigvalsh(images.conj().swapaxes(-1, -2) @ images))
+        return _entropy_rows(np.linalg.eigvalsh(self._outputs(rows) if outputs is None else outputs))
+
+    def score(self, weights: np.ndarray, entropies: np.ndarray, owners=None) -> np.ndarray:
+        """S(ch(rho)) - sum_k weights[..., k] entropies[i, k] per row i, for the
+        component output entropies (rows, K) of unit-trace components."""
+        out_entropy = self.out_entropy[0] if owners is None else self.out_entropy[owners]
+        return out_entropy - _weighted_sum(weights, entropies)
 
     def values(self, points: np.ndarray, owners=None) -> np.ndarray:
         """Mutual entropy of the Schatten decomposition indexed by each row of points."""
         weights = self.weights[0] if owners is None else self.weights[owners]
-        return self.score(weights, self.outputs(points, owners), owners)
+        return self.score(weights, self._entropies(self._rows(points, owners)), owners)
+
+    def observed(self, points: np.ndarray, owners=None) -> tuple[np.ndarray, np.ndarray]:
+        """(`values`, channel outputs (rows, K, out, out)) of each row, for an
+        observer of the search; the values equal `values` bit for bit."""
+        rows = self._rows(points, owners)
+        outputs = self._outputs(rows)
+        weights = self.weights[0] if owners is None else self.weights[owners]
+        return self.score(weights, self._entropies(rows, outputs), owners), outputs
 
 
 def _ohya_suprema(
@@ -263,8 +326,7 @@ def _ohya_suprema(
         if observe is not None:
 
             def objective(points, owners=None, ev=ev, group=group):
-                outputs = ev.outputs(points, owners)
-                values = ev.score(ev.weights[0] if owners is None else ev.weights[owners], outputs, owners)
+                values, outputs = ev.observed(points, owners)
                 index = np.zeros(len(points), dtype=int) if owners is None else owners
                 observe(group[index], (ev.weights[index], ev.vectors[index], ev.blocks), points, outputs, values)
                 return values
@@ -276,12 +338,13 @@ def _ohya_suprema(
 
 
 def _checked_ohya(
-    rho: DensityOperator, ch: KrausChannel, best: SchattenDecomposition, result: SearchResult
+    rho: DensityOperator, ch: KrausChannel, best: SchattenDecomposition, result: SearchResult, rho_factor=None
 ) -> MutualResult:
     """The Ohya result of a search of rho's decompositions: its best
     decomposition `best`, valued by `mutual_entropy_fixed` with the
-    dual-route check."""
-    checked = mutual_entropy_fixed(rho, ch, best)
+    dual-route check. `rho_factor` is rho's `entropy._factored`, when the
+    caller holds it."""
+    checked = _dual_route(rho.matrix, ch, best, _factored(rho.matrix) if rho_factor is None else rho_factor)
     return MutualResult(value=checked.value, decomposition=best, converged=result.converged, evals=result.evals)
 
 
@@ -304,28 +367,38 @@ def mutual_entropy_fixed(
 ) -> DualRouteValue:
     """Mutual entropy of one fixed decomposition, computed by both routes.
 
-    `value` is the component sum; `cross_value` the relative entropy of the
-    compound state theta against the product of marginals. With K
-    components and r Kraus operators, theta = B B^dag for a B of K r
+    `value` is the component sum (`_component_route`); `cross_value` the
+    relative entropy of the compound state theta against the product of
+    marginals. The shapes pick each route's kernel. With r Kraus operators
+    and r < out, the component terms come from the r x r Gram matrices of
+    the images K_r v_k and no output is formed; otherwise from the
+    out-square outputs. With K components, theta = B B^dag for a B of K r
     columns: when K r < d_g d_k, S(theta) and the marginals are read from
     B (`_narrow_compound`) and theta is never formed; otherwise theta is
-    formed and passed to `product_relative_entropy`. Disagreement beyond
-    DUAL_ROUTE_TOL raises ConsistencyError.
+    formed from the outputs. ch(rho) is factored once, for both routes.
+    Disagreement beyond DUAL_ROUTE_TOL raises ConsistencyError.
     """
     rho_mat = as_complex_matrix(rho, "rho")
     _check_dims(rho_mat.shape[0], ch)
+    return _dual_route(rho_mat, ch, dec, _factored(rho_mat))
+
+
+def _dual_route(rho_mat: np.ndarray, ch: KrausChannel, dec: SchattenDecomposition, rho_factor: tuple) -> DualRouteValue:
+    """`mutual_entropy_fixed` with rho's factorization `rho_factor` given."""
     _check_decomposes(rho_mat, dec)
-    images = _images(ch.stack, dec.vectors)
-    outputs = _outputs(images)
-    n_k, d_k, n_r = images.shape
-    narrow = _narrow_compound(dec, images, outputs) if n_k * n_r < rho_mat.shape[0] * d_k else None
-    del images  # with many Kraus operators as large as theta, so freed before theta is formed
-    out_avg = apply_matrix(ch, rho_mat)
-    component = _component_route(dec.weights, outputs, out_avg)
-    if narrow is None:
-        compound = product_relative_entropy(_compound_matrix(dec, outputs), rho_mat, out_avg)
+    n_r, d_k = ch.stack.shape[:2]
+    gram = n_r < d_k
+    narrow = dec.size * n_r < rho_mat.shape[0] * d_k  # always so on the Gram side
+    # On the wide side the images, with many Kraus operators as large as
+    # theta, are never formed.
+    images = _images(ch.stack, dec.vectors) if narrow else None
+    outputs = None if gram else _transmitted(ch, dec)
+    out_factor = _factored(apply_matrix(ch, rho_mat))
+    component = _component_route(dec.weights, images if gram else outputs, out_factor)
+    if narrow:
+        compound = _product_relative_entropy(*_narrow_compound(dec, images), rho_factor, out_factor)
     else:
-        compound = _product_relative_entropy(*narrow, rho_mat, out_avg)
+        compound = _compound_relative_entropy(_compound_matrix(dec, outputs), rho_factor, out_factor)
     result = DualRouteValue(value=component, cross_value=compound)
     if result.defect > DUAL_ROUTE_TOL:
         raise ConsistencyError(
@@ -355,17 +428,20 @@ def ohya_mutual_entropy(
     eigenvalue block is searched over the blocks' unitary rotations by
     `_ohya_suprema`: its best decomposition is rebuilt from the support
     eigen-data the search rotated and re-evaluated with the dual-route
-    consistency check (`_checked_ohya`). The support is read once, for both.
+    consistency check (`_checked_ohya`). rho is factored once, for its
+    support and for the check's compound route.
     """
     _check_dims(rho.dim, ch)
-    layouts = _support_layouts(rho.matrix[None])
+    eigen = _eigh_descending(rho.matrix[None])
+    layouts = _support_layouts(rho.matrix[None], eigen)
+    rho_factor = (eigen[0][0], eigen[1][0])
     ((_, weights, vectors, blocks),) = layouts
     if all(s.stop - s.start < 2 for s in blocks):
         dec = SchattenDecomposition(weights=weights[0], vectors=vectors[0])
-        value = mutual_entropy_fixed(rho, ch, dec).value
+        value = _dual_route(rho.matrix, ch, dec, rho_factor).value
         return MutualResult(value=value, decomposition=dec, converged=True, evals=1)
     ((result, support),) = _ohya_suprema(ch, rho.matrix[None], search or SearchBudget(), layouts=layouts)
-    return _checked_ohya(rho, ch, _rotated(*support, result.params), result)
+    return _checked_ohya(rho, ch, _rotated(*support, result.params), result, rho_factor)
 
 
 def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
@@ -391,7 +467,7 @@ def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
     shannon = shannon_entropy(avg_dist) - sum(
         lam * shannon_entropy(d) for lam, d in zip(weights, dists) if lam > 1e-15
     )
-    quantum = _component_route(weights, outputs, avg)
+    quantum = _component_route(weights, outputs, _factored(avg))
     result = DualRouteValue(value=shannon, cross_value=quantum)
     if result.defect > 1e-8:
         raise ConsistencyError(

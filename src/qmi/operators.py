@@ -263,16 +263,17 @@ def _support_blocks(rho) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     return w, v, _group_eigenvalues(w)
 
 
-def _support_layouts(mats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]]:
+def _support_layouts(mats: np.ndarray, eigen=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]]:
     """`_support_blocks` of each matrix of a stack (S, d, d), grouped by support layout.
 
     Matrices share a layout when their supports have the same rank and the
     same eigenvalue slices. One batched eigh serves the whole stack; its
-    eigen-data equal those of each matrix alone. Returns one
+    eigen-data equal those of each matrix alone. `eigen` is the stack's
+    `_eigh_descending`, computed here when not given. Returns one
     (rows, weights (n, r), vectors (n, d, r), slices) per layout, in order of
     the first row that has it.
     """
-    w, v = _eigh_descending(mats)
+    w, v = _eigh_descending(mats) if eigen is None else eigen
     v = _fix_phases(v)
     groups = {}
     for i, row in enumerate(w.tolist()):

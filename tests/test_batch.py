@@ -174,21 +174,31 @@ def _hermitian_loop(p, m):
     return h
 
 
-def _value_loop(ev: _MutualEvaluator, params: np.ndarray, state: int = 0) -> float:
-    """One point of one state: block rotations exp(iH) one block at a time, one
-    einsum, one stacked eigvalsh, and the weighted sum as a scalar dot product."""
-    images = ev.images[state]
-    if ev.blocks:
-        u = np.eye(images.shape[0], dtype=complex)
-        pos = 0
-        for s in ev.blocks:
-            m = s.stop - s.start
-            w, v = np.linalg.eigh(_hermitian_loop(params[pos : pos + m * m], m))
-            u[s, s] = (v * np.exp(1j * w)) @ v.conj().T
-            pos += m * m
-        images = np.einsum("kor,kj->jor", images, u)
-    outputs = images @ images.conj().transpose(0, 2, 1)
-    return ev.out_entropy[state] - float(ev.weights[state] @ _entropy_rows(np.linalg.eigvalsh(outputs)))
+def _value_loop(ev: _MutualEvaluator, ch, params: np.ndarray, state: int = 0) -> float:
+    """One point of one state by the formula, with no kernel of the evaluator:
+    block rotations exp(iH) one block at a time, each rotated vector sent
+    through the channel operator by operator, a full eigvalsh of each
+    output, and the weighted sum as a scalar dot product."""
+    vectors = ev.vectors[state]
+    u = np.eye(vectors.shape[1], dtype=complex)
+    pos = 0
+    for s in ev.blocks:
+        m = s.stop - s.start
+        w, v = np.linalg.eigh(_hermitian_loop(params[pos : pos + m * m], m))
+        u[s, s] = (v * np.exp(1j * w)) @ v.conj().T
+        pos += m * m
+    entropies = []
+    for x in (vectors @ u).T:
+        output = sum(np.outer(k @ x, (k @ x).conj()) for k in ch.ops)
+        entropies.append(float(_entropy_rows(np.linalg.eigvalsh(output))))
+    return ev.out_entropy[state] - float(ev.weights[state] @ np.array(entropies))
+
+
+# The evaluator reads each component entropy from the r x r Gram matrix of the
+# Kraus images when r < out, and otherwise rotates the vectors (or the images)
+# before forming the output, so it rounds differently from the formula; an
+# entropy of a unit-trace output of dimension <= 24 moves by a few 1e-15.
+FORMULA_TOL = 1e-12
 
 
 @pytest.mark.parametrize("spectrum", [(2, 2, 1), (3, 3, 2, 2), (2, 2, 1, 0), (1, 1, 1, 1, 0), (3, 2, 1)])
@@ -196,11 +206,33 @@ def test_schatten_values_match_the_per_point_formula(spectrum):
     rng = rng_from(512)
     for d_out, n_ops in ((2, 3), (len(spectrum), 3), (5, 1)):
         rho = _degenerate_state(rng, spectrum)
-        ev = _MutualEvaluator(rho.matrix, random_kraus_channel(rho.dim, d_out, n_ops, rng))
+        ch = random_kraus_channel(rho.dim, d_out, n_ops, rng)
+        ev = _MutualEvaluator(rho.matrix, ch)
         points = 2.0 * rng.normal(size=(40, ev.n_params))
         got = ev.values(points)
-        want = np.array([_value_loop(ev, p) for p in points])
-        assert got.tobytes() == want.tobytes()
+        want = np.array([_value_loop(ev, ch, p) for p in points])
+        assert np.max(np.abs(got - want)) <= FORMULA_TOL
+
+
+def test_each_evaluator_side_matches_the_formula():
+    # Gram side (r < out), outputs through the transfer matrix (a wide channel
+    # with r >= out), and outputs of the Kraus images (r >= out on a channel
+    # that is not wide, which takes d = 24).
+    rng = rng_from(518)
+    cases = [((3, 3, 2, 1), random_kraus_channel(4, 4, 2, rng)),
+             ((3, 3, 2, 1), depolarizing_channel(0.4, 4)),
+             ((2,) * 12 + (1,) * 12, random_kraus_channel(24, 24, 24, rng))]
+    for (spectrum, ch), side in zip(cases, ["gram", "transfer", "images"]):
+        ev = _MutualEvaluator(_degenerate_state(rng, spectrum).matrix, ch)
+        assert (ev.gram, ev.image_shape is None) == (side == "gram", side == "transfer")
+        points = rng.normal(size=(3, ev.n_params))
+        want = np.array([_value_loop(ev, ch, p) for p in points])
+        assert np.max(np.abs(ev.values(points) - want)) <= FORMULA_TOL
+        values, outputs = ev.observed(points)
+        assert values.tobytes() == ev.values(points).tobytes()
+        for p, row in zip(points, outputs):
+            dec = _rotated(ev.weights[0], ev.vectors[0], ev.blocks, p)
+            assert np.max(np.abs(row - mutual._transmitted(ch, dec))) <= 1e-13
 
 
 def test_ohya_search_reports_the_evaluator_value():
@@ -210,7 +242,8 @@ def test_ohya_search_reports_the_evaluator_value():
     result = ohya_mutual_entropy(rho, ch, TINY)
     ev = _MutualEvaluator(rho.matrix, ch)
     ((best, _),) = mutual._ohya_suprema(ch, rho.matrix[None], TINY)
-    assert best.value == _value_loop(ev, best.params)
+    assert best.value == ev.values(best.params[None])[0]
+    assert abs(best.value - _value_loop(ev, ch, best.params)) <= FORMULA_TOL
     assert abs(result.value - best.value) < 1e-10
 
 

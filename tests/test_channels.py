@@ -182,20 +182,48 @@ def _apply_loop(ch, m):
 
 
 def test_stacked_apply_matrix_equals_the_operator_loop():
+    # A channel is wide when T, (in out)^2 entries, is below 256 r (in + out).
+    # The Kraus side keeps the loop's arithmetic; the transfer-matrix side
+    # rounds differently, by a few ulps of entries of order r d^2.
     rng = rng_from(41)
     channels = [
-        random_kraus_channel(3, 5, 2, rng),
-        random_kraus_channel(4, 2, 3, rng),
-        random_kraus_channel(3, 1, 12, rng),
-        depolarizing_channel(0.3, 8),
+        (random_kraus_channel(3, 5, 2, rng), True),
+        (random_kraus_channel(4, 2, 3, rng), True),
+        (random_kraus_channel(3, 1, 12, rng), True),
+        (depolarizing_channel(0.3, 8), True),
+        (random_kraus_channel(16, 16, 9, rng), True),
+        (random_kraus_channel(16, 16, 8, rng), False),  # at the crossover: 256^2 = 256 * 8 * 32
+        (random_kraus_channel(8, 8, 1, rng), False),  # at the crossover: 64^2 = 256 * 1 * 16
+        (random_kraus_channel(16, 16, 2, rng), False),
+        (random_kraus_channel(24, 12, 3, rng), False),
     ]
-    for ch in channels:
+    for ch, wide in channels:
+        assert ch.wide == wide
         d = ch.in_dim
         for lead in [(), (3,), (2, 4)]:
             m = rng.normal(size=lead + (d, d)) + 1j * rng.normal(size=lead + (d, d))
             got = apply_matrix(ch, m)
             assert got.shape == lead + (ch.out_dim, ch.out_dim)
-            assert np.array_equal(got, _apply_loop(ch, m))
+            if wide:
+                assert np.max(np.abs(got - _apply_loop(ch, m))) <= 1e-13
+            else:
+                assert np.array_equal(got, _apply_loop(ch, m))
+            # Each matrix of a stack is applied alone, bit for bit.
+            alone = np.array([apply_matrix(ch, x) for x in m.reshape(-1, d, d)])
+            assert np.array_equal(got.reshape(alone.shape), alone)
+        assert ("transfer" in vars(ch)) == wide  # built on first use, by the wide side only
+
+
+def test_the_transfer_matrix_is_read_only_and_vectorizes_the_channel():
+    rng = rng_from(43)
+    ch = random_kraus_channel(3, 2, 4, rng)
+    assert "transfer" not in vars(ch)
+    t = ch.transfer
+    assert t is ch.transfer and t.shape == (4, 9)
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert np.max(np.abs(t @ m.reshape(-1) - _apply_loop(ch, m).reshape(-1))) <= 1e-14
 
 
 def test_kraus_stack_is_read_only_and_holds_the_operators():

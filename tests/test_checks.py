@@ -156,6 +156,25 @@ def test_a_perturbed_narrow_compound_route_is_caught(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_perturbed_gram_side_component_route_is_caught(monkeypatch):
+    # Two Kraus operators into 8 outputs: each component term reads its
+    # entropy from a 2 x 2 Gram matrix, never from the 8-square output.
+    rng = rng_from(72)
+    rho, ch = random_density(8, rng), random_kraus_channel(8, 8, 2, rng)
+    ohya_mutual_entropy(rho, ch, TINY)
+    original = mutual._image_relative_entropy_rows
+    calls = []
+
+    def shifted(images, factor):
+        calls.append(images.shape)
+        return original(images, factor) - 1e-3  # each S(ch(|v_k><v_k|)) raised by 1e-3
+
+    monkeypatch.setattr(mutual, "_image_relative_entropy_rows", shifted)
+    with pytest.raises(ConsistencyError, match="mutual-entropy routes disagree"):
+        ohya_mutual_entropy(rho, ch, TINY)
+    assert calls == [(8, 8, 2)]
+
+
 def test_checks_do_not_grow_with_the_budget(monkeypatch):
     routes = _counting(monkeypatch, capacity, "_cqc_routes")
     relent = _counting(monkeypatch, entanglement, "product_relative_entropy")

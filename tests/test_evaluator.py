@@ -11,7 +11,7 @@ from qmi.entanglement import (
     _candidate_direction,
     _RayScorer,
 )
-from qmi.entropy import product_relative_entropy, umegaki_relative_entropy
+from qmi.entropy import _entropy_rows, product_relative_entropy, umegaki_relative_entropy
 from qmi.mutual import (
     PseudoResult,
     _compound_matrix,
@@ -138,7 +138,8 @@ def test_evaluator_scores_nonorthogonal_splits():
             lam * umegaki_relative_entropy(apply_matrix(ch, s / lam), out_avg)
             for lam, s in zip(lams, sigmas)
         )
-        got = ev.score(lams, (apply_matrix(ch, sigmas) / lams[:, None, None])[None])[0]
+        outputs = apply_matrix(ch, sigmas) / lams[:, None, None]
+        got = ev.score(lams, _entropy_rows(np.linalg.eigvalsh(outputs))[None])[0]
         assert abs(got - reference) < 1e-10
 
 
@@ -247,7 +248,8 @@ def _pseudo_reference(rho, ch, n_components, budget):
         lams, sigmas = split(params)
         keep = lams > 1e-12
         lams = lams[keep]
-        return evaluator.score(lams, (apply_matrix(ch, sigmas[keep]) / lams[:, None, None])[None])[0]
+        outputs = apply_matrix(ch, sigmas[keep]) / lams[:, None, None]
+        return evaluator.score(lams, _entropy_rows(np.linalg.eigvalsh(outputs))[None])[0]
 
     n_params = n_components * 2 * dim * dim
     dec = baseline.decomposition

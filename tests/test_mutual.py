@@ -17,6 +17,8 @@ from qmi.channels import (
 from qmi.channels import apply_matrix
 from qmi.entropy import (
     _entropy_rows,
+    _factored,
+    _image_relative_entropy_rows,
     product_relative_entropy,
     shannon_entropy,
     umegaki_relative_entropy,
@@ -28,6 +30,8 @@ from qmi.mutual import (
     _checked_ensemble,
     _compound_matrix,
     _component_route,
+    _images,
+    _outputs,
     _transmitted,
     _weighted_sum,
     classical_mutual_entropy,
@@ -329,12 +333,67 @@ def test_component_route_equals_the_per_component_terms():
         if kind == "leak":  # a kept component off the support of the reference
             outputs[-1], mixed = np.outer(off, off.conj()), n - 1
         out_avg = np.einsum("k,kij->ij", weights[:mixed], outputs[:mixed])
-        got = _component_route(weights, outputs, out_avg)
+        got = _component_route(weights, outputs, _factored(out_avg))
         assert got == _component_loop(weights, outputs, out_avg)
         infinite[kind] += math.isinf(got)
     assert infinite == {"full": 0, "rank-deficient": 0, "tiny weight": 0, "leak": 60}
     with pytest.raises(ValueError, match="sigma has eigenvalue"):
-        _component_route(np.array([1.0]), np.eye(2)[None] / 2, np.diag([1.0, -1e-6]))
+        _component_route(np.array([1.0]), np.eye(2)[None] / 2, _factored(np.diag([1.0, -1e-6])))
+    with pytest.raises(ValueError, match="sigma has eigenvalue"):
+        _component_route(np.array([1.0]), np.ones((1, 2, 1)) / 2**0.5, _factored(np.diag([1.0, -1e-6])))
+
+
+def test_gram_side_terms_match_umegaki():
+    # With r < out Kraus operators, each term is read from the r x r Gram
+    # matrix of the images K_r v_k and from sums over them, never from the
+    # out-square output; the value differs from the output route by rounding.
+    rng = rng_from(64)
+    kinds = ["full", "rank-deficient", "tiny weight", "leak"]
+    infinite = dict.fromkeys(kinds, 0)
+    sides = {"gram": 0, "outputs": 0}
+    for case in range(200):
+        kind = kinds[case % 4]
+        n_ops = [1, 2, 3, None][case // 4 % 4]
+        if kind == "full":
+            d, d_out = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+            n_ops = n_ops or d_out * d_out
+            n_ops = max(n_ops, -(-d // d_out))  # a trace-preserving channel needs n_ops * d_out >= d
+            span = d
+        else:  # inputs in a span of dimension s whose images miss part of the output
+            n_ops = n_ops or 1 + case % 3
+            span = int(rng.integers(1, 3))
+            d = span + int(rng.integers(1, 3))
+            d_out = max(n_ops * span + int(rng.integers(1, 3)), -(-d // n_ops))
+        ch = random_kraus_channel(d, d_out, n_ops, rng)
+        u = random_unitary(d, rng)
+        n = int(rng.integers(2, 6))
+        coeffs = rng.normal(size=(span, n)) + 1j * rng.normal(size=(span, n))
+        vectors = u[:, :span] @ (coeffs / np.linalg.norm(coeffs, axis=0))
+        weights = random_probability(n, rng)
+        mixed = n
+        if kind == "tiny weight":  # a skipped component off the support of the mixture
+            weights[0], vectors[:, 0] = 1e-16, u[:, d - 1]
+        if kind == "leak":  # a kept component off the support of the reference
+            vectors[:, -1], mixed = u[:, d - 1], n - 1
+        images = _images(ch.stack, vectors)
+        outputs = _outputs(images)
+        out_avg = np.einsum("k,kij->ij", weights[:mixed], outputs[:mixed])
+        factor = _factored(out_avg)
+        gram = n_ops < d_out
+        sides["gram" if gram else "outputs"] += 1
+        if gram:
+            terms = _image_relative_entropy_rows(images, factor)
+            for term, output in zip(terms, outputs):
+                want = umegaki_relative_entropy(output, out_avg)
+                assert math.isinf(term) == math.isinf(want)
+                assert math.isinf(term) or abs(term - want) <= 1e-12
+        got = _component_route(weights, images if gram else outputs, factor)
+        want = _component_loop(weights, outputs, out_avg)
+        assert math.isinf(got) == math.isinf(want)
+        assert math.isinf(got) or abs(got - want) <= 1e-12
+        infinite[kind] += math.isinf(got)
+    assert infinite == {"full": 0, "rank-deficient": 0, "tiny weight": 0, "leak": 50}
+    assert sides["gram"] >= 150 and sides["outputs"] >= 15, sides
 
 
 # -- the unique decomposition and the narrow compound route -------------------------------
@@ -425,30 +484,61 @@ def test_the_narrow_compound_route_matches_the_formed_compound():
         outputs = _transmitted(ch, dec)
         out_avg = apply_matrix(ch, rho.matrix)
         got = mutual_entropy_fixed(rho, ch, dec)
-        assert got.value == _component_route(dec.weights, outputs, out_avg)
+        assert abs(got.value - _component_loop(dec.weights, outputs, out_avg)) <= 1e-12
         want = product_relative_entropy(_compound_matrix(dec, outputs), rho.matrix, out_avg)
         assert abs(got.cross_value - want) <= 1e-12
         sides["narrow" if dec.size * len(ch.ops) < rho.dim * ch.out_dim else "wide"] += 1
     assert min(sides.values()) >= 30, sides
 
 
-def test_a_nondegenerate_d64_state_solves_without_a_wide_eigensolve(monkeypatch):
-    # Through two Kraus operators theta is 4096-square but B^dag B is 128-square.
-    ch = random_kraus_channel(64, 64, 2, np.random.default_rng(0))
-    rho = random_density(64, rng_from(703))
-    assert schatten_param_count(rho) == 0
-    sizes = []
+def _sized_eigensolves(monkeypatch, limit):
+    """Wrap np.linalg eigvalsh and eigh to record each call's stack shape and
+    raise on a matrix above limit-square or on a stack of 64-square ones."""
+    shapes = []
     for name in ("eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
         def sized(a, *args, original=original, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            assert sizes[-1] <= 128, f"a {sizes[-1]}-square eigen-solve"
+            shapes.append(np.shape(a))
+            side, stacked = shapes[-1][-1], math.prod(shapes[-1][:-2])
+            assert side <= limit, f"a {side}-square eigen-solve"
+            assert side < 64 or stacked <= 1, f"a stack of {stacked} {side}-square eigen-solves"
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, sized)
+    return shapes
+
+
+def test_a_nondegenerate_d64_state_solves_without_a_wide_eigensolve(monkeypatch):
+    # Through two Kraus operators theta is 4096-square but B^dag B is 128-square,
+    # and each component output is 64-square but its Gram matrix is 2 x 2.
+    ch = random_kraus_channel(64, 64, 2, np.random.default_rng(0))
+    rho = random_density(64, rng_from(703))
+    assert schatten_param_count(rho) == 0
+    shapes = _sized_eigensolves(monkeypatch, 128)
     result = ohya_mutual_entropy(rho, ch)
     checked = mutual_entropy_fixed(rho, ch, result.decomposition)
     assert checked.value == result.value
     assert checked.defect <= 1e-10
-    assert 128 in sizes
+    assert (128, 128) in shapes and (64, 2, 2) in shapes
+
+
+def test_a_degenerate_d64_evaluator_row_solves_only_gram_sized_components(monkeypatch):
+    # Two 32-fold blocks through two Kraus operators: a row rotates each block's
+    # images and reads every component entropy from a 2 x 2 Gram matrix; the
+    # only larger eigen-solves are the blocks' exp(iH).
+    ch = random_kraus_channel(64, 64, 2, np.random.default_rng(0))
+    u = random_unitary(64, rng_from(704))
+    w = np.repeat([2.0, 1.0], 32)
+    rho = DensityOperator((u * (w / w.sum())) @ u.conj().T)
+    ev = mutual._MutualEvaluator(rho.matrix, ch)
+    assert ev.gram and [s.stop - s.start for s in ev.blocks] == [32, 32]
+    points = rng_from(705).normal(size=(2, ev.n_params))
+    shapes = _sized_eigensolves(monkeypatch, 32)
+    values = ev.values(points)
+    assert [s for s in shapes if s[-1] > 2] == [(2, 32, 32)] * 2  # exp(iH) of each block
+    assert (2, 64, 2, 2) in shapes
+    monkeypatch.undo()
+    for p, value in zip(points, values):  # the row is the decomposition's mutual entropy
+        dec = _rotated(ev.weights[0], ev.vectors[0], ev.blocks, p)
+        assert abs(value - mutual_entropy_fixed(rho, ch, dec).value) <= 1e-10
