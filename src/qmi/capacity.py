@@ -375,8 +375,11 @@ def quantum_capacity(
     maximizing state is kept, not searched again: its decomposition is
     rebuilt from the support eigen-data that search rotated and dual-route
     checked as `ohya_mutual_entropy` does, and that checked value is
-    reported. `qdc_hierarchy(None, ...)` reads this same search, so its d
-    capacity is this value.
+    reported. Through a channel with `uniform_pure_outputs` no inner search
+    runs: each member, the flat start I/d and degenerate diagonal points
+    included, is scored once at its canonical decomposition.
+    `qdc_hierarchy(None, ...)` reads this same search, so its d capacity is
+    this value.
     """
     return _quantum_search(ch, family, search or SearchBudget())[0]
 
@@ -490,21 +493,45 @@ def cqc_capacity(
     maximum. Their notes hold `rounds` and `last_gain`; `maximizer` holds
     `weights`, the coded states `codes` and, in "full", the `effects`.
     `evals` counts every evaluation of I, the poorer modes' included.
+
+    The check validates the maximizer as a `CqcInstance` and compares the
+    KL and Shannon routes: in "weights" on the transition rows the solve
+    formed, in "coding" and "full" on rows rebuilt from the validated codes
+    and effects (`cqc_mutual_entropy`).
     """
     if mode not in ("weights", "coding", "full"):
         raise ValueError(f"unknown cqc mode {mode!r}")
     _check_chain_dims(coding, channel, decoding)
     states = np.stack([s.matrix for s in coding.states])
-    report = _cqc_search(channel, states, np.stack(decoding.effects), mode, search or SearchBudget())
+    effects = np.stack(decoding.effects)
+    budget = search or SearchBudget()
+    if mode == "weights":
+        dists = _CqcEvaluator(channel, effects).transitions(states)
+        report = _weights_solve(dists, budget)
+    else:
+        report = _cqc_search(channel, states, effects, mode, budget)
     point = report.maximizer
     if mode != "weights":
         coding = CodingScheme(tuple(DensityOperator(c) for c in point["codes"]))
     if mode == "full":
         decoding = Povm(tuple(point["effects"]))
-    routes = cqc_mutual_entropy(CqcInstance(point["weights"], coding, channel, decoding))
+    inst = CqcInstance(point["weights"], coding, channel, decoding)
+    routes = _cqc_routes(inst.weights, dists) if mode == "weights" else cqc_mutual_entropy(inst)
     if abs(routes.value - report.value) > 1e-8:
         raise ConsistencyError(f"cqc search reported {report.value!r}, its point scores {routes.value!r}")
     return report
+
+
+def _weights_solve(dists: np.ndarray, budget: SearchBudget) -> CapacityReport:
+    """The "weights" report of the transition rows `dists`, solved by `_cqc_weights`, unchecked."""
+    weights, value, gap, evals = _cqc_weights(dists, budget)
+    return CapacityReport(
+        value=value,
+        converged=gap <= budget.tol,
+        evals=evals,
+        maximizer={"weights": weights},
+        notes={"gap": gap},
+    )
 
 
 def _cqc_search(
@@ -513,15 +540,7 @@ def _cqc_search(
     """`cqc_capacity` on the stacked coded states and effects, unchecked: the
     "weights" solve, or the alternation from the poorer mode's maximizer."""
     if mode == "weights":
-        dists = _CqcEvaluator(channel, effects).transitions(states)
-        weights, value, gap, evals = _cqc_weights(dists, budget)
-        return CapacityReport(
-            value=value,
-            converged=gap <= budget.tol,
-            evals=evals,
-            maximizer={"weights": weights},
-            notes={"gap": gap},
-        )
+        return _weights_solve(_CqcEvaluator(channel, effects).transitions(states), budget)
     poorer, child = ("weights", 3) if mode == "coding" else ("coding", 4)
     floor = _cqc_search(channel, states, effects, poorer, budget.child(child))
     start = floor.maximizer

@@ -31,6 +31,8 @@ KRAUS_TOL = 1e-9
 # streamed from memory on every call. At in = out = 16 the rule is the flop
 # count, r (in + out) > in out; smaller channels take T sooner, larger later.
 TRANSFER_CROSSOVER = 256
+# `uniform_pure_outputs` accepts a transfer matrix within this of a 1 + b |vec I><vec I|.
+UNIFORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +41,8 @@ class KrausChannel:
 
     The operators are stored once, as the read-only stack `stack` of shape
     (r, out, in); `ops` holds views of its rows. A wide channel also caches
-    its transfer matrix `transfer` on first use.
+    its transfer matrix `transfer` on first use, and every channel caches
+    `uniform_pure_outputs` on first use.
     """
 
     ops: tuple[np.ndarray, ...]
@@ -88,6 +91,27 @@ class KrausChannel:
         t = np.einsum("rai,rbj->abij", self.stack, self.stack.conj()).reshape(d_out * d_out, d_in * d_in)
         t.setflags(write=False)
         return t
+
+    @cached_property
+    def uniform_pure_outputs(self) -> bool:
+        """Whether S(ch(|v><v|)) is certified to be the same for every unit v,
+        so that every Schatten decomposition of a state has one mutual
+        entropy. Read from the Kraus operators alone: True for one operator
+        (an isometry: pure inputs give pure outputs), and for a wide channel
+        with in = out whose transfer matrix is a 1 + b |vec I><vec I| within
+        UNIFORM_TOL, that is ch(m) = a m + b tr(m) I and
+        ch(|v><v|) = a |v><v| + b I (the depolarizing form). Every other
+        channel is False without building anything."""
+        n_ops, d_out, d_in = self.stack.shape
+        if n_ops == 1:
+            return True
+        if d_in != d_out or not self.wide:
+            return False
+        t = self.transfer
+        b = t[0, -1]  # the entry from |d-1><d-1| to |0><0|: off T's diagonal for d >= 2, so b alone
+        vec_eye = np.eye(d_in).reshape(-1)
+        form = (t[0, 0] - b) * np.eye(d_in * d_in) + b * np.outer(vec_eye, vec_eye)
+        return bool(np.max(np.abs(t - form)) <= UNIFORM_TOL)
 
 
 def apply_matrix(ch: KrausChannel, m: np.ndarray) -> np.ndarray:

@@ -805,7 +805,11 @@ def qdc_hierarchy(
     the `full` state family, and d is its checked maximizer, so d is the
     quantum capacity at the same budget. Either search feeds a running best
     record among decompositions with commuting outputs (c), over all states
-    visited; c is d when d's outputs commute. q steps along rays out of d's
+    visited; c is d when d's outputs commute. Through a channel with
+    `uniform_pure_outputs` the search scores one row per state, its
+    canonical decomposition, and c = d: the outputs a |v_k><v_k| + b I of
+    the depolarizing form, or the orthogonal pure outputs of an isometry,
+    commute. q steps along rays out of d's
     diagonal compound and never falls below it; with rho None its ray search
     runs on `search.child(1)`. d is sent through the channel once more, for
     its commutation defect and q's rays, and a c that is not d is validated

@@ -317,11 +317,16 @@ def _ohya_suprema(
     its state, support (weights, vectors, blocks), parameters, channel
     outputs and value. `layouts` is `_support_layouts(mats)`, computed here
     when not given.
+
+    On a channel with `uniform_pure_outputs` every decomposition of a state
+    has the canonical one's value, so the degenerate blocks are dropped from
+    the support: each state is scored once, at no parameters, and its
+    support's blocks are empty.
     """
     found = [None] * len(mats)
-    for rows, *support in _support_layouts(mats) if layouts is None else layouts:
+    for rows, weights, vectors, blocks in _support_layouts(mats) if layouts is None else layouts:
         group = mats[rows]
-        ev = _MutualEvaluator(group, ch, support)
+        ev = _MutualEvaluator(group, ch, (weights, vectors, [] if ch.uniform_pure_outputs else blocks))
         objective = ev.values
         if observe is not None:
 
@@ -424,19 +429,22 @@ def ohya_mutual_entropy(
 
     A nondegenerate state has a unique decomposition, the canonical one: it
     is valued once by `mutual_entropy_fixed`, with `evals = 1` and
-    `converged = True`, and no search runs. A state with a degenerate
-    eigenvalue block is searched over the blocks' unitary rotations by
-    `_ohya_suprema`: its best decomposition is rebuilt from the support
-    eigen-data the search rotated and re-evaluated with the dual-route
-    consistency check (`_checked_ohya`). rho is factored once, for its
-    support and for the check's compound route.
+    `converged = True`, and no search runs. So is a degenerate state through
+    a channel with `uniform_pure_outputs` (one Kraus operator, or the
+    depolarizing form a m + b tr(m) I): there S(ch(|v><v|)) does not depend
+    on v, so every decomposition has the canonical one's value. Any other
+    state with a degenerate eigenvalue block is searched over the blocks'
+    unitary rotations by `_ohya_suprema`: its best decomposition is rebuilt
+    from the support eigen-data the search rotated and re-evaluated with the
+    dual-route consistency check (`_checked_ohya`). rho is factored once,
+    for its support and for the check's compound route.
     """
     _check_dims(rho.dim, ch)
     eigen = _eigh_descending(rho.matrix[None])
     layouts = _support_layouts(rho.matrix[None], eigen)
     rho_factor = (eigen[0][0], eigen[1][0])
     ((_, weights, vectors, blocks),) = layouts
-    if all(s.stop - s.start < 2 for s in blocks):
+    if all(s.stop - s.start < 2 for s in blocks) or ch.uniform_pure_outputs:
         dec = SchattenDecomposition(weights=weights[0], vectors=vectors[0])
         value = _dual_route(rho.matrix, ch, dec, rho_factor).value
         return MutualResult(value=value, decomposition=dec, converged=True, evals=1)

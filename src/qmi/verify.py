@@ -58,6 +58,8 @@ from .operators import (
     partial_trace,
     purify,
     pure_state,
+    schatten_family,
+    schatten_param_count,
     unitary_from_params,
 )
 from .sampling import (
@@ -267,6 +269,17 @@ def _suite_mutual(rng, budget: SearchBudget) -> SuiteResult:
     chained = cqc_mutual_entropy(inst).value
     chi = holevo_bound(weights, coded, ch)
     checks.append(_check("decoded information stays under the output bound", chained - chi, 1e-7))
+
+    # Through a depolarizing or an isometric channel the Ohya value is the
+    # canonical decomposition's, unsearched: every rotation must agree.
+    u = random_unitary(3, rng)
+    rho = DensityOperator((u * np.array([0.4, 0.4, 0.2])) @ u.conj().T)
+    spread = 0.0
+    for ch in (depolarizing_channel(0.3, 3), random_kraus_channel(3, 4, 1, rng)):
+        canonical = ohya_mutual_entropy(rho, ch, budget).value
+        dec = schatten_family(rho, rng.normal(size=schatten_param_count(rho)))
+        spread = max(spread, abs(mutual_entropy_fixed(rho, ch, dec).value - canonical))
+    checks.append(_check("certified channels give every decomposition the canonical value", spread, 1e-12))
     return SuiteResult(name="mutual", checks=tuple(checks))
 
 

@@ -148,9 +148,17 @@ def test_family_objective(monkeypatch, family):
 def test_survey_and_ray_objectives(monkeypatch):
     rng = rng_from(509)
     rho = _degenerate_state(rng)
-    ch = depolarizing_channel(0.3, 3)
+    ch = random_kraus_channel(3, 3, 3, rng)  # full-rank outputs, so the fixed-block rays are searched
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY))
     _check_all(found, ["_ohya_suprema.<locals>.objective", "_q_value.<locals>.objective"], 510)
+    # Through a depolarizing channel every decomposition has one value: the
+    # survey scores the canonical one once, so no Schatten search runs, and c = d.
+    levels = {}
+    found = _captured(monkeypatch, lambda: levels.update(qdc_hierarchy(rho, depolarizing_channel(0.3, 3), TINY)))
+    assert "_ohya_suprema.<locals>.objective" not in {name for name, _ in found}
+    assert levels["c"].evals == levels["d"].evals == 1
+    assert levels["c"].value == levels["d"].value
+    _check_all(found, ["_q_value.<locals>.objective"], 510)
     # Released output blocks add the diagonal-block parameters to each ray.
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY, fix_output_blocks=False))
     _check_all(found, ["_q_value.<locals>.objective"], 512)
@@ -296,20 +304,35 @@ def test_stacked_suprema_equal_lone_ohya_searches(d_out, n_ops):
         assert np.array_equal(mine.decomposition.vectors, fresh.decomposition.vectors)
 
 
-@pytest.mark.parametrize("ch, family, degenerate", [
-    (depolarizing_channel(0.2, 3), StateFamily("full", 3), True),
+@pytest.mark.parametrize("ch, family, searched", [
+    # The flat start I/3 stays the maximizer at this budget: a degenerate state.
+    (random_kraus_channel(3, 3, 2, rng_from(517)), StateFamily("full", 3), True),
     (amplitude_damping_channel(0.3), StateFamily("full", 2), False),
     (random_kraus_channel(3, 3, 2, rng_from(516)), StateFamily("rank", 3, 2), True),
+    # So it does through a depolarizing channel, where every decomposition has
+    # one value: no inner search runs, at I/3 or at any other member.
+    (depolarizing_channel(0.2, 3), StateFamily("full", 3), False),
 ])
-def test_the_maximizer_keeps_its_inner_search(ch, family, degenerate):
+def test_the_maximizer_keeps_its_inner_search(monkeypatch, ch, family, searched):
     # The Ohya result at the maximizer comes from the family search's own inner
     # search; it is the one a fresh search at that state finds.
+    sizes = []
+    many = mutual.maximize_many
+
+    def recording(objective_rows, n_problems, n_params, budget, starts=()):
+        sizes.append(n_params)
+        return many(objective_rows, n_problems, n_params, budget, starts)
+
+    monkeypatch.setattr(mutual, "maximize_many", recording)
     budget = SearchBudget(2, 40, seed=31)
     report, _, ohya = capacity._quantum_search(ch, family, budget)
     fresh = ohya_mutual_entropy(DensityOperator(report.maximizer["state"]), ch, budget.child(1))
     assert report.value == ohya.value == fresh.value
     assert (ohya.evals, ohya.converged) == (fresh.evals, fresh.converged)
-    assert (ohya.evals > 1) is degenerate
+    assert (ohya.evals > 1) is searched
+    if ch.uniform_pure_outputs:
+        assert np.ptp(np.linalg.eigvalsh(report.maximizer["state"])) < 1e-12
+        assert set(sizes) == {0}
     assert np.array_equal(ohya.decomposition.weights, fresh.decomposition.weights)
     assert np.array_equal(ohya.decomposition.vectors, fresh.decomposition.vectors)
 
