@@ -25,7 +25,7 @@ from .mutual import (
     _split_search,
     _sqrt_psd,
 )
-from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _rotated, as_probability
+from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _rotated, as_probability, hermitian_part
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
@@ -86,14 +86,14 @@ class CapacityReport:
 
 
 def _normalized_grams(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A A^dag / tr (Hermitian part) for each factor A of rows of stacked factors
-    (rows, K, d, r), and per row whether every trace is at least 1e-12 (the
-    grams of other rows are not meaningful)."""
+    """A A^dag / tr (Hermitian part) for each factor A of a stack (rows, d, r),
+    and per row whether its trace is at least 1e-12 (the grams of other rows
+    are not meaningful)."""
     m = factors @ factors.conj().swapaxes(-1, -2)
     tr = np.real(np.trace(m, axis1=-2, axis2=-1))
-    traced = np.min(tr, axis=-1) >= 1e-12
-    m = m / np.where(traced[:, None], tr, 1.0)[..., None, None]
-    return (m + m.conj().swapaxes(-1, -2)) / 2, traced
+    traced = tr >= 1e-12
+    m = m / np.where(traced, tr, 1.0)[:, None, None]
+    return hermitian_part(m), traced
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ class StateFamily:
             diag = np.arange(self.dim)
             mats[:, diag, diag] = softmax(points)
             return mats, np.ones(len(points), dtype=bool)
-        grams, traced = _normalized_grams(_complex_stack(points, 1, self.dim, self.effective_rank))
-        return grams[:, 0], traced
+        return _normalized_grams(_complex_stack(points, 1, self.dim, self.effective_rank)[:, 0])
 
     def supremum(self, value_rows, budget: SearchBudget) -> tuple[SearchResult, DensityOperator | None]:
         """Maximize a batch objective over the family from its candidate starts.
@@ -622,7 +621,7 @@ def _decoding_step(channel, weights, codes, dists, effects) -> np.ndarray | None
     the identity to be PSD; None when R is singular or the effects no
     longer sum to the identity within 1e-9 (KRAUS_TOL, the Povm check's)."""
     grads = np.einsum("k,kj,kab->jab", weights, _log_ratios(weights, dists), apply_matrix(channel, codes))
-    grads = (grads + grads.conj().swapaxes(-1, -2)) / 2
+    grads = hermitian_part(grads)
     eye = np.eye(grads.shape[-1])
     grads = grads - np.min(np.linalg.eigvalsh(grads)) * eye
     for _ in range(_DECODING_ITERATIONS):
@@ -632,7 +631,7 @@ def _decoding_step(channel, weights, codes, dists, effects) -> np.ndarray | None
             return None
         inv_root = (v / np.sqrt(w)) @ v.conj().T
         effects = inv_root @ terms @ inv_root
-        effects = (effects + effects.conj().swapaxes(-1, -2)) / 2
+        effects = hermitian_part(effects)
     if np.max(np.abs(effects.sum(axis=0) - eye)) > KRAUS_TOL:
         return None
     return effects

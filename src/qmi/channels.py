@@ -294,14 +294,14 @@ def _square_root_povm_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     factors_dag = factors.conj().swapaxes(-1, -2)
     s = (factors_dag @ factors).sum(axis=1)
-    w, v = np.linalg.eigh((s + s.conj().swapaxes(-1, -2)) / 2)
+    w, v = np.linalg.eigh(hermitian_part(s))
     floor = np.maximum(1e-10 * np.max(w, axis=-1), 1e-300)
     w = np.clip(w, floor[:, None], None)
     inv_sqrt = ((v * (1.0 / np.sqrt(w))[:, None, :]) @ v.conj().swapaxes(-1, -2))[:, None]
     effects = inv_sqrt @ factors_dag @ factors @ inv_sqrt
-    effects = (effects + effects.conj().swapaxes(-1, -2)) / 2
+    effects = hermitian_part(effects)
     residual = np.eye(s.shape[-1]) - effects.sum(axis=1)
-    rw, rv = np.linalg.eigh((residual + residual.conj().swapaxes(-1, -2)) / 2)
+    rw, rv = np.linalg.eigh(hermitian_part(residual))
     rw = np.clip(rw, 0.0, None)
     completed = np.sum(rw, axis=-1) > 1e-12
     completion = np.where(

@@ -30,10 +30,8 @@ from .entropy import _entropy_rows, product_relative_entropy, von_neumann_entrop
 from .mutual import (
     DUAL_ROUTE_TOL,
     CompoundState,
-    _check_dims,
-    _checked_ohya,
     _compound_matrix,
-    _ohya_suprema,
+    _ohya_at,
     _transmitted,
     mutual_entropy_fixed,
 )
@@ -51,6 +49,7 @@ from .operators import (
     as_probability,
     eigenbasis,
     hermitian_from_params,
+    hermitian_part,
     partial_trace,
     purify,
 )
@@ -367,13 +366,11 @@ def q_entropy_closed_form(blocks) -> float:
     cross = 0.0
     for mu, sig in zip(mus, (b[1] for b in blocks)):
         mat = as_complex_matrix(sig, "sigma")
-        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-        s_hat = float(-np.sum(w[w > ZERO_TOL] * np.log(w[w > ZERO_TOL])))
+        w = np.linalg.eigvalsh(hermitian_part(mat))
         if mu > ZERO_TOL:
-            sub = mu * w
-            sub = sub[sub > ZERO_TOL]
-            total += mu * math.log(mu) - 2.0 * float(np.sum(sub * np.log(sub)))
-            cross += -mu * math.log(mu) + 2.0 * mu * s_hat
+            # -tr sigma_i ln sigma_i of the subnormalized block is the entropy of its spectrum mu_i w.
+            total += mu * math.log(mu) + 2.0 * float(_entropy_rows(mu * w))
+            cross += -mu * math.log(mu) + 2.0 * mu * float(_entropy_rows(w))
     if abs(total - cross) > 1e-10:
         raise ConsistencyError(
             f"block-entropy forms disagree: {total!r} vs {cross!r}"
@@ -704,12 +701,13 @@ def _class_reports(
     """The requested class values at rho, or their capacities when rho is None,
     all read from one search.
 
-    d is that search's maximizer, checked once as `ohya_mutual_entropy` (at
-    rho) or `quantum_capacity` (rho None) checks it. Its decomposition goes
-    through the channel once more, and those outputs give both its
-    commutation defect and q's rays. c is d when d's outputs commute, and
-    otherwise the best commuting offer, checked by `mutual_entropy_fixed`
-    only here, where it is reported. Either way c <= d holds.
+    d is `ohya_mutual_entropy`'s result at rho (`mutual._ohya_at`, which
+    offers c nothing when it runs no search) or `quantum_capacity`'s checked
+    maximizer. Its decomposition goes through the channel once more, and
+    those outputs give both its commutation defect and q's rays. c is d when
+    d's outputs commute, and otherwise the best commuting offer, checked by
+    `mutual_entropy_fixed` only here, where it is reported, or infeasible
+    when there is none. Either way c <= d holds.
     """
     commuting = _BestCommuting()
     if rho is None:
@@ -719,18 +717,11 @@ def _class_reports(
             raise ConsistencyError("no finite decomposition value found")
         state = DensityOperator(result.maximizer["state"])
     else:
-        _check_dims(rho.dim, ch)
         inner, state = budget, rho
-        ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, commuting.observe)
-        if not math.isfinite(result.value):
-            raise ConsistencyError("no finite decomposition value found")
-        ohya = _checked_ohya(rho, ch, _rotated(*support, result.params), result)
+        result = ohya = _ohya_at(rho, ch, budget, commuting.observe)
     d_value, dec, c = float(ohya.value), ohya.decomposition, commuting.record
     outputs = _transmitted(ch, dec)
-    if rho is not None and c is not None and c.params.tobytes() == result.params.tobytes():
-        defect = c.commute_defect  # the maximizer is the best commuting offer, its defect already measured
-    else:
-        defect = _commutation_defect(outputs)
+    defect = _commutation_defect(outputs)
 
     def report(tag: str, value: float, state=state, dec=dec, evals=result.evals, **notes) -> CapacityReport:
         return CapacityReport(
@@ -799,22 +790,23 @@ def qdc_hierarchy(
 ) -> dict[str, CapacityReport]:
     """All three class-constrained values, ordered c <= d <= q by construction.
 
-    At fixed rho the search is the Ohya search of its decompositions, and d
-    is its checked maximizer, exactly what `ohya_mutual_entropy` returns.
-    For the capacities (rho None) the search is `quantum_capacity`'s over
-    the `full` state family, and d is its checked maximizer, so d is the
-    quantum capacity at the same budget. Either search feeds a running best
+    At fixed rho d is `ohya_mutual_entropy(rho, ch, search)`, from the same
+    code, so a nondegenerate rho, or any rho through a channel with
+    `uniform_pure_outputs`, is valued at its canonical decomposition with no
+    search. For the capacities (rho None) the search is `quantum_capacity`'s
+    over the `full` state family, and d is its checked maximizer, so d is
+    the quantum capacity at the same budget. A search feeds a running best
     record among decompositions with commuting outputs (c), over all states
     visited; c is d when d's outputs commute. Through a channel with
-    `uniform_pure_outputs` the search scores one row per state, its
-    canonical decomposition, and c = d: the outputs a |v_k><v_k| + b I of
-    the depolarizing form, or the orthogonal pure outputs of an isometry,
+    `uniform_pure_outputs` c = d: the outputs a |v_k><v_k| + b I of the
+    depolarizing form, or the orthogonal pure outputs of an isometry,
     commute. q steps along rays out of d's
     diagonal compound and never falls below it; with rho None its ray search
     runs on `search.child(1)`. d is sent through the channel once more, for
     its commutation defect and q's rays, and a c that is not d is validated
     once, its value recomputed by `mutual_entropy_fixed`. `evals` counts the
     objective calls of the outermost search (the decomposition search at
-    fixed rho, the state search otherwise), plus the ray search's for q.
+    fixed rho, 1 when none runs; the state search otherwise), plus the ray
+    search's for q.
     """
     return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)

@@ -24,13 +24,9 @@ from .operators import (
 SUPPORT_TOL = 1e-9
 
 
-def _entropy_from_eigenvalues(w: np.ndarray) -> float:
-    lam = w[w > ZERO_TOL]
-    return float(-np.sum(lam * np.log(lam)))
-
-
 def _entropy_rows(w: np.ndarray) -> np.ndarray:
-    """Entropies of a stack of eigenvalue rows, one per leading index."""
+    """Entropies of a stack of eigenvalue rows, one per leading index: the one
+    kernel every spectrum's entropy goes through, a single row included."""
     support = w > ZERO_TOL
     return -np.sum(np.where(support, w * np.log(np.where(support, w, 1.0)), 0.0), axis=-1)
 
@@ -38,8 +34,7 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr rho ln rho over the support eigenvalues."""
     a = as_complex_matrix(rho, "rho")
-    w = np.linalg.eigvalsh(hermitian_part(a))
-    return _entropy_from_eigenvalues(w)
+    return float(_entropy_rows(np.linalg.eigvalsh(hermitian_part(a))))
 
 
 def umegaki_relative_entropy(rho, sigma) -> float:
@@ -86,7 +81,7 @@ def _relative_entropy_rows(rhos: np.ndarray, factor: tuple) -> np.ndarray:
     """
     vk, vsup, log_w = _log_sigma_split(factor)
     leaks = np.real(np.einsum("ij,bjk,ki->b", vk.conj().T, rhos, vk))
-    entropies = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(hermitian_part(rhos))])
+    entropies = _entropy_rows(np.linalg.eigvalsh(hermitian_part(rhos)))
     log_sigma = (vsup * log_w) @ vsup.conj().T
     traces = np.real(np.trace(rhos @ log_sigma, axis1=-2, axis2=-1))
     return np.where(leaks > SUPPORT_TOL, math.inf, -entropies - traces)
@@ -163,8 +158,7 @@ def _product_relative_entropy(joint_entropy: float, m_in, m_out, left: tuple, ri
 
 def shannon_entropy(p) -> float:
     """H(p) = -sum p ln p."""
-    v = as_probability(p)
-    return _entropy_from_eigenvalues(v)
+    return float(_entropy_rows(as_probability(p)))
 
 
 def kl_divergence(p, q) -> float:

@@ -23,13 +23,11 @@ import numpy as np
 from .channels import KrausChannel, _square_root_povm_rows, apply_matrix
 from .entropy import (
     _compound_relative_entropy,
-    _entropy_from_eigenvalues,
     _entropy_rows,
     _factored,
     _image_relative_entropy_rows,
     _product_relative_entropy,
     _relative_entropy_rows,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from .operators import (
@@ -173,7 +171,7 @@ def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray) -> tuple:
     factor = (overlaps * np.outer(scale, scale)).repeat(n_r, axis=0).repeat(n_r, axis=1)
     columns = images.swapaxes(0, 1).reshape(images.shape[1], -1)  # column k r is K_r v_k
     grams = columns.conj().T @ columns
-    joint = _entropy_from_eigenvalues(np.linalg.eigvalsh(grams * factor))
+    joint = float(_entropy_rows(np.linalg.eigvalsh(grams * factor)))
     traces = np.real(np.diagonal(grams)).reshape(-1, n_r).sum(axis=1)
     m_in = (v * (weights * traces)) @ v.conj().T
     m_out = (columns * (weights * np.real(np.diagonal(overlaps))).repeat(n_r)) @ columns.conj().T
@@ -255,7 +253,7 @@ class _MutualEvaluator:
             self.image_shape = None
             self.parts = self.vectors.swapaxes(-1, -2).copy()
         out_avg = hermitian_part(apply_matrix(ch, rho_mats))
-        self.out_entropy = np.array([_entropy_from_eigenvalues(w) for w in np.linalg.eigvalsh(out_avg)])
+        self.out_entropy = _entropy_rows(np.linalg.eigvalsh(out_avg))
 
     def _rows(self, points: np.ndarray, owners) -> np.ndarray:
         """The parts (rows, K, n) of the decomposition `schatten_family(rho, p)`
@@ -437,8 +435,16 @@ def ohya_mutual_entropy(
     unitary rotations by `_ohya_suprema`: its best decomposition is rebuilt
     from the support eigen-data the search rotated and re-evaluated with the
     dual-route consistency check (`_checked_ohya`). rho is factored once,
-    for its support and for the check's compound route.
+    for its support and for the check's compound route. The fixed-rho
+    `qdc_hierarchy` runs this same path (`_ohya_at`).
     """
+    return _ohya_at(rho, ch, search or SearchBudget())
+
+
+def _ohya_at(rho: DensityOperator, ch: KrausChannel, budget: SearchBudget, observe=None) -> MutualResult:
+    """`ohya_mutual_entropy` on `budget`. `observe` goes to `_ohya_suprema`
+    when a search runs; the no-search path calls no observer. Raises
+    ConsistencyError when the search finds no finite value."""
     _check_dims(rho.dim, ch)
     eigen = _eigh_descending(rho.matrix[None])
     layouts = _support_layouts(rho.matrix[None], eigen)
@@ -448,7 +454,9 @@ def ohya_mutual_entropy(
         dec = SchattenDecomposition(weights=weights[0], vectors=vectors[0])
         value = _dual_route(rho.matrix, ch, dec, rho_factor).value
         return MutualResult(value=value, decomposition=dec, converged=True, evals=1)
-    ((result, support),) = _ohya_suprema(ch, rho.matrix[None], search or SearchBudget(), layouts=layouts)
+    ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, observe, layouts)
+    if not math.isfinite(result.value):
+        raise ConsistencyError("no finite decomposition value found")
     return _checked_ohya(rho, ch, _rotated(*support, result.params), result, rho_factor)
 
 
@@ -470,11 +478,10 @@ def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
     if np.max(np.abs(outputs[:, ~np.eye(ch.out_dim, dtype=bool)]), initial=0.0) > DIAGONAL_TOL:
         raise ValueError("channel does not map diagonal states to diagonal states")
     avg = sum(lam * out for lam, out in zip(weights, outputs))
-    dists = [np.clip(np.real(np.diagonal(out)), 0.0, None) for out in outputs]
-    avg_dist = np.clip(np.real(np.diagonal(avg)), 0.0, None)
-    shannon = shannon_entropy(avg_dist) - sum(
-        lam * shannon_entropy(d) for lam, d in zip(weights, dists) if lam > 1e-15
-    )
+    keep = weights > 1e-15
+    stack = np.concatenate([outputs[keep], avg[None]])  # the kept outputs, then their average
+    entropies = _entropy_rows(np.clip(np.real(np.diagonal(stack, axis1=-2, axis2=-1)), 0.0, None))
+    shannon = float(entropies[-1] - weights[keep] @ entropies[:-1])
     quantum = _component_route(weights, outputs, _factored(avg))
     result = DualRouteValue(value=shannon, cross_value=quantum)
     if result.defect > 1e-8:
@@ -499,11 +506,10 @@ def holevo_bound(p, coded, ch: KrausChannel) -> float:
         _check_dims(DensityOperator(s).dim, ch)
     outputs = apply_matrix(ch, np.stack(states))
     avg = sum(lam * out for lam, out in zip(weights, outputs))
-    return von_neumann_entropy(avg) - sum(
-        lam * von_neumann_entropy(out)
-        for lam, out in zip(weights, outputs)
-        if lam > 1e-15
-    )
+    keep = weights > 1e-15
+    stack = np.concatenate([outputs[keep], avg[None]])  # the kept outputs, then their average
+    entropies = _entropy_rows(np.linalg.eigvalsh(hermitian_part(stack)))
+    return float(entropies[-1] - weights[keep] @ entropies[:-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -256,15 +256,15 @@ class SchattenDecomposition:
 
 
 def _support_blocks(rho) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """Eigen-data of the support: (weights desc, vectors, degenerate slices)."""
-    w, v = eigenbasis(rho)
-    keep = w > ZERO_TOL
-    w, v = w[keep], v[:, keep]
-    return w, v, _group_eigenvalues(w)
+    """Eigen-data of the support: (weights desc, vectors, degenerate slices),
+    the `_support_layouts` of rho alone."""
+    ((_, w, v, slices),) = _support_layouts(as_complex_matrix(rho, "rho")[None])
+    return w[0], v[0], slices
 
 
 def _support_layouts(mats: np.ndarray, eigen=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[slice]]]:
-    """`_support_blocks` of each matrix of a stack (S, d, d), grouped by support layout.
+    """The support eigen-data (weights desc, vectors, degenerate slices) of
+    each matrix of a stack (S, d, d), grouped by support layout.
 
     Matrices share a layout when their supports have the same rank and the
     same eigenvalue slices. One batched eigh serves the whole stack; its

@@ -152,7 +152,7 @@ def test_survey_and_ray_objectives(monkeypatch):
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY))
     _check_all(found, ["_ohya_suprema.<locals>.objective", "_q_value.<locals>.objective"], 510)
     # Through a depolarizing channel every decomposition has one value: the
-    # survey scores the canonical one once, so no Schatten search runs, and c = d.
+    # hierarchy values d at the canonical one with no search, and c = d.
     levels = {}
     found = _captured(monkeypatch, lambda: levels.update(qdc_hierarchy(rho, depolarizing_channel(0.3, 3), TINY)))
     assert "_ohya_suprema.<locals>.objective" not in {name for name, _ in found}

@@ -313,7 +313,10 @@ def test_fixed_state_hierarchy_surveys_once(monkeypatch):
 
 
 def test_full_rank_outputs_run_one_ray_search(monkeypatch):
-    assert _hierarchy_searches(monkeypatch, depolarizing_channel(0.3, 3)) == 2  # survey, ray search
+    # Every decomposition through a depolarizing channel has one value, so d
+    # is valued once with no survey, as ohya_mutual_entropy values it; the
+    # one search call left is the ray search.
+    assert _hierarchy_searches(monkeypatch, depolarizing_channel(0.3, 3)) == 1
 
 
 def test_identity_channel_q_needs_no_ray_search():
@@ -514,3 +517,40 @@ def test_q_stays_within_the_entropy_bound_on_random_channels():
         q = qdc_hierarchy(rho, ch, TINY)["q"].value
         out = apply_matrix(ch, rho.matrix)
         assert q <= 2 * min(von_neumann_entropy(rho.matrix), von_neumann_entropy(out)) + 1e-12
+
+
+@pytest.mark.parametrize("case", ["identity", "depolarizing", "two operators"])
+def test_a_fixed_state_hierarchy_takes_the_ohya_path_without_a_search(monkeypatch, case):
+    # At a state with a unique decomposition, or through a channel whose pure
+    # outputs share one entropy, d is ohya_mutual_entropy's own no-search
+    # value: no Schatten search runs, and so nothing is offered to c.
+    import qmi.mutual
+
+    rho, ch = {
+        "identity": (np.diag([0.5, 0.3, 0.2]), identity_channel(3)),
+        "depolarizing": (np.diag([0.4, 0.4, 0.2]), depolarizing_channel(0.3, 3)),
+        "two operators": (np.diag([0.5, 0.3, 0.2]), _rk(3, 0)),
+    }[case]
+    rho, budget = DensityOperator(rho), SearchBudget(2, 40, seed=5)
+    want = ohya_mutual_entropy(rho, ch, budget)
+    calls = []
+    for name in ("maximize_many", "_ohya_suprema"):
+        monkeypatch.setattr(qmi.mutual, name, lambda *args, name=name, **kwargs: calls.append(name))
+    levels = qdc_hierarchy(rho, ch, budget)
+    assert calls == []
+    c, d, q = (levels[t] for t in "cdq")
+    assert d.value == want.value and (d.evals, d.converged) == (1, True)
+    assert q.value >= d.value
+    if case == "two operators":  # rank-2 outputs that do not commute
+        assert (c.value, c.notes["feasible"], c.maximizer["decomposition"]) == (0.0, False, None)
+        assert abs(d.value - 0.664158) < 1e-6
+        assert q.evals == 1
+        return
+    assert c.maximizer["decomposition"] is d.maximizer["decomposition"]
+    assert (c.value, c.evals, c.notes["feasible"]) == (d.value, 1, True)
+    if case == "identity":
+        assert abs(d.value - von_neumann_entropy(rho.matrix)) < 1e-12
+        assert abs(q.value - 2 * von_neumann_entropy(rho.matrix)) < 1e-12
+        assert q.evals == 1
+    else:
+        assert q.evals == 121  # the canonical decomposition, then 120 ray evaluations

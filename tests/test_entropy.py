@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmi.entropy import (
+    _entropy_rows,
     kl_divergence,
     product_relative_entropy,
     shannon_entropy,
@@ -138,3 +139,15 @@ def test_relative_entropy_equals_the_direct_formula_bit_for_bit():
             a = u @ random_density(rank, rng).matrix @ u.conj().T
         b = u @ random_density(rank, rng).matrix @ u.conj().T
         assert umegaki_relative_entropy(a, b) == _umegaki_direct(a, b)
+
+
+def test_von_neumann_entropy_is_a_row_of_the_stacked_kernel():
+    # One kernel takes every spectrum's entropy: a matrix alone scores, bit for
+    # bit, what its row of a stacked eigvalsh scores, rank-deficient ones too.
+    rng = rng_from(24)
+    for d in range(2, 25):
+        stack = np.stack([random_density(d, rng, rank=r).matrix for r in sorted({1, max(1, d // 3), d - 1, d})])
+        rows = _entropy_rows(np.linalg.eigvalsh(stack))
+        for i, m in enumerate(stack):
+            got = von_neumann_entropy(m)
+            assert type(got) is float and got == rows[i]

@@ -260,6 +260,44 @@ def test_holevo_bound_of_orthogonal_pure_states():
     assert abs(holevo_bound(weights, coded, identity_channel(2)) - math.log(2.0)) < 1e-12
 
 
+def _zero_first_letter(p: np.ndarray, case: int) -> np.ndarray:
+    """p with its first letter's weight set to 0 on every third case."""
+    if case % 3 == 0:
+        p = p.copy()
+        p[0] = 0.0
+        p /= p.sum()
+    return p
+
+
+def test_chi_from_one_stacked_spectrum_matches_the_per_state_loop():
+    # holevo_bound and classical_mutual_entropy take every entropy from one
+    # stacked eigvalsh (one stack of diagonals); a loop of von_neumann_entropy
+    # (shannon_entropy) calls over the letters of weight above 1e-15 agrees.
+    for case in range(120):
+        rng = rng_from(4000 + case)
+        d, n = 2 + case % 4, 2 + case % 4
+        ch = random_kraus_channel(d, d, 1 + case % 3, rng)
+        p = _zero_first_letter(random_probability(n, rng), case)
+        coded = [random_density(d, rng, rank=1 + (case + k) % d).matrix for k in range(n)]
+        outputs = apply_matrix(ch, np.stack(coded))
+        avg = sum(lam * out for lam, out in zip(p, outputs))
+        mixed = sum(lam * von_neumann_entropy(out) for lam, out in zip(p, outputs) if lam > 1e-15)
+        want = von_neumann_entropy(avg) - mixed
+        assert abs(holevo_bound(p, coded, ch) - want) <= 1e-15
+
+        transition = rng.random((d, d))
+        transition[0] *= case % 2  # an output letter never reached on even cases
+        transition /= transition.sum(axis=0)
+        ch = classical_channel(transition)
+        p = _zero_first_letter(random_probability(d, rng), case)
+        outputs = apply_matrix(ch, np.stack([np.diag(row).astype(complex) for row in np.eye(d)]))
+        avg = sum(lam * out for lam, out in zip(p, outputs))
+        dists = [np.clip(np.real(np.diagonal(m)), 0.0, None) for m in [avg, *outputs]]
+        mixed = sum(lam * shannon_entropy(q) for lam, q in zip(p, dists[1:]) if lam > 1e-15)
+        want = shannon_entropy(dists[0]) - mixed
+        assert abs(classical_mutual_entropy(p, ch).value - want) <= 1e-15
+
+
 def test_cqc_chain_with_projective_readout_is_shannon():
     # orthogonal coding + projective decoding through the identity is a
     # noiseless classical channel
