@@ -25,7 +25,7 @@ from .mutual import (
     _split_search,
     _sqrt_psd,
 )
-from .operators import ZERO_TOL, ConsistencyError, DensityOperator, _rotated, as_probability, hermitian_part
+from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability, hermitian_part
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
@@ -370,13 +370,15 @@ def quantum_capacity(
     """sup over the state family of the mutual entropy through the channel.
 
     Each round of family members has its inner Ohya suprema solved together
-    (`mutual._ohya_suprema`), on budget.child(1). The inner result of the
+    (`mutual._ohya_suprema`, the lockstep gradient ascent of
+    `ohya_mutual_entropy`), on budget.child(1). The inner result of the
     maximizing state is kept, not searched again: its decomposition is
-    rebuilt from the support eigen-data that search rotated and dual-route
+    built from the support vectors that search returned and dual-route
     checked as `ohya_mutual_entropy` does, and that checked value is
-    reported. Through a channel with `uniform_pure_outputs` no inner search
-    runs: each member, the flat start I/d and degenerate diagonal points
-    included, is scored once at its canonical decomposition.
+    reported; `evals` and `converged` are the family search's. Through a
+    channel with `uniform_pure_outputs` no inner search runs: each member,
+    the flat start I/d and degenerate diagonal points included, is scored
+    once at its canonical decomposition.
     `qdc_hierarchy(None, ...)` reads this same search, so its d capacity is
     this value.
     """
@@ -391,7 +393,7 @@ def _quantum_search(
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
-    found = {}  # the inner (result, support) of each evaluated member, by the member's bytes
+    found = {}  # the inner (result, support weights) of each evaluated member, by the member's bytes
 
     def value_rows(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
         mats = mats[traced]
@@ -406,10 +408,9 @@ def _quantum_search(
     if best_state is not None:
         # state_from_params rebuilds the member as the search's round built it,
         # and DensityOperator keeps an exactly Hermitian member bit for bit.
-        if (inner_best := found.get(best_state.matrix.tobytes())) is None:
+        if (kept := found.get(best_state.matrix.tobytes())) is None:
             raise ConsistencyError("the maximizing state, rebuilt from its parameters, is no evaluated member")
-        inner_result, support = inner_best
-        ohya = _checked_ohya(best_state, ch, _rotated(*support, inner_result.params), inner_result)
+        ohya = _checked_ohya(best_state, ch, *kept)
     report = CapacityReport(
         value=result.value if ohya is None else ohya.value,
         converged=result.converged,

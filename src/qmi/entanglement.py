@@ -43,7 +43,6 @@ from .operators import (
     _check_finite,
     _eigh_descending,
     _fix_phases,
-    _rotated,
     _upper_indices,
     as_complex_matrix,
     as_probability,
@@ -420,23 +419,21 @@ def conditional_and_degree(compound) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class _DecRecord:
-    """One scored Schatten decomposition: its state matrix, the support
-    eigen-data its search rotated (weights, vectors, degenerate blocks) and
-    its parameters."""
+    """One scored Schatten decomposition: its state matrix, support weights
+    and the rotated support vectors its search scored."""
 
     value: float
     commute_defect: float
     rho_mat: np.ndarray
-    support: tuple
-    params: np.ndarray
+    weights: np.ndarray
+    vectors: np.ndarray
 
     @property
     def key(self) -> tuple[float, float]:
         return (self.value, -self.commute_defect)
 
     def decomposition(self) -> SchattenDecomposition:
-        """The decomposition, as `schatten_family(rho_mat, params)` builds it."""
-        return _rotated(*self.support, self.params)
+        return SchattenDecomposition(weights=self.weights, vectors=self.vectors)
 
 
 class _BestCommuting:
@@ -444,27 +441,28 @@ class _BestCommuting:
 
     `observe` is an observer of `mutual._ohya_suprema`: it computes the
     commutation defects of each scored batch and offers its commuting rows
-    in order. Non-finite values are skipped. Records rank by
-    (value, -commute_defect), and a record replaces the kept one only when
-    its key is strictly greater, so the first maximum in offer order is
-    kept. Offers come in lockstep order: an Ohya search offers round by
-    round, each round's rows by state and then by restart. A round of family
-    members runs the Ohya searches of its support layouts one after another,
-    in order of their first member. So when two commuting points tie
-    exactly, the record is the one offered first, not necessarily that of
-    the earlier restart or member.
+    in order, keeping each record's state, weights and vectors. Non-finite
+    values are skipped. Records rank by (value, -commute_defect), and a
+    record replaces the kept one only when its key is strictly greater, so
+    the first maximum in offer order is kept. Offers come in lockstep
+    order: an Ohya search offers its starts, then round by round, each
+    round's rows by state, then restart, then trial step. A round of family
+    members runs the Ohya searches of its support layouts one after
+    another, in order of their first member. So when two commuting points
+    tie exactly, the record is the one offered first, not necessarily that
+    of the earlier restart or member.
     """
 
     def __init__(self):
         self.record: _DecRecord | None = None
 
-    def observe(self, mats: np.ndarray, support: tuple, points: np.ndarray, outputs: np.ndarray, values: np.ndarray):
-        weights, vectors, blocks = support
+    def observe(self, mats: np.ndarray, weights: np.ndarray, vectors: np.ndarray, outputs: np.ndarray,
+                values: np.ndarray):
         for i, (value, defect) in enumerate(zip(values.tolist(), _commutation_defects(outputs).tolist())):
             if not (math.isfinite(value) and defect <= COMMUTE_TOL):
                 continue
             if self.record is None or (value, -defect) > self.record.key:
-                self.record = _DecRecord(value, defect, mats[i], (weights[i], vectors[i], blocks), points[i].copy())
+                self.record = _DecRecord(value, defect, mats[i], weights[i], vectors[i].copy())
 
 
 def _commutation_defect(outputs) -> float:
@@ -804,9 +802,11 @@ def qdc_hierarchy(
     diagonal compound and never falls below it; with rho None its ray search
     runs on `search.child(1)`. d is sent through the channel once more, for
     its commutation defect and q's rays, and a c that is not d is validated
-    once, its value recomputed by `mutual_entropy_fixed`. `evals` counts the
-    objective calls of the outermost search (the decomposition search at
-    fixed rho, 1 when none runs; the state search otherwise), plus the ray
-    search's for q.
+    once, its value recomputed by `mutual_entropy_fixed`. The c record
+    sees every row the Schatten ascent scores, its starts and all its trial
+    steps, and keeps that row's support vectors. `evals` counts the rows
+    of the outermost search (the decomposition search at fixed rho, 1 when
+    none runs; the state search otherwise), plus the ray search's for q;
+    `converged` is that search's flag.
     """
     return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)

@@ -34,17 +34,16 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
-    _block_param_count,
-    _block_rotations,
+    ZERO_TOL,
     _eigh_descending,
-    _rotated,
     _support_layouts,
     as_complex_matrix,
     as_probability,
     hermitian_part,
     partial_trace,
 )
-from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, maximize_many
+from .sampling import random_unitary
+from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch
 
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
@@ -206,7 +205,7 @@ class _MutualEvaluator:
     """The fixed work of the mutual-entropy searches for a stack of states.
 
     The states share one support layout (rank and eigenvalue slices), so
-    one set of Schatten parameters indexes the decompositions of each.
+    one rotation per degenerate block indexes the decompositions of each.
     Built once per search: the support eigen-data of every state (weights
     (S, r), vectors (S, d, r)), each S(ch(rho)), and the parts of the
     canonical components that a rotation of a degenerate block mixes
@@ -221,13 +220,12 @@ class _MutualEvaluator:
     out-square outputs: of the vectors v_k through the transfer matrix for
     a wide channel (`KrausChannel.wide`), else of the images. A rotation
     multiplies only its block's parts. Outputs are formed on the Gram side
-    only for an observer (`observed`).
+    only for an observer (`outputs`).
 
-    Every method takes a batch of rows, one per parameter point, and treats
-    each row alone; `owners` gives each row's state, and None means state 0.
-    Each row's value is, bit for bit, what an evaluator of its state alone
-    gives it. Nothing here is validated; the searches check their maximizer
-    instead.
+    Every method takes a batch of rows of parts, one per decomposition, and
+    treats each row alone; `owners` gives each row's state. Each row's
+    result is, bit for bit, what an evaluator of its state alone gives it.
+    Nothing here is validated; the searches check their maximizer instead.
     """
 
     def __init__(self, rho_mats: np.ndarray, ch: KrausChannel, support=None):
@@ -240,7 +238,6 @@ class _MutualEvaluator:
         self.weights, self.vectors, blocks = support
         self.size = len(rho_mats)
         self.blocks = [s for s in blocks if s.stop - s.start >= 2]
-        self.n_params = sum(_block_param_count(s.stop - s.start) for s in self.blocks)
         self.channel = ch
         n_r, d_out = ch.stack.shape[:2]
         self.gram = n_r < d_out
@@ -255,100 +252,230 @@ class _MutualEvaluator:
         out_avg = hermitian_part(apply_matrix(ch, rho_mats))
         self.out_entropy = _entropy_rows(np.linalg.eigvalsh(out_avg))
 
-    def _rows(self, points: np.ndarray, owners) -> np.ndarray:
-        """The parts (rows, K, n) of the decomposition `schatten_family(rho, p)`
-        for each row p of points: a block of components, rotated by U, has
-        the parts U^T (parts of the block)."""
-        if owners is None:
-            parts = self.parts[0]
-            rows = np.repeat(parts[None], len(points), axis=0)
-        else:
-            parts = rows = self.parts[owners]
-        for s, u in _block_rotations(self.blocks, points):
-            rows[:, s] = u.swapaxes(-1, -2) @ parts[..., s, :]
-        return rows
+    def rotated(self, parts: np.ndarray, rotations) -> np.ndarray:
+        """Parts rows (rows, K, n) with each block rotated by its unitary U
+        (rows, m, m), one per block in order: the block's vectors become V U,
+        so its parts become U^T (its parts)."""
+        parts = parts.copy()
+        for s, u in zip(self.blocks, rotations):
+            parts[:, s] = u.swapaxes(-1, -2) @ parts[:, s]
+        return parts
 
-    def _outputs(self, rows: np.ndarray) -> np.ndarray:
-        """The channel outputs (rows, K, out, out) of parts from `_rows`."""
+    def outputs(self, parts: np.ndarray) -> np.ndarray:
+        """The channel outputs (rows, K, out, out) of parts rows."""
         if self.image_shape is None:
-            return _projected(self.channel, rows)
-        return _outputs(rows.reshape(*rows.shape[:2], *self.image_shape))
+            return _projected(self.channel, parts)
+        return _outputs(parts.reshape(*parts.shape[:2], *self.image_shape))
 
-    def _entropies(self, rows: np.ndarray, outputs=None) -> np.ndarray:
-        """S(ch(|v_k><v_k|)) per row and component (rows, K), from parts from
-        `_rows`, or from their outputs when given."""
-        if self.gram:
-            images = rows.reshape(*rows.shape[:2], *self.image_shape)
-            return _entropy_rows(np.linalg.eigvalsh(images.conj().swapaxes(-1, -2) @ images))
-        return _entropy_rows(np.linalg.eigvalsh(self._outputs(rows) if outputs is None else outputs))
-
-    def score(self, weights: np.ndarray, entropies: np.ndarray, owners=None) -> np.ndarray:
-        """S(ch(rho)) - sum_k weights[..., k] entropies[i, k] per row i, for the
+    def score(self, weights: np.ndarray, entropies: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """S(ch(rho)) - sum_k weights[i, k] entropies[i, k] per row i, for the
         component output entropies (rows, K) of unit-trace components."""
-        out_entropy = self.out_entropy[0] if owners is None else self.out_entropy[owners]
-        return out_entropy - _weighted_sum(weights, entropies)
+        return self.out_entropy[owners] - _weighted_sum(weights, entropies)
 
-    def values(self, points: np.ndarray, owners=None) -> np.ndarray:
-        """Mutual entropy of the Schatten decomposition indexed by each row of points."""
-        weights = self.weights[0] if owners is None else self.weights[owners]
-        return self.score(weights, self._entropies(self._rows(points, owners)), owners)
+    def evaluate(self, parts: np.ndarray, owners: np.ndarray) -> tuple:
+        """(values, eigen-data, outputs) of parts rows: the mutual entropy of
+        each row's decomposition, the `eigh` of each component's Gram matrix
+        or output, which `generators` reads, and the outputs, or None on the
+        Gram side, which forms none."""
+        if self.gram:
+            images = parts.reshape(*parts.shape[:2], *self.image_shape)
+            outputs = None
+            eigen = np.linalg.eigh(images.conj().swapaxes(-1, -2) @ images)
+        else:
+            outputs = self.outputs(parts)
+            eigen = np.linalg.eigh(outputs)
+        return self.score(self.weights[owners], _entropy_rows(eigen[0]), owners), eigen, outputs
 
-    def observed(self, points: np.ndarray, owners=None) -> tuple[np.ndarray, np.ndarray]:
-        """(`values`, channel outputs (rows, K, out, out)) of each row, for an
-        observer of the search; the values equal `values` bit for bit."""
-        rows = self._rows(points, owners)
-        outputs = self._outputs(rows)
-        weights = self.weights[0] if owners is None else self.weights[owners]
-        return self.score(weights, self._entropies(rows, outputs), owners), outputs
+    def generators(self, parts: np.ndarray, eigen: tuple, owners: np.ndarray) -> list[np.ndarray]:
+        """The Riemannian gradient of each row's value, per block: the
+        skew-Hermitian A = M - M^dag (rows, m, m) such that moving the
+        block's vectors V to V exp(t Z) changes the value by t Re tr(Z^dag A)
+        to first order.
+
+        M_jk = lambda_k <v_j| sum_r K_r^dag ln(w_k) K_r |v_k>, with
+        w_k = ch(|v_k><v_k|), read from the factorization `evaluate` made.
+        Each M_jk = lambda_k <P_j, D_k> for the parts P and a dual part D_k.
+        On the Gram side ln(w_k) B_k = B_k ln(E_k) for the images B_k and
+        their Gram matrix E_k, so D_k = B_k ln(E_k) and no singular
+        logarithm is taken. On the out-square side the logarithm of the
+        output is taken on its support: D_k = ln(w_k) B_k, or, for a wide
+        channel, the adjoint channel of ln(w_k), through the transfer
+        matrix, applied to v_k.
+        """
+        e, u = eigen
+        support = e > ZERO_TOL
+        logs = np.where(support, np.log(np.where(support, e, 1.0)), 0.0)
+        log_m = (u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        if self.image_shape is None:
+            lead, d_out, d_in = log_m.shape[:-2], log_m.shape[-1], parts.shape[-1]
+            adjoint = log_m.reshape(*lead, 1, d_out * d_out) @ self.channel.transfer.conj()
+            duals = adjoint.reshape(*lead, d_in, d_in) @ parts[..., None]
+        else:
+            images = parts.reshape(*parts.shape[:2], *self.image_shape)
+            duals = images @ log_m if self.gram else log_m @ images
+        duals = duals.reshape(parts.shape)
+        weights = self.weights[owners]
+        found = []
+        for s in self.blocks:
+            m = (parts[:, s].conj() @ duals[:, s].swapaxes(-1, -2)) * weights[:, None, s]
+            found.append(m - m.conj().swapaxes(-1, -2))
+        return found
+
+
+def _rotated_vectors(blocks: list[slice], vectors: np.ndarray, rotations) -> np.ndarray:
+    """Vector rows (rows, d, r) with each block's columns V turned to V U."""
+    vectors = vectors.copy()
+    for s, u in zip(blocks, rotations):
+        vectors[:, :, s] = vectors[:, :, s] @ u
+    return vectors
+
+
+def _generator_spectra(generators: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """The `eigh` (w, V) of i A for each block's generator A, and each row's
+    ||A||_F over all blocks."""
+    spectra = [np.linalg.eigh(1j * a) for a in generators]
+    return spectra, np.sqrt(sum(np.sum(w * w, axis=-1) for w, _ in spectra))
+
+
+def _step_rotations(spectra: list, steps: np.ndarray) -> list[np.ndarray]:
+    """exp(t A) = V diag(exp(-i t w)) V^dag per block, for each row's step t
+    and its block's spectrum (w, V) of i A."""
+    return [(v * np.exp(-1j * steps[:, None] * w)[:, None, :]) @ v.conj().swapaxes(-1, -2) for w, v in spectra]
+
+
+def _schatten_ascent(ev: _MutualEvaluator, budget: SearchBudget, observe=None) -> list[SearchResult]:
+    """The best Schatten decomposition of each state of `ev`, by Riemannian
+    steepest ascent over the unitary group of each degenerate block
+    (Abrudan, Eriksson and Koivunen, IEEE TSP 56:1134, 2008), all states and
+    restarts in lockstep.
+
+    Restart 0 starts at the canonical decomposition. Restart k >= 1 turns
+    each block of it by a Haar unitary, drawn block by block from
+    SeedSequence(budget.seed, spawn_key=(k,)); every state takes the same
+    rotations. A step moves each block's vectors V to V exp(t A), with A
+    the block's gradient generator (`_MutualEvaluator.generators`) and one
+    t for all blocks; the first t0 turns the widest block by one radian.
+    Each round scores every unfinished restart at the trial steps t0, t0/2,
+    t0/4 and t0/8 with one stacked eigen-solve, cut so that no restart
+    scores more than budget.max_evals rows. The best trial is kept only
+    when it raises the value; t0 then becomes twice its step, and otherwise
+    shrinks 16-fold. A restart stops when a kept step gains at most
+    budget.tol or its ||A||_F is at most budget.tol (it converged), or when
+    it has scored max_evals rows. With no degenerate block each state is
+    scored once, converged.
+
+    `observe(owners, vectors, outputs, values)`, if given, sees every
+    scored batch: per row its state, support vectors, channel outputs and
+    value, rows by state, then restart, then trial. Returns per state the
+    best over its restarts (the earlier one on a tie): its unchecked value,
+    its support vectors (d, r) as `params`, whether some restart converged,
+    and the rows its restarts scored (`evals`). No state's result depends
+    on the other states.
+    """
+    restarts = budget.restarts if ev.blocks else 1
+    owners = np.repeat(np.arange(ev.size), restarts)  # one track per (state, restart)
+    vectors, parts = ev.vectors[owners], ev.parts[owners]
+    for k in range(1, restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,)))
+        rotations = [random_unitary(s.stop - s.start, rng) for s in ev.blocks]
+        rotations = [np.broadcast_to(u, (ev.size, *u.shape)) for u in rotations]
+        tracks = np.arange(k, len(owners), restarts)
+        vectors[tracks] = _rotated_vectors(ev.blocks, vectors[tracks], rotations)
+        parts[tracks] = ev.rotated(parts[tracks], rotations)
+    values, eigen, outputs = ev.evaluate(parts, owners)
+    if observe is not None:
+        observe(owners, vectors, ev.outputs(parts) if outputs is None else outputs, values)
+    evals = np.ones(len(owners), dtype=int)
+    if not ev.blocks:
+        return [SearchResult(float(value), v, True, 1) for value, v in zip(values, vectors)]
+    spectra, norms = _generator_spectra(ev.generators(parts, eigen, owners))
+    converged = norms <= budget.tol
+    widest = np.max([np.max(np.abs(w), axis=-1) for w, _ in spectra], axis=0)
+    steps = np.divide(1.0, widest, out=np.zeros(len(owners)), where=widest > 0)
+    active = np.flatnonzero(~converged & (evals < budget.max_evals))
+    while active.size:
+        counts = np.minimum(4, budget.max_evals - evals[active])
+        firsts = np.cumsum(counts) - counts
+        row_tracks = np.repeat(active, counts)
+        trial_steps = steps[row_tracks] * 0.5 ** (np.arange(len(row_tracks)) - np.repeat(firsts, counts))
+        rotations = _step_rotations([(w[row_tracks], v[row_tracks]) for w, v in spectra], trial_steps)
+        trial_parts = ev.rotated(parts[row_tracks], rotations)
+        trial_values, trial_eigen, trial_outputs = ev.evaluate(trial_parts, owners[row_tracks])
+        if observe is not None:
+            outputs = ev.outputs(trial_parts) if trial_outputs is None else trial_outputs
+            observe(owners[row_tracks], _rotated_vectors(ev.blocks, vectors[row_tracks], rotations), outputs,
+                    trial_values)
+        evals[active] += counts
+        best = np.array([first + int(np.argmax(trial_values[first : first + count]))
+                         for first, count in zip(firsts.tolist(), counts.tolist())])
+        gains = trial_values[best] - values[active]
+        raised = gains > 0
+        steps[active[~raised]] /= 16.0
+        won, rows = active[raised], best[raised]
+        if won.size:
+            values[won], parts[won], steps[won] = trial_values[rows], trial_parts[rows], 2.0 * trial_steps[rows]
+            vectors[won] = _rotated_vectors(ev.blocks, vectors[won], [u[rows] for u in rotations])
+            won_eigen = (trial_eigen[0][rows], trial_eigen[1][rows])
+            won_spectra, norms = _generator_spectra(ev.generators(parts[won], won_eigen, owners[won]))
+            for (w, v), (won_w, won_v) in zip(spectra, won_spectra):
+                w[won], v[won] = won_w, won_v
+            converged[won] = (gains[raised] <= budget.tol) | (norms <= budget.tol)
+        active = np.flatnonzero(~converged & (evals < budget.max_evals))
+    found = []
+    for state in range(ev.size):
+        tracks = slice(state * restarts, (state + 1) * restarts)
+        best = state * restarts + int(np.argmax(values[tracks]))
+        found.append(SearchResult(float(values[best]), vectors[best], bool(converged[tracks].any()),
+                                  int(evals[tracks].sum())))
+    return found
 
 
 def _ohya_suprema(
     ch: KrausChannel, mats: np.ndarray, budget: SearchBudget, observe=None, layouts=None
-) -> list[tuple]:
+) -> list[tuple[SearchResult, np.ndarray]]:
     """The Ohya search of each stacked state (S, d, d), as `ohya_mutual_entropy`
-    runs it, and the support (weights, vectors, blocks) it rotates.
+    runs it: the `_schatten_ascent` result, whose params are the best
+    support vectors, and the support weights, unvalidated and unchecked.
 
-    The states of each support layout run as one lockstep search, a problem
-    per state; nondegenerate states of one rank are scored in one call. Each
-    result equals the state's search alone. `observe(mats, support, points,
-    outputs, values)`, if given, sees every scored batch in order: per row
-    its state, support (weights, vectors, blocks), parameters, channel
-    outputs and value. `layouts` is `_support_layouts(mats)`, computed here
-    when not given.
+    The states of each support layout run as one lockstep search;
+    nondegenerate states of one rank are scored once, together. Each
+    result equals the state's search alone. `observe(mats, weights,
+    vectors, outputs, values)`, if given, sees every scored batch in order:
+    per row its state, support weights and vectors, channel outputs and
+    value. `layouts` is `_support_layouts(mats)`, computed here when not
+    given.
 
     On a channel with `uniform_pure_outputs` every decomposition of a state
-    has the canonical one's value, so the degenerate blocks are dropped from
-    the support: each state is scored once, at no parameters, and its
-    support's blocks are empty.
+    has the canonical one's value, so the degenerate blocks are dropped:
+    each state is scored once, at its canonical decomposition.
     """
     found = [None] * len(mats)
     for rows, weights, vectors, blocks in _support_layouts(mats) if layouts is None else layouts:
         group = mats[rows]
         ev = _MutualEvaluator(group, ch, (weights, vectors, [] if ch.uniform_pure_outputs else blocks))
-        objective = ev.values
+        seen = None
         if observe is not None:
 
-            def objective(points, owners=None, ev=ev, group=group):
-                values, outputs = ev.observed(points, owners)
-                index = np.zeros(len(points), dtype=int) if owners is None else owners
-                observe(group[index], (ev.weights[index], ev.vectors[index], ev.blocks), points, outputs, values)
-                return values
+            def seen(owners, vectors, outputs, values, ev=ev, group=group):
+                observe(group[owners], ev.weights[owners], vectors, outputs, values)
 
-        results = maximize_many(objective, ev.size, ev.n_params, budget, [np.zeros(ev.n_params)])
-        for i, result, weights, vectors in zip(rows.tolist(), results, ev.weights, ev.vectors):
-            found[i] = result, (weights, vectors, ev.blocks)
+        for i, result, w in zip(rows.tolist(), _schatten_ascent(ev, budget, seen), ev.weights):
+            found[i] = result, w
     return found
 
 
 def _checked_ohya(
-    rho: DensityOperator, ch: KrausChannel, best: SchattenDecomposition, result: SearchResult, rho_factor=None
+    rho: DensityOperator, ch: KrausChannel, result: SearchResult, weights: np.ndarray, rho_factor=None
 ) -> MutualResult:
     """The Ohya result of a search of rho's decompositions: its best
-    decomposition `best`, valued by `mutual_entropy_fixed` with the
-    dual-route check. `rho_factor` is rho's `entropy._factored`, when the
-    caller holds it."""
-    checked = _dual_route(rho.matrix, ch, best, _factored(rho.matrix) if rho_factor is None else rho_factor)
-    return MutualResult(value=checked.value, decomposition=best, converged=result.converged, evals=result.evals)
+    decomposition, of the support `weights` and the vectors in
+    result.params, valued by `mutual_entropy_fixed` with the dual-route
+    check. `rho_factor` is rho's `entropy._factored`, when the caller holds
+    it."""
+    dec = SchattenDecomposition(weights=weights, vectors=result.params)
+    factor = _factored(rho.matrix) if rho_factor is None else rho_factor
+    checked = _dual_route(rho.matrix, ch, dec, factor)
+    return MutualResult(value=checked.value, decomposition=dec, converged=result.converged, evals=result.evals)
 
 
 def compound_state(rho: DensityOperator, ch: KrausChannel, dec: SchattenDecomposition) -> CompoundState:
@@ -432,11 +559,15 @@ def ohya_mutual_entropy(
     depolarizing form a m + b tr(m) I): there S(ch(|v><v|)) does not depend
     on v, so every decomposition has the canonical one's value. Any other
     state with a degenerate eigenvalue block is searched over the blocks'
-    unitary rotations by `_ohya_suprema`: its best decomposition is rebuilt
-    from the support eigen-data the search rotated and re-evaluated with the
-    dual-route consistency check (`_checked_ohya`). rho is factored once,
-    for its support and for the check's compound route. The fixed-rho
-    `qdc_hierarchy` runs this same path (`_ohya_at`).
+    unitary rotations by `_ohya_suprema`, a Riemannian gradient ascent from
+    the canonical decomposition and `restarts - 1` seeded Haar rotations of
+    it (`_schatten_ascent`); its best decomposition is re-evaluated with the
+    dual-route consistency check (`_checked_ohya`). `evals` counts the rows
+    the search scored, and `converged` means that some restart stopped on
+    its gain or first-order test (a kept step gaining at most `tol`, or a
+    gradient norm at most `tol`) before its `max_evals` rows. rho is
+    factored once, for its support and for the check's compound route. The
+    fixed-rho `qdc_hierarchy` runs this same path (`_ohya_at`).
     """
     return _ohya_at(rho, ch, search or SearchBudget())
 
@@ -454,10 +585,10 @@ def _ohya_at(rho: DensityOperator, ch: KrausChannel, budget: SearchBudget, obser
         dec = SchattenDecomposition(weights=weights[0], vectors=vectors[0])
         value = _dual_route(rho.matrix, ch, dec, rho_factor).value
         return MutualResult(value=value, decomposition=dec, converged=True, evals=1)
-    ((result, support),) = _ohya_suprema(ch, rho.matrix[None], budget, observe, layouts)
+    ((result, weights),) = _ohya_suprema(ch, rho.matrix[None], budget, observe, layouts)
     if not math.isfinite(result.value):
         raise ConsistencyError("no finite decomposition value found")
-    return _checked_ohya(rho, ch, _rotated(*support, result.params), result, rho_factor)
+    return _checked_ohya(rho, ch, result, weights, rho_factor)
 
 
 def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:

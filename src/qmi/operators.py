@@ -359,26 +359,6 @@ def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _block_rotations(blocks: list[slice], params: np.ndarray):
-    """Yield (block, exp(i H)) per block of multiplicity m >= 2, H from its m^2
-    parameters; params of shape (..., n) give rotations of shape (..., m, m)."""
-    pos = 0
-    for s in blocks:
-        m = s.stop - s.start
-        if n := _block_param_count(m):
-            yield s, unitary_from_params(params[..., pos : pos + n], m)
-            pos += n
-
-
-def _rotated(weights: np.ndarray, vectors: np.ndarray, blocks: list[slice], params: np.ndarray) -> SchattenDecomposition:
-    """The decomposition of support eigen-data with each block of vector
-    columns rotated by its exp(i H) from params."""
-    vectors = vectors.copy()
-    for s, u in _block_rotations(blocks, params):
-        vectors[:, s] = vectors[:, s] @ u
-    return SchattenDecomposition(weights=weights, vectors=vectors)
-
-
 def schatten_family(rho, params: np.ndarray) -> SchattenDecomposition:
     """The Schatten decomposition indexed by `params`.
 
@@ -392,7 +372,13 @@ def schatten_family(rho, params: np.ndarray) -> SchattenDecomposition:
     expected = sum(_block_param_count(s.stop - s.start) for s in blocks)
     if params.size != expected:
         raise ValueError(f"expected {expected} parameters, got {params.size}")
-    return _rotated(w, v, blocks, params)
+    pos = 0
+    for s in blocks:
+        m = s.stop - s.start
+        if n := _block_param_count(m):
+            v[:, s] = v[:, s] @ unitary_from_params(params[pos : pos + n], m)
+            pos += n
+    return SchattenDecomposition(weights=w, vectors=v)
 
 
 def purify(theta) -> tuple[np.ndarray, int]:

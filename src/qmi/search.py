@@ -1,12 +1,15 @@
-"""Shared multi-restart derivative-free maximization.
+"""Shared multi-restart derivative-free maximization, and the search budget.
 
-Every supremum in the package (Schatten searches, capacity searches,
-entanglement searches) runs through `maximize_many`: Nelder-Mead local
-descents from seeded random starts, stepped in lockstep so that each round
-of points is one call of a batch objective, and reduced by max, for one
-problem (`maximize_batch`) or several independent ones at once. Restart
-seeds derive from the budget's master seed by counter, so results are
-reproducible. `maximize` is the same search for a pointwise objective.
+The derivative-free suprema of the package (capacity family searches, the
+pseudo split searches, the entanglement ray searches) run through
+`maximize_many`: Nelder-Mead local descents from seeded random starts,
+stepped in lockstep so that each round of points is one call of a batch
+objective, and reduced by max, for one problem (`maximize_batch`) or
+several independent ones at once. Restart seeds derive from the budget's
+master seed by counter, so results are reproducible. `maximize` is the
+same search for a pointwise objective. The Schatten search of the Ohya
+mutual entropy is a gradient ascent on the same `SearchBudget`
+(`mutual._schatten_ascent`).
 """
 
 from __future__ import annotations

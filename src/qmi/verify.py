@@ -280,6 +280,14 @@ def _suite_mutual(rng, budget: SearchBudget) -> SuiteResult:
         dec = schatten_family(rho, rng.normal(size=schatten_param_count(rho)))
         spread = max(spread, abs(mutual_entropy_fixed(rho, ch, dec).value - canonical))
     checks.append(_check("certified channels give every decomposition the canonical value", spread, 1e-12))
+
+    # Through a generic channel the search starts at the canonical
+    # decomposition and only climbs: no rotation drawn here may beat it.
+    ch = random_kraus_channel(3, 3, 2, rng)
+    found = ohya_mutual_entropy(rho, ch, budget).value
+    rotations = [schatten_family(rho, rng.normal(size=schatten_param_count(rho))) for _ in range(5)]
+    others = [mutual_entropy_fixed(rho, ch, dec).value for dec in (canonical_schatten(rho), *rotations)]
+    checks.append(_check("the Schatten search beats the canonical and rotated decompositions", max(others) - found, 1e-12))
     return SuiteResult(name="mutual", checks=tuple(checks))
 
 

@@ -1,14 +1,14 @@
 """Every batch objective treats each row alone.
 
-The searches hand `maximize_batch`, and `maximize_many` with one problem,
-objectives of a whole round of points.
+The searches hand `maximize_batch` objectives of a whole round of points.
 Each one captured here must give row i of a batch exactly, bit for bit, the
 value it gives that row as a batch of one, on seeded batches of 1, 2 and 40
 rows that mix in points scoring -inf (a zero-trace state, a vanishing ray)
 and points whose square-root POVM needs its completion effect. The
-Schatten evaluator is also checked against the per-point formula it
-replaced, and a stack of states in one evaluator against evaluators of
-each state alone.
+Schatten ascent's evaluator is held to the same rule for its values and
+gradient generators, checked against the per-point formula it replaced,
+and a stack of states in one evaluator against evaluators of each state
+alone.
 """
 
 import math
@@ -22,22 +22,33 @@ from qmi.channels import (
     _square_root_povm_rows,
     amplitude_damping_channel,
     apply_matrix,
+    classical_channel,
     depolarizing_channel,
 )
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
 from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import ConsistencyError, DensityOperator, _rotated, _support_layouts, pure_state, schatten_family
+from qmi.operators import (
+    ConsistencyError,
+    DensityOperator,
+    SchattenDecomposition,
+    _support_layouts,
+    pure_state,
+    schatten_family,
+    schatten_param_count,
+    unitary_from_params,
+)
 from qmi.sampling import random_density, random_kraus_channel, random_unitary, rng_from
-from qmi.search import SearchBudget, _complex_stack, maximize_batch
+from qmi.search import SearchBudget, _complex_stack
 
 TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
 
-def _captured(monkeypatch, run):
+def _captured(monkeypatch, run, ascents=None):
     """(objective_rows, n_params, starts) of the first search of each objective
     and size that `run` starts, keyed by the objective's qualified name and
-    its number of parameters."""
+    its number of parameters. The evaluator of every Schatten ascent is
+    appended to `ascents` when given."""
     found = {}
 
     def record(objective_rows, n_params, starts):
@@ -53,14 +64,14 @@ def _captured(monkeypatch, run):
             return original(objective_rows, n_params, budget, starts)
 
         monkeypatch.setattr(module, "maximize_batch", recording)
-    many = mutual.maximize_many  # the Schatten searches of `_ohya_suprema`
+    ascent = mutual._schatten_ascent  # the Schatten searches of `_ohya_suprema`
 
-    def recording_many(objective_rows, n_problems, n_params, budget, starts=()):
-        if n_problems == 1:  # a lone search's objective takes no owners
-            record(objective_rows, n_params, starts)
-        return many(objective_rows, n_problems, n_params, budget, starts)
+    def recording_ascent(ev, budget, observe=None):
+        if ascents is not None:
+            ascents.append(ev)
+        return ascent(ev, budget, observe)
 
-    monkeypatch.setattr(mutual, "maximize_many", recording_many)
+    monkeypatch.setattr(mutual, "_schatten_ascent", recording_ascent)
     run()
     monkeypatch.undo()
     return found
@@ -104,6 +115,35 @@ def _check_all(found, names, seed, special=None, rows=40):
             _assert_rows_alone(objective_rows, points)
 
 
+def _rotations(ev, rows, rng, scale=2.0):
+    """Random block unitaries exp(i H) for `rows` rows, one (rows, m, m) per block."""
+    return [unitary_from_params(scale * rng.normal(size=(rows, (s.stop - s.start) ** 2)), s.stop - s.start)
+            for s in ev.blocks]
+
+
+def _evaluated(ev, rotations, owners):
+    """(values, generators) of the rows that `rotations` turn, as the ascent scores them."""
+    parts = ev.rotated(ev.parts[owners], rotations)
+    values, eigen, _ = ev.evaluate(parts, owners)
+    return values, ev.generators(parts, eigen, owners)
+
+
+def _assert_evaluator_rows_alone(ev, seed):
+    """Each row of a batch of 1, 2 or 40 rotated rows, spread over the
+    evaluator's states, has the value and generators of that row alone, bit
+    for bit."""
+    assert ev.blocks
+    rng = rng_from(seed)
+    rotations = _rotations(ev, 40, rng)
+    owners = rng.integers(0, ev.size, size=40)
+    for rows in (1, 2, 40):
+        values, generators = _evaluated(ev, [u[:rows] for u in rotations], owners[:rows])
+        for i in range(rows):
+            one, one_generators = _evaluated(ev, [u[i : i + 1] for u in rotations], owners[i : i + 1])
+            assert one.tobytes() == values[i : i + 1].tobytes()
+            assert all(a[i : i + 1].tobytes() == b.tobytes() for a, b in zip(generators, one_generators))
+
+
 def _degenerate_state(rng, spectrum=(2, 2, 1)):
     u = random_unitary(len(spectrum), rng)
     w = np.asarray(spectrum, dtype=float)
@@ -114,13 +154,16 @@ def test_schatten_and_split_objectives(monkeypatch):
     rng = rng_from(501)
     rho = _degenerate_state(rng)
     ch = random_kraus_channel(3, 2, 2, rng)
-    found = _captured(monkeypatch, lambda: pseudo_mutual_entropy(rho, ch, 2, TINY))
+    ascents = []
+    found = _captured(monkeypatch, lambda: pseudo_mutual_entropy(rho, ch, 2, TINY), ascents)
     # The split start puts one rank-one projector in each of two factor blocks
     # of a qutrit: their sum has rank 2, so the POVM needs its completion.
     objective_rows, n_params, starts = _only(found, "_split_search.<locals>.objective")
     assert _square_root_povm_rows(_complex_stack(starts[0], 2, 3, 3)[None])[1][0]
     assert math.isfinite(objective_rows(np.array(starts))[0])
-    _check_all(found, ["_MutualEvaluator.values", "_split_search.<locals>.objective"], 502)
+    _check_all(found, ["_split_search.<locals>.objective"], 502)
+    (ev,) = ascents  # the floor's Schatten ascent
+    _assert_evaluator_rows_alone(ev, 502)
 
 
 def test_pseudo_capacity_objectives(monkeypatch):
@@ -149,21 +192,29 @@ def test_survey_and_ray_objectives(monkeypatch):
     rng = rng_from(509)
     rho = _degenerate_state(rng)
     ch = random_kraus_channel(3, 3, 3, rng)  # full-rank outputs, so the fixed-block rays are searched
-    found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY))
-    _check_all(found, ["_ohya_suprema.<locals>.objective", "_q_value.<locals>.objective"], 510)
+    ascents = []
+    found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY), ascents)
+    _check_all(found, ["_q_value.<locals>.objective"], 510)
+    (ev,) = ascents
+    _assert_evaluator_rows_alone(ev, 510)
     # Through a depolarizing channel every decomposition has one value: the
     # hierarchy values d at the canonical one with no search, and c = d.
-    levels = {}
-    found = _captured(monkeypatch, lambda: levels.update(qdc_hierarchy(rho, depolarizing_channel(0.3, 3), TINY)))
-    assert "_ohya_suprema.<locals>.objective" not in {name for name, _ in found}
+    levels, ascents = {}, []
+    found = _captured(monkeypatch, lambda: levels.update(qdc_hierarchy(rho, depolarizing_channel(0.3, 3), TINY)),
+                      ascents)
+    assert ascents == []
     assert levels["c"].evals == levels["d"].evals == 1
     assert levels["c"].value == levels["d"].value
     _check_all(found, ["_q_value.<locals>.objective"], 510)
     # Released output blocks add the diagonal-block parameters to each ray.
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY, fix_output_blocks=False))
     _check_all(found, ["_q_value.<locals>.objective"], 512)
-    found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY))
+    ascents = []
+    found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY), ascents)
     _check_all(found, ["StateFamily.supremum.<locals>.objective", "_q_value.<locals>.objective"], 511)
+    searched = [ev for ev in ascents if ev.blocks]  # the flat start I/2
+    assert searched
+    _assert_evaluator_rows_alone(searched[0], 511)
 
 
 # -- the Schatten evaluator against the per-point formula it replaced --------------------
@@ -182,24 +233,25 @@ def _hermitian_loop(p, m):
     return h
 
 
-def _value_loop(ev: _MutualEvaluator, ch, params: np.ndarray, state: int = 0) -> float:
-    """One point of one state by the formula, with no kernel of the evaluator:
-    block rotations exp(iH) one block at a time, each rotated vector sent
-    through the channel operator by operator, a full eigvalsh of each
-    output, and the weighted sum as a scalar dot product."""
-    vectors = ev.vectors[state]
-    u = np.eye(vectors.shape[1], dtype=complex)
-    pos = 0
-    for s in ev.blocks:
-        m = s.stop - s.start
-        w, v = np.linalg.eigh(_hermitian_loop(params[pos : pos + m * m], m))
-        u[s, s] = (v * np.exp(1j * w)) @ v.conj().T
-        pos += m * m
+def _value_loop(ev: _MutualEvaluator, ch, vectors: np.ndarray, state: int = 0) -> float:
+    """One decomposition of one state by the formula, with no kernel of the
+    evaluator: each support vector sent through the channel operator by
+    operator, a full eigvalsh of each output, and the weighted sum as a
+    scalar dot product."""
     entropies = []
-    for x in (vectors @ u).T:
+    for x in vectors.T:
         output = sum(np.outer(k @ x, (k @ x).conj()) for k in ch.ops)
         entropies.append(float(_entropy_rows(np.linalg.eigvalsh(output))))
     return ev.out_entropy[state] - float(ev.weights[state] @ np.array(entropies))
+
+
+def _turned(ev: _MutualEvaluator, rotations, row: int, state: int = 0) -> np.ndarray:
+    """The support vectors of `state` with block b turned to V_b U_b, U_b
+    row `row` of rotations[b], one block at a time."""
+    vectors = ev.vectors[state].copy()
+    for s, u in zip(ev.blocks, rotations):
+        vectors[:, s] = vectors[:, s] @ u[row]
+    return vectors
 
 
 # The evaluator reads each component entropy from the r x r Gram matrix of the
@@ -216,9 +268,9 @@ def test_schatten_values_match_the_per_point_formula(spectrum):
         rho = _degenerate_state(rng, spectrum)
         ch = random_kraus_channel(rho.dim, d_out, n_ops, rng)
         ev = _MutualEvaluator(rho.matrix, ch)
-        points = 2.0 * rng.normal(size=(40, ev.n_params))
-        got = ev.values(points)
-        want = np.array([_value_loop(ev, ch, p) for p in points])
+        rotations = _rotations(ev, 40, rng)
+        got, _ = _evaluated(ev, rotations, np.zeros(40, dtype=int))
+        want = np.array([_value_loop(ev, ch, _turned(ev, rotations, i)) for i in range(40)])
         assert np.max(np.abs(got - want)) <= FORMULA_TOL
 
 
@@ -233,13 +285,17 @@ def test_each_evaluator_side_matches_the_formula():
     for (spectrum, ch), side in zip(cases, ["gram", "transfer", "images"]):
         ev = _MutualEvaluator(_degenerate_state(rng, spectrum).matrix, ch)
         assert (ev.gram, ev.image_shape is None) == (side == "gram", side == "transfer")
-        points = rng.normal(size=(3, ev.n_params))
-        want = np.array([_value_loop(ev, ch, p) for p in points])
-        assert np.max(np.abs(ev.values(points) - want)) <= FORMULA_TOL
-        values, outputs = ev.observed(points)
-        assert values.tobytes() == ev.values(points).tobytes()
-        for p, row in zip(points, outputs):
-            dec = _rotated(ev.weights[0], ev.vectors[0], ev.blocks, p)
+        rotations, owners = _rotations(ev, 3, rng, scale=1.0), np.zeros(3, dtype=int)
+        parts = ev.rotated(ev.parts[owners], rotations)
+        values, _, outputs = ev.evaluate(parts, owners)
+        want = np.array([_value_loop(ev, ch, _turned(ev, rotations, i)) for i in range(3)])
+        assert np.max(np.abs(values - want)) <= FORMULA_TOL
+        # An observer's outputs are the evaluator's own, formed on the Gram side alone.
+        formed = ev.outputs(parts)
+        assert (outputs is None) == (side == "gram")
+        assert outputs is None or outputs.tobytes() == formed.tobytes()
+        for i, row in enumerate(formed):
+            dec = SchattenDecomposition(weights=ev.weights[0], vectors=_turned(ev, rotations, i))
             assert np.max(np.abs(row - mutual._transmitted(ch, dec))) <= 1e-13
 
 
@@ -249,10 +305,11 @@ def test_ohya_search_reports_the_evaluator_value():
     ch = random_kraus_channel(3, 3, 2, rng)
     result = ohya_mutual_entropy(rho, ch, TINY)
     ev = _MutualEvaluator(rho.matrix, ch)
-    ((best, _),) = mutual._ohya_suprema(ch, rho.matrix[None], TINY)
-    assert best.value == ev.values(best.params[None])[0]
+    ((best, weights),) = mutual._ohya_suprema(ch, rho.matrix[None], TINY)
+    assert np.array_equal(weights, ev.weights[0])
     assert abs(best.value - _value_loop(ev, ch, best.params)) <= FORMULA_TOL
     assert abs(result.value - best.value) < 1e-10
+    assert result.decomposition.vectors.tobytes() == best.params.tobytes()
 
 
 # -- a stack of states against each state alone --------------------------------------
@@ -279,25 +336,30 @@ def test_stacked_suprema_equal_lone_ohya_searches(d_out, n_ops):
     layouts = [(rows, _MutualEvaluator(mats[rows], ch, support)) for rows, *support in _support_layouts(mats)]
     assert len(layouts) == 5
     assert all(ev.size == 2 for _, ev in layouts)
-    assert sum(ev.n_params > 0 for _, ev in layouts) == 3
-    # Each row of a stacked evaluation is its state's lone value, bit for bit.
+    assert sum(bool(ev.blocks) for _, ev in layouts) == 3
+    # Each row of a stacked evaluation is its state's lone value and
+    # generators, bit for bit.
     for rows, ev in layouts:
-        points = rng.normal(size=(30, ev.n_params))
+        if not ev.blocks:
+            continue
+        rotations = _rotations(ev, 30, rng)
         owners = rng.integers(0, ev.size, size=30)
-        got = ev.values(points, owners)
-        alone = [_MutualEvaluator(mats[rows[o]], ch).values(p[None])[0] for p, o in zip(points, owners)]
-        assert got.tobytes() == np.array(alone).tobytes()
+        got, generators = _evaluated(ev, rotations, owners)
+        for i, o in enumerate(owners):
+            alone, alone_generators = _evaluated(_MutualEvaluator(mats[rows[o]], ch), [u[i : i + 1] for u in rotations],
+                                                 np.zeros(1, dtype=int))
+            assert got[i : i + 1].tobytes() == alone.tobytes()
+            assert all(a[i : i + 1].tobytes() == b.tobytes() for a, b in zip(generators, alone_generators))
     # Each state's search in the stack is its lone search, field for field, and
-    # the Ohya result built from it is `ohya_mutual_entropy`'s.
-    for m, (got, support) in zip(mats, mutual._ohya_suprema(ch, mats, TINY)):
+    # the Ohya result checked from it is `ohya_mutual_entropy`'s.
+    for m, (got, weights) in zip(mats, mutual._ohya_suprema(ch, mats, TINY)):
         ev = _MutualEvaluator(m, ch)
-        alone = maximize_batch(ev.values, ev.n_params, TINY, starts=[np.zeros(ev.n_params)])
+        (alone,) = mutual._schatten_ascent(ev, TINY)
         assert (got.value, got.evals, got.converged) == (alone.value, alone.evals, alone.converged)
         assert np.array_equal(got.params, alone.params)
-        assert np.array_equal(support[0], ev.weights[0]) and np.array_equal(support[1], ev.vectors[0])
-        assert support[2] == ev.blocks
+        assert np.array_equal(weights, ev.weights[0])
         rho = DensityOperator(m)
-        mine = mutual._checked_ohya(rho, ch, _rotated(*support, got.params), got)
+        mine = mutual._checked_ohya(rho, ch, got, weights)
         fresh = ohya_mutual_entropy(rho, ch, TINY)
         assert (mine.value, mine.evals, mine.converged) == (fresh.value, fresh.evals, fresh.converged)
         assert np.array_equal(mine.decomposition.weights, fresh.decomposition.weights)
@@ -307,7 +369,9 @@ def test_stacked_suprema_equal_lone_ohya_searches(d_out, n_ops):
 @pytest.mark.parametrize("ch, family, searched", [
     # The flat start I/3 stays the maximizer at this budget: a degenerate state.
     (random_kraus_channel(3, 3, 2, rng_from(517)), StateFamily("full", 3), True),
-    (amplitude_damping_channel(0.3), StateFamily("full", 2), False),
+    # A Z channel's capacity takes an input that is not uniform: a
+    # nondegenerate maximizer, valued with no inner search.
+    (classical_channel(np.array([[1.0, 0.3], [0.0, 0.7]])), StateFamily("full", 2), False),
     (random_kraus_channel(3, 3, 2, rng_from(516)), StateFamily("rank", 3, 2), True),
     # So it does through a depolarizing channel, where every decomposition has
     # one value: no inner search runs, at I/3 or at any other member.
@@ -317,13 +381,13 @@ def test_the_maximizer_keeps_its_inner_search(monkeypatch, ch, family, searched)
     # The Ohya result at the maximizer comes from the family search's own inner
     # search; it is the one a fresh search at that state finds.
     sizes = []
-    many = mutual.maximize_many
+    ascent = mutual._schatten_ascent
 
-    def recording(objective_rows, n_problems, n_params, budget, starts=()):
-        sizes.append(n_params)
-        return many(objective_rows, n_problems, n_params, budget, starts)
+    def recording(ev, budget, observe=None):
+        sizes.append(len(ev.blocks))
+        return ascent(ev, budget, observe)
 
-    monkeypatch.setattr(mutual, "maximize_many", recording)
+    monkeypatch.setattr(mutual, "_schatten_ascent", recording)
     budget = SearchBudget(2, 40, seed=31)
     report, _, ohya = capacity._quantum_search(ch, family, budget)
     fresh = ohya_mutual_entropy(DensityOperator(report.maximizer["state"]), ch, budget.child(1))
@@ -449,7 +513,7 @@ def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
     ]
     masked = zero_steps = capped = scored = 0
     for rho, ch in cases:
-        dec = schatten_family(rho, rng.normal(size=_MutualEvaluator(rho.matrix, ch).n_params))
+        dec = schatten_family(rho, rng.normal(size=schatten_param_count(rho)))
         outputs = mutual._transmitted(ch, dec)
         k = ch.out_dim
         scorer = entanglement._RayScorer(

@@ -127,7 +127,7 @@ def test_pseudo_capacity_floors_at_quantum():
 
 def test_pseudo_capacity_rejects_zero_components_before_searching(monkeypatch):
     calls = []
-    for module, name in ((capacity, "maximize_batch"), (mutual, "maximize_batch"), (mutual, "maximize_many")):
+    for module, name in ((capacity, "maximize_batch"), (mutual, "maximize_batch"), (mutual, "_schatten_ascent")):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="need at least one component"):
         pseudo_capacity(amplitude_damping_channel(0.3), StateFamily("full", 2), 0, TINY)

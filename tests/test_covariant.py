@@ -22,7 +22,7 @@ from qmi.channels import (
     unitary_channel,
 )
 from qmi.mutual import mutual_entropy_fixed, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import DensityOperator, schatten_family, schatten_param_count
+from qmi.operators import DensityOperator, canonical_schatten, schatten_family, schatten_param_count
 from qmi.sampling import random_kraus_channel, random_unitary, rng_from
 from qmi.search import SearchBudget
 
@@ -108,25 +108,28 @@ def test_every_rotated_decomposition_has_the_reported_value():
 def test_a_degenerate_state_through_a_certified_channel_takes_the_unsearched_path(monkeypatch):
     rho = DensityOperator(np.diag([0.4, 0.4, 0.2]))
     ch = depolarizing_channel(0.3, 3)
-    ((result, support),) = mutual._ohya_suprema(ch, rho.matrix[None], SMALL)
-    assert (result.evals, result.params.size, support[2]) == (1, 0, [])
+    ((found, weights),) = mutual._ohya_suprema(ch, rho.matrix[None], SMALL)
+    assert (found.evals, found.converged) == (1, True)
+    canonical = canonical_schatten(rho)
+    assert np.array_equal(found.params, canonical.vectors) and np.array_equal(weights, canonical.weights)
     calls = []
     monkeypatch.setattr(mutual, "_ohya_suprema", lambda *args, **kwargs: calls.append(args))
     got = ohya_mutual_entropy(rho, ch, SMALL)
     assert calls == [] and (got.evals, got.converged) == (1, True)
-    assert np.array_equal(got.decomposition.vectors, support[1])
+    assert np.array_equal(got.decomposition.vectors, found.params)
 
 
 def _inner_sizes(monkeypatch) -> list:
-    """The n_params of every Schatten search that `_ohya_suprema` starts."""
+    """The number of degenerate blocks of every Schatten search that
+    `_ohya_suprema` starts."""
     sizes = []
-    many = mutual.maximize_many
+    ascent = mutual._schatten_ascent
 
-    def recording(objective_rows, n_problems, n_params, budget, starts=()):
-        sizes.append(n_params)
-        return many(objective_rows, n_problems, n_params, budget, starts)
+    def recording(ev, budget, observe=None):
+        sizes.append(len(ev.blocks))
+        return ascent(ev, budget, observe)
 
-    monkeypatch.setattr(mutual, "maximize_many", recording)
+    monkeypatch.setattr(mutual, "_schatten_ascent", recording)
     return sizes
 
 

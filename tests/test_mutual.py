@@ -43,7 +43,7 @@ from qmi.mutual import (
 )
 from qmi.operators import (
     DensityOperator,
-    _rotated,
+    SchattenDecomposition,
     canonical_schatten,
     maximally_mixed,
     pure_state,
@@ -440,13 +440,13 @@ def test_gram_side_terms_match_umegaki():
 def _searched_ohya(rho, ch, budget):
     """The one-point search path a nondegenerate state took before it skipped
     the search: `_ohya_suprema`, then `_checked_ohya`."""
-    ((result, support),) = mutual._ohya_suprema(ch, rho.matrix[None], budget)
-    return mutual._checked_ohya(rho, ch, _rotated(*support, result.params), result)
+    ((result, weights),) = mutual._ohya_suprema(ch, rho.matrix[None], budget)
+    return mutual._checked_ohya(rho, ch, result, weights)
 
 
 def _count_searches(monkeypatch):
     calls = []
-    for name in ("maximize_many", "_ohya_suprema"):
+    for name in ("_schatten_ascent", "_ohya_suprema"):
         original = getattr(mutual, name)
 
         def counted(*args, original=original, name=name, **kwargs):
@@ -484,7 +484,7 @@ def test_a_degenerate_state_still_searches(monkeypatch):
     want = _searched_ohya(rho, ch, SMALL)
     calls = _count_searches(monkeypatch)
     got = ohya_mutual_entropy(rho, ch, SMALL)
-    assert calls == ["_ohya_suprema", "maximize_many"]
+    assert calls == ["_ohya_suprema", "_schatten_ascent"]
     assert got.value == want.value and got.evals == want.evals > 1
     assert np.array_equal(got.decomposition.vectors, want.decomposition.vectors)
 
@@ -563,20 +563,35 @@ def test_a_nondegenerate_d64_state_solves_without_a_wide_eigensolve(monkeypatch)
 
 def test_a_degenerate_d64_evaluator_row_solves_only_gram_sized_components(monkeypatch):
     # Two 32-fold blocks through two Kraus operators: a row rotates each block's
-    # images and reads every component entropy from a 2 x 2 Gram matrix; the
-    # only larger eigen-solves are the blocks' exp(iH).
+    # images and reads every component entropy from a 2 x 2 Gram matrix, and
+    # its gradient generators take no eigen-solve. The only larger eigen-solve
+    # of a search is one 32 x 32 eigh per block and accepted step, which gives
+    # exp(t A) at every trial step t.
     ch = random_kraus_channel(64, 64, 2, np.random.default_rng(0))
     u = random_unitary(64, rng_from(704))
     w = np.repeat([2.0, 1.0], 32)
     rho = DensityOperator((u * (w / w.sum())) @ u.conj().T)
     ev = mutual._MutualEvaluator(rho.matrix, ch)
     assert ev.gram and [s.stop - s.start for s in ev.blocks] == [32, 32]
-    points = rng_from(705).normal(size=(2, ev.n_params))
+    rotations = [random_unitary(32, rng_from(705 + i)) for i in range(4)]
+    rotations = [np.stack(rotations[:2]), np.stack(rotations[2:])]
+    owners = np.zeros(2, dtype=int)
     shapes = _sized_eigensolves(monkeypatch, 32)
-    values = ev.values(points)
-    assert [s for s in shapes if s[-1] > 2] == [(2, 32, 32)] * 2  # exp(iH) of each block
-    assert (2, 64, 2, 2) in shapes
+    parts = ev.rotated(ev.parts[owners], rotations)
+    values, eigen, outputs = ev.evaluate(parts, owners)
+    ev.generators(parts, eigen, owners)
+    assert shapes == [(2, 64, 2, 2)] and outputs is None
+    shapes.clear()
+    (found,) = mutual._schatten_ascent(ev, SearchBudget(1, 9, seed=3))
+    best = SchattenDecomposition(weights=ev.weights[0], vectors=found.params)
+    assert found.evals == 9
+    big = [s for s in shapes if s[-1] > 2]
+    assert big and set(big) == {(1, 32, 32)} and len(big) <= 2 * 3
     monkeypatch.undo()
-    for p, value in zip(points, values):  # the row is the decomposition's mutual entropy
-        dec = _rotated(ev.weights[0], ev.vectors[0], ev.blocks, p)
+    for i, value in enumerate(values):  # the row is the decomposition's mutual entropy
+        vectors = ev.vectors[0].copy()
+        for s, r in zip(ev.blocks, rotations):
+            vectors[:, s] = vectors[:, s] @ r[i]
+        dec = SchattenDecomposition(weights=ev.weights[0], vectors=vectors)
         assert abs(value - mutual_entropy_fixed(rho, ch, dec).value) <= 1e-10
+    assert abs(found.value - mutual_entropy_fixed(rho, ch, best).value) <= 1e-10
