@@ -1,15 +1,16 @@
 """Shared multi-restart derivative-free maximization, and the search budget.
 
-The derivative-free suprema of the package (capacity family searches, the
-pseudo split searches, the entanglement ray searches) run through
-`maximize_many`: Nelder-Mead local descents from seeded random starts,
+`maximize_batch` runs Nelder-Mead local descents from seeded random starts,
 stepped in lockstep so that each round of points is one call of a batch
-objective, and reduced by max, for one problem (`maximize_batch`) or
-several independent ones at once. Restart seeds derive from the budget's
+objective, and reduces them by max. Three suprema of the package use it:
+the capacity state-family search (`capacity.StateFamily.supremum`), the
+pseudo split search (`mutual._split_search`) and the entanglement q ray
+search (`entanglement._q_value`). Restart seeds derive from the budget's
 master seed by counter, so results are reproducible. `maximize` is the
 same search for a pointwise objective. The Schatten search of the Ohya
 mutual entropy is a gradient ascent on the same `SearchBudget`
-(`mutual._schatten_ascent`).
+(`mutual._schatten_ascent`), and the cqc modes take only its `tol` and
+caps; neither uses Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -133,95 +134,6 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
     return False
 
 
-def maximize_many(
-    objective_rows,
-    n_problems: int,
-    n_params: int,
-    budget: SearchBudget,
-    starts=(),
-) -> list[SearchResult]:
-    """Maximize n_problems independent objectives over R^n_params together.
-
-    Every problem runs the search `maximize_batch` describes, from the same
-    starts and seeded restarts. Each round takes the unfinished descents'
-    batches, problem by problem and within a problem in restart order, and
-    scores them with one call `objective_rows(points, owners)`: points is an
-    (m, n_params) array, m >= 1, and owners[i] the problem of row i. With
-    one problem the call is `objective_rows(points)`, and no owner array is
-    built. With n_params == 0 each problem is evaluated once, on a row of
-    length 0, in one call. Descents do not interact, so each problem's
-    value, params, `evals` (its rows) and `converged` equal those of
-    `maximize_batch` on that problem alone.
-    """
-    if n_params == 0:
-        if n_problems == 1:
-            values = objective_rows(np.zeros((1, 0)))
-        else:
-            values = objective_rows(np.zeros((n_problems, 0)), np.arange(n_problems))
-        return [
-            SearchResult(value=float(values[p]), params=np.zeros(0), converged=True, evals=1)
-            for p in range(n_problems)
-        ]
-
-    starts = [np.asarray(s, dtype=float).reshape(-1) for s in starts]
-    for s in starts:
-        if s.size != n_params:
-            raise ValueError(f"start has {s.size} parameters, expected {n_params}")
-    n_restarts = max(budget.restarts, len(starts))
-    fatol = max(budget.tol * 0.1, 1e-12)
-    x0s = starts + [
-        np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,))).normal(size=n_params)
-        for k in range(len(starts), n_restarts)
-    ]
-
-    # One best per descent, descent j = p * n_restarts + k for restart k of problem p.
-    best_values = [-math.inf] * (n_problems * n_restarts)
-    best_params = [np.zeros(n_params)] * (n_problems * n_restarts)
-    converged = [False] * n_problems
-    evals = [0] * n_problems
-    active = []  # (descent, problem, its generator, its pending points)
-    for p in range(n_problems):
-        for k, x0 in enumerate(x0s):
-            descent = _nelder_mead(x0, budget.max_evals, 1e-8, fatol)
-            active.append((p * n_restarts + k, p, descent, next(descent)))
-    while active:
-        points = np.concatenate([pending for _, _, _, pending in active])
-        if n_problems == 1:
-            values = objective_rows(points)
-        else:
-            owners = np.repeat([p for _, p, _, _ in active], [len(pending) for _, _, _, pending in active])
-            values = objective_rows(points, owners)
-        values = np.asarray(values, dtype=float)
-        finite = np.isfinite(values)
-        scored = np.where(finite, values, -math.inf).tolist()
-        # The minimizer sees -value, and a finite stand-in for discarded points.
-        minimized = np.where(finite, -values, _REJECTED).tolist()
-        stepped = []
-        pos = 0
-        for j, p, descent, pending in active:
-            end = pos + len(pending)
-            evals[p] += end - pos
-            chunk = scored[pos:end]
-            top = max(chunk)
-            if top > best_values[j]:
-                best_values[j], best_params[j] = top, points[pos + chunk.index(top)].copy()
-            try:
-                stepped.append((j, p, descent, descent.send(minimized[pos:end])))
-            except StopIteration as stop:
-                converged[p] |= stop.value
-            pos = end
-        active = stepped
-
-    results = []
-    for p in range(n_problems):
-        value, params = -math.inf, np.zeros(n_params)
-        for j in range(p * n_restarts, (p + 1) * n_restarts):
-            if best_values[j] > value:
-                value, params = best_values[j], best_params[j]
-        results.append(SearchResult(value=value, params=params, converged=converged[p], evals=evals[p]))
-    return results
-
-
 def maximize_batch(
     objective_rows,
     n_params: int,
@@ -245,11 +157,57 @@ def maximize_batch(
     its first maximum, and those are reduced in restart order, the earlier
     restart winning a tie; so the returned value and params, `evals` (the
     number of rows evaluated) and `converged` (some descent met the stop
-    test) equal those of a run that takes one restart at a time. With
-    n_params == 0 the objective is evaluated once, on a 1 x 0 array. This
-    is `maximize_many` with one problem.
+    test) equal those of a run that takes one restart at a time. If every
+    point is discarded, the value is -inf and the params are zeros. With
+    n_params == 0 the objective is evaluated once, on a 1 x 0 array.
     """
-    return maximize_many(objective_rows, 1, n_params, budget, starts)[0]
+    if n_params == 0:
+        value = float(objective_rows(np.zeros((1, 0)))[0])
+        return SearchResult(value=value, params=np.zeros(0), converged=True, evals=1)
+
+    starts = [np.asarray(s, dtype=float).reshape(-1) for s in starts]
+    for s in starts:
+        if s.size != n_params:
+            raise ValueError(f"start has {s.size} parameters, expected {n_params}")
+    n_restarts = max(budget.restarts, len(starts))
+    fatol = max(budget.tol * 0.1, 1e-12)
+    x0s = starts + [
+        np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(k,))).normal(size=n_params)
+        for k in range(len(starts), n_restarts)
+    ]
+
+    best_values = [-math.inf] * n_restarts  # each restart's first maximum
+    best_params = [np.zeros(n_params)] * n_restarts
+    converged, evals = False, 0
+    active = []  # (restart, its generator, its pending points)
+    for k, x0 in enumerate(x0s):
+        descent = _nelder_mead(x0, budget.max_evals, 1e-8, fatol)
+        active.append((k, descent, next(descent)))
+    while active:
+        points = np.concatenate([pending for _, _, pending in active])
+        values = np.asarray(objective_rows(points), dtype=float)
+        evals += len(points)
+        finite = np.isfinite(values)
+        scored = np.where(finite, values, -math.inf).tolist()
+        # The minimizer sees -value, and a finite stand-in for discarded points.
+        minimized = np.where(finite, -values, _REJECTED).tolist()
+        stepped = []
+        pos = 0
+        for k, descent, pending in active:
+            end = pos + len(pending)
+            chunk = scored[pos:end]
+            top = max(chunk)
+            if top > best_values[k]:
+                best_values[k], best_params[k] = top, points[pos + chunk.index(top)].copy()
+            try:
+                stepped.append((k, descent, descent.send(minimized[pos:end])))
+            except StopIteration as stop:
+                converged |= stop.value
+            pos = end
+        active = stepped
+
+    k = best_values.index(max(best_values))  # the earliest restart of the best value
+    return SearchResult(value=best_values[k], params=best_params[k], converged=converged, evals=evals)
 
 
 def maximize(

@@ -31,8 +31,7 @@ TINY = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
 
 def _perturb_maximize(monkeypatch, module, shift=1e-3):
-    """Make `module.maximize_batch`, and `module.maximize_many` where the
-    module binds it, report `shift` above each best value."""
+    """Make `module.maximize_batch` report `shift` above each best value."""
 
     def shifted(result):
         return dataclasses.replace(result, value=result.value + shift)
@@ -43,13 +42,6 @@ def _perturb_maximize(monkeypatch, module, shift=1e-3):
         return shifted(batch(objective_rows, n_params, budget, starts))
 
     monkeypatch.setattr(module, "maximize_batch", perturbed)
-    if hasattr(module, "maximize_many"):
-        many = module.maximize_many
-
-        def perturbed_many(objective_rows, n_problems, n_params, budget, starts=()):
-            return [shifted(r) for r in many(objective_rows, n_problems, n_params, budget, starts)]
-
-        monkeypatch.setattr(module, "maximize_many", perturbed_many)
 
 
 def _counting(monkeypatch, module, name):
