@@ -31,11 +31,13 @@ from .mutual import (
     DUAL_ROUTE_TOL,
     CompoundState,
     _compound_matrix,
+    _images,
     _ohya_at,
     _transmitted,
     mutual_entropy_fixed,
 )
 from .operators import (
+    MAX_DIM,
     ZERO_TOL,
     ConsistencyError,
     DensityOperator,
@@ -543,25 +545,18 @@ def _assemble_directions(
     return np.divide(x, norms[:, None, None], out=np.zeros_like(x), where=ok[:, None, None]), ok
 
 
-def _candidate_direction(dec: SchattenDecomposition, outputs: np.ndarray, k: int) -> np.ndarray | None:
-    """Coherence between the leading output eigenvectors of each component.
+def _candidate_direction(dec: SchattenDecomposition, ch: KrausChannel) -> np.ndarray | None:
+    """The ray from theta_d to theta_ci = (id (x) ch)(|phi><phi|), phi = sum_n sqrt(lambda_n) v_n (x) v_n.
 
-    Each block is made traceless, as in `_assemble_directions`, so the ray
-    keeps the input marginal when the leading eigenvectors overlap. Under
-    the identity channel they are orthogonal, and the ray passes through
-    the standard entanglement of the input state at its feasibility boundary.
+    Its blocks are theta_ci's off-diagonal ones, sqrt(lambda_n lambda_m) ch(|v_n><v_m|), traceless as
+    ch preserves the trace; None when they vanish. theta_ci is PSD, so the PSD step is at least 1, and
+    its mutual entropy is the coherent information S(rho) + S(ch(rho)) - S(ch^c(rho)) (quant-ph/0106052).
     """
-    g = dec.size
-    if g < 2:
-        return None
-    leads = _fix_phases(_eigh_descending(outputs)[1])[..., 0]  # as eigenbasis(om)[1][:, 0], stacked
-    b = leads[:, None, :, None] * leads.conj()[None, :, None, :]  # outer(lead_n, conj(lead_m))
-    scale = np.sqrt(np.maximum(np.outer(dec.weights, dec.weights), 0.0))
-    blocks = scale[:, :, None, None] * _traceless(b, np.trace(b, axis1=-2, axis2=-1))
-    blocks[range(g), range(g)] = 0.0
+    images = _images(ch.stack, dec.vectors) * np.sqrt(np.clip(dec.weights, 0.0, None))[:, None, None]
+    blocks = images[:, None] @ images.conj().swapaxes(-1, -2)[None]
+    blocks[range(dec.size), range(dec.size)] = 0.0
     x = _in_input_frame(dec, blocks)
-    norm = float(np.linalg.norm(x))
-    return None if norm <= 1e-12 else x
+    return None if np.linalg.norm(x) <= 1e-12 else x
 
 
 _STEP_CAP = 64.0
@@ -649,8 +644,8 @@ def _q_value(
     ray that beats `diagonal_value` is checked at its PSD endpoint, once.
 
     `outputs` are dec's channel outputs, `mutual._transmitted(ch, dec)`,
-    which the caller has already computed; the diagonal compound and the
-    candidate ray are built from them. Each lockstep round of the ray search
+    which the caller has already computed; the diagonal compound is built
+    from them, and the candidate ray from ch. Each lockstep round of the ray search
     is one stack: its points become rays in one `_assemble_directions` call
     and are scored in one `_RayScorer.endpoints` call. The candidate ray and
     the winning search ray go through the same two functions as stacks of
@@ -666,7 +661,7 @@ def _q_value(
     out_avg = apply_matrix(ch, rho.matrix)
     scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg)
     best, best_end, evals = diagonal_value, None, 0
-    candidate = _candidate_direction(dec, outputs, k)
+    candidate = _candidate_direction(dec, ch)
     if candidate is not None:
         values, steps = scorer.endpoints(candidate[None], np.ones(1, dtype=bool))
         if values[0] > best:
@@ -701,12 +696,15 @@ def _class_reports(
 
     d is `ohya_mutual_entropy`'s result at rho (`mutual._ohya_at`, which
     offers c nothing when it runs no search) or `quantum_capacity`'s checked
-    maximizer. Its decomposition goes through the channel once more, and
-    those outputs give both its commutation defect and q's rays. c is d when
-    d's outputs commute, and otherwise the best commuting offer, checked by
-    `mutual_entropy_fixed` only here, where it is reported, or infeasible
-    when there is none. Either way c <= d holds.
+    maximizer. Its decomposition goes through the channel once more, and those
+    outputs give both its commutation defect and q's rays. c is d when d's
+    outputs commute, and otherwise the best commuting offer, checked by
+    `mutual_entropy_fixed` only here, where it is reported, or infeasible when
+    there is none. Either way c <= d holds. q's compound, of side
+    in_dim * out_dim, is bounded by MAX_DIM before any search.
     """
+    if "q" in tags and (side := ch.in_dim * ch.out_dim) > MAX_DIM:
+        raise ValueError(f"q's compound dimension {ch.in_dim} * {ch.out_dim} = {side} exceeds the supported maximum {MAX_DIM}")
     commuting = _BestCommuting()
     if rho is None:
         inner = budget.child(1)
@@ -767,12 +765,13 @@ def class_mutual_and_capacity(
     The d class searches the Schatten decompositions of rho (the diagonal
     compounds); c restricts to decompositions whose channel outputs commute
     pairwise, reporting feasible=False, value 0 and a maximizer whose state
-    and decomposition are None when none were found; q additionally
-    perturbs the best diagonal compound along marginal-preserving rays with
-    off-diagonal blocks. `fix_output_blocks=False` also releases the diagonal
-    blocks of the q perturbation, keeping only the two marginals pinned.
-    The value is the one `qdc_hierarchy` reports for the class, from the same
-    search; only q runs the ray search.
+    and decomposition are None when none were found; q additionally perturbs
+    the best diagonal compound along marginal-preserving rays with
+    off-diagonal blocks, reaching at least the coherent information; it needs
+    in_dim * out_dim <= 64. `fix_output_blocks=False` also releases the
+    diagonal blocks of the q perturbation, keeping only the two marginals
+    pinned. The value is the one `qdc_hierarchy` reports for the class, from
+    the same search; only q runs the ray search.
     """
     tag = cls.tag if isinstance(cls, EntanglementClass) else str(cls)
     if tag not in ("q", "d", "c"):
@@ -792,21 +791,22 @@ def qdc_hierarchy(
     code, so a nondegenerate rho, or any rho through a channel with
     `uniform_pure_outputs`, is valued at its canonical decomposition with no
     search. For the capacities (rho None) the search is `quantum_capacity`'s
-    over the `full` state family, and d is its checked maximizer, so d is
-    the quantum capacity at the same budget. A search feeds a running best
-    record among decompositions with commuting outputs (c), over all states
-    visited; c is d when d's outputs commute. Through a channel with
+    over the `full` state family, and d is its checked maximizer, so d is the
+    quantum capacity at the same budget. A search feeds a running best record
+    among decompositions with commuting outputs (c), over all states visited;
+    c is d when d's outputs commute. Through a channel with
     `uniform_pure_outputs` c = d: the outputs a |v_k><v_k| + b I of the
-    depolarizing form, or the orthogonal pure outputs of an isometry,
-    commute. q steps along rays out of d's
-    diagonal compound and never falls below it; with rho None its ray search
-    runs on `search.child(1)`. d is sent through the channel once more, for
-    its commutation defect and q's rays, and a c that is not d is validated
-    once, its value recomputed by `mutual_entropy_fixed`. The c record
-    sees every row the Schatten ascent scores, its starts and all its trial
-    steps, and keeps that row's support vectors. `evals` counts the rows
-    of the outermost search (the decomposition search at fixed rho, 1 when
-    none runs; the state search otherwise), plus the ray search's for q;
-    `converged` is that search's flag.
+    depolarizing form, or the orthogonal pure outputs of an isometry, commute.
+    q steps along rays out of d's diagonal compound, never below d or the
+    coherent information S(rho) + S(ch(rho)) - S(ch^c(rho)), and needs
+    in_dim * out_dim <= 64. With rho None its ray search runs on
+    `search.child(1)`. d is sent through the channel once more, for its
+    commutation defect and q's rays, and a c that is not d is validated once,
+    its value recomputed by `mutual_entropy_fixed`. The c record sees every
+    row the Schatten ascent scores, its starts and all its trial steps, and
+    keeps that row's support vectors. `evals` counts the rows of the outermost
+    search (the decomposition search at fixed rho, 1 when none runs; the state
+    search otherwise), plus the ray search's for q; `converged` is that
+    search's flag.
     """
     return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)

@@ -78,12 +78,11 @@ def _nelder_mead(x0: np.ndarray, max_evals: int, xatol: float, fatol: float):
     copies what it keeps.
     """
     n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
+    evals = min(n + 1, max_evals)  # the vertices scored; only these are built
+    sim = np.tile(x0, (evals, 1))
+    for k in range(evals - 1):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
-    evals = min(n + 1, max_evals)
-    fsim[:evals] = yield sim[:evals]
+    fsim = np.array((yield sim), dtype=float)
     if evals < n + 1:
         return False
     # Sorted twice before the first step, as the reference does: argsort
@@ -163,6 +162,7 @@ def maximize_batch(
     """
     if n_params == 0:
         value = float(objective_rows(np.zeros((1, 0)))[0])
+        value = value if math.isfinite(value) else -math.inf
         return SearchResult(value=value, params=np.zeros(0), converged=True, evals=1)
 
     starts = [np.asarray(s, dtype=float).reshape(-1) for s in starts]

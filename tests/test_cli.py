@@ -489,3 +489,14 @@ def test_start_up_imports_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_qdc_command_rejects_an_oversized_compound(tmp_path, capsys):
+    # q's compound would have side 16 * 16 = 256, above the 64 cap.
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {"state": (np.eye(16) / 16).tolist(), "channel": {"kind": "depolarizing", "p": 0.3, "dim": 16}},
+    )
+    assert main(["qdc", "--config", cfg]) == 1
+    assert "16 * 16 = 256 exceeds the supported maximum 64" in capsys.readouterr().err

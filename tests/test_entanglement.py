@@ -554,3 +554,63 @@ def test_a_fixed_state_hierarchy_takes_the_ohya_path_without_a_search(monkeypatc
         assert q.evals == 1
     else:
         assert q.evals == 121  # the canonical decomposition, then 120 ray evaluations
+
+
+def _entropy(m: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 1e-300]
+    return float(-np.sum(w * np.log(w)))
+
+
+def _coherent_information(rho: np.ndarray, ch) -> float:
+    """I_BSST = S(rho) + S(ch(rho)) - S(ch^c(rho)), with the complementary
+    channel's output (ch^c(rho))_ij = tr(K_i rho K_j^dag)."""
+    out = sum(k @ rho @ k.conj().T for k in ch.ops)
+    env = np.array([[np.trace(ki @ rho @ kj.conj().T) for kj in ch.ops] for ki in ch.ops])
+    return _entropy(rho) + _entropy(out) - _entropy(env)
+
+
+COHERENT_CASES = {
+    "rk3_0": (lambda: np.diag([0.5, 0.3, 0.2]), lambda: _rk(3, 0)),
+    **{f"rk2_{s}": (lambda: np.diag([0.7, 0.3]), lambda s=s: _rk(2, s)) for s in range(3)},
+    **{f"rk{d}_0": (lambda d=d: random_density(d, np.random.default_rng(1)).matrix, lambda d=d: _rk(d, 0))
+       for d in (4, 6)},
+    "3 to 4": (lambda: random_density(3, rng_from(75)).matrix,
+               lambda: random_kraus_channel(3, 4, 2, rng_from(76))),
+}
+
+
+@pytest.mark.parametrize("name", [*COHERENT_CASES, "capacity"])
+def test_q_reaches_the_coherent_information(name):
+    # q's first ray ends at the channel-induced compound (id (x) ch)(|phi><phi|)
+    # of rho's purification, whose mutual entropy is the coherent information;
+    # the Araki-Lieb bound caps q at twice the smaller marginal entropy.
+    if name == "capacity":
+        ch = _rk(2, 0)
+        q = qdc_hierarchy(None, ch, SearchBudget(2, 12, seed=1))["q"]
+        rho = q.maximizer["state"]
+    else:
+        state, channel = COHERENT_CASES[name]
+        rho, ch = state().astype(complex), channel()
+        q = qdc_hierarchy(DensityOperator(rho), ch, SearchBudget(2, 40, seed=5))["q"]
+    bound = 2 * min(_entropy(rho), _entropy(apply_matrix(ch, rho)))
+    assert _coherent_information(rho, ch) - 1e-12 <= q.value <= bound + 1e-9
+
+
+def test_q_rejects_an_oversized_compound_before_any_search(monkeypatch):
+    # q's compound has side 16 * 16 = 256; the check comes before the Ohya
+    # search, which would otherwise run and only then fail on the compound.
+    import qmi.entanglement
+
+    rho, ch = random_density(16, rng_from(1)), depolarizing_channel(0.3, 16)
+    calls = []
+    for name in ("_ohya_at", "_quantum_search"):
+        monkeypatch.setattr(qmi.entanglement, name, lambda *args, name=name, **kwargs: calls.append(name))
+    message = r"dimension 16 \* 16 = 256 exceeds the supported maximum 64"
+    with pytest.raises(ValueError, match=message):
+        qdc_hierarchy(rho, ch)
+    with pytest.raises(ValueError, match=message):
+        class_mutual_and_capacity(None, ch, "q")
+    assert calls == []
+    monkeypatch.undo()
+    assert abs(class_mutual_and_capacity(rho, ch, "d").value - 1.165151) < 1e-6

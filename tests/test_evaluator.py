@@ -215,7 +215,7 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
         n_params = (dec.size * (dec.size - 1)) * k * k + (0 if fix_output_blocks else dec.size * k * k)
         rays, ok = _assemble_directions(rng.normal(size=(4, n_params)), dec, k, fix_output_blocks)
         assert ok.all()
-        directions = [_candidate_direction(dec, outputs, k), *rays]
+        directions = [_candidate_direction(dec, ch), *rays]
         for x in directions:
             values, steps = scorer.endpoints(x[None], np.ones(1, dtype=bool))
             exact = float(steps[0])

@@ -12,11 +12,12 @@ cases skip without scipy. The last cases check the batch protocol of
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmi.search import _REJECTED, SearchBudget, maximize, maximize_batch
+from qmi.search import _REJECTED, SearchBudget, _nelder_mead, maximize, maximize_batch
 
 
 def _quadratic(x):
@@ -225,8 +226,9 @@ def test_tied_restarts_return_the_first_restarts_params():
     assert result.value == 1.0 and np.array_equal(result.params, reflection)
 
 
-@pytest.mark.parametrize("value", [2.5, -math.inf])
+@pytest.mark.parametrize("value", [2.5, -math.inf, math.nan, math.inf])
 def test_zero_parameters_evaluate_one_empty_row(value):
+    # A value that is not finite discards the one point, as with parameters.
     calls = []
 
     def rows(points):
@@ -235,7 +237,8 @@ def test_zero_parameters_evaluate_one_empty_row(value):
 
     result = maximize_batch(rows, 0, SearchBudget(restarts=3, max_evals=10))
     assert calls == [(1, 0)]
-    assert (result.value, result.evals, result.converged) == (value, 1, True)
+    expected = value if math.isfinite(value) else -math.inf
+    assert (result.value, result.evals, result.converged) == (expected, 1, True)
     assert np.array_equal(result.params, np.zeros(0))
 
 
@@ -248,3 +251,24 @@ def test_every_point_rejected_gives_minus_inf_at_zeros():
     assert np.array_equal(result.params, np.zeros(3))
     assert not result.converged
     assert result.evals == 60
+
+
+def test_a_capped_descent_builds_only_the_vertices_it_scores():
+    # 20 of the 501 vertices of a 500-parameter simplex fit the cap: the
+    # descent yields those 20, the first rows of the full simplex, and stops,
+    # without allocating the 2 MB of the full simplex.
+    x0 = np.arange(500.0)
+    descent = _nelder_mead(x0, 20, 1e-8, 1e-12)
+    tracemalloc.start()
+    try:
+        batch = next(descent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 501 * 500 * 8 // 4
+    expected = np.tile(x0, (20, 1))
+    expected[range(1, 20), range(19)] = [0.00025, *(1.05 * x0[1:19])]
+    assert np.array_equal(batch, expected)
+    with pytest.raises(StopIteration) as stop:
+        descent.send([0.0] * 20)
+    assert stop.value.value is False
