@@ -5,6 +5,9 @@ and convergence flags, and renders byte-identically for identical
 (config, seed) pairs. Exit codes: 0 on success (including non-converged
 searches, which are reported, not failed), 1 for usage and config errors,
 2 for numerical consistency failures.
+
+Each command imports its solver module when it runs, so a cold process
+loads only the modules its command needs.
 """
 
 from __future__ import annotations
@@ -17,18 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import CodingScheme, CqcInstance, StateFamily, cqc_capacity, cqc_mutual_entropy, pseudo_capacity, quantum_capacity
-from .entanglement import (
-    classify_compound,
-    conditional_and_degree,
-    d_compound,
-    entangled_mutual_entropy,
-    q_entropy_sup,
-    qdc_hierarchy,
-    standard_entanglement,
-)
-from .entropy import umegaki_relative_entropy, von_neumann_entropy
-from .mutual import holevo_bound, ohya_mutual_entropy, pseudo_mutual_entropy
 from .operators import ConsistencyError
 from .serialize import (
     ConfigContext,
@@ -46,7 +37,6 @@ from .serialize import (
     report_to_csv,
     to_jsonable,
 )
-from .verify import verify_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,17 +49,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_entropy(cfg, ctx, budget):
+    from .entropy import von_neumann_entropy
+
     state = parse_state(cfg["state"], ctx)
     return {"nats": von_neumann_entropy(state.matrix)}, True
 
 
 def _cmd_relent(cfg, ctx, budget):
+    from .entropy import umegaki_relative_entropy
+
     state = parse_state(cfg["state"], ctx)
     reference = parse_state(cfg["reference"], ctx)
     return {"nats": umegaki_relative_entropy(state.matrix, reference.matrix)}, True
 
 
 def _cmd_mutual(cfg, ctx, budget):
+    from .mutual import ohya_mutual_entropy
+
     rho = parse_state(cfg["state"], ctx)
     ch = parse_channel(cfg["channel"], ctx)
     got = ohya_mutual_entropy(rho, ch, budget)
@@ -77,6 +73,8 @@ def _cmd_mutual(cfg, ctx, budget):
 
 
 def _cmd_pseudo_mutual(cfg, ctx, budget):
+    from .mutual import pseudo_mutual_entropy
+
     rho = parse_state(cfg["state"], ctx)
     ch = parse_channel(cfg["channel"], ctx)
     got = pseudo_mutual_entropy(rho, ch, int(cfg.get("n_components", 2)), budget)
@@ -84,6 +82,8 @@ def _cmd_pseudo_mutual(cfg, ctx, budget):
 
 
 def _cmd_holevo(cfg, ctx, budget):
+    from .mutual import holevo_bound
+
     weights = parse_probability(cfg["weights"], ctx)
     states = [parse_matrix(s, ctx) for s in cfg["states"]]
     ch = parse_channel(cfg["channel"], ctx)
@@ -91,6 +91,8 @@ def _cmd_holevo(cfg, ctx, budget):
 
 
 def _cmd_capacity(cfg, ctx, budget):
+    from .capacity import StateFamily, pseudo_capacity, quantum_capacity
+
     ch = parse_channel(cfg["channel"], ctx)
     fam = cfg.get("family", {})
     family = StateFamily(fam.get("kind", "full"), ch.in_dim, fam.get("rank"))
@@ -112,6 +114,8 @@ _REMOVED_CQC_KEYS = {
 
 
 def _cmd_cqc(cfg, ctx, budget):
+    from .capacity import CodingScheme, CqcInstance, cqc_capacity, cqc_mutual_entropy
+
     ch = parse_channel(cfg["channel"], ctx)
     coding = CodingScheme(tuple(parse_state(s, ctx) for s in cfg["coding"]))
     decoding = parse_povm(cfg["decoding"], ctx)
@@ -133,6 +137,8 @@ def _cmd_cqc(cfg, ctx, budget):
 
 
 def _entangled_from_config(cfg, ctx):
+    from .entanglement import classify_compound, d_compound, standard_entanglement
+
     if "construct" in cfg:
         c = ctx.resolve(cfg["construct"])
         kind = c.get("kind")
@@ -151,6 +157,8 @@ def _entangled_from_config(cfg, ctx):
 
 
 def _cmd_entangle(cfg, ctx, budget):
+    from .entanglement import conditional_and_degree, entangled_mutual_entropy, q_entropy_sup
+
     compound, cls = _entangled_from_config(cfg, ctx)
     mutual = entangled_mutual_entropy(compound)
     cond, degree = conditional_and_degree(compound)
@@ -167,6 +175,8 @@ def _cmd_entangle(cfg, ctx, budget):
 
 
 def _cmd_qdc(cfg, ctx, budget):
+    from .entanglement import qdc_hierarchy
+
     ch = parse_channel(cfg["channel"], ctx)
     state = parse_state(cfg["state"], ctx) if "state" in cfg else None
     reports = qdc_hierarchy(
@@ -184,6 +194,8 @@ def _cmd_qdc(cfg, ctx, budget):
 
 
 def _cmd_verify(cfg, ctx, budget):
+    from .verify import verify_report
+
     return verify_report(budget.seed), True
 
 

@@ -10,19 +10,21 @@ and non-finite floats as the strings "inf", "-inf", "nan".
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import KrausChannel, Povm, make_channel, projective_povm
-from .mutual import CompoundState
 from .operators import DensityOperator, partial_trace
 from .search import SearchBudget
+
+if TYPE_CHECKING:
+    from .channels import KrausChannel, Povm
+    from .mutual import CompoundState
 
 LN2 = math.log(2.0)
 
@@ -95,6 +97,8 @@ def parse_channel(obj, ctx: ConfigContext | None = None) -> KrausChannel:
 
     Matrix-valued fields are parsed first; "matrix" is the unitary's `u`.
     """
+    from .channels import make_channel
+
     if ctx is not None:
         obj = ctx.resolve(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -115,6 +119,8 @@ def parse_channel(obj, ctx: ConfigContext | None = None) -> KrausChannel:
 
 
 def parse_povm(obj, ctx: ConfigContext | None = None) -> Povm:
+    from .channels import Povm, projective_povm
+
     if ctx is not None:
         obj = ctx.resolve(obj)
     if isinstance(obj, dict) and "projective" in obj:
@@ -146,6 +152,8 @@ def budget_to_json(b: SearchBudget) -> dict:
 
 
 def parse_compound(obj: dict, ctx: ConfigContext | None = None) -> CompoundState:
+    from .mutual import CompoundState
+
     theta = parse_matrix(obj["theta"], ctx)
     d_g, d_k = (int(x) for x in obj["dims"])
     return CompoundState(
@@ -232,6 +240,8 @@ def _flatten(prefix: str, value, rows: list):
 
 
 def report_to_csv(report: dict) -> str:
+    import csv
+
     rows: list = []
     _flatten("", to_jsonable(report), rows)
     buf = io.StringIO()

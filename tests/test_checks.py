@@ -194,7 +194,9 @@ def _tolerance_parameters(fn) -> list[str]:
 
 
 def test_no_public_function_takes_a_tolerance():
-    functions = {f"qmi.{name}": obj for name, obj in vars(qmi).items() if inspect.isfunction(obj)}
+    # qmi exports its names lazily, so they are looked up, not read from vars(qmi).
+    exported = {name: getattr(qmi, name) for name in qmi.__all__}
+    functions = {f"qmi.{name}": obj for name, obj in exported.items() if inspect.isfunction(obj)}
     for module in (entropy, operators, mutual):
         for name, obj in vars(module).items():
             if inspect.isfunction(obj) and not name.startswith("_") and obj.__module__ == module.__name__:

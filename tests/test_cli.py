@@ -491,6 +491,57 @@ def test_start_up_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+
+_BASE_MODULES = {"operators", "entropy", "search", "serialize"}
+_CHANNEL_MODULES = _BASE_MODULES | {"channels", "mutual", "sampling"}
+_QUBIT_STATE = [[0.7, 0.0], [0.0, 0.3]]
+_DEPOLARIZING = {"kind": "depolarizing", "p": 0.3, "dim": 2}
+_SMALL_BUDGET = {"restarts": 1, "max_evals": 20}
+
+# Each command with a light config and the `qmi` submodules, besides `cli`, its run loads.
+_COMMAND_IMPORTS = {
+    "entropy": ({"state": _QUBIT_STATE}, _BASE_MODULES),
+    "relent": ({"state": _QUBIT_STATE, "reference": [[0.5, 0.0], [0.0, 0.5]]}, _BASE_MODULES),
+    "holevo": (
+        {"weights": [0.5, 0.5], "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "channel": _DEPOLARIZING},
+        _CHANNEL_MODULES,
+    ),
+    "mutual": ({"state": _QUBIT_STATE, "channel": _DEPOLARIZING, "budget": _SMALL_BUDGET}, _CHANNEL_MODULES),
+    "capacity": ({"channel": _DEPOLARIZING, "budget": _SMALL_BUDGET}, _CHANNEL_MODULES | {"capacity"}),
+    "entangle": (
+        {"construct": {"kind": "standard", "sigma": _QUBIT_STATE}},
+        _CHANNEL_MODULES | {"capacity", "entanglement"},
+    ),
+}
+
+
+def _fresh_qmi_modules(code: str) -> set:
+    """The `qmi` submodules loaded after running `code` in a new interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "; print(' '.join(m[4:] for m in sys.modules if m.startswith('qmi.')))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_a_bare_import_loads_no_solver_module():
+    loaded = _fresh_qmi_modules("import sys, qmi")
+    assert not loaded & {"channels", "mutual", "sampling", "capacity", "entanglement", "verify"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_IMPORTS))
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, command):
+    config, expected = _COMMAND_IMPORTS[command]
+    cfg = _write(tmp_path, "c.json", config)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "report.json")]
+    loaded = _fresh_qmi_modules(f"import sys, qmi.cli; assert qmi.cli.main({argv!r}) == 0")
+    assert loaded == expected | {"cli"}
+    assert json.loads((tmp_path / "report.json").read_text())["command"] == command
+
 def test_qdc_command_rejects_an_oversized_compound(tmp_path, capsys):
     # q's compound would have side 16 * 16 = 256, above the 64 cap.
     cfg = _write(

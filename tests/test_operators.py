@@ -1,6 +1,7 @@
 """Core operator plumbing: decompositions, partial traces, parameter maps."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -209,8 +210,7 @@ _VALUE_RECORDS = {"StateFamily", "Check", "SuiteResult", "EntanglementClass", "S
 def test_records_that_hold_arrays_compare_by_identity():
     records = {
         cls.__name__: cls
-        for module in vars(qmi).values()
-        if getattr(module, "__name__", "").startswith("qmi.")
+        for module in {sys.modules[getattr(qmi, name).__module__] for name in qmi.__all__}
         for cls in vars(module).values()
         if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
     }
