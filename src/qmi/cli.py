@@ -107,12 +107,6 @@ def _cmd_capacity(cfg, ctx, budget):
     return results, rep.converged
 
 
-_REMOVED_CQC_KEYS = {
-    "pure_coding": "mode coding moves the codes to pure states, as mixed ones reach no higher value",
-    "n_decoding": "mode full frees the given decoding's outcomes; pass a decoding with as many as wanted",
-}
-
-
 def _cmd_cqc(cfg, ctx, budget):
     from .capacity import CodingScheme, CqcInstance, cqc_capacity, cqc_mutual_entropy
 
@@ -129,9 +123,6 @@ def _cmd_cqc(cfg, ctx, budget):
         )
         got = cqc_mutual_entropy(inst)
         return {"nats": got.value, "route_defect": got.defect}, True
-    for key in _REMOVED_CQC_KEYS:
-        if key in cfg:
-            raise ValueError(f"config key {key!r} is no longer read: {_REMOVED_CQC_KEYS[key]}")
     rep = cqc_capacity(ch, decoding, coding, mode, budget)
     return {"nats": rep.value, "evals": rep.evals, "notes": rep.notes}, rep.converged
 
@@ -179,9 +170,7 @@ def _cmd_qdc(cfg, ctx, budget):
 
     ch = parse_channel(cfg["channel"], ctx)
     state = parse_state(cfg["state"], ctx) if "state" in cfg else None
-    reports = qdc_hierarchy(
-        state, ch, budget, fix_output_blocks=bool(cfg.get("fix_output_blocks", True))
-    )
+    reports = qdc_hierarchy(state, ch, budget)
     results = {
         tag: {
             "nats": rep.value,
@@ -210,6 +199,18 @@ _COMMANDS = {
     "entangle": _cmd_entangle,
     "qdc": _cmd_qdc,
     "verify": _cmd_verify,
+}
+
+# Config keys a command once read, each with what replaced it; a config that
+# sets one is rejected rather than silently run without it.
+_REMOVED_KEYS = {
+    "cqc": {
+        "pure_coding": "mode coding moves the codes to pure states, as mixed ones reach no higher value",
+        "n_decoding": "mode full frees the given decoding's outcomes; pass a decoding with as many as wanted",
+    },
+    "qdc": {
+        "fix_output_blocks": "q keeps the output blocks of d's compound; the relaxation that released them is removed",
+    },
 }
 
 
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
     name = args.command
     try:
         cfg, raw, ctx = _load_config(args.config)
+        for key, reason in _REMOVED_KEYS.get(name, {}).items():
+            if key in cfg:
+                raise ValueError(f"config key {key!r} is no longer read: {reason}")
         budget = parse_budget(cfg.get("budget"), seed_override=args.seed)
         results, converged = _COMMANDS[name](cfg, ctx, budget)
     except (KeyError, IndexError) as exc:

@@ -49,7 +49,6 @@ from .operators import (
     as_complex_matrix,
     as_probability,
     eigenbasis,
-    hermitian_from_params,
     hermitian_part,
     partial_trace,
     purify,
@@ -493,13 +492,6 @@ def _commutation_defects(outputs: np.ndarray) -> np.ndarray:
     return np.max(ratios, axis=1, initial=0.0)
 
 
-def _direction_param_count(g: int, k: int, fix_output_blocks: bool) -> int:
-    n = (g * (g - 1)) // 2 * 2 * k * k
-    if not fix_output_blocks:
-        n += g * k * k
-    return n
-
-
 def _in_input_frame(dec: SchattenDecomposition, blocks: np.ndarray) -> np.ndarray:
     """sum_nm |v_n><v_m| (x) blocks[..., n, m] as (..., d_g k, d_g k) matrices."""
     e = dec.vectors
@@ -508,37 +500,24 @@ def _in_input_frame(dec: SchattenDecomposition, blocks: np.ndarray) -> np.ndarra
     return x.reshape(*blocks.shape[:-4], n, n)
 
 
-def _traceless(mats: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """Each k x k matrix of a stack minus traces / k times the identity, in place."""
-    k = mats.shape[-1]
-    diag = np.arange(k)
-    mats[..., diag, diag] -= (traces / k)[..., None]
-    return mats
-
-
-def _assemble_directions(
-    points: np.ndarray, dec: SchattenDecomposition, k: int, fix_output_blocks: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _assemble_directions(points: np.ndarray, dec: SchattenDecomposition, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit Hermitian perturbations preserving both marginals of a diagonal
-    compound, one per row of points (m, n_params), and per row whether its
-    norm before scaling is above 1e-12; a row where it is not gets the ray 0.
+    compound, one per row of points (m, g (g - 1) k^2), and per row whether
+    its norm before scaling is above 1e-12; a row where it is not gets the
+    ray 0.
 
     Off-diagonal blocks are free but traceless (input marginal unchanged);
-    when the output blocks are released, the diagonal parts are traceless
-    and sum to zero (both marginals unchanged).
+    the diagonal blocks are 0 (theta_d's output blocks, and so the output
+    marginal, unchanged).
     """
     g, m = dec.size, len(points)
     first, second = _upper_indices(g)
-    pos = len(first) * 2 * k * k
     blocks = np.zeros((m, g, g, k, k), dtype=complex)
-    off = _complex_stack(points[:, :pos], len(first), k, k)
-    off = _traceless(off, np.trace(off, axis1=-2, axis2=-1))
+    off = _complex_stack(points, len(first), k, k)
+    diag = np.arange(k)
+    off[..., diag, diag] -= (np.trace(off, axis1=-2, axis2=-1) / k)[..., None]
     blocks[:, first, second] = off
     blocks[:, second, first] = off.conj().swapaxes(-1, -2)
-    if not fix_output_blocks:
-        diags = hermitian_from_params(points[:, pos:].reshape(m, g, k * k), k)
-        diags = _traceless(diags, np.trace(diags, axis1=-2, axis2=-1).real)
-        blocks[:, range(g), range(g)] = diags - diags.sum(axis=1, keepdims=True) / g
     x = _in_input_frame(dec, blocks)
     norms = _frobenius_norms(x)
     ok = norms > 1e-12
@@ -585,11 +564,9 @@ class _RayScorer:
     scores I(t) = S(rho) + S(ch(rho)) - S(theta_d + t x). S is concave in t,
     so I is convex, and its largest value on [0, t_max] is at an endpoint.
     I(0) is the diagonal value d, which q already floors at, so only t_max
-    can raise q. With fixed output blocks x has zero diagonal blocks, and
-    at an invertible theta_d the slope of I at t = 0 is tr(x ln theta_d) = 0,
-    so I(t_max) >= I(0) as well; with released blocks the slope need not
-    vanish, and t = 0 may be the larger end. So a ray is scored once, at
-    t_max, and nothing else is checked.
+    can raise q. x has zero diagonal blocks, so at an invertible theta_d the
+    slope of I at t = 0 is tr(x ln theta_d) = 0 and I(t_max) >= I(0) as
+    well. So a ray is scored once, at t_max, and nothing else is checked.
 
     A round of rays is scored as one stack (`endpoints`): one stacked eigh
     for their steps and one stacked eigvalsh for their endpoints. Each row's
@@ -618,17 +595,22 @@ class _RayScorer:
         rounding = bounded & ~(steps * _frobenius_norms(xs) > ZERO_TOL)
         return np.where(rounding, 0.0, steps)
 
+    def scores(self, xs: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """I(t) of each ray x of a stack (m, n, n) at its step t; -inf where t
+        is 0 or theta_d + t x has an eigenvalue below -ZERO_TOL."""
+        values = np.full(len(xs), -math.inf)
+        live = np.flatnonzero(steps > 0.0)
+        if live.size:
+            eigs = np.linalg.eigvalsh(self.theta_d + steps[live, None, None] * xs[live])
+            values[live] = np.where(eigs[:, 0] < -ZERO_TOL, -math.inf, self.marginal_entropy - _entropy_rows(eigs))
+        return values
+
     def endpoints(self, xs: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """I(t_max) and t_max of each ray of a stack (m, n, n); I is -inf where
         ok is False, t_max is 0 or the endpoint has an eigenvalue below
         -ZERO_TOL."""
-        values = np.full(len(xs), -math.inf)
         steps = self.max_steps(xs)
-        live = np.flatnonzero(ok & (steps > 0.0))
-        if live.size:
-            eigs = np.linalg.eigvalsh(self.theta_d + steps[live, None, None] * xs[live])
-            values[live] = np.where(eigs[:, 0] < -ZERO_TOL, -math.inf, self.marginal_entropy - _entropy_rows(eigs))
-        return values, steps
+        return self.scores(xs, np.where(ok, steps, 0.0)), steps
 
 
 def _q_value(
@@ -638,7 +620,6 @@ def _q_value(
     outputs: np.ndarray,
     diagonal_value: float,
     budget: SearchBudget,
-    fix_output_blocks: bool,
 ) -> tuple[float, int]:
     """Perturb the best diagonal compound along marginal-preserving rays; a
     ray that beats `diagonal_value` is checked at its PSD endpoint, once.
@@ -649,13 +630,16 @@ def _q_value(
     is one stack: its points become rays in one `_assemble_directions` call
     and are scored in one `_RayScorer.endpoints` call. The candidate ray and
     the winning search ray go through the same two functions as stacks of
-    one row, and each one's step comes with its score.
+    one row, and each one's step comes with its score. The candidate ends
+    at theta_ci, which is PSD, so where its second-order step overshoots
+    (an endpoint eigenvalue below -ZERO_TOL, seen at nearly pure outputs)
+    it is scored at t = 1 instead.
 
-    With fixed output blocks and a singular output omega_n, no random ray
-    has a PSD step: x vanishes on the diagonal blocks, so its block on the
-    kernel of theta_d is indefinite or 0, and when it is 0 its block between
-    the support and the kernel is not, for generic parameters. The ray
-    search is then skipped and only the candidate ray is scored.
+    With a singular output omega_n, no random ray has a PSD step: x vanishes
+    on the diagonal blocks, so its block on the kernel of theta_d is
+    indefinite or 0, and when it is 0 its block between the support and the
+    kernel is not, for generic parameters. The ray search is then skipped
+    and only the candidate ray is scored.
     """
     k = ch.out_dim
     out_avg = apply_matrix(ch, rho.matrix)
@@ -664,19 +648,22 @@ def _q_value(
     candidate = _candidate_direction(dec, ch)
     if candidate is not None:
         values, steps = scorer.endpoints(candidate[None], np.ones(1, dtype=bool))
+        if values[0] == -math.inf:
+            steps = np.ones(1)
+            values = scorer.scores(candidate[None], steps)
         if values[0] > best:
             best, best_end = float(values[0]), scorer.theta_d + steps[0] * candidate
-    n_params = _direction_param_count(dec.size, k, fix_output_blocks)
-    singular = fix_output_blocks and float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) <= ZERO_TOL
-    if n_params and dec.size >= 2 and not singular:
+    n_params = dec.size * (dec.size - 1) * k * k
+    singular = float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) <= ZERO_TOL
+    if n_params and not singular:
 
         def objective(points: np.ndarray) -> np.ndarray:
-            return scorer.endpoints(*_assemble_directions(points, dec, k, fix_output_blocks))[0]
+            return scorer.endpoints(*_assemble_directions(points, dec, k))[0]
 
         result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
         if result.value > best:
-            rays, ok = _assemble_directions(result.params[None], dec, k, fix_output_blocks)
+            rays, ok = _assemble_directions(result.params[None], dec, k)
             _, steps = scorer.endpoints(rays, ok)
             best, best_end = result.value, scorer.theta_d + steps[0] * rays[0]
     if best_end is not None:
@@ -689,7 +676,6 @@ def _class_reports(
     ch: KrausChannel,
     tags: tuple[str, ...],
     budget: SearchBudget,
-    fix_output_blocks: bool,
 ) -> dict[str, CapacityReport]:
     """The requested class values at rho, or their capacities when rho is None,
     all read from one search.
@@ -747,7 +733,7 @@ def _class_reports(
     if "d" in tags:
         reports["d"] = report("d", d_value)
     if "q" in tags:
-        q, ray_evals = _q_value(state, ch, dec, outputs, d_value, inner, fix_output_blocks)
+        q, ray_evals = _q_value(state, ch, dec, outputs, d_value, inner)
         reports["q"] = report("q", float(q), evals=result.evals + ray_evals, diagonal_value=d_value)
     return reports
 
@@ -757,7 +743,6 @@ def class_mutual_and_capacity(
     ch: KrausChannel,
     cls,
     search: SearchBudget | None = None,
-    fix_output_blocks: bool = True,
 ) -> CapacityReport:
     """Class-constrained mutual entropy at fixed rho, or its capacity when
     rho is None.
@@ -767,23 +752,21 @@ def class_mutual_and_capacity(
     pairwise, reporting feasible=False, value 0 and a maximizer whose state
     and decomposition are None when none were found; q additionally perturbs
     the best diagonal compound along marginal-preserving rays with
-    off-diagonal blocks, reaching at least the coherent information; it needs
-    in_dim * out_dim <= 64. `fix_output_blocks=False` also releases the
-    diagonal blocks of the q perturbation, keeping only the two marginals
-    pinned. The value is the one `qdc_hierarchy` reports for the class, from
-    the same search; only q runs the ray search.
+    off-diagonal blocks, which keep the diagonal blocks and both marginals,
+    reaching at least the coherent information; it needs
+    in_dim * out_dim <= 64. The value is the one `qdc_hierarchy` reports for
+    the class, from the same search; only q runs the ray search.
     """
     tag = cls.tag if isinstance(cls, EntanglementClass) else str(cls)
     if tag not in ("q", "d", "c"):
         raise ValueError(f"unknown class tag {tag!r}")
-    return _class_reports(rho, ch, (tag,), search or SearchBudget(), fix_output_blocks)[tag]
+    return _class_reports(rho, ch, (tag,), search or SearchBudget())[tag]
 
 
 def qdc_hierarchy(
     rho: DensityOperator | None,
     ch: KrausChannel,
     search: SearchBudget | None = None,
-    fix_output_blocks: bool = True,
 ) -> dict[str, CapacityReport]:
     """All three class-constrained values, ordered c <= d <= q by construction.
 
@@ -809,4 +792,4 @@ def qdc_hierarchy(
     search otherwise), plus the ray search's for q; `converged` is that
     search's flag.
     """
-    return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget(), fix_output_blocks)
+    return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget())

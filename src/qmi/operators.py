@@ -322,35 +322,25 @@ def _upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
-def _hermitian_sources(m: int) -> np.ndarray:
-    """For each float of an m x m complex matrix viewed as (re, im) pairs,
-    its source in [p, -p, 0] under `hermitian_from_params`; read-only."""
-    n = m * m
-    rows, cols = _upper_indices(m)
-    diag, pairs = np.arange(m), m + 2 * np.arange(rows.size)
-    src = np.full((m, m, 2), 2 * n)
-    src[diag, diag, 0] = diag
-    src[rows, cols, 0] = src[cols, rows, 0] = pairs
-    src[rows, cols, 1] = pairs + 1
-    src[cols, rows, 1] = n + pairs + 1
-    src = src.reshape(-1)
-    src.setflags(write=False)
-    return src
-
-
 def hermitian_from_params(p: np.ndarray, m: int) -> np.ndarray:
     """Hermitian m x m matrix from m^2 reals: diagonal, then (re, im) pairs.
 
     Leading axes of p are batch axes: p of shape (..., m^2) gives (..., m, m).
-    Every float of the result is one parameter, its negation or zero, taken
-    in one gather.
+    Every float of the result is one parameter, its negation or zero, each
+    written in place, so an infinite parameter stays in its own entries.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (m * m,):
         raise ValueError(f"expected {m * m} parameters, got {p.shape[-1] if p.ndim else p.size}")
-    signed = np.concatenate([p, -p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
-    return signed.take(_hermitian_sources(m), axis=-1).view(complex).reshape(p.shape[:-1] + (m, m))
+    h = np.zeros(p.shape[:-1] + (m, m), dtype=complex)
+    parts = h.view(float).reshape(h.shape + (2,))  # (re, im) of each entry
+    rows, cols = _upper_indices(m)
+    diag = np.arange(m)
+    parts[..., diag, diag, 0] = p[..., :m]
+    parts[..., rows, cols, 0] = parts[..., cols, rows, 0] = p[..., m::2]
+    parts[..., rows, cols, 1] = p[..., m + 1 :: 2]
+    parts[..., cols, rows, 1] = -p[..., m + 1 :: 2]
+    return h
 
 
 def unitary_from_params(p: np.ndarray, m: int) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_family_objective(monkeypatch, family):
 def test_survey_and_ray_objectives(monkeypatch):
     rng = rng_from(509)
     rho = _degenerate_state(rng)
-    ch = random_kraus_channel(3, 3, 3, rng)  # full-rank outputs, so the fixed-block rays are searched
+    ch = random_kraus_channel(3, 3, 3, rng)  # full-rank outputs, so the rays are searched
     ascents = []
     found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY), ascents)
     _check_all(found, ["_q_value.<locals>.objective"], 510)
@@ -206,9 +206,6 @@ def test_survey_and_ray_objectives(monkeypatch):
     assert levels["c"].evals == levels["d"].evals == 1
     assert levels["c"].value == levels["d"].value
     _check_all(found, ["_q_value.<locals>.objective"], 510)
-    # Released output blocks add the diagonal-block parameters to each ray.
-    found = _captured(monkeypatch, lambda: qdc_hierarchy(rho, ch, TINY, fix_output_blocks=False))
-    _check_all(found, ["_q_value.<locals>.objective"], 512)
     ascents = []
     found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY), ascents)
     _check_all(found, ["StateFamily.supremum.<locals>.objective", "_q_value.<locals>.objective"], 511)
@@ -218,19 +215,6 @@ def test_survey_and_ray_objectives(monkeypatch):
 
 
 # -- the Schatten evaluator against the per-point formula it replaced --------------------
-
-
-def _hermitian_loop(p, m):
-    h = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        h[i, i] = p[i]
-    pos = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            h[i, j] = p[pos] + 1j * p[pos + 1]
-            h[j, i] = p[pos] - 1j * p[pos + 1]
-            pos += 2
-    return h
 
 
 def _value_loop(ev: _MutualEvaluator, ch, vectors: np.ndarray, state: int = 0) -> float:
@@ -451,7 +435,7 @@ def test_commutation_defects_match_the_pairwise_loop(k, d):
 # -- the stacked ray scorer against the per-ray loop it replaced ------------------------
 
 
-def _ray_loop(params, dec, k, fix_output_blocks):
+def _ray_loop(params, dec, k):
     """One marginal-preserving ray: its blocks one at a time, one einsum, and
     np.linalg.norm; None when the ray is 0."""
     g = dec.size
@@ -464,15 +448,6 @@ def _ray_loop(params, dec, k, fix_output_blocks):
             b = b - (np.trace(b) / k) * np.eye(k)
             blocks[n, m], blocks[m, n] = b, b.conj().T
             pos += 2 * half
-    if not fix_output_blocks:
-        diags = []
-        for n in range(g):
-            d = _hermitian_loop(params[pos : pos + k * k], k)
-            diags.append(d - (np.trace(d).real / k) * np.eye(k))
-            pos += k * k
-        mean = sum(diags) / g
-        for n in range(g):
-            blocks[n, n] = diags[n] - mean
     e = dec.vectors
     x = np.einsum("xn,nmab,ym->xayb", e, blocks, e.conj()).reshape(e.shape[0] * k, e.shape[0] * k)
     norm = float(np.linalg.norm(x))
@@ -503,8 +478,7 @@ def _score_loop(scorer, x) -> float:
     return scorer.marginal_entropy - float(_entropy_rows(eigs))
 
 
-@pytest.mark.parametrize("fix_output_blocks", [True, False])
-def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
+def test_stacked_rays_match_the_per_ray_loop():
     rng = rng_from(517)
     cases = [
         (_degenerate_state(rng), depolarizing_channel(0.3, 3)),  # theta_d of full rank
@@ -518,18 +492,18 @@ def test_stacked_rays_match_the_per_ray_loop(fix_output_blocks):
         k = ch.out_dim
         scorer = entanglement._RayScorer(
             mutual._compound_matrix(dec, outputs), rho.matrix, apply_matrix(ch, rho.matrix))
-        n_params = entanglement._direction_param_count(dec.size, k, fix_output_blocks)
+        n_params = dec.size * (dec.size - 1) * k * k
         # A zero row and a row whose ray norm is below 1e-12 are masked out.
         points = np.concatenate([np.zeros((1, n_params)), 1e-14 * rng.normal(size=(1, n_params)),
                                  rng.normal(size=(20, n_params))])
-        rays, ok = entanglement._assemble_directions(points, dec, k, fix_output_blocks)
-        alone = [_ray_loop(p, dec, k, fix_output_blocks) for p in points]
+        rays, ok = entanglement._assemble_directions(points, dec, k)
+        alone = [_ray_loop(p, dec, k) for p in points]
         assert ok.tolist() == [x is not None for x in alone]
         for i, x in enumerate(alone):
             if x is not None:
                 assert rays[i].tobytes() == x.tobytes()
             # The same point alone, as a stack of one row: the winning search ray is rebuilt so.
-            one, one_ok = entanglement._assemble_directions(points[i][None], dec, k, fix_output_blocks)
+            one, one_ok = entanglement._assemble_directions(points[i][None], dec, k)
             assert one_ok[0] == (x is not None)
             assert one[0].tobytes() == rays[i].tobytes()
         # The same rays shortened: at 1e-3 their steps reach the cap of 64, and

@@ -129,6 +129,17 @@ def test_cqc_rejects_a_removed_key(tmp_path, capsys, key, value):
     assert f"config key {key!r} is no longer read" in err and "Traceback" not in err
 
 
+def test_qdc_rejects_a_removed_key(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "q.json",
+        {"state": [[0.5, 0], [0, 0.5]], "channel": {"kind": "identity", "dim": 2}, "fix_output_blocks": False},
+    )
+    assert main(["qdc", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'fix_output_blocks' is no longer read: " in err and "Traceback" not in err
+
+
 def test_pseudo_mutual_merges_tiny_split_components(tmp_path):
     # At this budget the best split no longer beats the Ohya floor, so the
     # floor's decomposition is reported and no merge runs;

@@ -198,8 +198,7 @@ def _ray_value_reference(theta_d, x, rho_mat, out_avg):
     return max(finite) if finite else -math.inf
 
 
-@pytest.mark.parametrize("fix_output_blocks", [True, False])
-def test_closed_form_step_matches_bisection(fix_output_blocks):
+def test_closed_form_step_matches_bisection():
     cases = list(_cases(305))
     rng = rng_from(306)
     rho = _state((2, 2, 1), rng)
@@ -212,8 +211,8 @@ def test_closed_form_step_matches_bisection(fix_output_blocks):
         out_avg = apply_matrix(ch, rho.matrix)
         k = ch.out_dim
         scorer = _RayScorer(theta_d, rho.matrix, out_avg)
-        n_params = (dec.size * (dec.size - 1)) * k * k + (0 if fix_output_blocks else dec.size * k * k)
-        rays, ok = _assemble_directions(rng.normal(size=(4, n_params)), dec, k, fix_output_blocks)
+        n_params = dec.size * (dec.size - 1) * k * k
+        rays, ok = _assemble_directions(rng.normal(size=(4, n_params)), dec, k)
         assert ok.all()
         directions = [_candidate_direction(dec, ch), *rays]
         for x in directions:

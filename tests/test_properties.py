@@ -23,6 +23,12 @@ from qmi.sampling import random_kraus_channel, random_povm, random_pure, random_
 from qmi.search import SearchBudget  # noqa: E402
 
 
+def _coherent_information(rho: np.ndarray, ch) -> float:
+    """I_BSST = S(rho) + S(ch(rho)) - S(ch^c(rho)), with (ch^c(rho))_ij = tr(K_i rho K_j^dag)."""
+    env = np.einsum("iab,bc,jac->ij", ch.stack, rho, ch.stack.conj())
+    return von_neumann_entropy(rho) + von_neumann_entropy(apply_matrix(ch, rho)) - von_neumann_entropy(env)
+
+
 @st.composite
 def capacity_problems(draw):
     """A random Kraus channel on a qubit or qutrit, a state family and a small budget."""
@@ -82,6 +88,7 @@ def test_class_values_within_entropy_bounds(problem):
     bound = min(von_neumann_entropy(rho.matrix), von_neumann_entropy(apply_matrix(ch, rho.matrix)))
     assert -1e-12 <= d <= bound + 1e-12
     assert d <= q <= 2 * bound + 1e-12
+    assert _coherent_information(rho.matrix, ch) - 1e-10 <= q
     if levels["c"].notes["feasible"]:
         assert c <= d
     else:
@@ -106,7 +113,7 @@ def test_capacity_classes_within_bounds(problem):
     assert d == quantum_capacity(ch, StateFamily("full", 2), budget).value
     rho_d = levels["d"].maximizer["state"]
     bound = min(von_neumann_entropy(rho_d), von_neumann_entropy(apply_matrix(ch, rho_d)))
-    assert q <= 2 * bound + 1e-12
+    assert _coherent_information(rho_d, ch) - 1e-10 <= q <= 2 * bound + 1e-12
     for rep in levels.values():
         if rep.notes["feasible"]:
             rebuilt = rep.maximizer["decomposition"].reconstruct()
