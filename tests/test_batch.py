@@ -12,6 +12,7 @@ alone.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from qmi.operators import (
     DensityOperator,
     SchattenDecomposition,
     _support_layouts,
+    partial_trace,
     pure_state,
     schatten_family,
     schatten_param_count,
@@ -496,31 +498,76 @@ def test_stacked_rays_match_the_per_ray_loop():
         # A zero row and a row whose ray norm is below 1e-12 are masked out.
         points = np.concatenate([np.zeros((1, n_params)), 1e-14 * rng.normal(size=(1, n_params)),
                                  rng.normal(size=(20, n_params))])
-        rays, ok = entanglement._assemble_directions(points, dec, k)
         alone = [_ray_loop(p, dec, k) for p in points]
-        assert ok.tolist() == [x is not None for x in alone]
-        for i, x in enumerate(alone):
-            if x is not None:
-                assert rays[i].tobytes() == x.tobytes()
-            # The same point alone, as a stack of one row: the winning search ray is rebuilt so.
-            one, one_ok = entanglement._assemble_directions(points[i][None], dec, k)
-            assert one_ok[0] == (x is not None)
-            assert one[0].tobytes() == rays[i].tobytes()
+        ok = np.array([x is not None for x in alone])
+        for dense in (True, False):
+            rays, whitened = entanglement._unit_rays(scorer, dec, k, dense)(points)
+            assert [bool(np.any(x)) for x in rays] == ok.tolist()
+            for i, x in enumerate(alone):
+                # The maps add the point's products in another order than the
+                # per-ray loop, so a unit ray agrees with it to rounding.
+                if x is not None:
+                    assert np.max(np.abs(rays[i] - x)) <= 1e-15
+                # The same point alone, as a stack of one row: the winning
+                # search ray is rebuilt so, and must match its row bit for bit.
+                one, one_whitened = entanglement._unit_rays(scorer, dec, k, dense)(points[i][None])
+                assert one[0].tobytes() == rays[i].tobytes()
+                if dense:
+                    assert one_whitened[0].tobytes() == whitened[i].tobytes()
+                else:  # assembled rays are whitened by the scorer
+                    assert whitened is None and one_whitened is None
         # The same rays shortened: at 1e-3 their steps reach the cap of 64, and
         # at 1e-6 the rounding-level step of a ray leaving the support exceeds
         # 1e-12 while moving theta_d by less, so it is still taken as 0.
         xs, ok = np.concatenate([rays, 1e-3 * rays, 1e-6 * rays]), np.concatenate([ok, ok, ok])
-        values, steps = scorer.endpoints(xs, ok)
+        values, steps = scorer.endpoints(xs)
         want_steps = np.array([_step_loop(scorer, x) for x in xs])
         want = np.array([_score_loop(scorer, x) if o else -math.inf for x, o in zip(xs, ok)])
         assert steps[ok].tobytes() == want_steps[ok].tobytes()
         assert values.tobytes() == want.tobytes()
         for x, o, value, step in zip(xs, ok, values, steps):
             if o:
-                one_values, one_steps = scorer.endpoints(x[None], np.ones(1, dtype=bool))
+                one_values, one_steps = scorer.endpoints(x[None])
                 assert (one_values[0], one_steps[0]) == (value, step)
         masked += int(np.sum(~ok))
         zero_steps += int(np.sum(ok & (steps == 0.0)))
         capped += int(np.sum(ok & (steps == 64.0)))
         scored += int(np.sum(np.isfinite(values)))
     assert masked and zero_steps and capped and scored, (masked, zero_steps, capped, scored)
+
+
+def test_ray_maps_keep_the_marginals_and_the_whitened_form():
+    rng = rng_from(519)
+    cases = [
+        (_degenerate_state(rng), depolarizing_channel(0.3, 3)),  # theta_d of full rank
+        (random_density(3, rng), random_kraus_channel(3, 3, 1, rng)),  # pure outputs: rank-deficient theta_d
+        (random_density(3, rng, rank=2), random_kraus_channel(3, 2, 2, rng)),  # a rank-deficient input
+    ]
+    for rho, ch in cases:
+        dec = schatten_family(rho, rng.normal(size=schatten_param_count(rho)))
+        k, d_in, g = ch.out_dim, rho.dim, dec.size
+        scorer = entanglement._RayScorer(
+            mutual._compound_matrix(dec, mutual._transmitted(ch, dec)), rho.matrix, apply_matrix(ch, rho.matrix))
+        n_params = g * (g - 1) * k * k
+        points = np.concatenate([rng.normal(size=(10, n_params)), np.zeros((1, n_params)),
+                                 1e-14 * rng.normal(size=(1, n_params))])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            rays, whitened = entanglement._unit_rays(scorer, dec, k, dense=True)(points)
+            values, _ = scorer.endpoints(rays, whitened)
+        # The zero row and the 1e-14 row have no ray, and score nothing.
+        assert not np.any(rays[10:]) and not np.any(whitened[10:])
+        assert values[10:].tolist() == [-math.inf, -math.inf]
+        for x, w in zip(rays[:10], whitened[:10]):
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+            assert np.max(np.abs(x - x.conj().T)) <= 1e-14
+            # In the v_n frame the diagonal blocks are 0 and the others traceless.
+            blocks = np.einsum("xn,xayb,ym->nmab", dec.vectors.conj(), x.reshape(d_in, k, d_in, k), dec.vectors)
+            assert np.max(np.abs(blocks[range(g), range(g)])) <= 1e-14
+            assert np.max(np.abs(np.trace(blocks, axis1=-2, axis2=-1))) <= 1e-14
+            # So both marginals of theta_d stay.
+            assert np.max(np.abs(partial_trace(x, (d_in, k), keep=0))) <= 1e-14
+            assert np.max(np.abs(partial_trace(x, (d_in, k), keep=1))) <= 1e-14
+            # The whitened map gives F^dag x F * scale: compared before the
+            # scale, whose kernel entries reach 1 / PSD_STEP_TOL.
+            assert np.max(np.abs(w - scorer.whitened(x)) / scorer.scale) <= 1e-14

@@ -601,6 +601,18 @@ def test_q_reaches_the_coherent_information(name):
     assert _coherent_information(rho, ch) - 1e-12 <= q.value <= bound + 1e-9
 
 
+@pytest.mark.parametrize("seed", [2, 20, 21, 29])
+def test_an_overshooting_candidate_stops_at_the_psd_boundary(seed):
+    # d's outputs have eigenvalues near 1e-11, so the candidate's second-order
+    # step overshoots theta_ci. theta_ci itself (t = 1) scores the coherent
+    # information; the largest PSD step beyond it, found by bisection, scores
+    # more.
+    u = random_unitary(2, np.random.default_rng(seed))
+    rho, ch = u @ (np.eye(2) / 2) @ u.conj().T, phase_damping_channel(0.4)
+    q = qdc_hierarchy(DensityOperator(rho), ch, SearchBudget(2, 40, seed=5))["q"].value
+    assert _coherent_information(rho, ch) + 1e-3 <= q <= 2 * math.log(2) + 1e-12
+
+
 def test_q_rejects_an_oversized_compound_before_any_search(monkeypatch):
     # q's compound has side 16 * 16 = 256; the check comes before the Ohya
     # search, which would otherwise run and only then fail on the compound.

@@ -7,9 +7,10 @@ import pytest
 
 from qmi.channels import _square_root_povm, apply_matrix, depolarizing_channel
 from qmi.entanglement import (
-    _assemble_directions,
     _candidate_direction,
+    _frobenius_norms,
     _RayScorer,
+    _unit_rays,
 )
 from qmi.entropy import _entropy_rows, product_relative_entropy, umegaki_relative_entropy
 from qmi.mutual import (
@@ -212,11 +213,13 @@ def test_closed_form_step_matches_bisection():
         k = ch.out_dim
         scorer = _RayScorer(theta_d, rho.matrix, out_avg)
         n_params = dec.size * (dec.size - 1) * k * k
-        rays, ok = _assemble_directions(rng.normal(size=(4, n_params)), dec, k)
-        assert ok.all()
-        directions = [_candidate_direction(dec, ch), *rays]
-        for x in directions:
-            values, steps = scorer.endpoints(x[None], np.ones(1, dtype=bool))
+        # The search's rays come from the dense maps, with their whitened forms.
+        rays, whitened = _unit_rays(scorer, dec, k, dense=True)(rng.normal(size=(4, n_params)))
+        assert np.all(_frobenius_norms(rays) > 0.5)
+        candidate = _candidate_direction(dec, ch)
+        directions = [(candidate, None), *zip(rays, whitened)]
+        for x, w in directions:
+            values, steps = scorer.endpoints(x[None], None if w is None else w[None])
             exact = float(steps[0])
             reference = _bisection_step(theta_d, x)
             # A direction leaving the support of a rank-deficient theta_d has no
