@@ -53,7 +53,7 @@ from .operators import (
     partial_trace,
     purify,
 )
-from .search import SearchBudget, _complex_stack, maximize_batch
+from .search import SearchBudget, maximize_batch
 
 NORMALIZATION_TOL = 1e-9
 UNITARY_TOL = 1e-8
@@ -492,14 +492,6 @@ def _commutation_defects(outputs: np.ndarray) -> np.ndarray:
     return np.max(ratios, axis=1, initial=0.0)
 
 
-def _in_input_frame(dec: SchattenDecomposition, blocks: np.ndarray) -> np.ndarray:
-    """sum_nm |v_n><v_m| (x) blocks[..., n, m] as (..., d_g k, d_g k) matrices."""
-    e = dec.vectors
-    n = e.shape[0] * blocks.shape[-1]
-    x = np.einsum("xn,...nmab,ym->...xayb", e, blocks, e.conj())
-    return x.reshape(*blocks.shape[:-4], n, n)
-
-
 def _candidate_direction(dec: SchattenDecomposition, ch: KrausChannel) -> np.ndarray | None:
     """The ray from theta_d to theta_ci = (id (x) ch)(|phi><phi|), phi = sum_n sqrt(lambda_n) v_n (x) v_n.
 
@@ -510,7 +502,8 @@ def _candidate_direction(dec: SchattenDecomposition, ch: KrausChannel) -> np.nda
     images = _images(ch.stack, dec.vectors) * np.sqrt(np.clip(dec.weights, 0.0, None))[:, None, None]
     blocks = images[:, None] @ images.conj().swapaxes(-1, -2)[None]
     blocks[range(dec.size), range(dec.size)] = 0.0
-    x = _in_input_frame(dec, blocks)
+    n = len(dec.vectors) * ch.out_dim
+    x = np.einsum("xn,nmab,ym->xayb", dec.vectors, blocks, dec.vectors.conj()).reshape(n, n)
     return None if np.linalg.norm(x) <= 1e-12 else x
 
 
@@ -520,28 +513,35 @@ _STEP_CAP = 64.0
 class _RayScorer:
     """Scores rays theta_d + t x out of one diagonal compound, at their PSD endpoint.
 
-    The largest step that keeps the compound PSD has a closed form to second order. With
-    A = theta_d + eps I = F diag(a) F^dag (eps = PSD_STEP_TOL) factored once,
-    lambda_min(theta_d + t x) >= -eps holds exactly while 1 + t mu >= 0, mu = lambda_min(A^{-1/2} x A^{-1/2});
-    since lambda_min is concave in t, the feasible steps are an interval from 0. A's eigenvalues are eps
-    plus theta_d's, which are >= 0 (a compound state) up to rounding of about 1e-16, so all are positive.
-    At t = -1/mu the eigenvalue -eps belongs to u = A^{-1/2} z (z the eigenvector of mu) and falls with
-    slope mu / |u|^2, so one Newton step back to lambda_min = 0 gives t = -(1 - eps |u|^2) / mu; it is 0
-    when the ray leaves the support of theta_d, and a step with t ||x|| <= ZERO_TOL (the rounding of that
-    0) is taken as 0. A^{-1/2} x A^{-1/2} is formed in A's eigenbasis, as F^dag x F * (a a^T)^{-1/2}
-    (`whitened`): A's kernel eigenvalues are eps, and an explicit A^{-1/2} would mix entries of size
-    eps^{-1/2} and 1, losing about eight digits of the step.
+    The largest step that keeps the compound PSD has a closed form to second
+    order. With A = theta_d + eps I (eps = PSD_STEP_TOL) factored once,
+    lambda_min(theta_d + t x) >= -eps holds exactly while
+    1 + t mu >= 0, mu = lambda_min(A^{-1/2} x A^{-1/2}); since lambda_min is
+    concave in t, the feasible steps are an interval from 0. A's eigenvalues
+    are eps plus theta_d's, which are >= 0 (a compound state) up to rounding
+    of about 1e-16, so all are positive. At t = -1/mu the
+    eigenvalue -eps belongs to u = A^{-1/2} z (z the eigenvector of mu) and
+    falls with slope mu / |u|^2, so one Newton step back to
+    lambda_min = 0 gives t = -(1 - eps |u|^2) / mu; it is 0 when the ray
+    leaves the support of theta_d, and a step with t ||x|| <= ZERO_TOL (the
+    rounding of that 0) is taken as 0. A^{-1/2} x A^{-1/2} is formed in
+    the eigenbasis of A: A's kernel eigenvalues are eps, and an explicit
+    A^{-1/2} would mix entries of size eps^{-1/2} and 1, losing about eight
+    digits of the step.
 
-    Every ray keeps both marginals of theta_d, rho and ch(rho), so a point scores
-    I(t) = S(rho) + S(ch(rho)) - S(theta_d + t x). S is concave in t, so I is convex, and its largest
-    value on [0, t_max] is at an endpoint. I(0) is the diagonal value d, which q already floors at, so
-    only t_max can raise q. x has zero diagonal blocks, so at an invertible theta_d the slope of I at
-    t = 0 is tr(x ln theta_d) = 0 and I(t_max) >= I(0) as well. So a ray is scored once, at t_max, and
-    nothing else is checked.
+    Every ray keeps both marginals of theta_d, rho and ch(rho), so a point
+    scores I(t) = S(rho) + S(ch(rho)) - S(theta_d + t x). S is concave in t,
+    so I is convex, and its largest value on [0, t_max] is at an endpoint.
+    I(0) is the diagonal value d, which q already floors at, so only t_max
+    can raise q. x has zero diagonal blocks, so at an invertible theta_d the
+    slope of I at t = 0 is tr(x ln theta_d) = 0 and I(t_max) >= I(0) as
+    well. So a ray is scored once, at t_max, and nothing else is checked.
 
-    `endpoints` scores a stack of rays, given with their whitened forms, by one stacked eigh and one
-    stacked eigvalsh. Each row's LAPACK call sees the same matrix as it would alone, so no row depends on
-    the others.
+    A round of rays is scored as one stack (`endpoints`), given with their
+    whitened forms A^{-1/2} x A^{-1/2}: one stacked eigh for their steps
+    and one stacked eigvalsh for their endpoints. Each row's LAPACK call
+    sees the same matrix as it would alone, so a row's score does not depend
+    on the other rows, and a single ray is scored as a stack of one.
     """
 
     def __init__(self, theta_d: np.ndarray, rho_mat: np.ndarray, out_avg: np.ndarray):
@@ -552,11 +552,13 @@ class _RayScorer:
         self.marginal_entropy = von_neumann_entropy(rho_mat) + von_neumann_entropy(out_avg)
 
     def whitened(self, xs: np.ndarray) -> np.ndarray:
-        """A^{-1/2} x A^{-1/2} in A's eigenbasis, for each ray of a stack (m, n, n)."""
+        """A^{-1/2} x A^{-1/2} in A's eigenbasis, F^dag x F * scale, for each
+        ray x of a stack (m, n, n)."""
         return self.frame.conj().T @ xs @ self.frame * self.scale
 
     def scores(self, xs: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """I(t) of each ray x (m, n, n) at its step t; -inf where t is 0 or min eig(theta_d + t x) < -ZERO_TOL."""
+        """I(t) of each ray x of a stack (m, n, n) at its step t; -inf where t
+        is 0 or theta_d + t x has an eigenvalue below -ZERO_TOL."""
         values = np.full(len(xs), -math.inf)
         live = np.flatnonzero(steps > 0.0)
         if live.size:
@@ -565,51 +567,65 @@ class _RayScorer:
         return values
 
     def endpoints(self, xs: np.ndarray, ws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """I(t_max) and t_max <= 64 of each ray x of a stack (m, n, n), given their `whitened` forms ws or
-        whitening them when ws is None; I is -inf where ||x|| <= 1e-12, t_max is 0 or the endpoint has an
-        eigenvalue below -ZERO_TOL."""
+        """I(t_max) and t_max <= 64 of each ray x of a stack (m, n, n), given
+        its `whitened` form in ws, or whitened here when ws is None; I is -inf
+        where ||x|| <= 1e-12, t_max is 0 or the endpoint has an eigenvalue
+        below -ZERO_TOL."""
         norms = _frobenius_norms(xs)
         mu, z = np.linalg.eigh(self.whitened(xs) if ws is None else ws)
-        mu, u_norm2 = mu[:, 0], np.sum(np.abs(self.inv_sqrt * z[..., 0]) ** 2, axis=-1)
+        mu = mu[:, 0]
+        u_norm2 = np.sum(np.abs(self.inv_sqrt * z[..., 0]) ** 2, axis=-1)
         del z  # as large as the rays: freed before the endpoints are scored
         bounded = ~(mu * _STEP_CAP >= -1.0)
         steps = np.divide(PSD_STEP_TOL * u_norm2 - 1.0, mu, out=np.full(len(xs), _STEP_CAP), where=bounded)
-        # A ray leaving the support has the exact step 0, which rounding leaves as a tiny step of either sign.
+        # A ray leaving the support has the exact step 0; rounding leaves a
+        # step of either sign that moves theta_d by about 1e-16 or less.
         steps[bounded & ~(steps * norms > ZERO_TOL)] = 0.0
         return self.scores(xs, np.where(norms > 1e-12, steps, 0.0)), steps
 
 
-def _unit_rays(scorer: _RayScorer, dec: SchattenDecomposition, k: int, dense: bool):
-    """points (m, g (g - 1) k^2) -> their unit rays, 0 where the norm is at most 1e-12, and their whitened forms.
+def _unit_rays(scorer: _RayScorer, dec: SchattenDecomposition, k: int):
+    """points (m, g (g - 1) k^2) -> their unit rays x and `whitened` forms w,
+    both 0 where x has norm at most 1e-12 before scaling.
 
-    A point's ray x(p) has traceless off-diagonal and zero diagonal blocks, so both marginals of theta_d
-    stay. It and its whitened form are real-linear in p: dense, both maps are built once from the identity
-    rows, side by side as one real (P, 4 n^2) view, and each row of a stack takes one 1 x P product;
-    otherwise each stack is assembled, and its whitened forms are None, left to `_RayScorer.endpoints`. No
-    row depends on its stack, and the maps agree with the assembly within about 1e-15 ||x||.
+    A point spells out the Hermitian b whose block (n, m), n < m, is its
+    next k x k block (2 k^2 reals: real parts, then imaginary) made
+    traceless, (m, n) that block's adjoint, and the diagonal blocks 0. So
+    x = W b W^dag, W = V (x) I_k over V = dec.vectors, keeps both marginals
+    of theta_d. w = G b G^dag with G = diag(a)^{-1/2} F^dag W: each row of
+    G is one of F^dag W times one factor, so w keeps the digits that
+    `whitened` keeps. A round is one gather for b and one stacked product
+    with [W; G]: O(n^3) work a row at every size, and each row's products
+    are its own, so no row depends on its stack.
     """
-    first, second = _upper_indices(dec.size)
+    g, kk = dec.size, k * k
+    first, second = _upper_indices(g)
+    # A block's k^2 real or imaginary parts made traceless, then one 0.
+    diagonal = np.eye(k).reshape(kk)
+    project = np.eye(kk, kk + 1)
+    project[:, :kk] -= np.outer(diagonal, diagonal) / k
+    # b as (g k, g k, 2) reals: the index of each among the projected parts
+    # (the diagonal blocks read a 0), and its sign.
+    pair, s, t = np.indices((len(first), k, k)).reshape(3, -1)
+    rows, cols = first[pair] * k + s, second[pair] * k + t
+    real = 2 * pair * (kk + 1) + s * k + t
+    source = np.full((g * k, g * k, 2), kk)
+    source[rows, cols] = source[cols, rows] = np.stack([real, real + kk + 1], axis=-1)
+    sign = np.ones((g * k, g * k, 2))
+    sign[cols, rows, 1] = -1.0
+    source, sign = source.reshape(-1), sign.reshape(-1)
+    frame = np.kron(dec.vectors, np.eye(k))
+    frames = np.stack([frame, scorer.inv_sqrt[:, None] * (scorer.frame.conj().T @ frame)])
+    adjoints = frames.conj().swapaxes(-1, -2)
 
-    def assemble(points: np.ndarray) -> np.ndarray:
-        blocks = np.zeros((len(points), dec.size, dec.size, k, k), dtype=complex)
-        off = _complex_stack(points, len(first), k, k)
-        off[..., range(k), range(k)] -= (np.trace(off, axis1=-2, axis2=-1) / k)[..., None]
-        blocks[:, first, second] = off
-        blocks[:, second, first] = off.conj().swapaxes(-1, -2)
-        return _in_input_frame(dec, blocks)
-
-    if dense:
-        basis = assemble(np.eye(2 * len(first) * k * k))
-        maps = np.stack([basis, scorer.whitened(basis)], axis=1).reshape(len(basis), -1).view(float)
-
-    def rays(points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        if dense:
-            xw = (points[:, None, :] @ maps).view(complex).reshape(len(points), 2, *basis.shape[1:])
-        else:
-            xw = assemble(points)[:, None]
+    def rays(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = len(points)
+        parts = (points.reshape(m, -1, kk) @ project).reshape(m, -1)
+        # b is built in the product, and freed before its second factor.
+        xw = frames @ (np.take(parts, source, axis=1) * sign).view(complex).reshape(m, 1, g * k, g * k) @ adjoints
         norms = _frobenius_norms(xw[:, 0])
         xw /= np.where(norms > 1e-12, norms, math.inf)[:, None, None, None]
-        return xw[:, 0], xw[:, 1] if dense else None
+        return xw[:, 0], xw[:, 1]
 
     return rays
 
@@ -625,46 +641,56 @@ def _q_value(
     """Perturb the best diagonal compound along marginal-preserving rays; a
     ray that beats `diagonal_value` is checked at its PSD endpoint, once.
 
-    `outputs` are dec's channel outputs, `mutual._transmitted(ch, dec)`, already computed by the caller;
-    theta_d is built from them, and the candidate ray from ch. Rays come from `_unit_rays`, through its
-    dense maps when a restart scores more rows than there are parameters P (with fewer rows they would cost
-    more than they save); q then agrees with the assembled rays within 2e-15. `_RayScorer.endpoints` scores
-    every ray: the search's rows, the winner rebuilt alone and the candidate. Where the candidate's
-    second-order step overshoots the PSD theta_ci (an endpoint eigenvalue below -ZERO_TOL, seen at nearly
-    pure outputs), bisection finds the largest step in [1, t_max] with lambda_min >= -ZERO_TOL, and the
-    better of it and t = 1 is kept. With a singular output omega_n no random ray has a PSD step (x is 0 on
-    the diagonal blocks, so for generic points its block on theta_d's kernel is indefinite, or 0 with a
-    nonzero block between support and kernel); only the candidate is scored then.
+    `outputs` are dec's channel outputs, `mutual._transmitted(ch, dec)`,
+    which the caller has already computed; the diagonal compound is built
+    from them, and the candidate ray from ch. Each lockstep round of the ray
+    search is one stack: its points become unit rays, with their whitened
+    forms, in one `_unit_rays` call, and are scored in one
+    `_RayScorer.endpoints` call. The candidate ray and the winning search
+    ray go through `endpoints` as stacks of one row, and each one's step
+    comes with its score. The candidate ends at theta_ci, which is PSD, so
+    where its second-order step overshoots (an endpoint eigenvalue below
+    -ZERO_TOL, seen at nearly pure outputs) the largest step in [1, t_max]
+    with lambda_min >= -ZERO_TOL is found by bisection, and the better of
+    it and t = 1 is kept.
+
+    With a singular output omega_n, no random ray has a PSD step: x vanishes
+    on the diagonal blocks, so its block on the kernel of theta_d is
+    indefinite or 0, and when it is 0 its block between the support and the
+    kernel is not, for generic parameters. The ray search is then skipped
+    and only the candidate ray is scored.
     """
-    k, out_avg = ch.out_dim, apply_matrix(ch, rho.matrix)
+    k = ch.out_dim
+    out_avg = apply_matrix(ch, rho.matrix)
     scorer = _RayScorer(_compound_matrix(dec, outputs), rho.matrix, out_avg)
     best, best_end, evals = diagonal_value, None, 0
     candidate = _candidate_direction(dec, ch)
     if candidate is not None:
-        xs = candidate[None]
-        values, steps = scorer.endpoints(xs)
+        values, steps = scorer.endpoints(candidate[None])
         if values[0] == -math.inf:
             lo, hi = 1.0, float(steps[0])
             while lo < (mid := 0.5 * (lo + hi)) < hi:
-                lo, hi = (mid, hi) if np.linalg.eigvalsh(scorer.theta_d + mid * candidate)[0] >= -ZERO_TOL else (lo, mid)
+                feasible = np.linalg.eigvalsh(scorer.theta_d + mid * candidate)[0] >= -ZERO_TOL
+                lo, hi = (mid, hi) if feasible else (lo, mid)
             steps = np.array([1.0, lo])
-            values = scorer.scores(np.concatenate([xs, xs]), steps)
+            values = scorer.scores(np.stack([candidate, candidate]), steps)
         i = int(np.argmax(values))
         if values[i] > best:
             best, best_end = float(values[i]), scorer.theta_d + steps[i] * candidate
     n_params = dec.size * (dec.size - 1) * k * k
-    if n_params and float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) > ZERO_TOL:  # no singular output
-        ray_budget = budget.child(7)
-        rays = _unit_rays(scorer, dec, k, n_params < ray_budget.max_evals)
+    singular = float(np.min(np.linalg.eigvalsh(outputs)[:, 0])) <= ZERO_TOL
+    if n_params and not singular:
+        rays = _unit_rays(scorer, dec, k)
 
         def objective(points: np.ndarray) -> np.ndarray:
             return scorer.endpoints(*rays(points))[0]
 
-        result = maximize_batch(objective, n_params, ray_budget, starts=())
+        result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
         if result.value > best:
             xs, ws = rays(result.params[None])
-            best, best_end = result.value, scorer.theta_d + scorer.endpoints(xs, ws)[1][0] * xs[0]
+            _, steps = scorer.endpoints(xs, ws)
+            best, best_end = result.value, scorer.theta_d + steps[0] * xs[0]
     if best_end is not None:
         _check_compound(best_end, rho, DensityOperator(out_avg), best)
     return best, evals

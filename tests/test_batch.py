@@ -486,6 +486,7 @@ def test_stacked_rays_match_the_per_ray_loop():
         (_degenerate_state(rng), depolarizing_channel(0.3, 3)),  # theta_d of full rank
         (random_density(3, rng), random_kraus_channel(3, 3, 1, rng)),  # pure outputs: rank-deficient theta_d
         (random_density(3, rng, rank=2), random_kraus_channel(3, 2, 2, rng)),  # a rank-deficient input
+        (random_density(2, rng), random_kraus_channel(2, 9, 2, rng)),  # blocks of side 9: longer sums
     ]
     masked = zero_steps = capped = scored = 0
     for rho, ch in cases:
@@ -500,22 +501,23 @@ def test_stacked_rays_match_the_per_ray_loop():
                                  rng.normal(size=(20, n_params))])
         alone = [_ray_loop(p, dec, k) for p in points]
         ok = np.array([x is not None for x in alone])
-        for dense in (True, False):
-            rays, whitened = entanglement._unit_rays(scorer, dec, k, dense)(points)
-            assert [bool(np.any(x)) for x in rays] == ok.tolist()
-            for i, x in enumerate(alone):
-                # The maps add the point's products in another order than the
-                # per-ray loop, so a unit ray agrees with it to rounding.
-                if x is not None:
-                    assert np.max(np.abs(rays[i] - x)) <= 1e-15
-                # The same point alone, as a stack of one row: the winning
-                # search ray is rebuilt so, and must match its row bit for bit.
-                one, one_whitened = entanglement._unit_rays(scorer, dec, k, dense)(points[i][None])
-                assert one[0].tobytes() == rays[i].tobytes()
-                if dense:
-                    assert one_whitened[0].tobytes() == whitened[i].tobytes()
-                else:  # assembled rays are whitened by the scorer
-                    assert whitened is None and one_whitened is None
+        rays, whitened = entanglement._unit_rays(scorer, dec, k)(points)
+        assert [bool(np.any(x)) for x in rays] == ok.tolist()
+        for i, x in enumerate(alone):
+            # _unit_rays forms a ray by products with the frame, the per-ray
+            # loop by one einsum, so the two agree to rounding.
+            if x is not None:
+                assert np.max(np.abs(rays[i] - x)) <= 1e-15
+            # The same point alone, as a stack of one row: the winning search
+            # ray is rebuilt so, and must match its row bit for bit.
+            one, one_whitened = entanglement._unit_rays(scorer, dec, k)(points[i][None])
+            assert one[0].tobytes() == rays[i].tobytes()
+            assert one_whitened[0].tobytes() == whitened[i].tobytes()
+        # Scored with their whitened forms, each row scores as it does alone.
+        values, steps = scorer.endpoints(rays, whitened)
+        for x, w, value, step in zip(rays, whitened, values, steps):
+            one_values, one_steps = scorer.endpoints(x[None], w[None])
+            assert (one_values[0], one_steps[0]) == (value, step)
         # The same rays shortened: at 1e-3 their steps reach the cap of 64, and
         # at 1e-6 the rounding-level step of a ray leaving the support exceeds
         # 1e-12 while moving theta_d by less, so it is still taken as 0.
@@ -536,7 +538,7 @@ def test_stacked_rays_match_the_per_ray_loop():
     assert masked and zero_steps and capped and scored, (masked, zero_steps, capped, scored)
 
 
-def test_ray_maps_keep_the_marginals_and_the_whitened_form():
+def test_unit_rays_keep_the_marginals_and_the_whitened_form():
     rng = rng_from(519)
     cases = [
         (_degenerate_state(rng), depolarizing_channel(0.3, 3)),  # theta_d of full rank
@@ -553,7 +555,7 @@ def test_ray_maps_keep_the_marginals_and_the_whitened_form():
                                  1e-14 * rng.normal(size=(1, n_params))])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            rays, whitened = entanglement._unit_rays(scorer, dec, k, dense=True)(points)
+            rays, whitened = entanglement._unit_rays(scorer, dec, k)(points)
             values, _ = scorer.endpoints(rays, whitened)
         # The zero row and the 1e-14 row have no ray, and score nothing.
         assert not np.any(rays[10:]) and not np.any(whitened[10:])
@@ -568,6 +570,6 @@ def test_ray_maps_keep_the_marginals_and_the_whitened_form():
             # So both marginals of theta_d stay.
             assert np.max(np.abs(partial_trace(x, (d_in, k), keep=0))) <= 1e-14
             assert np.max(np.abs(partial_trace(x, (d_in, k), keep=1))) <= 1e-14
-            # The whitened map gives F^dag x F * scale: compared before the
+            # The whitened form is F^dag x F * scale: compared before the
             # scale, whose kernel entries reach 1 / PSD_STEP_TOL.
             assert np.max(np.abs(w - scorer.whitened(x)) / scorer.scale) <= 1e-14

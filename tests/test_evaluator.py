@@ -213,8 +213,8 @@ def test_closed_form_step_matches_bisection():
         k = ch.out_dim
         scorer = _RayScorer(theta_d, rho.matrix, out_avg)
         n_params = dec.size * (dec.size - 1) * k * k
-        # The search's rays come from the dense maps, with their whitened forms.
-        rays, whitened = _unit_rays(scorer, dec, k, dense=True)(rng.normal(size=(4, n_params)))
+        # The search's rays come with their whitened forms.
+        rays, whitened = _unit_rays(scorer, dec, k)(rng.normal(size=(4, n_params)))
         assert np.all(_frobenius_norms(rays) > 0.5)
         candidate = _candidate_direction(dec, ch)
         directions = [(candidate, None), *zip(rays, whitened)]
