@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import KRAUS_TOL, KrausChannel, Povm, apply_matrix
+from .channels import KrausChannel, Povm, apply_matrix
 from .entropy import _entropy_rows
 from .mutual import (
+    CLASSICAL_ROUTE_TOL,
     DualRouteValue,
     MutualResult,
     _checked_ohya,
@@ -25,7 +26,15 @@ from .mutual import (
     _split_search,
     _sqrt_psd,
 )
-from .operators import ZERO_TOL, ConsistencyError, DensityOperator, as_probability, hermitian_part
+from .operators import (
+    NORMALIZATION_TOL,
+    WEIGHT_TOL,
+    ZERO_TOL,
+    ConsistencyError,
+    DensityOperator,
+    as_probability,
+    hermitian_part,
+)
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch, softmax
 
 
@@ -87,11 +96,11 @@ class CapacityReport:
 
 def _normalized_grams(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A A^dag / tr (Hermitian part) for each factor A of a stack (rows, d, r),
-    and per row whether its trace is at least 1e-12 (the grams of other rows
+    and per row whether its trace is at least ZERO_TOL (the grams of other rows
     are not meaningful)."""
     m = factors @ factors.conj().swapaxes(-1, -2)
     tr = np.real(np.trace(m, axis1=-2, axis2=-1))
-    traced = tr >= 1e-12
+    traced = tr >= ZERO_TOL
     m = m / np.where(traced, tr, 1.0)[:, None, None]
     return hermitian_part(m), traced
 
@@ -122,13 +131,13 @@ class StateFamily:
         return 2 * self.dim * self.effective_rank
 
     def state_from_params(self, params: np.ndarray) -> DensityOperator | None:
-        """The validated family member; None below trace 1e-12."""
+        """The validated family member; None below trace ZERO_TOL."""
         mats, traced = self._matrices_from_params(np.asarray(params, dtype=float)[None])
         return DensityOperator(mats[0]) if traced[0] else None
 
     def _matrices_from_params(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The members of the rows of points (rows, n_params), unvalidated, and
-        per row whether it has trace at least 1e-12 (other rows' matrices are
+        per row whether it has trace at least ZERO_TOL (other rows' matrices are
         not meaningful)."""
         if self.kind == "diagonal":
             mats = np.zeros((len(points), self.dim, self.dim), dtype=complex)
@@ -142,7 +151,7 @@ class StateFamily:
 
         `value_rows(mats, traced)` sees the unvalidated members of a round of
         points, stacked (rows, d, d), and per row whether the member has trace
-        at least 1e-12; it returns one value per row. A member below that
+        at least ZERO_TOL; it returns one value per row. A member below that
         trace scores -inf, whatever its value. Only the maximizer is
         validated: the second item is its DensityOperator, or None when it
         has no trace.
@@ -180,12 +189,12 @@ def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
     through transition rows W, one (K, J) for all rows or (rows, K, J).
 
     Infinite when a row charges an outcome the mixture does not; weights at
-    or below 1e-15 drop out as exact 0 terms. Up to 7 letters numpy sums a
+    or below WEIGHT_TOL drop out as exact 0 terms. Up to 7 letters numpy sums a
     row in order, so that equals the sum over the kept letters bit for bit;
     from 8 letters its pairwise sum may round otherwise in the last bit.
     """
     avg = (weights[..., None] * dists).sum(axis=-2)[:, None, :]
-    keep = weights > 1e-15
+    keep = weights > WEIGHT_TOL
     charged = (dists > ZERO_TOL) & keep[..., None]
     supported = avg > ZERO_TOL
     infinite = (charged & ~supported).any(axis=(-2, -1))
@@ -200,7 +209,7 @@ def _letter_kl(weights: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.n
     `_cqc_kl` sums, and the mixture lambda W.
 
     Where W_k charges an outcome the mixture does not (at the points
-    `_cqc_weights` keeps, only a letter of weight at most 1e-15 can), the
+    `_cqc_weights` keeps, only a letter of weight at most WEIGHT_TOL can), the
     mixture there is read at ZERO_TOL, the least that `_cqc_kl` resolves,
     so D_k stays finite: a letter whose best weight lies below that
     resolution (say e^-690) is certified at weight 0.
@@ -318,16 +327,16 @@ def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     """Shannon mutual information of input weights through transition rows, two ways.
 
     `value` is `_cqc_kl`; `cross_value` is H(lambda W) - sum_k lambda_k H(W_k),
-    where weights at or below 1e-15 drop out too. Disagreement beyond 1e-8
-    raises ConsistencyError.
+    where weights at or below WEIGHT_TOL drop out too. Disagreement beyond
+    CLASSICAL_ROUTE_TOL raises ConsistencyError.
     """
     kl_route = float(_cqc_kl(weights[None], dists)[0])
-    keep = weights > 1e-15
+    keep = weights > WEIGHT_TOL
     avg = (weights[:, None] * dists).sum(axis=0)
     entropies = _entropy_rows(np.vstack([dists[keep], avg]))
     shannon_route = float(entropies[-1]) - float((weights[keep] * entropies[:-1]).sum())
     result = DualRouteValue(value=kl_route, cross_value=shannon_route)
-    if result.defect > 1e-8:
+    if result.defect > CLASSICAL_ROUTE_TOL:
         raise ConsistencyError(
             f"cqc mutual-entropy routes disagree: {kl_route!r} vs {shannon_route!r}"
         )
@@ -357,7 +366,7 @@ def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
 
     `value` is the weighted KL of outcome distributions against their
     mixture; the cross route is the Shannon-entropy difference. The two are
-    algebraically identical and checked to 1e-8.
+    algebraically identical and checked to CLASSICAL_ROUTE_TOL.
     """
     evaluator = _CqcEvaluator(inst.channel, np.stack(inst.decoding.effects))
     states = np.stack([s.matrix for s in inst.coding.states])
@@ -517,7 +526,7 @@ def cqc_capacity(
         decoding = Povm(tuple(point["effects"]))
     inst = CqcInstance(point["weights"], coding, channel, decoding)
     routes = _cqc_routes(inst.weights, dists) if mode == "weights" else cqc_mutual_entropy(inst)
-    if abs(routes.value - report.value) > 1e-8:
+    if abs(routes.value - report.value) > CLASSICAL_ROUTE_TOL:
         raise ConsistencyError(f"cqc search reported {report.value!r}, its point scores {routes.value!r}")
     return report
 
@@ -572,7 +581,8 @@ def _cqc_alternation(channel, weights, codes, effects, value, free_decoding, bud
     - decoding, when freed: `_DECODING_ITERATIONS` fixed-point steps
       (Jezek, Rehacek and Fiurasek, PRA 65, 060301 (2002)) on
       sum_j tr(G_j E_j), G_j = sum_k q_k ln(W_kj / (qW)_j) ch(sigma_k),
-      kept only if the effects still sum to the identity within 1e-9;
+      kept only if the effects still sum to the identity within
+      NORMALIZATION_TOL;
     - weights: the certified `_cqc_weights` solve from the current q.
     A step's candidate is kept only if it raises I (the weights solve never
     lowers it). The rounds stop after max(1, budget.max_evals // 10), or
@@ -620,7 +630,7 @@ def _decoding_step(channel, weights, codes, dists, effects) -> np.ndarray | None
     E_j <- R^-1 G_j E_j G_j R^-1, R = (sum_j G_j E_j G_j)^(1/2), of
     G_j = sum_k q_k ln(W_kj / (qW)_j) ch(sigma_k) shifted by a multiple of
     the identity to be PSD; None when R is singular or the effects no
-    longer sum to the identity within 1e-9 (KRAUS_TOL, the Povm check's)."""
+    longer sum to the identity within NORMALIZATION_TOL, the Povm check's."""
     grads = np.einsum("k,kj,kab->jab", weights, _log_ratios(weights, dists), apply_matrix(channel, codes))
     grads = hermitian_part(grads)
     eye = np.eye(grads.shape[-1])
@@ -633,6 +643,6 @@ def _decoding_step(channel, weights, codes, dists, effects) -> np.ndarray | None
         inv_root = (v / np.sqrt(w)) @ v.conj().T
         effects = inv_root @ terms @ inv_root
         effects = hermitian_part(effects)
-    if np.max(np.abs(effects.sum(axis=0) - eye)) > KRAUS_TOL:
+    if np.max(np.abs(effects.sum(axis=0) - eye)) > NORMALIZATION_TOL:
         return None
     return effects

@@ -15,7 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (
-    PSD_TOL,
+    NORMALIZATION_TOL,
+    STATE_TOL,
+    WEIGHT_TOL,
+    ZERO_TOL,
     DensityOperator,
     _check_finite,
     as_complex_matrix,
@@ -24,7 +27,6 @@ from .operators import (
     is_hermitian,
 )
 
-KRAUS_TOL = 1e-9
 # `apply_matrix` takes the transfer-matrix product when T has fewer than
 # TRANSFER_CROSSOVER * r * (in + out) entries. A swept crossover, not a flop
 # count: r small Kraus products each carry a fixed overhead, and a large T is
@@ -63,7 +65,7 @@ class KrausChannel:
         stack = np.array(mats)
         stack.setflags(write=False)
         v = stack.reshape(-1, stack.shape[2])  # the dilation isometry: V^dag V = sum K^dag K
-        if np.max(np.abs(v.conj().T @ v - np.eye(stack.shape[2]))) > KRAUS_TOL:
+        if np.max(np.abs(v.conj().T @ v - np.eye(stack.shape[2]))) > NORMALIZATION_TOL:
             raise ValueError("Kraus operators do not satisfy sum K^dag K = I within 1e-9")
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "ops", tuple(stack))
@@ -162,7 +164,7 @@ class StinespringIsometry:
         if self.out_dim <= 0 or rows % self.out_dim:
             raise ValueError(f"rows {rows} not divisible by out_dim {self.out_dim}")
         _check_finite(a, "isometry")
-        if np.max(np.abs(a.conj().T @ a - np.eye(cols))) > KRAUS_TOL:
+        if np.max(np.abs(a.conj().T @ a - np.eye(cols))) > NORMALIZATION_TOL:
             raise ValueError("not an isometry: V^dag V != I within 1e-9")
         a = a.copy()
         a.setflags(write=False)
@@ -246,13 +248,13 @@ class Povm:
             _check_finite(a, "effect")
             if not is_hermitian(a):
                 raise ValueError("effect is not Hermitian within 1e-10")
-            if float(np.min(np.linalg.eigvalsh(hermitian_part(a)))) < -PSD_TOL:
+            if float(np.min(np.linalg.eigvalsh(hermitian_part(a)))) < -STATE_TOL:
                 raise ValueError("effect has an eigenvalue below -1e-10")
             a = a.copy()
             a.setflags(write=False)
             mats.append(a)
         total = sum(mats)
-        if np.max(np.abs(total - np.eye(dim))) > KRAUS_TOL:
+        if np.max(np.abs(total - np.eye(dim))) > NORMALIZATION_TOL:
             raise ValueError("effects do not sum to the identity within 1e-9")
         object.__setattr__(self, "effects", tuple(mats))
 
@@ -288,7 +290,7 @@ def _square_root_povm_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """`_square_root_povm` for each row of factors (rows, n, d, d).
 
     Returns effects of shape (rows, n + 1, d, d) and a mask of the rows
-    whose effects needed the completion (residual trace above 1e-12). The
+    whose effects needed the completion (residual trace above ZERO_TOL). The
     completion fills the last slot of those rows; the slot of every other
     row is an exact zero block.
     """
@@ -303,7 +305,7 @@ def _square_root_povm_rows(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     residual = np.eye(s.shape[-1]) - effects.sum(axis=1)
     rw, rv = np.linalg.eigh(hermitian_part(residual))
     rw = np.clip(rw, 0.0, None)
-    completed = np.sum(rw, axis=-1) > 1e-12
+    completed = np.sum(rw, axis=-1) > ZERO_TOL
     completion = np.where(
         completed[:, None, None], (rv * rw[:, None, :]) @ rv.conj().swapaxes(-1, -2), 0.0
     )
@@ -329,7 +331,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def unitary_channel(u) -> KrausChannel:
     a = as_complex_matrix(u, "unitary")
-    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))) > KRAUS_TOL:
+    if np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))) > NORMALIZATION_TOL:
         raise ValueError("matrix is not unitary within 1e-9")
     return KrausChannel((a,))
 
@@ -424,14 +426,14 @@ def classical_channel(transition) -> KrausChannel:
     d_out, d_in = t.shape
     _check_dim(d_in, "classical channel input")
     _check_dim(d_out, "classical channel output")
-    if np.min(t) < -1e-12:
+    if np.min(t) < -ZERO_TOL:
         raise ValueError("transition probabilities must be nonnegative")
     for k in range(t.shape[1]):
         as_probability(t[:, k])
     ops = []
     for j in range(d_out):
         for k in range(d_in):
-            if t[j, k] > 1e-15:
+            if t[j, k] > WEIGHT_TOL:
                 op = np.zeros((d_out, d_in), dtype=complex)
                 op[j, k] = np.sqrt(t[j, k])
                 ops.append(op)

@@ -38,6 +38,8 @@ from .mutual import (
 )
 from .operators import (
     MAX_DIM,
+    NORMALIZATION_TOL,
+    ORTHONORMAL_TOL,
     ZERO_TOL,
     ConsistencyError,
     DensityOperator,
@@ -55,10 +57,9 @@ from .operators import (
 )
 from .search import SearchBudget, maximize_batch
 
-NORMALIZATION_TOL = 1e-9
-UNITARY_TOL = 1e-8
-OFF_DIAG_TOL = 1e-8
-COMMUTE_TOL = 1e-8
+# The q/d/c resolution: an off-diagonal block above CLASS_TOL makes a compound
+# q, and blocks whose commutation defect is at most CLASS_TOL commute (c).
+CLASS_TOL = 1e-8
 PSD_STEP_TOL = 1e-10
 
 
@@ -84,7 +85,7 @@ class EntanglingOperator:
             raise ValueError(f"basis shape {u.shape} does not match g_dim {g}")
         _check_finite(v, "amplitudes")
         _check_finite(u, "basis")
-        if np.max(np.abs(u.conj().T @ u - np.eye(g))) > UNITARY_TOL:
+        if np.max(np.abs(u.conj().T @ u - np.eye(g))) > ORTHONORMAL_TOL:
             raise ValueError("basis columns are not orthonormal")
         total = float(np.sum(np.abs(v) ** 2))
         if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -222,9 +223,9 @@ def _blocks_in_eigenbasis(t: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 def classify_compound(theta, dims: tuple[int, int] | None = None) -> EntanglementClass:
     """Classify a bipartite state by blocks in the G-marginal eigenbasis.
 
-    Any off-diagonal block of Frobenius norm above 1e-8 makes the state q;
-    otherwise pairwise-commuting diagonal blocks (relative commutator below
-    1e-8) make it c, and anything else d.
+    Any off-diagonal block of Frobenius norm above CLASS_TOL makes the state
+    q; otherwise pairwise-commuting diagonal blocks (relative commutator at
+    most CLASS_TOL) make it c, and anything else d.
     """
     if isinstance(theta, EntangledCompound):
         theta = theta.compound
@@ -236,11 +237,11 @@ def classify_compound(theta, dims: tuple[int, int] | None = None) -> Entanglemen
     t = as_complex_matrix(theta, "theta")
     blocks = _blocks_in_eigenbasis(t, dims)
     off = float(np.max(_frobenius_norms(blocks[_upper_indices(dims[0])]), initial=0.0))
-    if off > OFF_DIAG_TOL:
+    if off > CLASS_TOL:
         return EntanglementClass(tag="q", off_diag_norm=off, max_commutator=math.nan)
     diag = np.arange(dims[0])
     worst = _commutation_defect(blocks[diag, diag])
-    tag = "c" if worst <= COMMUTE_TOL else "d"
+    tag = "c" if worst <= CLASS_TOL else "d"
     return EntanglementClass(tag=tag, off_diag_norm=off, max_commutator=worst)
 
 
@@ -346,8 +347,9 @@ def entangled_mutual_entropy(compound) -> float:
 
 
 def _check_compound(theta: np.ndarray, left: DensityOperator, right: DensityOperator, value: float) -> None:
-    """Check a search's compound: a state with marginals left and right within 1e-8,
-    whose entangled mutual entropy is the search's `value` within DUAL_ROUTE_TOL."""
+    """Check a search's compound: a state with marginals left and right within
+    `mutual.RECONSTRUCTION_TOL`, whose entangled mutual entropy is the search's
+    `value` within DUAL_ROUTE_TOL."""
     exact = entangled_mutual_entropy(CompoundState(DensityOperator(theta), left.dim, right.dim, left, right))
     if abs(exact - value) > DUAL_ROUTE_TOL:
         raise ConsistencyError(f"compound search scored {value!r}, its compound has {exact!r}")
@@ -460,7 +462,7 @@ class _BestCommuting:
     def observe(self, mats: np.ndarray, weights: np.ndarray, vectors: np.ndarray, outputs: np.ndarray,
                 values: np.ndarray):
         for i, (value, defect) in enumerate(zip(values.tolist(), _commutation_defects(outputs).tolist())):
-            if not (math.isfinite(value) and defect <= COMMUTE_TOL):
+            if not (math.isfinite(value) and defect <= CLASS_TOL):
                 continue
             if self.record is None or (value, -defect) > self.record.key:
                 self.record = _DecRecord(value, defect, mats[i], weights[i], vectors[i].copy())
@@ -504,7 +506,7 @@ def _candidate_direction(dec: SchattenDecomposition, ch: KrausChannel) -> np.nda
     blocks[range(dec.size), range(dec.size)] = 0.0
     n = len(dec.vectors) * ch.out_dim
     x = np.einsum("xn,nmab,ym->xayb", dec.vectors, blocks, dec.vectors.conj()).reshape(n, n)
-    return None if np.linalg.norm(x) <= 1e-12 else x
+    return None if np.linalg.norm(x) <= ZERO_TOL else x
 
 
 _STEP_CAP = 64.0
@@ -538,8 +540,8 @@ class _RayScorer:
     well. So a ray is scored once, at t_max, and nothing else is checked.
 
     A round of rays is scored as one stack (`endpoints`), given with their
-    whitened forms A^{-1/2} x A^{-1/2}: one stacked eigh for their steps
-    and one stacked eigvalsh for their endpoints. Each row's LAPACK call
+    norms and whitened forms A^{-1/2} x A^{-1/2}: one stacked eigh for their
+    steps and one stacked eigvalsh for their endpoints. Each row's LAPACK call
     sees the same matrix as it would alone, so a row's score does not depend
     on the other rows, and a single ray is scored as a stack of one.
     """
@@ -566,13 +568,12 @@ class _RayScorer:
             values[live] = np.where(eigs[:, 0] < -ZERO_TOL, -math.inf, self.marginal_entropy - _entropy_rows(eigs))
         return values
 
-    def endpoints(self, xs: np.ndarray, ws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def endpoints(self, xs: np.ndarray, norms: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """I(t_max) and t_max <= 64 of each ray x of a stack (m, n, n), given
-        its `whitened` form in ws, or whitened here when ws is None; I is -inf
-        where ||x|| <= 1e-12, t_max is 0 or the endpoint has an eigenvalue
+        its norm ||x|| in norms and its `whitened` form in ws; I is -inf
+        where ||x|| <= ZERO_TOL, t_max is 0 or the endpoint has an eigenvalue
         below -ZERO_TOL."""
-        norms = _frobenius_norms(xs)
-        mu, z = np.linalg.eigh(self.whitened(xs) if ws is None else ws)
+        mu, z = np.linalg.eigh(ws)
         mu = mu[:, 0]
         u_norm2 = np.sum(np.abs(self.inv_sqrt * z[..., 0]) ** 2, axis=-1)
         del z  # as large as the rays: freed before the endpoints are scored
@@ -581,12 +582,13 @@ class _RayScorer:
         # A ray leaving the support has the exact step 0; rounding leaves a
         # step of either sign that moves theta_d by about 1e-16 or less.
         steps[bounded & ~(steps * norms > ZERO_TOL)] = 0.0
-        return self.scores(xs, np.where(norms > 1e-12, steps, 0.0)), steps
+        return self.scores(xs, np.where(norms > ZERO_TOL, steps, 0.0)), steps
 
 
 def _unit_rays(scorer: _RayScorer, dec: SchattenDecomposition, k: int):
-    """points (m, g (g - 1) k^2) -> their unit rays x and `whitened` forms w,
-    both 0 where x has norm at most 1e-12 before scaling.
+    """points (m, g (g - 1) k^2) -> their unit rays x, norms and `whitened`
+    forms w: x and w are 0, and the norm 0, where x has norm at most ZERO_TOL
+    before scaling, and the norm is 1 elsewhere.
 
     A point spells out the Hermitian b whose block (n, m), n < m, is its
     next k x k block (2 k^2 reals: real parts, then imaginary) made
@@ -618,14 +620,15 @@ def _unit_rays(scorer: _RayScorer, dec: SchattenDecomposition, k: int):
     frames = np.stack([frame, scorer.inv_sqrt[:, None] * (scorer.frame.conj().T @ frame)])
     adjoints = frames.conj().swapaxes(-1, -2)
 
-    def rays(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rays(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = len(points)
         parts = (points.reshape(m, -1, kk) @ project).reshape(m, -1)
         # b is built in the product, and freed before its second factor.
         xw = frames @ (np.take(parts, source, axis=1) * sign).view(complex).reshape(m, 1, g * k, g * k) @ adjoints
         norms = _frobenius_norms(xw[:, 0])
-        xw /= np.where(norms > 1e-12, norms, math.inf)[:, None, None, None]
-        return xw[:, 0], xw[:, 1]
+        live = norms > ZERO_TOL
+        xw /= np.where(live, norms, math.inf)[:, None, None, None]
+        return xw[:, 0], live.astype(float), xw[:, 1]
 
     return rays
 
@@ -644,8 +647,8 @@ def _q_value(
     `outputs` are dec's channel outputs, `mutual._transmitted(ch, dec)`,
     which the caller has already computed; the diagonal compound is built
     from them, and the candidate ray from ch. Each lockstep round of the ray
-    search is one stack: its points become unit rays, with their whitened
-    forms, in one `_unit_rays` call, and are scored in one
+    search is one stack: its points become unit rays, with their norms and
+    whitened forms, in one `_unit_rays` call, and are scored in one
     `_RayScorer.endpoints` call. The candidate ray and the winning search
     ray go through `endpoints` as stacks of one row, and each one's step
     comes with its score. The candidate ends at theta_ci, which is PSD, so
@@ -666,7 +669,8 @@ def _q_value(
     best, best_end, evals = diagonal_value, None, 0
     candidate = _candidate_direction(dec, ch)
     if candidate is not None:
-        values, steps = scorer.endpoints(candidate[None])
+        xs = candidate[None]
+        values, steps = scorer.endpoints(xs, _frobenius_norms(xs), scorer.whitened(xs))
         if values[0] == -math.inf:
             lo, hi = 1.0, float(steps[0])
             while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -688,8 +692,8 @@ def _q_value(
         result = maximize_batch(objective, n_params, budget.child(7), starts=())
         evals = result.evals
         if result.value > best:
-            xs, ws = rays(result.params[None])
-            _, steps = scorer.endpoints(xs, ws)
+            xs, norms, ws = rays(result.params[None])
+            _, steps = scorer.endpoints(xs, norms, ws)
             best, best_end = result.value, scorer.theta_d + steps[0] * xs[0]
     if best_end is not None:
         _check_compound(best_end, rho, DensityOperator(out_avg), best)
@@ -741,7 +745,7 @@ def _class_reports(
 
     reports = {}
     if "c" in tags:
-        if defect <= COMMUTE_TOL:
+        if defect <= CLASS_TOL:
             reports["c"] = report("c", d_value, commute_defect=defect)
         elif c is None:
             reports["c"] = CapacityReport(

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .operators import (
-    PSD_TOL,
+    STATE_TOL,
     ZERO_TOL,
     as_complex_matrix,
     as_probability,
@@ -60,9 +60,9 @@ def _factored(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_sigma_split(factor: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(kernel eigenvectors, support eigenvectors, ln of the support
     eigenvalues) of a factored reference sigma. Raises ValueError when
-    sigma has an eigenvalue below -PSD_TOL."""
+    sigma has an eigenvalue below -STATE_TOL."""
     ws, vs = factor
-    if float(np.min(ws)) < -PSD_TOL:
+    if float(np.min(ws)) < -STATE_TOL:
         raise ValueError(f"sigma has eigenvalue {np.min(ws):.3e}")
     kernel = ws <= ZERO_TOL
     return vs[:, kernel], vs[:, ~kernel], np.log(ws[~kernel])
@@ -73,7 +73,7 @@ def _relative_entropy_rows(rhos: np.ndarray, factor: tuple) -> np.ndarray:
     factorization `_factored(sigma)`; `umegaki_relative_entropy` is its
     one-row case.
 
-    Raises ValueError when sigma has an eigenvalue below -PSD_TOL. A row
+    Raises ValueError when sigma has an eigenvalue below -STATE_TOL. A row
     that puts more than SUPPORT_TOL of its mass on sigma's kernel scores
     +inf. Every other row is -S(rho_k) - tr rho_k ln sigma, each term the
     float expression of the one-row case, so a row's value does not depend

@@ -34,6 +34,7 @@ from .operators import (
     ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
+    WEIGHT_TOL,
     ZERO_TOL,
     _eigh_descending,
     _support_layouts,
@@ -45,10 +46,12 @@ from .operators import (
 from .sampling import random_unitary
 from .search import SearchBudget, SearchResult, _complex_stack, maximize_batch
 
+# A rebuilt matrix (a decomposition's sum, a marginal) matches its source within RECONSTRUCTION_TOL.
 RECONSTRUCTION_TOL = 1e-8
 DUAL_ROUTE_TOL = 1e-6
+# The two routes of a classical or cqc mutual entropy agree within CLASSICAL_ROUTE_TOL.
+CLASSICAL_ROUTE_TOL = 1e-8
 MERGE_WEIGHT_TOL = 1e-6
-MARGINAL_TOL = 1e-8
 DIAGONAL_TOL = 1e-9
 
 
@@ -84,9 +87,9 @@ class CompoundState:
         dims = (self.d_g, self.d_k)
         left = partial_trace(self.theta.matrix, dims, keep=0)
         right = partial_trace(self.theta.matrix, dims, keep=1)
-        if np.max(np.abs(left - self.input_marginal.matrix)) > MARGINAL_TOL:
+        if np.max(np.abs(left - self.input_marginal.matrix)) > RECONSTRUCTION_TOL:
             raise ValueError("input marginal inconsistent with the joint state")
-        if np.max(np.abs(right - self.output_marginal.matrix)) > MARGINAL_TOL:
+        if np.max(np.abs(right - self.output_marginal.matrix)) > RECONSTRUCTION_TOL:
             raise ValueError("output marginal inconsistent with the joint state")
 
 
@@ -161,7 +164,7 @@ def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray) -> tuple:
     contract B the same way: tr_K theta = sum_k lambda_k |K v_k|^2 |v_k><v_k|
     and tr_G theta = sum_kr lambda_k <v_k|v_k> |K_r v_k><K_r v_k|, with
     |K v_k|^2 = sum_r |K_r v_k|^2. Weights are clipped at 0 (a decomposition
-    may carry weights down to -1e-12).
+    may carry weights down to -ZERO_TOL).
     """
     v, n_r = dec.vectors, images.shape[-1]
     weights = np.clip(dec.weights, 0.0, None)
@@ -179,7 +182,7 @@ def _narrow_compound(dec: SchattenDecomposition, images: np.ndarray) -> tuple:
 
 def _component_route(weights: np.ndarray, components: np.ndarray, out_factor: tuple) -> float:
     """sum_k lambda_k S(ch(rho_k), ch(rho)) over the components of weight
-    above 1e-15, each term floored at 0: for unit-trace states a negative
+    above WEIGHT_TOL, each term floored at 0: for unit-trace states a negative
     term is rounding (Klein's inequality). +inf when a kept component leaks
     off the support of ch(rho).
 
@@ -189,7 +192,7 @@ def _component_route(weights: np.ndarray, components: np.ndarray, out_factor: tu
     `_relative_entropy_rows`, whose terms equal `umegaki_relative_entropy`
     bit for bit. Both read ch(rho) from its one factorization `out_factor`
     (`entropy._factored`)."""
-    keep = weights > 1e-15
+    keep = weights > WEIGHT_TOL
     kept = components[keep]
     rows = _image_relative_entropy_rows if kept.shape[-1] < kept.shape[-2] else _relative_entropy_rows
     terms = rows(kept, out_factor)
@@ -597,7 +600,7 @@ def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
     The channel must map diagonal states to diagonal states within
     DIAGONAL_TOL. `value` is the Shannon difference H(output) - sum_k p_k H(output | k); it is
     cross-checked against the weighted quantum relative entropies of the
-    transmitted basis states (agreement within 1e-8).
+    transmitted basis states (agreement within CLASSICAL_ROUTE_TOL).
     """
     weights = as_probability(p)
     if ch.in_dim != weights.size:
@@ -609,13 +612,13 @@ def classical_mutual_entropy(p, ch: KrausChannel) -> DualRouteValue:
     if np.max(np.abs(outputs[:, ~np.eye(ch.out_dim, dtype=bool)]), initial=0.0) > DIAGONAL_TOL:
         raise ValueError("channel does not map diagonal states to diagonal states")
     avg = sum(lam * out for lam, out in zip(weights, outputs))
-    keep = weights > 1e-15
+    keep = weights > WEIGHT_TOL
     stack = np.concatenate([outputs[keep], avg[None]])  # the kept outputs, then their average
     entropies = _entropy_rows(np.clip(np.real(np.diagonal(stack, axis1=-2, axis2=-1)), 0.0, None))
     shannon = float(entropies[-1] - weights[keep] @ entropies[:-1])
     quantum = _component_route(weights, outputs, _factored(avg))
     result = DualRouteValue(value=shannon, cross_value=quantum)
-    if result.defect > 1e-8:
+    if result.defect > CLASSICAL_ROUTE_TOL:
         raise ConsistencyError(
             f"classical mutual-entropy routes disagree: {shannon!r} vs {quantum!r}"
         )
@@ -637,7 +640,7 @@ def holevo_bound(p, coded, ch: KrausChannel) -> float:
         _check_dims(DensityOperator(s).dim, ch)
     outputs = apply_matrix(ch, np.stack(states))
     avg = sum(lam * out for lam, out in zip(weights, outputs))
-    keep = weights > 1e-15
+    keep = weights > WEIGHT_TOL
     stack = np.concatenate([outputs[keep], avg[None]])  # the kept outputs, then their average
     entropies = _entropy_rows(np.linalg.eigvalsh(hermitian_part(stack)))
     return float(entropies[-1] - weights[keep] @ entropies[:-1])
@@ -659,7 +662,7 @@ def _checked_ensemble(ch: KrausChannel, rho, lams, sigmas, value: float) -> tupl
     the heaviest: dividing such a sigma_k by its trace amplifies rounding past
     the density-operator tolerances, and the merge keeps the sum. Checks the
     weights, each component (as `holevo_bound` validates it), the
-    reconstruction of rho within 1e-8 and `value` against chi from
+    reconstruction of rho within RECONSTRUCTION_TOL and `value` against chi from
     `holevo_bound` within DUAL_ROUTE_TOL, and returns the split's own arrays.
     """
     state = DensityOperator(rho).matrix
@@ -723,10 +726,10 @@ def _split_search(
     `member(heads)` takes the member parameters as rows and returns, per
     row, (rho, sqrt(rho), S(ch(rho)), whether the member has a trace); the
     split parameters are the factor blocks of `_povm_split`, and components
-    of trace at or below 1e-12 drop out. A split scores
+    of trace at or below ZERO_TOL drop out. A split scores
     chi = S(ch(rho)) - sum_k lambda_k S(ch(sigma_k)) with one batched
     eigvalsh, unvalidated. A dropped component is not normalized: its
-    output has trace at most 1e-12, so `_entropy_rows` counts none of its
+    output has trace at most ZERO_TOL, so `_entropy_rows` counts none of its
     eigenvalues (rounding aside) and the component adds an exact 0 to the
     weighted sum. For splits of at most 12 components that sum equals, bit
     for bit, the dot product over the kept components alone. The search
@@ -747,7 +750,7 @@ def _split_search(
 
     def objective(points: np.ndarray) -> np.ndarray:
         _, out_entropies, traced, lams, sigmas = split(points)
-        keep = lams > 1e-12
+        keep = lams > ZERO_TOL
         outputs = apply_matrix(ch, sigmas) / np.where(keep, lams, 1.0)[..., None, None]
         mixed = _weighted_sum(lams, _entropy_rows(np.linalg.eigvalsh(outputs)))
         return np.where(traced, out_entropies - mixed, -math.inf)
@@ -756,7 +759,7 @@ def _split_search(
     result = maximize_batch(objective, start.size, budget, starts=[start])
     if result.value > floor.value + budget.tol:
         rhos, _, _, lams, sigmas = split(result.params[None])
-        keep = lams[0] > 1e-12
+        keep = lams[0] > ZERO_TOL
         state, weights, components = _checked_ensemble(
             ch, rhos[0], lams[0][keep], sigmas[0][keep], result.value
         )

@@ -13,13 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
+# A state or effect is Hermitian, PSD and (a state) of unit trace within STATE_TOL.
+STATE_TOL = 1e-10
+# A total that must be 1 or I (probabilities, Schatten weights, sum K^dag K,
+# V^dag V, POVM effects, amplitudes) is so within NORMALIZATION_TOL.
+NORMALIZATION_TOL = 1e-9
+# Columns that must be orthonormal (Schatten vectors, a G-basis) are so within ORTHONORMAL_TOL.
+ORTHONORMAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
+# A trace, norm, eigenvalue or probability at most ZERO_TOL in magnitude is 0.
 ZERO_TOL = 1e-12
 PHASE_TOL = 1e-8
-PROBABILITY_TOL = 1e-9
+# A mixture weight at or below WEIGHT_TOL drops out as an exact 0 term.
+WEIGHT_TOL = 1e-15
 MAX_DIM = 64
 
 
@@ -46,18 +52,18 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITICITY_TOL)
+    return bool(np.max(np.abs(a - a.conj().T)) <= STATE_TOL)
 
 
 def as_probability(p) -> np.ndarray:
-    """Validate and return a probability vector (finite entries >= -1e-12, sum 1 within 1e-9)."""
+    """Validate and return a probability vector (finite entries >= -ZERO_TOL, sum 1 within NORMALIZATION_TOL)."""
     v = np.asarray(p, dtype=float).reshape(-1)
     if v.size == 0:
         raise ValueError("empty probability vector")
     _check_finite(v, "probability vector")
-    if np.min(v) < -1e-12:
+    if np.min(v) < -ZERO_TOL:
         raise ValueError(f"negative probability {np.min(v):.3e}")
-    if abs(float(np.sum(v)) - 1.0) > PROBABILITY_TOL:
+    if abs(float(np.sum(v)) - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"probabilities sum to {np.sum(v)!r}, expected 1")
     return v
 
@@ -79,9 +85,9 @@ class DensityOperator:
         if not is_hermitian(a):
             raise ValueError("density operator is not Hermitian within 1e-10")
         tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > STATE_TOL:
             raise ValueError(f"trace is {tr!r}, expected 1 within 1e-10")
-        if float(np.min(np.linalg.eigvalsh(hermitian_part(a)))) < -PSD_TOL:
+        if float(np.min(np.linalg.eigvalsh(hermitian_part(a)))) < -STATE_TOL:
             raise ValueError("density operator has an eigenvalue below -1e-10")
         a = hermitian_part(a)
         a.setflags(write=False)
@@ -99,7 +105,7 @@ def pure_state(vec) -> DensityOperator:
     """Rank-one density operator |v><v| from a (normalized) vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    if norm < ZERO_TOL:
         raise ValueError("cannot normalize a zero vector")
     v = v / norm
     return DensityOperator(np.outer(v, v.conj()))
@@ -231,12 +237,12 @@ class SchattenDecomposition:
             raise ValueError("vectors must be columns matching the weights")
         _check_finite(w, "Schatten weights")
         _check_finite(v, "Schatten vectors")
-        if w.size and np.min(w) < -1e-12:
+        if w.size and np.min(w) < -ZERO_TOL:
             raise ValueError(f"negative weight {np.min(w):.3e}")
-        if abs(float(np.sum(w)) - 1.0) > 1e-9:
+        if abs(float(np.sum(w)) - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {np.sum(w)!r}, expected 1 within 1e-9")
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(w.size))) > 1e-8:
+        if np.max(np.abs(gram - np.eye(w.size))) > ORTHONORMAL_TOL:
             raise ValueError("Schatten vectors are not orthonormal within 1e-8")
         w.setflags(write=False)
         v.setflags(write=False)

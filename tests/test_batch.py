@@ -501,8 +501,9 @@ def test_stacked_rays_match_the_per_ray_loop():
                                  rng.normal(size=(20, n_params))])
         alone = [_ray_loop(p, dec, k) for p in points]
         ok = np.array([x is not None for x in alone])
-        rays, whitened = entanglement._unit_rays(scorer, dec, k)(points)
+        rays, norms, whitened = entanglement._unit_rays(scorer, dec, k)(points)
         assert [bool(np.any(x)) for x in rays] == ok.tolist()
+        assert norms.tolist() == ok.astype(float).tolist()
         for i, x in enumerate(alone):
             # _unit_rays forms a ray by products with the frame, the per-ray
             # loop by one einsum, so the two agree to rounding.
@@ -510,26 +511,29 @@ def test_stacked_rays_match_the_per_ray_loop():
                 assert np.max(np.abs(rays[i] - x)) <= 1e-15
             # The same point alone, as a stack of one row: the winning search
             # ray is rebuilt so, and must match its row bit for bit.
-            one, one_whitened = entanglement._unit_rays(scorer, dec, k)(points[i][None])
+            one, one_norms, one_whitened = entanglement._unit_rays(scorer, dec, k)(points[i][None])
             assert one[0].tobytes() == rays[i].tobytes()
+            assert one_norms[0] == norms[i]
             assert one_whitened[0].tobytes() == whitened[i].tobytes()
-        # Scored with their whitened forms, each row scores as it does alone.
-        values, steps = scorer.endpoints(rays, whitened)
-        for x, w, value, step in zip(rays, whitened, values, steps):
-            one_values, one_steps = scorer.endpoints(x[None], w[None])
+        # Scored with their norms and whitened forms, each row scores as it does alone.
+        values, steps = scorer.endpoints(rays, norms, whitened)
+        for x, norm, w, value, step in zip(rays, norms, whitened, values, steps):
+            one_values, one_steps = scorer.endpoints(x[None], norm[None], w[None])
             assert (one_values[0], one_steps[0]) == (value, step)
         # The same rays shortened: at 1e-3 their steps reach the cap of 64, and
         # at 1e-6 the rounding-level step of a ray leaving the support exceeds
-        # 1e-12 while moving theta_d by less, so it is still taken as 0.
+        # 1e-12 while moving theta_d by less, so it is still taken as 0. They
+        # come with their own norms and whitened forms, as the candidate ray does.
         xs, ok = np.concatenate([rays, 1e-3 * rays, 1e-6 * rays]), np.concatenate([ok, ok, ok])
-        values, steps = scorer.endpoints(xs)
+        values, steps = scorer.endpoints(xs, entanglement._frobenius_norms(xs), scorer.whitened(xs))
         want_steps = np.array([_step_loop(scorer, x) for x in xs])
         want = np.array([_score_loop(scorer, x) if o else -math.inf for x, o in zip(xs, ok)])
         assert steps[ok].tobytes() == want_steps[ok].tobytes()
         assert values.tobytes() == want.tobytes()
         for x, o, value, step in zip(xs, ok, values, steps):
             if o:
-                one_values, one_steps = scorer.endpoints(x[None])
+                one_values, one_steps = scorer.endpoints(
+                    x[None], entanglement._frobenius_norms(x[None]), scorer.whitened(x[None]))
                 assert (one_values[0], one_steps[0]) == (value, step)
         masked += int(np.sum(~ok))
         zero_steps += int(np.sum(ok & (steps == 0.0)))
@@ -555,9 +559,10 @@ def test_unit_rays_keep_the_marginals_and_the_whitened_form():
                                  1e-14 * rng.normal(size=(1, n_params))])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            rays, whitened = entanglement._unit_rays(scorer, dec, k)(points)
-            values, _ = scorer.endpoints(rays, whitened)
+            rays, norms, whitened = entanglement._unit_rays(scorer, dec, k)(points)
+            values, _ = scorer.endpoints(rays, norms, whitened)
         # The zero row and the 1e-14 row have no ray, and score nothing.
+        assert norms.tolist() == [1.0] * 10 + [0.0, 0.0]
         assert not np.any(rays[10:]) and not np.any(whitened[10:])
         assert values[10:].tolist() == [-math.inf, -math.inf]
         for x, w in zip(rays[:10], whitened[:10]):

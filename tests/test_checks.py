@@ -74,8 +74,8 @@ def test_q_is_checked_when_a_ray_wins(monkeypatch, dim, perturb):
         # Every ray, the candidate and the search's, is scored by the stacked scorer.
         original = _RayScorer.endpoints
 
-        def shifted(self, xs, ws=None):
-            values, steps = original(self, xs, ws)
+        def shifted(self, xs, norms, ws):
+            values, steps = original(self, xs, norms, ws)
             return values + 1e-3, steps
 
         monkeypatch.setattr(_RayScorer, "endpoints", shifted)

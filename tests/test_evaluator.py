@@ -213,13 +213,16 @@ def test_closed_form_step_matches_bisection():
         k = ch.out_dim
         scorer = _RayScorer(theta_d, rho.matrix, out_avg)
         n_params = dec.size * (dec.size - 1) * k * k
-        # The search's rays come with their whitened forms.
-        rays, whitened = _unit_rays(scorer, dec, k)(rng.normal(size=(4, n_params)))
+        # The search's rays come with their norms and whitened forms; the
+        # candidate passes its own.
+        rays, norms, whitened = _unit_rays(scorer, dec, k)(rng.normal(size=(4, n_params)))
         assert np.all(_frobenius_norms(rays) > 0.5)
+        assert norms.tolist() == [1.0] * 4
         candidate = _candidate_direction(dec, ch)
-        directions = [(candidate, None), *zip(rays, whitened)]
-        for x, w in directions:
-            values, steps = scorer.endpoints(x[None], None if w is None else w[None])
+        directions = [(candidate, _frobenius_norms(candidate[None])[0], scorer.whitened(candidate[None])[0]),
+                      *zip(rays, norms, whitened)]
+        for x, norm, w in directions:
+            values, steps = scorer.endpoints(x[None], np.array([norm]), w[None])
             exact = float(steps[0])
             reference = _bisection_step(theta_d, x)
             # A direction leaving the support of a rank-deficient theta_d has no
