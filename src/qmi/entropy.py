@@ -129,16 +129,14 @@ def product_relative_entropy(theta, left, right) -> float:
     d_g, d_k = a.shape[0], b.shape[0]
     if t.shape[0] != d_g * d_k:
         raise ValueError(f"joint dimension {t.shape[0]} is not {d_g}*{d_k}")
-    return _compound_relative_entropy(t, _factored(a), _factored(b))
+    return _product_relative_entropy(*_formed_compound(t, (d_g, d_k)), _factored(a), _factored(b))
 
 
-def _compound_relative_entropy(theta: np.ndarray, left: tuple, right: tuple) -> float:
-    """`product_relative_entropy` of a formed theta, from the factorizations
-    `_factored` of left and right. Nothing is validated."""
-    dims = (left[0].size, right[0].size)
-    m_in = partial_trace(theta, dims, keep=0)
-    m_out = partial_trace(theta, dims, keep=1)
-    return _product_relative_entropy(von_neumann_entropy(theta), m_in, m_out, left, right)
+def _formed_compound(theta: np.ndarray, dims: tuple[int, int]) -> tuple:
+    """(S(theta), tr_2 theta, tr_1 theta) of a formed theta on
+    C^dims[0] (x) C^dims[1], the arguments `_product_relative_entropy` reads
+    from theta. Nothing is validated."""
+    return von_neumann_entropy(theta), partial_trace(theta, dims, keep=0), partial_trace(theta, dims, keep=1)
 
 
 def _product_relative_entropy(joint_entropy: float, m_in, m_out, left: tuple, right: tuple) -> float:

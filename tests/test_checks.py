@@ -148,6 +148,25 @@ def test_a_perturbed_narrow_compound_route_is_caught(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_perturbed_framed_compound_route_is_caught(monkeypatch):
+    # 4 components through 16 Kraus operators against a 16-square compound:
+    # the cross route reads S(theta) from the four 4-square diagonal blocks.
+    rho, ch = random_density(4, rng_from(73)), depolarizing_channel(0.3, 4)
+    ohya_mutual_entropy(rho, ch, TINY)
+    original = mutual._framed_compound
+    calls = []
+
+    def shifted(*args):
+        calls.append(args)
+        joint, m_in, m_out = original(*args)
+        return joint + 1e-3, m_in, m_out
+
+    monkeypatch.setattr(mutual, "_framed_compound", shifted)
+    with pytest.raises(ConsistencyError, match="mutual-entropy routes disagree"):
+        ohya_mutual_entropy(rho, ch, TINY)
+    assert len(calls) == 1
+
+
 def test_a_perturbed_gram_side_component_route_is_caught(monkeypatch):
     # Two Kraus operators into 8 outputs: each component term reads its
     # entropy from a 2 x 2 Gram matrix, never from the 8-square output.

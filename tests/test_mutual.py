@@ -499,22 +499,41 @@ def _route_case(rng, case):
     fewest = -(-d // out_dim)  # a trace-preserving channel needs n_ops * out_dim >= d
     n_ops = int(rng.integers(fewest, max(fewest, 3) + 1))
     ch = random_kraus_channel(d, out_dim, n_ops, rng)
-    kind = case % 3
-    if kind == 0:
-        rho = random_density(d, rng)
-    elif kind == 1:
-        rho = random_density(d, rng, rank=int(rng.integers(1, d)))
-    else:
-        u = random_unitary(d, rng)
-        w = np.array([2.0, 2.0] + [1.0] * (d - 2) if d > 2 else [1.0, 1.0])
-        rho = DensityOperator((u * (w / w.sum())) @ u.conj().T)
+    rho = _route_state(rng, d, case % 3)
     n_params = schatten_param_count(rho)
     return rho, ch, schatten_family(rho, rng.normal(size=n_params))
 
 
+def _route_state(rng, d, kind):
+    """A full-rank (kind 0), rank-deficient (1) or rotated degenerate (2) state."""
+    if kind == 0:
+        return random_density(d, rng)
+    if kind == 1:
+        return random_density(d, rng, rank=int(rng.integers(1, d)))
+    u = random_unitary(d, rng)
+    w = np.array([2.0, 2.0] + [1.0] * (d - 2) if d > 2 else [1.0, 1.0])
+    return DensityOperator((u * (w / w.sum())) @ u.conj().T)
+
+
+def _framed_case(rng, case):
+    """A seeded (rho, channel, decomposition) with K components and r Kraus
+    operators, K r >= d_g d_k: output dimensions 1-6 (square or not), r up to
+    d_g d_k, and every fifth channel depolarizing (d_g^2 operators)."""
+    d = int(rng.integers(2, 6))
+    rho = _route_state(rng, d, case % 3)
+    dec = schatten_family(rho, rng.normal(size=schatten_param_count(rho)))
+    if case % 5 == 4:
+        return rho, depolarizing_channel(float(rng.uniform(0.05, 0.95)), d), dec
+    out_dim = int(rng.integers(1, 7))
+    fewest = max(-(-d // out_dim), -(-d * out_dim // dec.size))
+    n_ops = int(rng.integers(fewest, d * out_dim + 1))
+    return rho, random_kraus_channel(d, out_dim, n_ops, rng), dec
+
+
 def test_the_narrow_compound_route_matches_the_formed_compound():
     # theta = B B^dag with K r columns: below d_g d_k of them the cross route
-    # reads S(theta) and the marginals from B; above, it forms theta.
+    # reads S(theta) and the marginals from B; above, from the diagonal blocks
+    # of the framed B^dag B (`_framed_compound`).
     rng = rng_from(702)
     sides = {"narrow": 0, "wide": 0}
     for case in range(150):
@@ -527,6 +546,70 @@ def test_the_narrow_compound_route_matches_the_formed_compound():
         assert abs(got.cross_value - want) <= 1e-12
         sides["narrow" if dec.size * len(ch.ops) < rho.dim * ch.out_dim else "wide"] += 1
     assert min(sides.values()) >= 30, sides
+
+
+def test_the_framed_compound_route_matches_the_formed_compound(monkeypatch):
+    # K r >= d_g d_k: the cross route reads S(theta) from the K diagonal blocks
+    # lambda_k G_kk ch(|v_k><v_k|) and never forms theta, since a Schatten
+    # decomposition's overlap bound delta is at rounding level.
+    def formed(*args):
+        raise AssertionError("theta was formed")
+
+    monkeypatch.setattr(mutual, "_formed_compound", formed)
+    rng = rng_from(706)
+    kinds, out_dims, n_ops = set(), set(), set()
+    for case in range(150):
+        rho, ch, dec = _framed_case(rng, case)
+        assert dec.size * len(ch.ops) >= rho.dim * ch.out_dim
+        outputs = _transmitted(ch, dec)
+        out_avg = apply_matrix(ch, rho.matrix)
+        got = mutual_entropy_fixed(rho, ch, dec)
+        assert got.value == _component_route(dec.weights, outputs, _factored(out_avg))
+        want = product_relative_entropy(_compound_matrix(dec, outputs), rho.matrix, out_avg)
+        assert abs(got.cross_value - want) <= 1e-12
+        kinds.add((case % 3, dec.size < rho.dim))
+        out_dims.add(ch.out_dim == rho.dim)
+        n_ops.add(len(ch.ops))
+    assert kinds == {(0, False), (1, True), (2, False)}
+    # One operator is never on this side: K >= d_g d_k with K <= d_g needs d_k = 1,
+    # and a trace-preserving map of d_g >= 2 inputs onto one output needs d_g operators.
+    assert out_dims == {True, False} and min(n_ops) == 2 and max(n_ops) >= 25
+
+
+def test_a_loosely_orthonormal_decomposition_forms_theta(monkeypatch):
+    # Vectors orthonormal only to about 1e-9 pass SchattenDecomposition's
+    # checks, but their overlap bound delta is above ZERO_TOL: the route
+    # forms theta, bit for bit as product_relative_entropy does.
+    rng = rng_from(707)
+    rho = random_density(3, rng)
+    ch = depolarizing_channel(0.3, 3)
+    w, v = np.linalg.eigh(rho.matrix)
+    skew = v + 1e-9 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    dec = SchattenDecomposition(weights=w, vectors=skew)
+    overlaps = skew.conj().T @ skew
+    assert 1e-10 < np.max(np.abs(overlaps - np.eye(3))) < 1e-8
+    formed = []
+    original = mutual._formed_compound
+    monkeypatch.setattr(mutual, "_formed_compound", lambda *args: formed.append(args) or original(*args))
+    got = mutual_entropy_fixed(rho, ch, dec)
+    want = product_relative_entropy(
+        _compound_matrix(dec, _transmitted(ch, dec)), rho.matrix, apply_matrix(ch, rho.matrix)
+    )
+    assert len(formed) == 1 and got.cross_value == want
+
+
+def test_a_d16_depolarizing_state_solves_without_a_wide_eigensolve(monkeypatch):
+    # 16 components through 256 Kraus operators: theta is 256-square, and the
+    # cross route reads S(theta) from a stack of 16 blocks, each 16-square.
+    ch = depolarizing_channel(0.3, 16)
+    rho = random_density(16, rng_from(708))
+    assert schatten_param_count(rho) == 0
+    shapes = _sized_eigensolves(monkeypatch, 16)
+    result = ohya_mutual_entropy(rho, ch)
+    checked = mutual_entropy_fixed(rho, ch, result.decomposition)
+    assert checked.value == result.value
+    assert checked.defect <= 1e-10
+    assert shapes.count((16, 16, 16)) == 4
 
 
 def _sized_eigensolves(monkeypatch, limit):
