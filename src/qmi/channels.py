@@ -88,9 +88,13 @@ class KrausChannel:
     @cached_property
     def transfer(self) -> np.ndarray:
         """T = sum_r K_r (x) conj(K_r), read-only (out^2, in^2): the row-major
-        vec of ch(m) is T vec(m). Built on first use."""
+        vec of ch(m) is T vec(m). Built on first use, by one matrix product:
+        with the stack read as S (r, out in), S^T conj(S) holds
+        T[(a, b), (i, j)] at [(a, i), (b, j)]."""
         n_ops, d_out, d_in = self.stack.shape
-        t = np.einsum("rai,rbj->abij", self.stack, self.stack.conj()).reshape(d_out * d_out, d_in * d_in)
+        s = self.stack.reshape(n_ops, d_out * d_in)
+        t = (s.T @ s.conj()).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+        t = t.reshape(d_out * d_out, d_in * d_in)
         t.setflags(write=False)
         return t
 

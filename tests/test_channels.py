@@ -226,6 +226,24 @@ def test_the_transfer_matrix_is_read_only_and_vectorizes_the_channel():
     assert np.max(np.abs(t @ m.reshape(-1) - _apply_loop(ch, m).reshape(-1))) <= 1e-14
 
 
+def test_the_transfer_matrix_is_the_per_operator_kronecker_sum():
+    rng = rng_from(44)
+    channels = [
+        random_kraus_channel(3, 3, 2, rng),
+        random_kraus_channel(3, 5, 2, rng),
+        random_kraus_channel(4, 2, 3, rng),
+        random_kraus_channel(3, 1, 12, rng),
+        depolarizing_channel(0.3, 4),
+    ]
+    for ch in channels:
+        want = sum(np.kron(k, k.conj()) for k in ch.ops)
+        t = ch.transfer
+        assert t.shape == want.shape == (ch.out_dim**2, ch.in_dim**2)
+        assert np.max(np.abs(t - want)) <= 1e-14
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
+
+
 def test_kraus_stack_is_read_only_and_holds_the_operators():
     rng = rng_from(42)
     given = list(random_kraus_channel(3, 2, 4, rng).ops)
