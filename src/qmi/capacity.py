@@ -385,9 +385,10 @@ def quantum_capacity(
     built from the support vectors that search returned and dual-route
     checked as `ohya_mutual_entropy` does, and that checked value is
     reported; `evals` and `converged` are the family search's. Through a
-    channel with `uniform_pure_outputs` no inner search runs: each member,
-    the flat start I/d and degenerate diagonal points included, is scored
-    once at its canonical decomposition.
+    channel with `uniform_pure_outputs` no search runs: the flat member
+    (I/d, or P_r/r for `rank`) is the maximizer, scored once at its
+    canonical decomposition, with `evals` 1 and `converged` True, for the
+    reason `_quantum_search` gives.
     `qdc_hierarchy(None, ...)` reads this same search, so its d capacity is
     this value.
     """
@@ -398,7 +399,20 @@ def _quantum_search(
     ch: KrausChannel, family: StateFamily, budget: SearchBudget, observe=None
 ) -> tuple[CapacityReport, np.ndarray, MutualResult | None]:
     """`quantum_capacity`'s report, its family parameters and the Ohya result
-    at its maximizer; `observe` goes to every inner `_ohya_suprema`."""
+    at its maximizer; `observe` goes to every inner `_ohya_suprema`.
+
+    Through a channel with `uniform_pure_outputs` every pure input has one
+    output entropy s0, so every member scores I(rho) = S(ch(rho)) - s0, and
+    no search runs: ch(rho) has the eigenvalues a mu + b of rho's mu (the
+    depolarizing form a m + b tr(m) I), or rho's own padded with zeros (an
+    isometry). Either map keeps majorization, and S is Schur concave, so
+    I is largest at the member that every other member majorizes: the flat
+    start `candidate_starts()[0]`, I/d for `full` and `diagonal` and P_r/r
+    for `rank`. That member alone is scored, through the same `value_rows`,
+    and the result has `evals` 1 and `converged` True. This is the classical
+    closed form C = S(ch(I/d)) - s0 of a covariant channel (Holevo,
+    quant-ph/0212025; King, IEEE TIT 49:221 (2003) for the depolarizing one).
+    """
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
@@ -412,7 +426,13 @@ def _quantum_search(
         values[traced] = [r.value for r, _ in results]
         return values
 
-    result, best_state = family.supremum(value_rows, budget)
+    if ch.uniform_pure_outputs:
+        flat = family.candidate_starts()[0]
+        best_state = family.state_from_params(flat)
+        value = value_rows(best_state.matrix[None], np.ones(1, dtype=bool))[0]
+        result = SearchResult(float(value), flat, converged=True, evals=1)
+    else:
+        result, best_state = family.supremum(value_rows, budget)
     ohya = None
     if best_state is not None:
         # state_from_params rebuilds the member as the search's round built it,
@@ -445,7 +465,9 @@ def pseudo_capacity(
     runs on budget.child(2), and is floored at the quantum capacity, so
     C <= C_p holds by construction. Only the maximizer is validated.
     `maximizer` holds its state and ensemble; `evals` is the quantum search's
-    plus the flat search's.
+    plus the flat search's. Through a channel with `uniform_pure_outputs`
+    neither search runs: the capacity is the quantum capacity at the flat
+    member, with its Ohya decomposition, `evals` 1 and `converged` True.
     """
     if n_components < 1:
         raise ValueError("need at least one component")

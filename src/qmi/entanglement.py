@@ -817,8 +817,10 @@ def qdc_hierarchy(
     its value recomputed by `mutual_entropy_fixed`. The c record sees every
     row the Schatten ascent scores, its starts and all its trial steps, and
     keeps that row's support vectors. `evals` counts the rows of the outermost
-    search (the decomposition search at fixed rho, 1 when none runs; the state
-    search otherwise), plus the ray search's for q; `converged` is that
-    search's flag.
+    search (the decomposition search at fixed rho, the state search
+    otherwise; 1 when none runs, as through a channel with
+    `uniform_pure_outputs`, where the capacity is read at the flat state),
+    plus the ray search's for q; `converged` is that search's flag, True
+    when no search runs.
     """
     return _class_reports(rho, ch, ("c", "d", "q"), search or SearchBudget())

@@ -783,6 +783,13 @@ def _split_search(
     when either search is, so a split that wins by rounding alone never
     replaces the exact floor. Returns that result, whose evals count the
     split search alone, and the state it splits.
+
+    Through a channel with `uniform_pure_outputs` no split search runs and
+    the floor is reported, converged, with split evals 0. There every state
+    sigma has S(ch(sigma)) >= s0, the one entropy of the pure outputs, since
+    S o ch is concave, so chi <= S(ch(rho)) - s0. At a fixed rho that bound
+    is Ohya's value, the floor; over a family it is at most the value at the
+    flat member, the floor `_quantum_search` reports (see its docstring).
     """
     n_head = head.size
 
@@ -799,7 +806,10 @@ def _split_search(
         return np.where(traced, out_entropies - mixed, -math.inf)
 
     start = np.concatenate([head, _projector_factors(floor.decomposition.vectors, n_components)])
-    result = maximize_batch(objective, start.size, budget, starts=[start])
+    if ch.uniform_pure_outputs:
+        result = SearchResult(-math.inf, start, converged=True, evals=0)
+    else:
+        result = maximize_batch(objective, start.size, budget, starts=[start])
     if result.value > floor.value + budget.tol:
         rhos, _, _, lams, sigmas = split(result.params[None])
         keep = lams[0] > ZERO_TOL
@@ -830,6 +840,9 @@ def pseudo_mutual_entropy(
     floor is `ohya_mutual_entropy` on budget.child(0), not on the caller's
     budget, so the value never falls below that search's but can fall below
     `ohya_mutual_entropy(rho, ch, search)`. `evals` counts both searches.
+    Through a channel with `uniform_pure_outputs` the floor is the supremum
+    and no split search runs: the value is Ohya's, `evals` 1 and `converged`
+    True.
     """
     if n_components < 1:
         raise ValueError("need at least one component")
