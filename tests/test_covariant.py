@@ -2,28 +2,31 @@
 
 `KrausChannel.uniform_pure_outputs` certifies, from the Kraus operators
 alone, that S(ch(|v><v|)) does not depend on v: one Kraus operator (an
-isometry), or the depolarizing form ch(m) = a m + b tr(m) I. Every Schatten
-decomposition of a state then has the same mutual entropy, so the Ohya
-suprema take the canonical decomposition and search nothing.
+isometry), or the depolarizing form ch(m) = a m + b tr(m) I. Every
+Schatten decomposition of a state then has the same mutual entropy, so the
+Ohya suprema take the canonical decomposition and search nothing; and the
+capacities are read at the flat state, with no family or split search.
 """
 
 import numpy as np
 import pytest
 
-from qmi import mutual
+from qmi import capacity, mutual
 from qmi.capacity import StateFamily, pseudo_capacity, quantum_capacity
 from qmi.channels import (
     KrausChannel,
     amplitude_damping_channel,
+    apply_matrix,
     classical_channel,
     depolarizing_channel,
     identity_channel,
     phase_damping_channel,
     unitary_channel,
 )
+from qmi.entropy import von_neumann_entropy
 from qmi.mutual import mutual_entropy_fixed, ohya_mutual_entropy, pseudo_mutual_entropy
-from qmi.operators import DensityOperator, canonical_schatten, schatten_family, schatten_param_count
-from qmi.sampling import random_kraus_channel, random_unitary, rng_from
+from qmi.operators import DensityOperator, canonical_schatten, pure_state, schatten_family, schatten_param_count
+from qmi.sampling import random_density, random_kraus_channel, random_pure, random_unitary, rng_from
 from qmi.search import SearchBudget
 
 SMALL = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
@@ -57,6 +60,15 @@ NOT_CERTIFIED = {
 def test_the_certificate_truth_table(name):
     ch = (CERTIFIED.get(name) or NOT_CERTIFIED[name])()
     assert ch.uniform_pure_outputs is (name in CERTIFIED)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_a_certified_channel_gives_every_pure_input_one_output_entropy(name):
+    ch = CERTIFIED[name]()
+    rng = rng_from(807)
+    entropies = [von_neumann_entropy(apply_matrix(ch, pure_state(random_pure(ch.in_dim, rng)).matrix))
+                 for _ in range(10)]
+    assert max(entropies) - min(entropies) <= 1e-12
 
 
 def test_the_certificate_reads_a_transfer_matrix_the_channel_already_builds():
@@ -149,3 +161,64 @@ def test_the_pseudo_floors_take_the_canonical_decomposition(monkeypatch):
     assert floor.evals == 1 and pseudo.value >= floor.value
     pseudo_capacity(ch, StateFamily("full", 3), 2, SearchBudget(2, 12))
     assert set(sizes) == {0}
+
+
+# The budgets the capacity benchmark gives a qubit and a qutrit capacity.
+CHAIN_BUDGETS = {2: SearchBudget(2, 12, seed=11), 3: SearchBudget(2, 40, seed=11)}
+
+
+def _families(d: int) -> list:
+    return [StateFamily("full", d), StateFamily("rank", d, d - 1), StateFamily("diagonal", d)]
+
+
+def _flat_value(ch: KrausChannel, flat: np.ndarray) -> float:
+    """S(ch(flat)) - S(ch(|0><0|)), the covariant channel's closed form."""
+    basis = np.zeros((ch.in_dim, ch.in_dim))
+    basis[0, 0] = 1.0
+    return von_neumann_entropy(apply_matrix(ch, flat)) - von_neumann_entropy(apply_matrix(ch, basis))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_a_certified_capacity_is_the_flat_state_s_closed_form(name):
+    ch = CERTIFIED[name]()
+    rng = rng_from(808)
+    for family in _families(ch.in_dim):
+        report = quantum_capacity(ch, family, SMALL)
+        flat = family.state_from_params(family.candidate_starts()[0]).matrix
+        assert (report.evals, report.converged) == (1, True)
+        assert np.array_equal(report.maximizer["state"], flat)
+        assert abs(report.value - _flat_value(ch, flat)) <= 1e-12
+        for _ in range(20):
+            member = family.state_from_params(rng.normal(size=family.n_params))
+            assert ohya_mutual_entropy(member, ch, SMALL).value <= report.value + 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(k for k, make in CERTIFIED.items() if make().in_dim <= 3))
+def test_the_family_search_through_a_certified_channel_finds_no_more(name):
+    ch = CERTIFIED[name]()
+    budget = CHAIN_BUDGETS[ch.in_dim]
+    certified = quantum_capacity(ch, StateFamily("full", ch.in_dim), budget)
+    ch.__dict__["uniform_pure_outputs"] = False  # the cached certificate, withdrawn
+    searched = quantum_capacity(ch, StateFamily("full", ch.in_dim), budget)
+    assert searched.evals > 1
+    assert searched.value <= certified.value + 1e-12
+
+
+def _refusing(*args, **kwargs):
+    raise AssertionError("a search ran through a certified channel")
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_the_pseudo_quantities_of_a_certified_channel_are_their_floors(monkeypatch, name):
+    ch = CERTIFIED[name]()
+    d = ch.in_dim
+    rho = random_density(d, rng_from(809))
+    family = StateFamily("full", d)
+    budget = SearchBudget(2, 12, seed=13)
+    floors = ohya_mutual_entropy(rho, ch, budget.child(0)), quantum_capacity(ch, family, budget)
+    monkeypatch.setattr(mutual, "maximize_batch", _refusing)
+    monkeypatch.setattr(capacity, "maximize_batch", _refusing)
+    pseudo = pseudo_mutual_entropy(rho, ch, 2, budget)
+    assert pseudo.value == floors[0].value and (pseudo.evals, pseudo.converged) == (1, True)
+    pseudo = pseudo_capacity(ch, family, 2, budget)
+    assert pseudo.value == floors[1].value and (pseudo.evals, pseudo.converged) == (1, True)
