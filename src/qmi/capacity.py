@@ -404,8 +404,8 @@ def _quantum_search(
     Through a channel with `uniform_pure_outputs` every pure input has one
     output entropy s0, so every member scores I(rho) = S(ch(rho)) - s0, and
     no search runs: ch(rho) has the eigenvalues a mu + b of rho's mu (the
-    depolarizing form a m + b tr(m) I), or rho's own padded with zeros (an
-    isometry). Either map keeps majorization, and S is Schur concave, so
+    covariant form a U m U^dag + b tr(m) I), or rho's own padded with zeros
+    (an isometry). Either map keeps majorization, and S is Schur concave, so
     I is largest at the member that every other member majorizes: the flat
     start `candidate_starts()[0]`, I/d for `full` and `diagonal` and P_r/r
     for `rank`. That member alone is scored, through the same `value_rows`,

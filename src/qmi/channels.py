@@ -33,7 +33,8 @@ from .operators import (
 # streamed from memory on every call. At in = out = 16 the rule is the flop
 # count, r (in + out) > in out; smaller channels take T sooner, larger later.
 TRANSFER_CROSSOVER = 256
-# `uniform_pure_outputs` accepts a transfer matrix within this of a 1 + b |vec I><vec I|.
+# `uniform_pure_outputs` accepts ch(I) within this of I, and a Choi matrix within
+# this of c 1 + s |w><w|.
 UNIFORM_TOL = 1e-12
 
 
@@ -103,21 +104,34 @@ class KrausChannel:
         """Whether S(ch(|v><v|)) is certified to be the same for every unit v,
         so that every Schatten decomposition of a state has one mutual
         entropy. Read from the Kraus operators alone: True for one operator
-        (an isometry: pure inputs give pure outputs), and for a wide channel
-        with in = out whose transfer matrix is a 1 + b |vec I><vec I| within
-        UNIFORM_TOL, that is ch(m) = a m + b tr(m) I and
-        ch(|v><v|) = a |v><v| + b I (the depolarizing form). Every other
-        channel is False without building anything."""
+        (an isometry: pure inputs give pure outputs), and for a wide unital
+        channel with in = out of the covariant form
+        ch(m) = a U m U^dag + b tr(m) I, U unitary, so that
+        ch(|v><v|) = a U|v><v|U^dag + b I (U = I is the depolarizing form).
+        That holds when ch(I) = I and the Choi matrix, T realigned, is
+        c 1 + s |w><w| for a unit w, both within UNIFORM_TOL: w, reshaped to
+        a d x d matrix W, then has W^T conj(W) = I/d, since ch(I) is
+        c d I + s W^T conj(W), so sqrt(d) W is the unitary. A non-unital
+        channel fails before any eigen-solve, and every other channel is
+        False without building anything."""
         n_ops, d_out, d_in = self.stack.shape
         if n_ops == 1:
             return True
         if d_in != d_out or not self.wide:
             return False
         t = self.transfer
-        b = t[0, -1]  # the entry from |d-1><d-1| to |0><0|: off T's diagonal for d >= 2, so b alone
         vec_eye = np.eye(d_in).reshape(-1)
-        form = (t[0, 0] - b) * np.eye(d_in * d_in) + b * np.outer(vec_eye, vec_eye)
-        return bool(np.max(np.abs(t - form)) <= UNIFORM_TOL)
+        if np.max(np.abs(t @ vec_eye - vec_eye)) > UNIFORM_TOL:
+            return False
+        # C[(i, a), (j, b)] = ch(|i><j|)[a, b] = T[(a, b), (i, j)]
+        choi = t.reshape(d_in, d_in, d_in, d_in).transpose(2, 0, 3, 1).reshape(d_in * d_in, -1)
+        w, v = np.linalg.eigh(choi)
+        # All but one eigenvalue equal c, so the median does; the lone one, c + s,
+        # is the first or the last.
+        c = w[len(w) // 2]
+        lone = 0 if abs(w[0] - c) > abs(w[-1] - c) else -1
+        form = c * np.eye(d_in * d_in) + (w[lone] - c) * np.outer(v[:, lone], v[:, lone].conj())
+        return bool(np.max(np.abs(choi - form)) <= UNIFORM_TOL)
 
 
 def apply_matrix(ch: KrausChannel, m: np.ndarray) -> np.ndarray:

@@ -807,8 +807,8 @@ def qdc_hierarchy(
     quantum capacity at the same budget. A search feeds a running best record
     among decompositions with commuting outputs (c), over all states visited;
     c is d when d's outputs commute. Through a channel with
-    `uniform_pure_outputs` c = d: the outputs a |v_k><v_k| + b I of the
-    depolarizing form, or the orthogonal pure outputs of an isometry, commute.
+    `uniform_pure_outputs` c = d: the outputs a U|v_k><v_k|U^dag + b I of the
+    covariant form, or the orthogonal pure outputs of an isometry, commute.
     q steps along rays out of d's diagonal compound, never below d or the
     coherent information S(rho) + S(ch(rho)) - S(ch^c(rho)), and needs
     in_dim * out_dim <= 64. With rho None its ray search runs on

@@ -602,7 +602,7 @@ def ohya_mutual_entropy(
     is valued once by `mutual_entropy_fixed`, with `evals = 1` and
     `converged = True`, and no search runs. So is a degenerate state through
     a channel with `uniform_pure_outputs` (one Kraus operator, or the
-    depolarizing form a m + b tr(m) I): there S(ch(|v><v|)) does not depend
+    covariant form a U m U^dag + b tr(m) I): there S(ch(|v><v|)) does not depend
     on v, so every decomposition has the canonical one's value. Any other
     state with a degenerate eigenvalue block is searched over the blocks'
     unitary rotations by `_ohya_suprema`, a Riemannian gradient ascent from

@@ -2,7 +2,7 @@
 
 `KrausChannel.uniform_pure_outputs` certifies, from the Kraus operators
 alone, that S(ch(|v><v|)) does not depend on v: one Kraus operator (an
-isometry), or the depolarizing form ch(m) = a m + b tr(m) I. Every
+isometry), or the covariant form ch(m) = a U m U^dag + b tr(m) I. Every
 Schatten decomposition of a state then has the same mutual entropy, so the
 Ohya suprema take the canonical decomposition and search nothing; and the
 capacities are read at the flat state, with no family or split search.
@@ -18,6 +18,7 @@ from qmi.channels import (
     amplitude_damping_channel,
     apply_matrix,
     classical_channel,
+    compose,
     depolarizing_channel,
     identity_channel,
     phase_damping_channel,
@@ -32,9 +33,25 @@ from qmi.search import SearchBudget
 SMALL = SearchBudget(restarts=2, max_evals=40, seed=3, tol=1e-6)
 
 
+def _refusing(*args, **kwargs):
+    raise AssertionError("refused call")
+
+
 def _mixed_in(ch: KrausChannel, other: KrausChannel, eps: float) -> KrausChannel:
     """(1 - eps) ch + eps other, by the Kraus operators of both."""
     return KrausChannel(tuple(np.sqrt(1 - eps) * k for k in ch.ops) + tuple(np.sqrt(eps) * k for k in other.ops))
+
+
+PAULI_X, PAULI_Y, PAULI_Z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+
+
+def _rank_one_off_a_unitary(eps: float) -> KrausChannel:
+    """A qubit channel whose Choi matrix is 0.1 * 1 + 1.6 |u><u| exactly, with u
+    the unit vec of diag(1, 1 + eps): eps off sqrt(1/2) times a unitary, so
+    trace preserving and unital only within about eps."""
+    units = [np.sqrt(0.1) * np.outer(a, b) for a in np.eye(2) for b in np.eye(2)]
+    m = np.diag([1.0, 1.0 + eps])
+    return KrausChannel((*units, np.sqrt(1.6) * m / np.linalg.norm(m)))
 
 
 CERTIFIED = {
@@ -43,16 +60,26 @@ CERTIFIED = {
     "identity d=3": lambda: identity_channel(3),
     "unitary d=4": lambda: unitary_channel(random_unitary(4, rng_from(800))),
     "isometry 3 -> 5": lambda: random_kraus_channel(3, 5, 1, rng_from(801)),
+    # 0.3 (m + X m X + Y m Y) + 0.1 Z m Z = 0.6 tr(m) I - 0.2 Z m Z: a < 0, U = Z.
+    "Pauli (.3, .3, .3, .1)": lambda: KrausChannel(tuple(
+        np.sqrt(p) * k for p, k in zip((0.3, 0.3, 0.3, 0.1), (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)))),
+    "unitary after depolarizing d=3": lambda: compose(
+        unitary_channel(random_unitary(3, rng_from(806))), depolarizing_channel(0.3, 3)),
 }
 
 NOT_CERTIFIED = {
     "amplitude damping": lambda: amplitude_damping_channel(0.3),
     "phase damping": lambda: phase_damping_channel(0.3),
     "classical": lambda: classical_channel([[0.9, 0.2], [0.1, 0.8]]),
+    # Unital, but not covariant: its Choi matrix is no multiple of 1 plus one rank-one term.
+    "symmetric classical": lambda: classical_channel([[0.9, 0.1], [0.1, 0.9]]),
     "random two operators": lambda: random_kraus_channel(3, 3, 2, rng_from(802)),
     "random non-square": lambda: random_kraus_channel(2, 3, 2, rng_from(803)),
     "depolarizing with 1e-6 amplitude damping": lambda: _mixed_in(
         depolarizing_channel(0.3, 2), amplitude_damping_channel(0.3), 1e-6),
+    "rank-one term 1e-10 off a unitary": lambda: _rank_one_off_a_unitary(1e-10),
+    "depolarizing with 1e-6 phase damping": lambda: _mixed_in(
+        depolarizing_channel(0.3, 2), phase_damping_channel(0.3), 1e-6),
 }
 
 
@@ -77,6 +104,13 @@ def test_the_certificate_reads_a_transfer_matrix_the_channel_already_builds():
     assert not ch.wide and not ch.uniform_pure_outputs and "transfer" not in ch.__dict__
     ch = depolarizing_channel(0.3, 3)
     assert ch.wide and ch.uniform_pure_outputs and "transfer" in ch.__dict__
+
+
+def test_a_non_unital_channel_fails_before_any_eigen_solve(monkeypatch):
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, _refusing)
+    ch = amplitude_damping_channel(0.3)
+    assert ch.wide and not ch.uniform_pure_outputs
 
 
 def _degenerate_state(rng, d: int) -> DensityOperator:
@@ -202,10 +236,6 @@ def test_the_family_search_through_a_certified_channel_finds_no_more(name):
     searched = quantum_capacity(ch, StateFamily("full", ch.in_dim), budget)
     assert searched.evals > 1
     assert searched.value <= certified.value + 1e-12
-
-
-def _refusing(*args, **kwargs):
-    raise AssertionError("a search ran through a certified channel")
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
