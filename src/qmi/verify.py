@@ -321,6 +321,16 @@ def _suite_capacity(rng, budget: SearchBudget) -> SuiteResult:
     ident = quantum_capacity(identity_channel(2), family, budget)
     checks.append(_check("identity channel capacity is ln 2", abs(ident.value - math.log(2.0)), 1e-5))
 
+    # Through a covariant channel the capacity is read at I/d: ln 3 - S(ch(|0><0|)).
+    depolarizing = depolarizing_channel(0.3, 3)
+    covariant = quantum_capacity(depolarizing, StateFamily("full", 3), budget)
+    closed = math.log(3.0) - von_neumann_entropy(apply_matrix(depolarizing, np.diag([1.0, 0.0, 0.0])))
+    checks.append(_check("depolarizing capacity is its closed form", abs(covariant.value - closed), 1e-12))
+    # Its own rng, so that the suites after this one draw what they drew before.
+    member = random_density(3, rng_from(budget.seed))
+    below = ohya_mutual_entropy(member, depolarizing, budget).value - covariant.value
+    checks.append(_check("no state beats the depolarizing capacity", below, 1e-12))
+
     small = SearchBudget(restarts=2, max_evals=12, seed=budget.seed, tol=budget.tol)
     q = quantum_capacity(noisy, family, small)
     p = pseudo_capacity(noisy, family, 2, small)
