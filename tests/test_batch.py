@@ -361,7 +361,7 @@ def test_stacked_suprema_equal_lone_ohya_searches(d_out, n_ops):
     (classical_channel(np.array([[1.0, 0.3], [0.0, 0.7]])), StateFamily("full", 2), False),
     (random_kraus_channel(3, 3, 2, rng_from(516)), StateFamily("rank", 3, 2), True),
     # So it does through a depolarizing channel, where every decomposition has
-    # one value: no inner search runs, at I/3 or at any other member.
+    # one value: no inner search runs, and I/3 is the one member scored.
     (depolarizing_channel(0.2, 3), StateFamily("full", 3), False),
 ])
 def test_the_maximizer_keeps_its_inner_search(monkeypatch, ch, family, searched):
