@@ -94,17 +94,6 @@ class CapacityReport:
     notes: dict = field(default_factory=dict)
 
 
-def _normalized_grams(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A A^dag / tr (Hermitian part) for each factor A of a stack (rows, d, r),
-    and per row whether its trace is at least ZERO_TOL (the grams of other rows
-    are not meaningful)."""
-    m = factors @ factors.conj().swapaxes(-1, -2)
-    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
-    traced = tr >= ZERO_TOL
-    m = m / np.where(traced, tr, 1.0)[:, None, None]
-    return hermitian_part(m), traced
-
-
 @dataclass(frozen=True)
 class StateFamily:
     """Input-state family for the capacity suprema."""
@@ -138,31 +127,19 @@ class StateFamily:
     def _matrices_from_params(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The members of the rows of points (rows, n_params), unvalidated, and
         per row whether it has trace at least ZERO_TOL (other rows' matrices are
-        not meaningful)."""
+        not meaningful). A `rank` or `full` member is A A^dag / tr (Hermitian
+        part) of the d x r factor A that the row holds."""
         if self.kind == "diagonal":
             mats = np.zeros((len(points), self.dim, self.dim), dtype=complex)
             diag = np.arange(self.dim)
             mats[:, diag, diag] = softmax(points)
             return mats, np.ones(len(points), dtype=bool)
-        return _normalized_grams(_complex_stack(points, 1, self.dim, self.effective_rank)[:, 0])
-
-    def supremum(self, value_rows, budget: SearchBudget) -> tuple[SearchResult, DensityOperator | None]:
-        """Maximize a batch objective over the family from its candidate starts.
-
-        `value_rows(mats, traced)` sees the unvalidated members of a round of
-        points, stacked (rows, d, d), and per row whether the member has trace
-        at least ZERO_TOL; it returns one value per row. A member below that
-        trace scores -inf, whatever its value. Only the maximizer is
-        validated: the second item is its DensityOperator, or None when it
-        has no trace.
-        """
-
-        def objective(points: np.ndarray) -> np.ndarray:
-            mats, traced = self._matrices_from_params(points)
-            return np.where(traced, value_rows(mats, traced), -math.inf)
-
-        result = maximize_batch(objective, self.n_params, budget, starts=self.candidate_starts())
-        return result, self.state_from_params(result.params)
+        factors = _complex_stack(points, 1, self.dim, self.effective_rank)[:, 0]
+        m = factors @ factors.conj().swapaxes(-1, -2)
+        tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+        traced = tr >= ZERO_TOL
+        m = m / np.where(traced, tr, 1.0)[:, None, None]
+        return hermitian_part(m), traced
 
     def candidate_starts(self) -> list[np.ndarray]:
         """Deterministic starts: the flattest family member plus basis states."""
@@ -176,47 +153,30 @@ class StateFamily:
         return [flat, corner]
 
 
-def _outcome_rows(p: np.ndarray) -> np.ndarray:
-    """Born rows (along the last axis) clipped at 0 and rescaled to sum 1
-    (rows summing to 0 stay 0)."""
-    p = np.clip(p, 0.0, None)
-    total = p.sum(axis=-1, keepdims=True)
-    return np.divide(p, total, out=p, where=total > 0)
+def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """I(q) = sum_k q_k D(W_k || qW) of input weights q (K,) through
+    transition rows W (K, J), every letter's D_k = D(W_k || qW), and the
+    mixture qW, from one pass.
 
-
-def _cqc_kl(weights: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """sum_k lambda_k KL(W_k || lambda W) for each row of input weights (rows, K)
-    through transition rows W, one (K, J) for all rows or (rows, K, J).
-
-    Infinite when a row charges an outcome the mixture does not; weights at
-    or below WEIGHT_TOL drop out as exact 0 terms. Up to 7 letters numpy sums a
-    row in order, so that equals the sum over the kept letters bit for bit;
-    from 8 letters its pairwise sum may round otherwise in the last bit.
-    """
-    avg = (weights[..., None] * dists).sum(axis=-2)[:, None, :]
-    keep = weights > WEIGHT_TOL
-    charged = (dists > ZERO_TOL) & keep[..., None]
-    supported = avg > ZERO_TOL
-    infinite = (charged & ~supported).any(axis=(-2, -1))
-    ratio = np.divide(dists, avg, out=np.ones(charged.shape), where=charged & supported)
-    terms = weights * (dists * np.log(ratio)).sum(axis=-1)
-    total = np.where(keep, terms, 0.0).sum(axis=-1)
-    return np.where(infinite, math.inf, total)
-
-
-def _letter_kl(weights: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D(W_k || lambda W) for every letter k, weight 0 included, by the terms
-    `_cqc_kl` sums, and the mixture lambda W.
-
-    Where W_k charges an outcome the mixture does not (at the points
-    `_cqc_weights` keeps, only a letter of weight at most WEIGHT_TOL can), the
-    mixture there is read at ZERO_TOL, the least that `_cqc_kl` resolves,
-    so D_k stays finite: a letter whose best weight lies below that
-    resolution (say e^-690) is certified at weight 0.
+    I is infinite when a letter of weight above WEIGHT_TOL charges an outcome
+    the mixture does not; weights at or below WEIGHT_TOL drop out as exact 0
+    terms. Up to 7 letters numpy sums the terms in order, so that equals the
+    sum over the kept letters bit for bit; from 8 letters its pairwise sum
+    may round otherwise in the last bit. D_k is read for every letter,
+    weight 0 included. Where W_k charges an outcome the mixture does not (at
+    the points `_cqc_weights` keeps, only a letter of weight at most
+    WEIGHT_TOL can), the mixture there is read at ZERO_TOL, the least that I
+    resolves, so D_k stays finite: a letter whose best weight lies below
+    that resolution (say e^-690) is certified at weight 0.
     """
     avg = (weights[:, None] * dists).sum(axis=0)
-    ratio = np.divide(dists, np.maximum(avg, ZERO_TOL), out=np.ones(dists.shape), where=dists > ZERO_TOL)
-    return (dists * np.log(ratio)).sum(axis=-1), avg
+    charged = dists > ZERO_TOL
+    ratio = np.divide(dists, np.maximum(avg, ZERO_TOL), out=np.ones(dists.shape), where=charged)
+    kl = (dists * np.log(ratio)).sum(axis=-1)
+    keep = weights > WEIGHT_TOL
+    if (charged[keep] & (avg <= ZERO_TOL)).any():
+        return math.inf, kl, avg
+    return float(np.where(keep, weights * kl, 0.0).sum()), kl, avg
 
 
 def _cqc_weights(
@@ -225,9 +185,9 @@ def _cqc_weights(
     """Shannon capacity of the transition rows `dists` (K, J): the input
     weights q, I(q), the gap and the number of evaluations of I.
 
-    I(q) = `_cqc_kl` is concave, and the gap max_k D(W_k || qW) - I(q) bounds
-    its distance to the capacity from above (Blahut 1972; Arimoto 1972),
-    with D_k as `_letter_kl` scores it. From `start` (default: uniform),
+    I(q) is concave, and the gap max_k D(W_k || qW) - I(q) bounds its
+    distance to the capacity from above (Blahut 1972; Arimoto 1972), with I
+    and D_k as `_cqc_kl` scores them. From `start` (default: uniform),
     which must score a finite I, the solver moves to the first of `_trials`
     that raises I, until the gap is at most budget.tol, no trial raises I,
     or budget.restarts * budget.max_evals evaluations are spent (the rows
@@ -236,17 +196,14 @@ def _cqc_weights(
     size = len(dists)
     cap = budget.restarts * budget.max_evals
 
-    def score(q):
-        return float(_cqc_kl(q[None], dists)[0]), *_letter_kl(q, dists)
-
     q = np.full(size, 1.0 / size) if start is None else start
-    value, kl, avg = score(q)
+    value, kl, avg = _cqc_kl(q, dists)
     evals = 1
     while (gap := float(kl.max()) - value) > budget.tol and evals < cap:
         for trial in _trials(q, value, kl, avg, dists, budget.tol):
             if evals == cap:
                 break
-            scored = score(trial)
+            scored = _cqc_kl(trial, dists)
             evals += 1
             if math.isfinite(scored[0]) and scored[0] > value:
                 q, (value, kl, avg) = trial, scored
@@ -326,11 +283,11 @@ def _newton_step(q, value, kl, unblocked, avg, dists) -> np.ndarray:
 def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     """Shannon mutual information of input weights through transition rows, two ways.
 
-    `value` is `_cqc_kl`; `cross_value` is H(lambda W) - sum_k lambda_k H(W_k),
+    `value` is I by `_cqc_kl`; `cross_value` is H(lambda W) - sum_k lambda_k H(W_k),
     where weights at or below WEIGHT_TOL drop out too. Disagreement beyond
     CLASSICAL_ROUTE_TOL raises ConsistencyError.
     """
-    kl_route = float(_cqc_kl(weights[None], dists)[0])
+    kl_route = _cqc_kl(weights, dists)[0]
     keep = weights > WEIGHT_TOL
     avg = (weights[:, None] * dists).sum(axis=0)
     entropies = _entropy_rows(np.vstack([dists[keep], avg]))
@@ -343,22 +300,22 @@ def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     return result
 
 
-class _CqcEvaluator:
-    """The fixed work of the cqc solves for one channel and stack of effects.
+def _dual_effects(ch: KrausChannel, effects: np.ndarray) -> np.ndarray:
+    """The decoding's Heisenberg-picture effects ch*(E_j) = sum_r K_r^dag E_j K_r
+    of stacked effects (J, e, e)."""
+    kraus = ch.stack
+    return (kraus.conj().transpose(0, 2, 1)[:, None] @ effects @ kraus[:, None]).sum(axis=0)
 
-    The decoding's Heisenberg-picture effects ch*(E_j) = sum_r K_r^dag E_j K_r,
-    so the transition matrix W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k)
-    of a stack of coded states is one einsum. Nothing here is validated: the
-    inputs come from validated objects or from the alternation's own steps.
-    """
 
-    def __init__(self, ch: KrausChannel, effects: np.ndarray):
-        kraus = ch.stack
-        self.dual = (kraus.conj().transpose(0, 2, 1)[:, None] @ effects @ kraus[:, None]).sum(axis=0)
-
-    def transitions(self, states: np.ndarray) -> np.ndarray:
-        """W for stacked coded states (K, d, d) and the cached effects."""
-        return _outcome_rows(np.einsum("jab,kba->kj", self.dual, states).real)
+def _transitions(dual: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The transition rows W[k, j] = tr(E_j ch(sigma_k)) = tr(ch*(E_j) sigma_k)
+    of stacked coded states (K, d, d) through the dual effects, one einsum,
+    clipped at 0 and rescaled to sum 1 (rows summing to 0 stay 0). Nothing
+    here is validated: the inputs come from validated objects or from the
+    alternation's own steps."""
+    w = np.clip(np.einsum("jab,kba->kj", dual, states).real, 0.0, None)
+    total = w.sum(axis=-1, keepdims=True)
+    return np.divide(w, total, out=w, where=total > 0)
 
 
 def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
@@ -368,9 +325,9 @@ def cqc_mutual_entropy(inst: CqcInstance) -> DualRouteValue:
     mixture; the cross route is the Shannon-entropy difference. The two are
     algebraically identical and checked to CLASSICAL_ROUTE_TOL.
     """
-    evaluator = _CqcEvaluator(inst.channel, np.stack(inst.decoding.effects))
+    dual = _dual_effects(inst.channel, np.stack(inst.decoding.effects))
     states = np.stack([s.matrix for s in inst.coding.states])
-    return _cqc_routes(inst.weights, evaluator.transitions(states))
+    return _cqc_routes(inst.weights, _transitions(dual, states))
 
 
 def quantum_capacity(
@@ -401,6 +358,13 @@ def _quantum_search(
     """`quantum_capacity`'s report, its family parameters and the Ohya result
     at its maximizer; `observe` goes to every inner `_ohya_suprema`.
 
+    The search maximizes over the family parameters from the candidate
+    starts. Its objective scores a round's unvalidated members together,
+    a member below trace ZERO_TOL scoring -inf, and records each scored
+    point's member and inner result by the point's bytes. The maximizer's
+    are read back at `result.params`, a copy of the scored point, and only
+    that member is validated; a maximizer without trace has none.
+
     Through a channel with `uniform_pure_outputs` every pure input has one
     output entropy s0, so every member scores I(rho) = S(ch(rho)) - s0, and
     no search runs: ch(rho) has the eigenvalues a mu + b of rho's mu (the
@@ -408,7 +372,7 @@ def _quantum_search(
     (an isometry). Either map keeps majorization, and S is Schur concave, so
     I is largest at the member that every other member majorizes: the flat
     start `candidate_starts()[0]`, I/d for `full` and `diagonal` and P_r/r
-    for `rank`. That member alone is scored, through the same `value_rows`,
+    for `rank`. That member alone is scored, through the same objective,
     and the result has `evals` 1 and `converged` True. This is the classical
     closed form C = S(ch(I/d)) - s0 of a covariant channel (Holevo,
     quant-ph/0212025; King, IEEE TIT 49:221 (2003) for the depolarizing one).
@@ -416,30 +380,28 @@ def _quantum_search(
     if family.dim != ch.in_dim:
         raise ValueError("family dimension does not match the channel input")
     inner = budget.child(1)
-    found = {}  # the inner (result, support weights) of each evaluated member, by the member's bytes
+    found = {}  # the member and inner (result, support weights) of each scored point, by the point's bytes
 
-    def value_rows(mats: np.ndarray, traced: np.ndarray) -> np.ndarray:
-        mats = mats[traced]
-        results = _ohya_suprema(ch, mats, inner, observe)
-        found.update(zip((m.tobytes() for m in mats), results))
-        values = np.full(len(traced), -math.inf)
+    def objective(points: np.ndarray) -> np.ndarray:
+        mats, traced = family._matrices_from_params(points)
+        members = mats[traced]
+        results = _ohya_suprema(ch, members, inner, observe)
+        for point, member, inner_result in zip(points[traced], members, results):
+            found[point.tobytes()] = member, inner_result
+        values = np.full(len(points), -math.inf)
         values[traced] = [r.value for r, _ in results]
         return values
 
     if ch.uniform_pure_outputs:
         flat = family.candidate_starts()[0]
-        best_state = family.state_from_params(flat)
-        value = value_rows(best_state.matrix[None], np.ones(1, dtype=bool))[0]
-        result = SearchResult(float(value), flat, converged=True, evals=1)
+        result = SearchResult(float(objective(flat[None])[0]), flat, converged=True, evals=1)
     else:
-        result, best_state = family.supremum(value_rows, budget)
-    ohya = None
-    if best_state is not None:
-        # state_from_params rebuilds the member as the search's round built it,
-        # and DensityOperator keeps an exactly Hermitian member bit for bit.
-        if (kept := found.get(best_state.matrix.tobytes())) is None:
-            raise ConsistencyError("the maximizing state, rebuilt from its parameters, is no evaluated member")
-        ohya = _checked_ohya(best_state, ch, *kept)
+        result = maximize_batch(objective, family.n_params, budget, starts=family.candidate_starts())
+    best_state = ohya = None
+    if (kept := found.get(result.params.tobytes())) is not None:
+        member, inner_result = kept
+        best_state = DensityOperator(member)
+        ohya = _checked_ohya(best_state, ch, *inner_result)
     report = CapacityReport(
         value=result.value if ohya is None else ohya.value,
         converged=result.converged,
@@ -537,7 +499,7 @@ def cqc_capacity(
     effects = np.stack(decoding.effects)
     budget = search or SearchBudget()
     if mode == "weights":
-        dists = _CqcEvaluator(channel, effects).transitions(states)
+        dists = _transitions(_dual_effects(channel, effects), states)
         report = _weights_solve(dists, budget)
     else:
         report = _cqc_search(channel, states, effects, mode, budget)
@@ -571,7 +533,7 @@ def _cqc_search(
     """`cqc_capacity` on the stacked coded states and effects, unchecked: the
     "weights" solve, or the alternation from the poorer mode's maximizer."""
     if mode == "weights":
-        return _weights_solve(_CqcEvaluator(channel, effects).transitions(states), budget)
+        return _weights_solve(_transitions(_dual_effects(channel, effects), states), budget)
     poorer, child = ("weights", 3) if mode == "coding" else ("coding", 4)
     floor = _cqc_search(channel, states, effects, poorer, budget.child(child))
     start = floor.maximizer
@@ -610,25 +572,25 @@ def _cqc_alternation(channel, weights, codes, effects, value, free_decoding, bud
     lowers it). The rounds stop after max(1, budget.max_evals // 10), or
     when one gains at most budget.tol.
     """
-    evaluator = _CqcEvaluator(channel, effects)
-    dists = evaluator.transitions(codes)
+    dual = _dual_effects(channel, effects)
+    dists = _transitions(dual, codes)
     evals = rounds = 0
     gain = math.inf
     while rounds < max(1, budget.max_evals // 10) and gain > budget.tol:
         before = value
-        trial_codes = _code_step(evaluator.dual, weights, dists)
-        trial_dists = evaluator.transitions(trial_codes)
-        trial = float(_cqc_kl(weights[None], trial_dists)[0])
+        trial_codes = _code_step(dual, weights, dists)
+        trial_dists = _transitions(dual, trial_codes)
+        trial = _cqc_kl(weights, trial_dists)[0]
         evals += 1
         if math.isfinite(trial) and trial > value:
             codes, dists, value = trial_codes, trial_dists, trial
         if free_decoding and (trial_effects := _decoding_step(channel, weights, codes, dists, effects)) is not None:
-            trial_evaluator = _CqcEvaluator(channel, trial_effects)
-            trial_dists = trial_evaluator.transitions(codes)
-            trial = float(_cqc_kl(weights[None], trial_dists)[0])
+            trial_dual = _dual_effects(channel, trial_effects)
+            trial_dists = _transitions(trial_dual, codes)
+            trial = _cqc_kl(weights, trial_dists)[0]
             evals += 1
             if math.isfinite(trial) and trial > value:
-                effects, evaluator, dists, value = trial_effects, trial_evaluator, trial_dists, trial
+                effects, dual, dists, value = trial_effects, trial_dual, trial_dists, trial
         weights, value, _, solved = _cqc_weights(dists, budget, weights)
         evals += solved
         rounds += 1

@@ -3,7 +3,7 @@
 `maximize_batch` runs Nelder-Mead local descents from seeded random starts,
 stepped in lockstep so that each round of points is one call of a batch
 objective, and reduces them by max. Three suprema of the package use it:
-the capacity state-family search (`capacity.StateFamily.supremum`), the
+the capacity state-family search (`capacity._quantum_search`), the
 pseudo split search (`mutual._split_search`) and the entanglement q ray
 search (`entanglement._q_value`). Restart seeds derive from the budget's
 master seed by counter, so results are reproducible. `maximize` is the

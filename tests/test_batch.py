@@ -25,12 +25,12 @@ from qmi.channels import (
     apply_matrix,
     classical_channel,
     depolarizing_channel,
+    phase_damping_channel,
 )
 from qmi.entanglement import qdc_hierarchy
 from qmi.entropy import _entropy_rows
 from qmi.mutual import _MutualEvaluator, ohya_mutual_entropy, pseudo_mutual_entropy
 from qmi.operators import (
-    ConsistencyError,
     DensityOperator,
     SchattenDecomposition,
     _support_layouts,
@@ -176,7 +176,7 @@ def test_pseudo_capacity_objectives(monkeypatch):
     zero_head = starts[0].copy()
     zero_head[:8] = 0.0
     assert objective_rows(zero_head[None])[0] == -math.inf
-    _check_all(found, ["StateFamily.supremum.<locals>.objective", "_split_search.<locals>.objective"], 503,
+    _check_all(found, ["_quantum_search.<locals>.objective", "_split_search.<locals>.objective"], 503,
                special={"_split_search.<locals>.objective": [zero_head]})
 
 
@@ -185,10 +185,10 @@ def test_family_objective(monkeypatch, family):
     # Not certified: through a certified channel the family search does not run.
     ch = random_kraus_channel(3, 3, 2, rng_from(506))
     found = _captured(monkeypatch, lambda: quantum_capacity(ch, family, SearchBudget(2, 8, seed=5)))
-    objective_rows, n_params, _ = _only(found, "StateFamily.supremum.<locals>.objective")
+    objective_rows, n_params, _ = _only(found, "_quantum_search.<locals>.objective")
     if family.kind == "rank":
         assert objective_rows(np.zeros((1, n_params)))[0] == -math.inf  # no trace
-    _check_all(found, ["StateFamily.supremum.<locals>.objective"], 505)
+    _check_all(found, ["_quantum_search.<locals>.objective"], 505)
 
 
 def test_survey_and_ray_objectives(monkeypatch):
@@ -211,7 +211,7 @@ def test_survey_and_ray_objectives(monkeypatch):
     _check_all(found, ["_q_value.<locals>.objective"], 510)
     ascents = []
     found = _captured(monkeypatch, lambda: qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY), ascents)
-    _check_all(found, ["StateFamily.supremum.<locals>.objective", "_q_value.<locals>.objective"], 511)
+    _check_all(found, ["_quantum_search.<locals>.objective", "_q_value.<locals>.objective"], 511)
     searched = [ev for ev in ascents if ev.blocks]  # the flat start I/2
     assert searched
     _assert_evaluator_rows_alone(searched[0], 511)
@@ -388,21 +388,24 @@ def test_the_maximizer_keeps_its_inner_search(monkeypatch, ch, family, searched)
     assert np.array_equal(ohya.decomposition.vectors, fresh.decomposition.vectors)
 
 
-def test_a_maximizer_no_round_evaluated_is_an_error(monkeypatch):
-    # The kept inner result is found by the maximizer's member matrix; a
-    # rebuilt member that differs from the evaluated one in its last bits
-    # finds none, and says so.
-    original = StateFamily.state_from_params
-
-    def nudged(self, params):
-        m = original(self, params).matrix.copy()
-        m[0, 1] += 1e-14
-        m[1, 0] += 1e-14
-        return DensityOperator(m)
-
-    monkeypatch.setattr(StateFamily, "state_from_params", nudged)
-    with pytest.raises(ConsistencyError, match="is no evaluated member"):
-        quantum_capacity(amplitude_damping_channel(0.3), StateFamily("full", 2), TINY)
+@pytest.mark.parametrize("ch", [
+    amplitude_damping_channel(0.3),
+    phase_damping_channel(0.4),
+    classical_channel(np.array([[0.9, 0.2], [0.1, 0.8]])),
+    depolarizing_channel(0.3, 3),
+    random_kraus_channel(3, 3, 2, np.random.default_rng(0)),  # rk3_0 of tests/test_entanglement.py
+    random_kraus_channel(2, 2, 3, np.random.default_rng(1)),
+])
+@pytest.mark.parametrize("kind", ["full", "diagonal", "rank"])
+def test_the_capacity_is_the_ohya_value_at_its_maximizer(ch, kind):
+    # The maximizer's member and inner result are the ones its round scored,
+    # so a fresh Ohya search at the reported state reports the same value,
+    # bit for bit.
+    family = StateFamily(kind, ch.in_dim, 1 if kind == "rank" else None)
+    budget = SearchBudget(2, 12, seed=5)
+    report = quantum_capacity(ch, family, budget)
+    fresh = ohya_mutual_entropy(DensityOperator(report.maximizer["state"]), ch, budget.child(1))
+    assert report.value == fresh.value
 
 
 # -- the batched commutation defect against the pairwise loop it replaced ----------------

@@ -308,16 +308,16 @@ def test_weights_solve_brings_back_a_letter_of_infinite_divergence(monkeypatch):
     # sets it to 0, where D(W_2 || qW) = +inf (the solve reads it at the
     # threshold); it comes back by mixing.
     rows = [[0.0, 1.0, 0.0], [0.0, 0.25, 0.75], [0.2, 0.4, 0.4]]
-    letter_kl = capacity._letter_kl
+    cqc_kl = capacity._cqc_kl
     infinite = []
 
     def recording(weights, dists):
-        kl, avg = letter_kl(weights, dists)
+        value, kl, avg = cqc_kl(weights, dists)
         infinite.append(bool((dists[:, avg <= ZERO_TOL] > ZERO_TOL).any()))
         assert np.isfinite(kl).all()
-        return kl, avg
+        return value, kl, avg
 
-    monkeypatch.setattr(capacity, "_letter_kl", recording)
+    monkeypatch.setattr(capacity, "_cqc_kl", recording)
     rep = _basis_capacity(rows)
     assert any(infinite) and not infinite[-1]
     assert rep.maximizer["weights"][2] > 0.05
@@ -364,7 +364,9 @@ def test_weights_solve_never_loses_to_the_simplex_search():
         coding = CodingScheme(tuple(pure_state(random_pure(dim, rng)) for _ in range(size)))
         budget = SearchBudget(restarts=2, max_evals=60, seed=trial + 1)
         rep = cqc_capacity(channel, decoding, coding, "weights", budget)
-        dists = capacity._CqcEvaluator(channel, np.stack(decoding.effects)).transitions(np.stack([s.matrix for s in coding.states]))
-        searched = maximize_batch(lambda p: capacity._cqc_kl(softmax(p), dists), size, budget, starts=[np.zeros(size)])
+        dual = capacity._dual_effects(channel, np.stack(decoding.effects))
+        dists = capacity._transitions(dual, np.stack([s.matrix for s in coding.states]))
+        searched = maximize_batch(lambda p: np.array([capacity._cqc_kl(q, dists)[0] for q in softmax(p)]),
+                                  size, budget, starts=[np.zeros(size)])
         assert rep.value >= searched.value - 1e-9, trial
         assert rep.converged and rep.notes["gap"] <= budget.tol, trial

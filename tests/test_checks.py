@@ -123,7 +123,12 @@ def test_each_cqc_mode_checks_its_own_search(monkeypatch, mode):
 
 def test_a_perturbed_kl_route_is_caught(monkeypatch):
     original = capacity._cqc_kl
-    monkeypatch.setattr(capacity, "_cqc_kl", lambda w, d: original(w, d) + 1e-3)
+
+    def perturbed(weights, dists):
+        value, kl, avg = original(weights, dists)
+        return value + 1e-3, kl, avg
+
+    monkeypatch.setattr(capacity, "_cqc_kl", perturbed)
     with pytest.raises(ConsistencyError, match="cqc mutual-entropy routes disagree"):
         cqc_capacity(depolarizing_channel(0.2, 2), projective_povm(2), _CODING, "weights", TINY)
 

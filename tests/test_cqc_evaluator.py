@@ -1,5 +1,5 @@
-"""The cached cqc evaluator and the batched POVM kernel against the validated
-loop routes they replace."""
+"""The cqc transition rows, from the dual effects, and the batched POVM
+kernel against the validated loop routes they replace."""
 
 import math
 
@@ -11,7 +11,6 @@ from qmi.capacity import (
     CodingScheme,
     CqcInstance,
     StateFamily,
-    _CqcEvaluator,
     _cqc_routes,
     cqc_capacity,
     cqc_mutual_entropy,
@@ -156,7 +155,7 @@ def _reference_capacity(channel, decoding, coding, mode, budget):
     return value, evals, inst
 
 
-# -- the evaluator ---------------------------------------------------------------------
+# -- the transition rows ---------------------------------------------------------------
 
 
 def _instances(seed):
@@ -182,14 +181,14 @@ def test_evaluator_matches_the_loop_route(seed):
         got = cqc_mutual_entropy(inst)
         assert abs(got.value - want.value) <= 1e-13
         assert abs(got.cross_value - want.cross_value) <= 1e-13
-        evaluator = _CqcEvaluator(inst.channel, np.stack(inst.decoding.effects))
-        dists = evaluator.transitions(np.stack([s.matrix for s in inst.coding.states]))
+        dual = capacity._dual_effects(inst.channel, np.stack(inst.decoding.effects))
+        dists = capacity._transitions(dual, np.stack([s.matrix for s in inst.coding.states]))
         assert abs(_cqc_routes(inst.weights, dists).value - want.value) <= 1e-13
 
 
 @pytest.mark.parametrize("letters", range(2, 8))
 def test_zero_weight_letters_change_no_bit_of_the_kl_rows(letters):
-    # Up to 7 letters numpy sums a row in order, so the exact 0 a dropped
+    # Up to 7 letters numpy sums the terms in order, so the exact 0 a dropped
     # letter adds leaves the sum over the kept letters unchanged.
     rng = rng_from(40 + letters)
     dists = rng.dirichlet(np.ones(3), size=letters)
@@ -197,9 +196,12 @@ def test_zero_weight_letters_change_no_bit_of_the_kl_rows(letters):
     keep[:, 0] = True
     weights = np.where(keep, rng.dirichlet(np.ones(letters), size=50), 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
-    got = capacity._cqc_kl(weights, dists)
-    for row, kept, value in zip(weights, keep, got):
-        assert value == capacity._cqc_kl(row[kept][None], dists[kept])[0]
+    for row, kept in zip(weights, keep):
+        value, kl, avg = capacity._cqc_kl(row, dists)
+        kept_value, kept_kl, kept_avg = capacity._cqc_kl(row[kept], dists[kept])
+        assert value == kept_value
+        assert kl[kept].tobytes() == kept_kl.tobytes()
+        assert avg.tobytes() == kept_avg.tobytes()
 
 
 def test_infinite_kl_route_raises_on_both_paths():
