@@ -137,9 +137,9 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _transmitted(ch: KrausChannel, dec: SchattenDecomposition) -> np.ndarray:
     """Channel images of the rank-one components, stacked along the first
-    axis: one transfer-matrix product for a wide channel, else from the
-    Kraus images."""
-    if ch.wide:
+    axis, by `_MutualEvaluator`'s rule: one transfer-matrix product for a
+    wide channel of r >= out Kraus operators, else from the Kraus images."""
+    if ch.wide and ch.stack.shape[0] >= ch.out_dim:
         return _projected(ch, dec.vectors.T)
     return _outputs(_images(ch.stack, dec.vectors))
 
