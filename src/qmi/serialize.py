@@ -193,10 +193,7 @@ def to_jsonable(obj):
         return to_jsonable(float(obj))
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return matrix_to_json(obj) if obj.ndim == 2 else {
-                "re": np.real(obj).tolist(),
-                "im": np.imag(obj).tolist(),
-            }
+            return matrix_to_json(obj)
         return [to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}

@@ -24,7 +24,7 @@ from qmi.channels import (
 from qmi import cli
 from qmi.cli import main
 from qmi.sampling import random_kraus_channel, random_povm, random_unitary, rng_from
-from qmi.serialize import matrix_to_json, parse_channel
+from qmi.serialize import matrix_to_json, parse_channel, to_jsonable
 
 
 def _write(tmp_path, name, payload):
@@ -199,6 +199,15 @@ def test_complex_entries_parse_as_pairs(tmp_path):
     code, text = _run(tmp_path, ["entropy", "--config", cfg])
     assert code == 0
     assert json.loads(text)["results"]["nats"] < math.log(2.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 1, 3)])
+def test_complex_arrays_serialize_as_real_and_imaginary_parts(shape):
+    a = np.arange(np.prod(shape)).reshape(shape) * (0.5 - 1.5j)
+    got = to_jsonable({"a": a, "b": [a]})
+    want = {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
+    assert got == {"a": want, "b": [want]}
+    assert json.loads(json.dumps(got)) == got
 
 
 def test_referenced_files_resolve_relative_to_config(tmp_path):
