@@ -287,9 +287,8 @@ def _cqc_routes(weights: np.ndarray, dists: np.ndarray) -> DualRouteValue:
     where weights at or below WEIGHT_TOL drop out too. Disagreement beyond
     CLASSICAL_ROUTE_TOL raises ConsistencyError.
     """
-    kl_route = _cqc_kl(weights, dists)[0]
+    kl_route, _, avg = _cqc_kl(weights, dists)
     keep = weights > WEIGHT_TOL
-    avg = (weights[:, None] * dists).sum(axis=0)
     entropies = _entropy_rows(np.vstack([dists[keep], avg]))
     shannon_route = float(entropies[-1]) - float((weights[keep] * entropies[:-1]).sum())
     result = DualRouteValue(value=kl_route, cross_value=shannon_route)
