@@ -463,7 +463,7 @@ def test_capacity_hierarchy_searches_states_once(monkeypatch):
         calls.append(args[1])
         return qmi.search.maximize_batch(*args, **kwargs)
 
-    monkeypatch.setattr(qmi.capacity, "maximize_batch", counting)  # StateFamily.supremum's search
+    monkeypatch.setattr(qmi.capacity, "maximize_batch", counting)  # the family search of _quantum_search
     levels = qdc_hierarchy(None, amplitude_damping_channel(0.3), TINY)
     assert calls == [8]  # one search over full-rank qubit states
     assert levels["c"].evals == levels["d"].evals <= levels["q"].evals
